@@ -332,7 +332,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, (a, b), "matmul", _bw)
 
 
-@catalog_op("direct 2-D convolution with stride and symmetric zero padding")
+@catalog_op("2-D convolution with stride and symmetric zero padding, "
+            "one GEMM per kernel offset")
 def conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
     if w.data.ndim != 4:
         raise ValueError(f"conv2d: kernel must be 4-D (out,in,kh,kw), got {w.data.shape}")
@@ -350,28 +351,48 @@ def conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
     wo = (wd_ + 2 * pw - kw) // sw + 1
     if ho <= 0 or wo <= 0:
         raise ValueError(f"conv2d: kernel {w.data.shape} larger than padded input {xd.shape}")
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
+    # Channels-last layout makes every kernel offset a plain matrix product:
+    # the window at offset (i, j) is an (N*Ho*Wo, C) matrix, copied into a
+    # reused buffer, times that offset's (C, Co) weight slice. No im2col
+    # matrix of all offsets at once is ever built.
+    dtype = np.result_type(xd, w.data)
+    xh = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, c), dtype=dtype)
+    xh[:, ph:ph + h, pw:pw + wd_, :] = xd.transpose(0, 2, 3, 1)
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype)  # (kh, kw, C, Co)
+    m = n * ho * wo
 
-    out = np.zeros((n, co, ho, wo), dtype=np.result_type(xd, w.data))
+    def window(i, j):
+        return (slice(None), slice(i, i + sh * (ho - 1) + 1, sh),
+                slice(j, j + sw * (wo - 1) + 1, sw))
+
+    cols = np.empty((m, c), dtype=dtype)
+    cols4 = cols.reshape(n, ho, wo, c)
+    acc = np.zeros((m, co), dtype=dtype)
+    part = np.empty_like(acc)
     for i in range(kh):
         for j in range(kw):
-            xs = xp[:, :, i:i + sh * (ho - 1) + 1:sh, j:j + sw * (wo - 1) + 1:sw]
-            out += np.einsum("nchw,oc->nohw", xs, w.data[:, :, i, j])
+            np.copyto(cols4, xh[window(i, j)])
+            acc += np.matmul(cols, wt[i, j], out=part)
+    out = np.ascontiguousarray(acc.reshape(n, ho, wo, co).transpose(0, 3, 1, 2))
 
     def _bw(g):
         g4 = g[None] if squeeze else g
-        gw = np.zeros_like(w.data)
-        gxp = np.zeros_like(xp)
+        gm = np.ascontiguousarray(g4.transpose(0, 2, 3, 1), dtype=dtype).reshape(m, co)
+        gwt = np.empty((kh, kw, c, co), dtype=dtype)
+        gxh = np.zeros_like(xh) if x._tracked else None
+        cols = np.empty((m, c), dtype=dtype)
+        cols4 = cols.reshape(n, ho, wo, c)
         for i in range(kh):
             for j in range(kw):
-                sl = (slice(None), slice(None),
-                      slice(i, i + sh * (ho - 1) + 1, sh),
-                      slice(j, j + sw * (wo - 1) + 1, sw))
-                gw[:, :, i, j] = np.einsum("nohw,nchw->oc", g4, xp[sl])
-                gxp[sl] += np.einsum("nohw,oc->nchw", g4, w.data[:, :, i, j])
-        gx = gxp[:, :, ph:ph + h, pw:pw + wd_] if (ph or pw) else gxp
-        _acc(x, gx[0] if squeeze else gx)
-        _acc(w, gw)
+                np.copyto(cols4, xh[window(i, j)])
+                np.matmul(cols.T, gm, out=gwt[i, j])
+                if gxh is not None:
+                    np.matmul(gm, wt[i, j].T, out=cols)
+                    gxh[window(i, j)] += cols4
+        if gxh is not None:
+            gx = np.ascontiguousarray(gxh[:, ph:ph + h, pw:pw + wd_, :].transpose(0, 3, 1, 2))
+            _acc(x, gx[0] if squeeze else gx)
+        _acc(w, np.ascontiguousarray(gwt.transpose(3, 2, 0, 1)))
 
     return _from_op(out[0] if squeeze else out, (x, w), "conv2d", _bw)
 

@@ -66,6 +66,32 @@ def _collect_overrides(args) -> dict:
     return overrides
 
 
+def _train_and_evaluate(config, dataset, out_dir) -> dict:
+    """Train one run and evaluate its checkpoint the way its config says;
+    `train` and `ablate` both report metrics through here."""
+    result = train(config, dataset, out_dir)
+    return evaluate_checkpoint(result.checkpoint_path, dataset,
+                               l2_normalize=config.l2_normalize_eval)
+
+
+def _run_info(start: float) -> str:
+    """Timing plus the numeric environment a run's speed depends on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_version = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas_version = "unknown"
+    fields = {
+        "started_unix": f"{start:.3f}",
+        "duration_s": f"{time.time() - start:.3f}",
+        "numpy_version": np.__version__,
+        "blas": blas_version,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+        "cpu_count": os.cpu_count(),
+    }
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
+
+
 def cmd_train(args) -> int:
     config = make_config(profile=args.profile, file_path=args.config,
                          overrides=_collect_overrides(args))
@@ -74,13 +100,10 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
     start = time.time()
-    result = train(config, dataset, out_dir)
-    metrics = evaluate_checkpoint(result.checkpoint_path, dataset,
-                                  l2_normalize=config.l2_normalize_eval)
+    metrics = _train_and_evaluate(config, dataset, out_dir)
     _write_metrics_csv(out_dir / "metrics.csv",
                        [_metric_row(config.pyramid_mask, config.seed, metrics)])
-    (out_dir / "run_info.txt").write_text(
-        f"started_unix = {start:.3f}\nduration_s = {time.time() - start:.3f}\n")
+    (out_dir / "run_info.txt").write_text(_run_info(start))
     print(metrics_table(metrics))
     return 0
 
@@ -117,11 +140,10 @@ def cmd_ablate(args) -> int:
             try:
                 config = make_config(profile=args.profile, file_path=args.config,
                                      overrides=overrides)
-                result = train(config, dataset, run_dir)
-                metrics = evaluate_checkpoint(result.checkpoint_path, dataset)
+                metrics = _train_and_evaluate(config, dataset, run_dir)
                 rows.append(_metric_row(mask, seed, metrics))
                 per_mask.append(metrics)
-            except Exception as exc:  # record the failure, keep sweeping
+            except (ConfigError, TrainingDiverged) as exc:  # record it, keep sweeping
                 rows.append([mask, seed, "", "", "", "", f"error: {exc}"])
         if per_mask:
             rows.append([mask, "mean",

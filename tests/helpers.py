@@ -86,6 +86,31 @@ def oracle_rank(query, qid, qcam, gallery, gids, gcams) -> list:
     return [idx for _, idx in items]
 
 
+def reference_conv2d(x, w, g, stride, padding) -> tuple:
+    """Direct einsum convolution, one contraction per kernel offset, on 4-D
+    arrays: (output, input gradient, weight gradient) for upstream gradient
+    `g`. It is the library's original kernel, kept as the reference for the
+    GEMM one."""
+    n, c, h, wd_ = x.shape
+    co, _, kh, kw = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd_ + 2 * padding - kw) // stride + 1
+    pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    xp = np.pad(x, pad)
+    out = np.zeros((n, co, ho, wo), dtype=np.result_type(x, w))
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            sl = (slice(None), slice(None),
+                  slice(i, i + stride * (ho - 1) + 1, stride),
+                  slice(j, j + stride * (wo - 1) + 1, stride))
+            out += np.einsum("nchw,oc->nohw", xp[sl], w[:, :, i, j])
+            gw[:, :, i, j] = np.einsum("nohw,nchw->oc", g, xp[sl])
+            gxp[sl] += np.einsum("nohw,oc->nchw", g, w[:, :, i, j])
+    return out, gxp[:, :, padding:padding + h, padding:padding + wd_], gw
+
+
 # -- gradient-check case builders ------------------------------------------------
 
 
@@ -132,17 +157,18 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         cases.append((lambda t, a=a, w=w: _weighted_sum(ag.matmul(a, t), w),
                       Tensor(rng.normal(size=(4, 2)))))
     elif op_name == "conv2d":
-        stride = int(rng.integers(1, 3))
-        padding = int(rng.integers(0, 2))
-        x = Tensor(rng.normal(size=(2, 3, 5, 4)))
-        kernel = Tensor(rng.normal(size=(2, 3, 3, 3)))
-        ho = (5 + 2 * padding - 3) // stride + 1
-        wo = (4 + 2 * padding - 3) // stride + 1
-        w = rng.normal(size=(2, 2, ho, wo))
-        cases.append((lambda t, k=kernel, w=w, s=stride, p=padding:
-                      _weighted_sum(ag.conv2d(t, k, stride=s, padding=p), w), x))
-        cases.append((lambda t, x=x, w=w, s=stride, p=padding:
-                      _weighted_sum(ag.conv2d(x, t, stride=s, padding=p), w), kernel))
+        for stride in (1, 2):
+            for padding in (0, 1):
+                x = Tensor(rng.normal(size=(2, 3, 5, 4)))
+                kernel = Tensor(rng.normal(size=(2, 3, 3, 3)))
+                ho = (5 + 2 * padding - 3) // stride + 1
+                wo = (4 + 2 * padding - 3) // stride + 1
+                w = rng.normal(size=(2, 2, ho, wo))
+                cases.append((lambda t, k=kernel, w=w, s=stride, p=padding:
+                              _weighted_sum(ag.conv2d(t, k, stride=s, padding=p), w), x))
+                cases.append((lambda t, x=x, w=w, s=stride, p=padding:
+                              _weighted_sum(ag.conv2d(x, t, stride=s, padding=p), w),
+                              kernel))
     elif op_name == "batch_norm":
         x = Tensor(rng.normal(size=(5, 3)))
         gamma = Tensor(rng.normal(size=3) + 1.5)

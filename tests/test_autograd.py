@@ -7,7 +7,7 @@ import pyreid.autograd as ag
 from pyreid.autograd import Tensor, backward, no_grad, op_catalog, use_dtype
 from pyreid.gradcheck import finite_difference_check
 
-from helpers import gradcheck_cases
+from helpers import gradcheck_cases, reference_conv2d
 
 
 class TestTensorBasics:
@@ -182,6 +182,71 @@ class TestOpSemantics:
             for j in range(6):
                 ref = math.sqrt(((x[i] - x[j]) ** 2).sum() + 1e-12)
                 assert d[i, j] == pytest.approx(ref, rel=1e-5)
+
+
+def _conv_with_grads(x, w, g, stride, padding, track_x=True):
+    """GEMM conv2d forward plus backward from upstream gradient `g`:
+    (output tensor, input tensor, kernel tensor)."""
+    xt = Tensor(x, requires_grad=track_x)
+    wt = Tensor(w, requires_grad=True)
+    out = ag.conv2d(xt, wt, stride=stride, padding=padding)
+    backward(ag.reduce_sum(ag.mul(out, Tensor(g))))
+    return out, xt, wt
+
+
+class TestConv2dAgainstEinsumReference:
+    @pytest.mark.parametrize("ndim", [3, 4])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_and_gradients_float64(self, rng, stride, padding, ndim):
+        x = rng.normal(size=(2, 3, 7, 6))[:1 if ndim == 3 else 2]
+        w = rng.normal(size=(4, 3, 3, 2))
+        ho = (7 + 2 * padding - 3) // stride + 1
+        wo = (6 + 2 * padding - 2) // stride + 1
+        g = rng.normal(size=(x.shape[0], 4, ho, wo))
+        ref_out, ref_gx, ref_gw = reference_conv2d(x, w, g, stride, padding)
+        if ndim == 3:
+            x, g, ref_out, ref_gx = x[0], g[0], ref_out[0], ref_gx[0]
+        out, xt, wt = _conv_with_grads(x, w, g, stride, padding)
+        np.testing.assert_allclose(out.data, ref_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, ref_gx, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, ref_gw, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [16, 64])
+    @pytest.mark.parametrize("shape,out_ch,stride", [
+        ((3, 48, 16), 16, 2), ((16, 24, 8), 32, 2), ((32, 12, 4), 64, 1)])
+    def test_backbone_shapes_float32(self, rng, batch, shape, out_ch, stride):
+        # Weights at the backbone's fan-in scale and an upstream gradient
+        # scaled by 1/sqrt(N*Ho*Wo) keep the output and both gradients of
+        # order one, so one absolute tolerance fits all three. The reference
+        # runs in float64 on the same float32 inputs.
+        c, h, wd = shape
+        x = rng.normal(size=(batch, c, h, wd)).astype(np.float32)
+        w = (rng.normal(size=(out_ch, c, 3, 3)) / np.sqrt(9 * c)).astype(np.float32)
+        ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+        g = (rng.normal(size=(batch, out_ch, ho, wo))
+             / np.sqrt(batch * ho * wo)).astype(np.float32)
+        out, xt, wt = _conv_with_grads(x, w, g, stride, 1)
+        ref = reference_conv2d(x.astype(np.float64), w.astype(np.float64),
+                               g.astype(np.float64), stride, 1)
+        for got, want in zip((out.data, xt.grad, wt.grad), ref):
+            assert got.dtype == np.float32
+            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+
+    def test_untracked_input_gets_no_gradient(self, rng):
+        x = rng.normal(size=(2, 3, 6, 5))
+        w = rng.normal(size=(4, 3, 3, 3))
+        g = rng.normal(size=(2, 4, 3, 3))
+        _, xt, wt = _conv_with_grads(x, w, g, 2, 1, track_x=False)
+        assert xt.grad is None
+        np.testing.assert_allclose(wt.grad, reference_conv2d(x, w, g, 2, 1)[2],
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_gradients_are_c_contiguous(self, rng):
+        for x in (rng.normal(size=(2, 3, 6, 5)), rng.normal(size=(3, 6, 5))):
+            g = rng.normal(size=x.shape[:-3] + (4, 6, 5))
+            _, xt, wt = _conv_with_grads(x, rng.normal(size=(4, 3, 3, 3)), g, 1, 1)
+            assert xt.grad.flags["C_CONTIGUOUS"] and wt.grad.flags["C_CONTIGUOUS"]
 
 
 class TestDebugChecks:

@@ -50,6 +50,14 @@ class TestTrain:
                      "resolved_config.ini", "run_info.txt"):
             assert (trained_dir / name).exists()
 
+    def test_run_info_records_environment(self, trained_dir):
+        lines = (trained_dir / "run_info.txt").read_text().splitlines()
+        info = dict(line.split(" = ", 1) for line in lines)
+        for key in ("started_unix", "duration_s", "numpy_version", "blas",
+                    "openblas_num_threads", "cpu_count"):
+            assert info.get(key), key
+        assert info["numpy_version"] == np.__version__
+
     def test_resolved_config_reproduces_run(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "replay"
         code = main(["train", "--dataset", str(data_dir), "--out", str(out),
@@ -131,6 +139,38 @@ class TestAblate:
         statuses = {r["mask"]: r["status"] for r in rows if r["seed"] == "0"}
         assert statuses["111111"] == "ok"
         assert statuses["21"].startswith("error:")
+
+    def test_metrics_match_train_with_l2_normalized_eval(self, data_dir, tmp_path):
+        from pyreid.data_synth import ReIDDataset
+        from pyreid.evaluation import evaluate_checkpoint
+
+        config = tmp_path / "l2.ini"
+        config.write_text("l2_normalize_eval = true\n")
+        common = ["--dataset", str(data_dir), "--config", str(config), "--epochs", "2"]
+        assert main(["train", "--out", str(tmp_path / "tr"), "--seed", "3",
+                     "--pyramid-mask", "000001"] + common) == 0
+        assert main(["ablate", "--out", str(tmp_path / "ab"), "--masks", "000001",
+                     "--seeds", "3"] + common) == 0
+        trained = next(csv.DictReader(open(tmp_path / "tr" / "metrics.csv")))
+        ablated = next(r for r in csv.DictReader(open(tmp_path / "ab" / "ablation.csv"))
+                       if r["seed"] == "3")
+        keys = ("mAP", "rank1", "rank5", "rank10")
+        assert [ablated[k] for k in keys] == [trained[k] for k in keys]
+        # the normalisation must move the metrics, or the comparison shows nothing
+        plain = evaluate_checkpoint(tmp_path / "tr" / "checkpoint.pyrt",
+                                    ReIDDataset.load(data_dir), l2_normalize=False)
+        assert repr(plain["mAP"]) != trained["mAP"]
+
+    def test_programming_error_propagates(self, data_dir, tmp_path, monkeypatch):
+        import pyreid.cli as cli
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug in the training loop")
+
+        monkeypatch.setattr(cli, "train", broken)
+        with pytest.raises(RuntimeError, match="bug in the training loop"):
+            main(["ablate", "--dataset", str(data_dir), "--out", str(tmp_path / "ab"),
+                  "--masks", "111111", "--seeds", "0", "--epochs", "1"])
 
 
 class TestExportCurves:
