@@ -126,22 +126,14 @@ def batch_hard_mine(dist: np.ndarray, labels, validate: bool = False) -> list:
             raise ValueError("batch_hard_mine: distance matrix is not symmetric")
         if (dist < -1e-9).any():
             raise ValueError("batch_hard_mine: distance matrix has negative entries")
+    if n == 0:
+        return []
 
     same = labels[:, None] == labels[None, :]
-    eye = np.eye(n, dtype=bool)
-    pos_mask = same & ~eye
+    pos_mask = same & ~np.eye(n, dtype=bool)
     neg_mask = ~same
-
-    out = []
-    ninf = -np.inf
-    pinf = np.inf
-    for i in range(n):
-        hp = hn = None
-        if pos_mask[i].any():
-            row = np.where(pos_mask[i], dist[i], ninf)
-            hp = int(row.argmax())  # argmax returns the first (smallest) index on ties
-        if neg_mask[i].any():
-            row = np.where(neg_mask[i], dist[i], pinf)
-            hn = int(row.argmin())
-        out.append((hp, hn))
-    return out
+    # argmax/argmin return the first (smallest) index on ties
+    hp = np.where(pos_mask, dist, -np.inf).argmax(axis=1)
+    hn = np.where(neg_mask, dist, np.inf).argmin(axis=1)
+    return [(int(p) if has_p else None, int(q) if has_n else None)
+            for p, q, has_p, has_n in zip(hp, hn, pos_mask.any(axis=1), neg_mask.any(axis=1))]

@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # PYREID_DEBUG=1 asserts finiteness after every tensor op. Runs are
-    # deterministic unconditionally (single-threaded, seeded streams), so the
-    # conventional determinism switch needs no wiring here.
+    # deterministic for a fixed BLAS thread count (seeded streams, fixed op
+    # order), so the conventional determinism switch needs no wiring here.
     if os.environ.get("PYREID_DEBUG", "").strip() in ("1", "true", "yes"):
         from . import autograd
         autograd.debug_checks = True

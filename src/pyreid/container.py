@@ -10,6 +10,7 @@ round-trip through save/load reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -68,19 +69,22 @@ def deserialize_tensors(blob: bytes) -> dict:
             off += 2
             dims = struct.unpack_from(f"<{ndim}I", blob, off)
             off += 4 * ndim
-        except struct.error as exc:
-            raise ContainerError(f"truncated entry header at offset {off}") from exc
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise ContainerError(f"truncated or non-UTF-8 entry header at offset {off}") from exc
         dtype = _CODE_TO_DTYPE.get(code)
         if dtype is None:
             raise ContainerError(f"entry {name!r}: unknown dtype code {code}")
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
         payload = blob[off:off + nbytes]
         if len(payload) != nbytes:
             raise ContainerError(f"entry {name!r}: truncated payload")
         off += nbytes
         if name in out:
             raise ContainerError(f"duplicate entry name {name!r}")
-        out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        try:
+            out[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # dims numpy cannot represent, e.g. (0, 2**32-1, 2**32-1)
+            raise ContainerError(f"entry {name!r}: bad shape {dims}: {exc}") from exc
     if off != len(blob):
         raise ContainerError(f"{len(blob) - off} trailing bytes after last entry")
     return out

@@ -24,7 +24,7 @@ import numpy as np
 
 from .batching import Split
 from .container import load_tensors, save_tensors, serialize_tensors
-from .errors import ConfigError
+from .errors import ConfigError, ContainerError
 
 SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY = 0, 1, 2
 _SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_QUERY: "query", SPLIT_GALLERY: "gallery"}
@@ -242,26 +242,39 @@ class ReIDDataset:
     @classmethod
     def load(cls, directory) -> "ReIDDataset":
         directory = Path(directory)
-        manifest = (directory / "manifest.csv").read_text().splitlines()
-        reader = csv.reader(manifest)
-        header = next(reader)
+        reader = csv.reader((directory / "manifest.csv").read_text().splitlines())
+        header = next(reader, [])
         if tuple(header) != MANIFEST_COLUMNS:
             raise ConfigError(f"unexpected manifest columns {header}")
-        rows = list(reader)
         entries: dict[str, np.ndarray] = {}
         for name in _SPLIT_NAMES.values():
             entries.update(load_tensors(directory / f"{name}.pyrt"))
-        n = len(rows)
         split_codes = {v: k for k, v in _SPLIT_NAMES.items()}
-        images = np.stack([entries[r[0]] for r in rows])
-        return cls(images=images,
-                   identities=np.array([int(r[1]) for r in rows], dtype=np.int64),
-                   cameras=np.array([int(r[2]) for r in rows], dtype=np.int64),
-                   splits=np.array([split_codes[r[3]] for r in rows], dtype=np.int64),
-                   offsets=np.array([float(r[4]) for r in rows], dtype=np.float64),
-                   scales=np.array([float(r[5]) for r in rows], dtype=np.float64),
-                   occ_boxes=np.array([[int(v) for v in r[6:10]] for r in rows],
-                                      dtype=np.int64).reshape(n, 4))
+        rows = []
+        for r in reader:
+            where = f"manifest.csv:{reader.line_num}"
+            if len(r) != len(MANIFEST_COLUMNS):
+                raise ContainerError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields, "
+                                     f"got {len(r)}")
+            if r[0] not in entries:
+                raise ContainerError(f"{where}: image {r[0]!r} is in no container")
+            if r[3] not in split_codes:
+                raise ContainerError(f"{where}: unknown split {r[3]!r}")
+            try:
+                rows.append((entries[r[0]], int(r[1]), int(r[2]), split_codes[r[3]],
+                             float(r[4]), float(r[5]), [int(v) for v in r[6:]]))
+            except ValueError as exc:
+                raise ContainerError(f"{where}: {exc}") from exc
+        if not rows:
+            raise ContainerError("manifest.csv lists no images")
+        images, identities, cameras, splits, offsets, scales, boxes = zip(*rows)
+        return cls(images=np.stack(images),
+                   identities=np.array(identities, dtype=np.int64),
+                   cameras=np.array(cameras, dtype=np.int64),
+                   splits=np.array(splits, dtype=np.int64),
+                   offsets=np.array(offsets, dtype=np.float64),
+                   scales=np.array(scales, dtype=np.float64),
+                   occ_boxes=np.array(boxes, dtype=np.int64))
 
     def fingerprint(self) -> str:
         h = hashlib.sha256()

@@ -106,6 +106,7 @@ class SchedulerState:
     alpha: float = 0.25
     gamma: float = 2.0
     switch_ratio: float = 0.16
+    alternating: bool = False
     tau: int = 0
     phase: Phase = Phase.ID_ONLY
     id_stats: TaskStats = field(default_factory=lambda: TaskStats(p=P_FLOOR))
@@ -115,11 +116,15 @@ class SchedulerState:
 
     def begin_iteration(self) -> Phase:
         """Advance the counter, recompute the focal weights from the previous
-        iteration's probabilities, and pick the phase."""
+        iteration's probabilities, and pick the phase; the alternating policy
+        (no-triplet ablation) makes odd iterations ID-only, even ones combined."""
         self.tau += 1
         self.fl_id = focal_weight(self.id_stats.p, self.gamma)
         self.fl_tp = focal_weight(self.tp_stats.p, self.gamma)
-        self.phase = select_phase(self.fl_id, self.fl_tp, self.switch_ratio, self.phase)
+        if self.alternating:
+            self.phase = Phase.ID_ONLY if self.tau % 2 == 1 else Phase.COMBINED
+        else:
+            self.phase = select_phase(self.fl_id, self.fl_tp, self.switch_ratio, self.phase)
         return self.phase
 
     def observe(self, task: str, loss: float) -> None:
@@ -132,6 +137,7 @@ class SchedulerState:
         enc = lambda v: float("nan") if v is None else float(v)
         return {
             "alpha": self.alpha, "gamma": self.gamma, "switch_ratio": self.switch_ratio,
+            "alternating": float(self.alternating),
             "tau": float(self.tau), "phase": float(self.phase == Phase.COMBINED),
             "k_prev_id": enc(self.id_stats.k_prev), "k_id": enc(self.id_stats.k),
             "p_id": self.id_stats.p,
@@ -143,7 +149,8 @@ class SchedulerState:
     @classmethod
     def from_scalars(cls, s: dict) -> "SchedulerState":
         dec = lambda v: None if math.isnan(v) else float(v)
-        state = cls(alpha=s["alpha"], gamma=s["gamma"], switch_ratio=s["switch_ratio"])
+        state = cls(alpha=s["alpha"], gamma=s["gamma"], switch_ratio=s["switch_ratio"],
+                    alternating=s["alternating"] == 1.0)
         state.tau = int(s["tau"])
         state.phase = Phase.COMBINED if s["phase"] == 1.0 else Phase.ID_ONLY
         state.id_stats = TaskStats(dec(s["k_prev_id"]), dec(s["k_id"]), s["p_id"])

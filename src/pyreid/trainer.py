@@ -28,12 +28,11 @@ from .data_synth import ReIDDataset
 from .errors import ConfigError, ContainerError, TrainingDiverged
 from .losses import LossValue, id_loss, triplet_loss
 from .pyramid import BranchMask, PyramidModel
-from .scheduler import (Phase, SchedulerState, TraceWriter, combined_objective,
-                        focal_weight)
+from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,15 @@ PROFILES = {
 }
 
 
-# -- config file / override plumbing ------------------------------------------
+# -- config text codec ----------------------------------------------------------
+#
+# One text form serves config files, resolved_config.ini and checkpoints. A
+# field's parser and formatter follow the type of its default value: tuple
+# items are separated by ",", the items of a nested tuple by ":", and a nested
+# tuple has as many items as the default's.
+
+_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+_SEPARATORS = (",", ":")
 
 
 def _parse_bool(text: str) -> bool:
@@ -105,61 +112,56 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean from {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    text = text.strip()
-    return tuple(int(v) for v in text.split(",") if v.strip()) if text else ()
+def _parse_value(text: str, like, depth: int = 0):
+    """Parse text as a value of the type and nesting of `like`."""
+    if isinstance(like, bool):
+        return _parse_bool(text)
+    if isinstance(like, tuple):
+        items = tuple(_parse_value(part, like[0], depth + 1)
+                      for part in text.split(_SEPARATORS[depth]) if part.strip())
+        if depth and len(items) != len(like):
+            raise ConfigError(f"expected {len(like)} items, got {text.strip()!r}")
+        return items
+    return type(like)(text.strip())
 
 
-def _parse_stages(text: str) -> tuple:
-    stages = []
-    text = text.strip()
-    if text:
-        for part in text.split(","):
-            ch, _, st = part.partition(":")
-            stages.append((int(ch), int(st)))
-    return tuple(stages)
-
-
-def _format_value(value) -> str:
+def _format_value(value, depth: int = 0) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        if value and isinstance(value[0], tuple):
-            return ",".join(f"{c}:{s}" for c, s in value)
-        return ",".join(str(v) for v in value)
+        return _SEPARATORS[depth].join(_format_value(v, depth + 1) for v in value)
     return str(value)
 
 
-_PARSERS = {
-    int: int,
-    float: float,
-    bool: _parse_bool,
-    str: str,
-}
-
-
-def _field_parser(name: str):
-    if name == "backbone_stages":
-        return _parse_stages
-    if name == "lr_halving_epochs":
-        return _parse_int_tuple
-    for f in fields(TrainConfig):
-        if f.name == name:
-            return _PARSERS[type(getattr(TrainConfig(), name))]
-    raise ConfigError(f"unknown config key {name!r}")
-
-
-def parse_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment."""
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+def _config_lines(text: str, source):
+    """(line number, key, value text) per `key = value` line; '#' starts a
+    comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        yield lineno, key.strip(), val.strip()
+
+
+def parse_config_file(path) -> dict:
+    """Flat key=value file; '#' starts a comment."""
+    return {key: val for _, key, val in _config_lines(Path(path).read_text(), path)}
+
+
+def parse_config_text(text: str, source) -> dict:
+    """Typed field values of a config text. Errors name the source, the line
+    and the key."""
+    values = {}
+    for lineno, key, val in _config_lines(text, source):
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _parse_value(val, _DEFAULTS[key])
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
@@ -171,11 +173,11 @@ def make_config(profile: str = "desk", file_path=None, overrides: dict | None = 
         raise ConfigError(f"unknown profile {profile!r}, choose from {sorted(PROFILES)}")
     config = PROFILES[profile]
     if file_path is not None:
-        for key, text in parse_config_file(file_path).items():
-            config = replace(config, **{key: _field_parser(key)(text)})
+        config = replace(config, **parse_config_text(Path(file_path).read_text(), file_path))
     if overrides:
         for key in overrides:
-            _field_parser(key)  # reject unknown keys
+            if key not in _DEFAULTS:
+                raise ConfigError(f"unknown config key {key!r}")
         config = replace(config, **overrides)
     config.validate()
     return config
@@ -248,44 +250,42 @@ def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> Py
                         image_hw, rng, classifier_bias=config.classifier_bias)
 
 
-_CONFIG_ENCODERS = {
-    int: lambda v: np.array(v, dtype="<i8"),
-    bool: lambda v: np.array(int(v), dtype="<i8"),
-    float: lambda v: np.array(v, dtype="<f8"),
-}
+def _entry(entries: dict, key: str, shape=()) -> np.ndarray:
+    """Checkpoint entry `key`, which must exist with `shape` (any if None)."""
+    arr = entries.get(key)
+    if arr is None:
+        raise ContainerError(f"checkpoint has no entry {key!r}")
+    if shape is not None and arr.shape != shape:
+        raise ContainerError(f"checkpoint entry {key!r}: stored shape {arr.shape}, "
+                             f"expected {shape}")
+    return arr
 
 
-def _encode_config(config: TrainConfig) -> dict:
-    out = {}
-    for f in fields(TrainConfig):
-        v = getattr(config, f.name)
-        key = f"config/{f.name}"
-        if f.name == "backbone_stages":
-            out[key] = np.asarray([d for pair in v for d in pair], dtype="<i8")
-        elif f.name == "lr_halving_epochs":
-            out[key] = np.asarray(list(v), dtype="<i8")
-        elif f.name == "pyramid_mask":
-            out[key] = np.asarray([int(c) for c in v], dtype="<i8")
-        else:
-            out[key] = _CONFIG_ENCODERS[type(v)](v)
-    return out
+def _int_entry(entries: dict, key: str) -> int:
+    return int(_entry(entries, key)[()])
+
+
+def _bytes_entry(entries: dict, key: str) -> bytes:
+    """Bytes stored one per <i8 value."""
+    arr = _entry(entries, key, shape=None)
+    if arr.ndim != 1 or arr.dtype.kind != "i" or ((arr < 0) | (arr > 255)).any():
+        raise ContainerError(f"checkpoint entry {key!r} is not a byte string")
+    return arr.astype(np.uint8).tobytes()
 
 
 def _decode_config(entries: dict) -> TrainConfig:
-    kwargs = {}
-    for f in fields(TrainConfig):
-        arr = entries[f"config/{f.name}"]
-        if f.name == "backbone_stages":
-            flat = [int(v) for v in arr]
-            kwargs[f.name] = tuple((flat[i], flat[i + 1]) for i in range(0, len(flat), 2))
-        elif f.name == "lr_halving_epochs":
-            kwargs[f.name] = tuple(int(v) for v in arr)
-        elif f.name == "pyramid_mask":
-            kwargs[f.name] = "".join(str(int(v)) for v in arr)
-        else:
-            default = getattr(TrainConfig(), f.name)
-            kwargs[f.name] = type(default)(arr[()])
-    return TrainConfig(**kwargs)
+    """The config stored as its resolved text, which must name every field."""
+    try:
+        text = _bytes_entry(entries, "meta/config").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContainerError(f"checkpoint entry 'meta/config' is not UTF-8: {exc}") from exc
+    values = parse_config_text(text, "checkpoint meta/config")
+    missing = [key for key in _DEFAULTS if key not in values]
+    if missing:
+        raise ContainerError(f"checkpoint meta/config does not name {missing}")
+    config = TrainConfig(**values)
+    config.validate()
+    return config
 
 
 def save_checkpoint(path, model: PyramidModel, config: TrainConfig,
@@ -300,7 +300,8 @@ def save_checkpoint(path, model: PyramidModel, config: TrainConfig,
         bytes.fromhex(dataset_fingerprint), dtype=np.uint8).astype("<i8")
     for key in ("rand_epoch", "rand_pos", "pk_epoch", "pk_pos"):
         entries[f"meta/{key}"] = np.array(stream_state[key], dtype="<i8")
-    entries.update(_encode_config(config))
+    entries["meta/config"] = np.frombuffer(
+        resolved_config_text(config).encode("utf-8"), dtype=np.uint8).astype("<i8")
     for key, val in sched.to_scalars().items():
         entries[f"sched/{key}"] = np.array(val, dtype="<f8")
     for name, p in model.named_parameters():
@@ -314,32 +315,23 @@ def save_checkpoint(path, model: PyramidModel, config: TrainConfig,
 
 def load_checkpoint(path) -> dict:
     entries = load_tensors(path)
-    version = int(entries.get("meta/version", np.array(-1))[()])
+    version = _int_entry(entries, "meta/version")
     if version != CHECKPOINT_VERSION:
         raise ContainerError(f"checkpoint version {version} not supported "
                              f"(expected {CHECKPOINT_VERSION})")
     return entries
 
 
-def checkpoint_fingerprint(entries: dict) -> str:
-    return bytes(entries["meta/dataset_fingerprint"].astype(np.uint8)).hex()
-
-
 def rebuild_model(entries: dict) -> tuple:
     """Reconstruct the model (architecture + weights + running stats) stored
     in a loaded checkpoint. Returns (model, config)."""
     config = _decode_config(entries)
-    image_hw = (int(entries["meta/image_h"][()]), int(entries["meta/image_w"][()]))
-    num_ids = int(entries["meta/num_identities"][()])
-    model = build_model(config, image_hw, num_ids)
+    image_hw = (_int_entry(entries, "meta/image_h"), _int_entry(entries, "meta/image_w"))
+    model = build_model(config, image_hw, _int_entry(entries, "meta/num_identities"))
     for name, p in model.named_parameters():
-        stored = entries[f"param/{name}"]
-        if stored.shape != p.data.shape:
-            raise ContainerError(f"parameter {name!r}: stored shape {stored.shape} does not "
-                                 f"match model shape {p.data.shape}")
-        p.data[...] = stored
+        p.data[...] = _entry(entries, f"param/{name}", p.data.shape)
     for name, buf in model.named_buffers():
-        buf[...] = entries[f"buffer/{name}"]
+        buf[...] = _entry(entries, f"buffer/{name}", buf.shape)
     return model, config
 
 
@@ -397,7 +389,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     mask = BranchMask.from_string(config.pyramid_mask)
     opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
     sched = SchedulerState(alpha=config.alpha, gamma=config.gamma,
-                           switch_ratio=config.switch_ratio)
+                           switch_ratio=config.switch_ratio,
+                           alternating=config.no_triplet_alternating)
 
     rand_stream = _BatchStream(lambda e: random_batches(
         split, config.batch_size, config.seed, e))
@@ -415,20 +408,19 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
         if diff:
             raise ConfigError(f"checkpoint config does not match requested config, "
                               f"differing fields: {diff}")
-        if checkpoint_fingerprint(entries) != fingerprint:
+        if _bytes_entry(entries, "meta/dataset_fingerprint").hex() != fingerprint:
             raise ConfigError("checkpoint was trained on a different dataset "
                               "(fingerprint mismatch)")
         model, _ = rebuild_model(entries)
         opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
-        for name, _ in opt.params:
-            opt.velocity[name][...] = entries[f"momentum/{name}"]
+        for name, velocity in opt.velocity.items():
+            velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape)
         sched = SchedulerState.from_scalars(
-            {k.split("/", 1)[1]: float(v[()]) for k, v in entries.items()
-             if k.startswith("sched/")})
-        rand_stream.restore(int(entries["meta/rand_epoch"][()]),
-                            int(entries["meta/rand_pos"][()]))
-        pk_stream.restore(int(entries["meta/pk_epoch"][()]),
-                          int(entries["meta/pk_pos"][()]))
+            {key: float(_entry(entries, f"sched/{key}")[()]) for key in sched.to_scalars()})
+        rand_stream.restore(_int_entry(entries, "meta/rand_epoch"),
+                            _int_entry(entries, "meta/rand_pos"))
+        pk_stream.restore(_int_entry(entries, "meta/pk_epoch"),
+                          _int_entry(entries, "meta/pk_pos"))
 
     iters_per_epoch = math.ceil(len(split) / config.batch_size)
     total_iters = config.epochs * iters_per_epoch
@@ -443,18 +435,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
         while sched.tau < total_iters:
             epoch = sched.tau // iters_per_epoch
             lr = lr_schedule(epoch, config.base_lr, config.lr_halving_epochs)
-
-            if config.no_triplet_alternating:
-                # Table-style ablation: alternate the samplers, optimize the
-                # ID loss only; the scheduler tracks it but never routes.
-                sched.tau += 1
-                sched.fl_id = focal_weight(sched.id_stats.p, sched.gamma)
-                sched.fl_tp = focal_weight(sched.tp_stats.p, sched.gamma)
-                phase = Phase.ID_ONLY if sched.tau % 2 == 1 else Phase.COMBINED
-                sched.phase = phase
-            else:
-                phase = sched.begin_iteration()
-
+            phase = sched.begin_iteration()
             batch = rand_stream.next() if phase == Phase.ID_ONLY else pk_stream.next()
             images = Tensor(dataset.images[batch.indices])
             class_labels = np.asarray([label_map[int(i)] for i in batch.identities],
@@ -465,6 +446,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             l_tp: LossValue | None = None
 
             if config.no_triplet_alternating:
+                # the ablation optimizes and tracks the ID loss only
                 loss = l_id.tensor
             elif phase == Phase.ID_ONLY:
                 loss = l_id.tensor

@@ -139,6 +139,14 @@ class TestBatchHardMine:
         # anchor 1: negatives 2 and 3 both at distance 1, pick index 2
         assert mined[1] == (0, 2)
 
+    def test_positive_tie_breaks_to_smallest_index(self):
+        d = np.array([[0.0, 3.0, 3.0, 1.0],
+                      [3.0, 0.0, 2.0, 4.0],
+                      [3.0, 2.0, 0.0, 4.0],
+                      [1.0, 4.0, 4.0, 0.0]])
+        # anchor 0: positives 1 and 2 both at distance 3, pick index 1
+        assert batch_hard_mine(d, [0, 0, 0, 1]) == [(1, 3), (0, 3), (0, 3), (None, 0)]
+
     def test_permutation_equivariance(self, rng):
         for _ in range(50):
             n = 10

@@ -1,11 +1,14 @@
 import csv
+import shutil
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pyreid.chart import line_chart, write_png
 from pyreid.cli import main
+from pyreid.container import load_tensors, save_tensors
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +94,73 @@ class TestTrain:
         code = main(["train", "--dataset", str(data_dir),
                      "--out", str(tmp_path / "o"), "--pyramid-mask", "222222"])
         assert code == 2
+
+    def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("seed = 1\nepochs =\n")
+        code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "o"),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, f"{config}:2: bad value for epochs")
+
+
+def assert_one_error_line(err: str, *fragments: str) -> None:
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+class TestMalformedInputs:
+    """Broken checkpoints and dataset directories end in exit 2 with one
+    `error:` line that names the fault."""
+
+    def eval_with(self, checkpoint, dataset):
+        return main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset)])
+
+    @pytest.mark.parametrize("prefix", ["param/", "buffer/", "meta/num_identities",
+                                        "meta/config"])
+    def test_checkpoint_missing_entry(self, data_dir, trained_dir, tmp_path, capsys, prefix):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        key = next(k for k in entries if k.startswith(prefix))
+        del entries[key]
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, repr(key))
+
+    def test_checkpoint_misshapen_param(self, data_dir, trained_dir, tmp_path, capsys):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        key = next(k for k in entries if k.startswith("param/"))
+        entries[key] = entries[key][:1]
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, repr(key), "shape")
+
+    def test_version_1_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        entries["meta/version"] = np.array(1, dtype="<i8")
+        save_tensors(tmp_path / "v1.pyrt", entries)
+        assert self.eval_with(tmp_path / "v1.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, "checkpoint version 1 not supported")
+
+    def broken_dataset(self, data_dir, tmp_path, line: int, edit) -> Path:
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        lines = (broken / "manifest.csv").read_text().splitlines()
+        lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+        (broken / "manifest.csv").write_text("\n".join(lines) + "\n")
+        return broken
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (2, lambda row: ["img_99999"] + row[1:], "image 'img_99999' is in no container"),
+        (3, lambda row: row[:3] + ["bogus"] + row[4:], "unknown split 'bogus'"),
+        (4, lambda row: row[:3], "expected 10 fields, got 3"),
+        (5, lambda row: row[:1] + ["x"] + row[2:], "invalid literal"),
+    ], ids=["unknown_image", "unknown_split", "short_row", "bad_number"])
+    def test_manifest_row(self, data_dir, trained_dir, tmp_path, capsys, line, edit, message):
+        broken = self.broken_dataset(data_dir, tmp_path, line, edit)
+        assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
+        assert_one_error_line(capsys.readouterr().err, f"manifest.csv:{line}: {message}")
 
 
 class TestEval:

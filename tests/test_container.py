@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyreid.container import (deserialize_tensors, load_tensors, save_tensors,
                               serialize_tensors)
@@ -97,3 +99,49 @@ class TestErrors:
         blob[4:6] = struct.pack("<H", 9)
         with pytest.raises(ContainerError, match="version"):
             deserialize_tensors(bytes(blob))
+
+    def test_non_utf8_name(self):
+        blob = bytearray(serialize_tensors({"ab": np.zeros(1, dtype=np.float32)}))
+        blob[12:14] = b"\xff\xfe"
+        with pytest.raises(ContainerError, match="UTF-8"):
+            deserialize_tensors(bytes(blob))
+
+    @pytest.mark.parametrize("dims", [(0, 2**32 - 1, 2**32 - 1), (0,) * 100])
+    def test_empty_payload_with_unrepresentable_shape(self, dims):
+        header = struct.pack("<H", 1) + b"x" + struct.pack("<BB", 0, len(dims))
+        blob = b"PYRT" + struct.pack("<HI", 1, 1) + header + \
+            struct.pack(f"<{len(dims)}I", *dims)
+        with pytest.raises(ContainerError, match="shape"):
+            deserialize_tensors(blob)
+
+
+def _parses_or_container_error(blob: bytes) -> None:
+    try:
+        tensors = deserialize_tensors(blob)
+    except ContainerError:
+        return
+    assert serialize_tensors(tensors) == blob
+
+
+class TestFuzz:
+    """Any byte string either decodes, and then re-encodes to itself, or
+    raises ContainerError."""
+
+    @given(st.binary(max_size=200))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_arbitrary_bytes(self, blob):
+        _parses_or_container_error(blob)
+
+    @given(st.binary(max_size=120))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_arbitrary_entries_after_a_valid_header(self, tail):
+        _parses_or_container_error(b"PYRT" + struct.pack("<HI", 1, 2) + tail)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_mutated_valid_container(self, data):
+        blob = bytearray(serialize_tensors(sample_tensors()))
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        cut = data.draw(st.integers(0, len(blob)))
+        _parses_or_container_error(bytes(blob[:cut]))

@@ -190,3 +190,29 @@ class TestSchedulerState:
         state.observe("tp", 1.0)
         back = SchedulerState.from_scalars(state.to_scalars())
         assert back == state
+
+    def test_scalar_roundtrip_keeps_alternating_policy(self):
+        state = SchedulerState(alternating=True)
+        state.begin_iteration()
+        back = SchedulerState.from_scalars(state.to_scalars())
+        assert back == state and back.alternating
+
+
+class TestAlternatingPolicy:
+    def test_alternates_whatever_the_focal_weights(self):
+        state = SchedulerState(alternating=True)
+        phases = []
+        for loss in (5.0, 4.0, 3.0, 3.0, 2.0, 0.0):
+            phases.append(state.begin_iteration())
+            state.observe("id", loss)
+            state.observe("tp", 1.0)
+        assert phases == [Phase.ID_ONLY, Phase.COMBINED] * 3
+
+    def test_focal_weights_still_tracked(self):
+        plain, alternating = SchedulerState(), SchedulerState(alternating=True)
+        for loss in (5.0, 4.0, 3.5):
+            for state in (plain, alternating):
+                state.begin_iteration()
+                state.observe("id", loss)
+        assert (alternating.tau, alternating.fl_id, alternating.fl_tp) == \
+            (plain.tau, plain.fl_id, plain.fl_tp)

@@ -1,17 +1,24 @@
 import csv
 import math
+import re
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pyreid.container import load_tensors, save_tensors
 from pyreid.data_synth import GenConfig, generate_dataset
-from pyreid.errors import ConfigError, TrainingDiverged
+from pyreid.errors import ConfigError, ContainerError, TrainingDiverged
 from pyreid.evaluation import evaluate_checkpoint
-from pyreid.scheduler import TRACE_COLUMNS
-from pyreid.trainer import (PROFILES, SGD, TrainConfig, build_model,
+from pyreid.scheduler import TRACE_COLUMNS, SchedulerState
+from pyreid.trainer import (PROFILES, SGD, TrainConfig, _decode_config, build_model,
                             load_checkpoint, lr_schedule, make_config,
                             make_label_map, parse_config_file, rebuild_model,
-                            resolved_config_text, sgd_step, train)
+                            resolved_config_text, save_checkpoint, sgd_step, train)
 
 
 def read_trace(path):
@@ -132,6 +139,29 @@ class TestConfig:
         path.write_text("# comment\n\nfeature_dim = 8  # inline\n")
         assert parse_config_file(path) == {"feature_dim": "8"}
 
+    def test_values_parse_by_the_type_of_the_default(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("lr_halving_epochs = 3, 5\nbackbone_stages = 8:2,4:1\n"
+                        "margin = 2\nclassifier_bias = yes\npyramid_mask = 000011\n")
+        c = make_config("desk", file_path=path)
+        assert (c.lr_halving_epochs, c.backbone_stages) == ((3, 5), ((8, 2), (4, 1)))
+        assert (c.margin, c.classifier_bias, c.pyramid_mask) == (2.0, True, "000011")
+
+    @pytest.mark.parametrize("line", ["epochs =", "epochs = 1.5", "classifier_bias = maybe",
+                                      "backbone_stages = 16", "backbone_stages = 16:2:1"])
+    def test_bad_value_names_source_line_and_key(self, tmp_path, line):
+        path = tmp_path / "run.ini"
+        path.write_text(f"seed = 1\n{line}\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"run\.ini:2: bad value for {key}"):
+            make_config("desk", file_path=path)
+
+    def test_unknown_key_in_file_names_line(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("seed = 1\nnot_a_field = 2\n")
+        with pytest.raises(ConfigError, match=r"run\.ini:2: unknown config key"):
+            make_config("desk", file_path=path)
+
 
 class TestTrainingRuns:
     def test_trace_row_per_iteration(self, toy_dataset, short_run):
@@ -195,6 +225,15 @@ class TestTrainingRuns:
         assert (tmp_path / "copy.pyrt").read_bytes() == \
             open(result.checkpoint_path, "rb").read()
 
+    def test_checkpoint_stores_resolved_config_text(self, short_run):
+        config, result = short_run
+        entries = load_tensors(result.checkpoint_path)
+        stored = entries["meta/config"]
+        assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
+        assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
+        assert int(entries["meta/version"]) == 2
+        assert not [k for k in entries if k.startswith("config/")]
+
     def test_rebuilt_model_matches_trained_state(self, short_run):
         _, result = short_run
         entries = load_checkpoint(result.checkpoint_path)
@@ -243,6 +282,133 @@ class TestTrainingRuns:
                                            img_h=24, img_w=8))
         with pytest.raises(ConfigError, match="images"):
             evaluate_checkpoint(result.checkpoint_path, other)
+
+
+def _text_entry(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode(), dtype=np.uint8).astype("<i8")
+
+
+class TestCheckpointSchema:
+    """Entries only resume reads; `test_cli.TestMalformedInputs` covers the
+    ones `pyreid eval` reads."""
+
+    @pytest.mark.parametrize("prefix", ["momentum/", "sched/", "meta/rand_pos",
+                                        "meta/dataset_fingerprint"])
+    def test_resume_names_missing_entry(self, toy_dataset, short_run, tmp_path, prefix):
+        _, result = short_run
+        entries = load_tensors(result.checkpoint_path)
+        key = next(k for k in entries if k.startswith(prefix))
+        del entries[key]
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        with pytest.raises(ContainerError, match=re.escape(repr(key))):
+            train(TrainConfig(seed=3, epochs=8), toy_dataset, tmp_path / "r",
+                  resume_from=tmp_path / "ck.pyrt")
+
+    @pytest.mark.parametrize("prefix", ["buffer/", "momentum/", "sched/tau"])
+    def test_resume_names_misshapen_entry(self, toy_dataset, short_run, tmp_path, prefix):
+        _, result = short_run
+        entries = load_tensors(result.checkpoint_path)
+        key = next(k for k in entries if k.startswith(prefix))
+        entries[key] = np.zeros((2, 3), dtype=entries[key].dtype)
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        with pytest.raises(ContainerError, match=re.escape(repr(key)) + ".*shape"):
+            train(TrainConfig(seed=3, epochs=8), toy_dataset, tmp_path / "r",
+                  resume_from=tmp_path / "ck.pyrt")
+
+    def test_stored_config_must_name_every_field(self, short_run):
+        config, _ = short_run
+        text = resolved_config_text(config).replace("margin = 1.4\n", "")
+        with pytest.raises(ContainerError, match="margin"):
+            _decode_config({"meta/config": _text_entry(text)})
+
+
+@st.composite
+def train_configs(draw):
+    """Valid TrainConfigs with a small model."""
+    n = draw(st.integers(1, 6))
+    p_ids, k_imgs = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return TrainConfig(
+        n=n, feature_dim=draw(st.integers(1, 8)),
+        margin=draw(st.floats(min_value=1e-6, max_value=1e6)),
+        batch_size=p_ids * k_imgs, p_ids=p_ids, k_imgs=k_imgs,
+        alpha=draw(st.floats(0.0, 1.0)), gamma=draw(finite),
+        switch_ratio=draw(finite), base_lr=draw(finite), momentum=draw(finite),
+        weight_decay=draw(finite), epochs=draw(st.integers(0, 10**6)),
+        lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(-10, 10**4), max_size=4)))),
+        seed=draw(st.integers(0, 2**64)),
+        pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
+        no_triplet_alternating=draw(st.booleans()),
+        pk_with_replacement=draw(st.booleans()),
+        triplet_in_id_phase=draw(st.booleans()),
+        classifier_bias=draw(st.booleans()),
+        squared_distance=draw(st.booleans()),
+        l2_normalize_eval=draw(st.booleans()),
+        in_channels=draw(st.integers(1, 4)),
+        backbone_stages=tuple(draw(st.lists(
+            st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), max_size=3))),
+        checkpoint_every=draw(st.integers(0, 100)))
+
+
+def _assert_checkpoint_roundtrip(config: TrainConfig) -> None:
+    config.validate()
+    model = build_model(config, (8 * config.n, 8), 5)  # strides multiply to at most 8
+    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
+    stream = {"rand_epoch": 0, "rand_pos": 0, "pk_epoch": 0, "pk_pos": 0}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ck.pyrt"
+        save_checkpoint(path, model, config, SchedulerState(), opt, stream, "ab" * 32)
+        back, back_config = rebuild_model(load_checkpoint(path))
+    assert back_config == config
+    for (name, p), (_, q) in zip(model.named_parameters(), back.named_parameters()):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+
+CONFIG_KEYS = [f.name for f in fields(TrainConfig)]
+CONFIG_VALUES = ["", "0", "1", "-3", "2.5", "nan", "true", "no", "111111", "1,2,3",
+                 "3,2", "16:2,32:1", "16:3", "0:1", ":", ",,", "1e400", "٣"]
+config_texts = st.lists(st.one_of(
+    st.text(max_size=30),
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), st.text(max_size=12)),
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS),
+              st.sampled_from(CONFIG_VALUES))), max_size=10).map("\n".join)
+
+
+class TestConfigCodecFuzz:
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_profiles_roundtrip_through_checkpoint(self, profile):
+        _assert_checkpoint_roundtrip(PROFILES[profile])
+
+    @given(train_configs())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_valid_configs_roundtrip_through_checkpoint(self, config):
+        _assert_checkpoint_roundtrip(config)
+
+    @given(config_texts)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_config_file_decodes_or_raises_config_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.ini"
+            path.write_text(text)
+            try:
+                config = make_config("desk", file_path=path)
+            except ConfigError:
+                return
+        assert isinstance(config, TrainConfig)
+
+    @given(st.one_of(
+        config_texts.map(lambda t: _text_entry(resolved_config_text(TrainConfig()) + t)),
+        st.binary(max_size=60).map(lambda b: np.frombuffer(b, np.uint8).astype("<i8")),
+        st.lists(st.integers(-2**63, 2**63 - 1), max_size=8).map(
+            lambda v: np.array(v, dtype="<i8")),
+        st.floats().map(np.array)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_stored_config_decodes_or_raises_own_errors(self, stored):
+        try:
+            config = _decode_config({"meta/config": stored})
+        except (ConfigError, ContainerError):
+            return
+        config.validate()
 
 
 class TestAblationModes:
