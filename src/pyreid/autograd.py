@@ -319,15 +319,18 @@ def hinge(a: Tensor) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-@catalog_op("2-D matrix multiply")
+@catalog_op("matrix multiply of two 2-D operands, or of two 3-D stacks of matrices "
+            "pairwise along the leading axis")
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul: incompatible shapes {a.data.shape} vs {b.data.shape}")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    if (ad.ndim != bd.ndim or ad.ndim not in (2, 3) or ad.shape[:-2] != bd.shape[:-2]
+            or ad.shape[-1] != bd.shape[-2]):
+        raise ValueError(f"matmul: incompatible shapes {ad.shape} vs {bd.shape}")
+    out = ad @ bd
 
     def _bw(g):
-        _acc(a, g @ b.data.T)
-        _acc(b, a.data.T @ g)
+        _acc(a, g @ np.swapaxes(bd, -1, -2))
+        _acc(b, np.swapaxes(ad, -1, -2) @ g)
 
     return _from_op(out, (a, b), "matmul", _bw)
 
@@ -480,6 +483,82 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _from_op(out, (x,), "global_avg_pool", _bw)
 
 
+_SHORT_STRIPE = 16  # elements per stripe up to which stripe_pool loops; < 256
+
+
+@catalog_op("max plus mean over windows of consecutive horizontal stripes, "
+            "derived from one pool of each stripe")
+def stripe_pool(x: Tensor, parts: int, windows) -> Tensor:
+    """(B, N, C) pools of an (N, C, H, W) map cut into `parts` equal stripes
+    of rows: row b is the max plus the mean over the rows of window b, given
+    as (first stripe, stripe count). The max gradient goes to the first
+    maximal element in row-major order, as a max over the window would."""
+    if x.data.ndim != 4:
+        raise ValueError(f"stripe_pool: expected a 4-D (N,C,H,W) map, got {x.data.shape}")
+    n, c, h, w = x.data.shape
+    if parts < 1 or h % parts:
+        raise ValueError(f"stripe_pool: height {h} does not split into {parts} stripes")
+    windows = [(int(s), int(l)) for s, l in windows]
+    if not windows or any(s < 0 or l < 1 or s + l > parts for s, l in windows):
+        raise ValueError(f"stripe_pool: windows {windows} are not nonempty runs of "
+                         f"{parts} stripes")
+    unit = h // parts * w  # elements of one stripe of one channel
+    xs = x.data.reshape(n, c, parts, unit)
+    # on a short stripe, unit-1 elementwise maxima and one matrix-vector
+    # product beat reductions over the trailing axis; on a long one the
+    # reductions win
+    short = unit <= _SHORT_STRIPE
+    if short:
+        smax = xs[..., 0].copy()
+        for k in range(1, unit):
+            np.maximum(smax, xs[..., k], out=smax)
+    else:
+        smax = xs.max(axis=-1)
+    ssum = (x.data.reshape(n * c * parts, unit) @ np.ones(unit, dtype=x.data.dtype)
+            ).reshape(smax.shape)
+    # wmax[l][s] is the max over stripes s .. s+l-1, as (parts-l+1, N, C),
+    # and wsum[l][s] the sum; a window's pool does not depend on the others
+    wmax = [None, np.ascontiguousarray(smax.transpose(2, 0, 1))]
+    wsum = [None, np.ascontiguousarray(ssum.transpose(2, 0, 1))]
+    for l in range(2, max(l for _, l in windows) + 1):
+        wmax.append(np.maximum(wmax[-1][:-1], wmax[1][l - 1:]))
+        wsum.append(wsum[-1][:-1] + wsum[1][l - 1:])
+    out = np.stack([wmax[l][s] + wsum[l][s] / (l * unit) for s, l in windows])
+    # spread[b, s] is stripe s's weight in the mean over window b
+    spread = np.zeros((len(windows), parts), dtype=x.data.dtype)
+    for b, (s, l) in enumerate(windows):
+        spread[b, s:s + l] = 1.0 / (l * unit)
+
+    def _bw(g):
+        # the stripe holding each window's max is the first one whose prefix
+        # max reaches it: skip every prefix of the window with a smaller max
+        skip = {l: np.zeros(wmax[l].shape, dtype=np.intp) for _, l in windows}
+        for l, count in skip.items():
+            for m in range(1, l):
+                count += wmax[m][:parts - l + 1] < wmax[l]
+        stripe = np.stack([s + skip[l][s] for s, l in windows])  # (B, N, C)
+        cell = np.arange(n * c).reshape(n, c) * parts
+        gmax = np.bincount((cell + stripe).ravel(), weights=g.ravel(),
+                           minlength=n * c * parts)
+        # the first element of each stripe holding its max; a short stripe's
+        # index fits a byte
+        if short:
+            xt = np.ascontiguousarray(xs.transpose(3, 0, 1, 2))
+            seen = xt[0] == smax
+            first = (~seen).view(np.uint8)
+            for k in range(1, unit - 1):
+                seen |= xt[k] == smax
+                first += ~seen
+        else:
+            first = xs.argmax(axis=-1)
+        gmean = g.reshape(len(windows), n * c).T @ spread  # (N*C, parts)
+        gx = np.repeat(gmean.ravel(), unit)
+        gx[np.arange(n * c * parts) * unit + first.ravel()] += gmax
+        _acc(x, gx.reshape(x.data.shape))
+
+    return _from_op(out, (x,), "stripe_pool", _bw)
+
+
 @catalog_op("contiguous row slice along the height (second-to-last) axis")
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim < 3:
@@ -519,6 +598,37 @@ def concat(tensors, axis: int = 1) -> Tensor:
             off += s
 
     return _from_op(out, tuple(ts), "concat", _bw)
+
+
+@catalog_op("same-shape tensors stacked along a new leading axis")
+def stack(tensors) -> Tensor:
+    ts = list(tensors)
+    if not ts:
+        raise ValueError("stack: no tensors given")
+    for t in ts[1:]:
+        if t.data.shape != ts[0].data.shape:
+            raise ValueError(f"stack: shape mismatch {ts[0].data.shape} vs {t.data.shape}")
+    out = np.stack([t.data for t in ts])
+
+    def _bw(g):
+        for t, gt in zip(ts, g):
+            _acc(t, gt)
+
+    return _from_op(out, tuple(ts), "stack", _bw)
+
+
+@catalog_op("permutation of the axes")
+def transpose(x: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ValueError(f"transpose: {axes} is not a permutation of {x.data.ndim} axes")
+    inverse = tuple(np.argsort(axes))
+    out = np.ascontiguousarray(x.data.transpose(axes))
+
+    def _bw(g):
+        _acc(x, np.ascontiguousarray(g.transpose(inverse)))
+
+    return _from_op(out, (x,), "transpose", _bw)
 
 
 # -- losses and reductions -----------------------------------------------------

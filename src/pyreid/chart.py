@@ -79,17 +79,18 @@ def line_chart(series: list, width: int = 640, height: int = 400) -> np.ndarray:
         y_all = np.zeros(1)
     x_min, x_max = float(x_all.min()), float(x_all.max())
     y_min, y_max = float(y_all.min()), float(y_all.max())
-    if x_max == x_min:
-        x_max = x_min + 1.0
-    if y_max == y_min:
-        y_max = y_min + 1.0
+
+    def frac(v, lo, hi):
+        # halves keep the difference of any two finite floats finite; a flat
+        # range puts every point on the axis
+        span = hi / 2 - lo / 2
+        return (v / 2 - lo / 2) / span if span > 0 else 0.0
 
     def px(x):
-        return ml + int(round((x - x_min) / (x_max - x_min) * (width - ml - mr - 1)))
+        return ml + int(round(frac(x, x_min, x_max) * (width - ml - mr - 1)))
 
     def py(y):
-        return height - mb - 1 - int(round((y - y_min) / (y_max - y_min)
-                                           * (height - mt - mb - 1)))
+        return height - mb - 1 - int(round(frac(y, y_min, y_max) * (height - mt - mb - 1)))
 
     img[height - mb - 1, ml:width - mr] = _AXIS
     img[mt:height - mb, ml] = _AXIS

@@ -177,9 +177,12 @@ def _read_trace(path) -> dict:
                 cols[name].append(val)
             elif name == "tau":
                 try:
-                    cols[name].append(int(val))
+                    tau = int(val)
                 except ValueError as exc:
                     raise ConfigError(f"{path}:{lineno}: bad tau {val!r}") from exc
+                if not 0 <= tau < 2 ** 53:  # iterations count exactly as floats
+                    raise ConfigError(f"{path}:{lineno}: tau {tau} out of range")
+                cols[name].append(tau)
             else:
                 try:
                     cols[name].append(float(val) if val else float("nan"))

@@ -1,4 +1,4 @@
-"""Identification loss over per-branch logits and batch-hard triplet loss
+"""Identification loss over stacked per-branch logits and batch-hard triplet loss
 over concatenated embeddings."""
 
 from __future__ import annotations
@@ -26,17 +26,20 @@ class LossValue:
         return self.tensor.item()
 
 
-def id_loss(per_branch_logits: list, labels) -> LossValue:
+def id_loss(logits: Tensor, labels) -> LossValue:
     """Mean over the batch of the per-image sum, across branches, of softmax
-    cross-entropy against the identity label."""
-    if not per_branch_logits:
+    cross-entropy against the identity label; `logits` is (branches, batch,
+    identities)."""
+    if logits.data.ndim != 3:
+        raise ValueError(f"id_loss: expected (branches, batch, identities) logits, got "
+                         f"{logits.data.shape}")
+    b, n, k = logits.data.shape
+    if b == 0:
         raise ValueError("id_loss: no branch logits given")
     labels = np.asarray(labels, dtype=np.int64)
-    total = None
-    for logits in per_branch_logits:
-        ce = ag.softmax_cross_entropy(logits, labels, reduction="none")
-        total = ce if total is None else ag.add(total, ce)
-    return LossValue("id", ag.reduce_mean(total), count=int(labels.shape[0]))
+    ce = ag.softmax_cross_entropy(ag.reshape(logits, (b * n, k)), np.tile(labels, b),
+                                  reduction="sum")
+    return LossValue("id", ag.mul(ce, 1.0 / n), count=int(labels.shape[0]))
 
 
 def euclidean_distance(a, b) -> float:

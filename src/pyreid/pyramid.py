@@ -7,6 +7,10 @@ pools its sub-map (max pool plus average pool, added), reduces to a
 feature_dim vector through a bias-free 1x1 conv + batch-norm + ReLU, and
 feeds its own identity classifier. The concatenation of all enabled branch
 features is the retrieval embedding.
+
+The enabled branches run as one stacked head: the n parts are pooled once
+and every window's pool is derived from theirs, and the branches' own
+parameters are stacked so that one batched product applies all of them.
 """
 
 from __future__ import annotations
@@ -48,11 +52,6 @@ def enumerate_branches(n: int, height: int) -> list[BranchSpec]:
             start = (pos - 1) * unit + 1
             specs.append(BranchSpec(level, pos, start, (pos - 1) * unit + level * unit))
     return specs
-
-
-def slice_branch(fmap: Tensor, spec: BranchSpec) -> Tensor:
-    """Contiguous row slab of the feature map covered by one branch."""
-    return ag.slice_rows(fmap, spec.row_start - 1, spec.row_end)
 
 
 @dataclass(frozen=True)
@@ -116,64 +115,14 @@ class BranchParams:
         yield from self.bn.named_buffers(f"{prefix}.bn")
 
 
-def branch_forward(sub_map: Tensor, params: BranchParams, training: bool):
-    """(feature, logits) for one branch.
-
-    feature = ReLU(BN(W_reduce @ (global max pool + global avg pool)))
-    logits  = classifier(feature)
-
-    Accepts a single (C,H,W) sub-map or a batched (N,C,H,W) one; the single
-    form returns (D,) / (num_identities,) vectors.
-    """
-    c_in = params.reduce_weight.data.shape[0]
-    if sub_map.data.shape[-3] != c_in:
-        raise ValueError(f"branch_forward: sub-map has {sub_map.data.shape[-3]} channels, "
-                         f"reduction expects {c_in}")
-    single = sub_map.data.ndim == 3
-    if single:
-        sub_map = ag.reshape(sub_map, (1,) + sub_map.data.shape)
-    pooled = ag.add(ag.global_max_pool(sub_map), ag.global_avg_pool(sub_map))
-    feature = ag.relu(params.bn(ag.matmul(pooled, params.reduce_weight), training))
-    logits = ag.matmul(feature, params.classifier_weight)
-    if params.classifier_bias is not None:
-        ones = Tensor(np.ones((feature.data.shape[0], 1), dtype=feature.data.dtype))
-        logits = ag.add(logits, ag.matmul(ones, params.classifier_bias))
-    if single:
-        feature = ag.reshape(feature, (feature.data.shape[1],))
-        logits = ag.reshape(logits, (logits.data.shape[1],))
-    return feature, logits
-
-
-def assemble_embedding(branch_features: list, mask: BranchMask) -> Tensor:
-    """Concatenate enabled branch features, in enumeration order."""
-    n = mask.n
-    levels = [l for l in range(1, n + 1) for _ in range(n - l + 1)]
-    if len(branch_features) != len(levels):
-        raise ValueError(f"assemble_embedding: expected {len(levels)} branch features for "
-                         f"an n={n} pyramid, got {len(branch_features)}")
-    if not any(mask.flags):
-        raise ValueError("assemble_embedding: mask disables every level")
-    picked = []
-    for level, feat in zip(levels, branch_features):
-        if mask.level_enabled(level):
-            if feat is None:
-                raise ValueError(f"assemble_embedding: missing feature for enabled level {level}")
-            picked.append(feat)
-    if len(picked) == 1:
-        return picked[0]
-    return ag.concat(picked, axis=1)
-
-
 class PyramidOutput:
-    __slots__ = ("features", "logits", "embedding")
+    """embedding: (N, B*D), the enabled branches' features side by side in
+    enumeration order; logits: (B, N, num_identities), one slab per branch."""
+    __slots__ = ("embedding", "logits")
 
-    def __init__(self, features, logits, embedding):
-        self.features = features
-        self.logits = logits
+    def __init__(self, embedding, logits):
         self.embedding = embedding
-
-    def enabled_logits(self) -> list:
-        return [lg for lg in self.logits if lg is not None]
+        self.logits = logits
 
 
 class PyramidModel:
@@ -207,15 +156,40 @@ class PyramidModel:
         if mask.n != self.n:
             raise ConfigError(f"mask {mask} has {mask.n} levels, model has {self.n}")
         fmap = self.backbone.forward(images, training)
-        features: list = [None] * len(self.specs)
-        logits: list = [None] * len(self.specs)
-        for i, (spec, params) in enumerate(zip(self.specs, self.branches)):
-            if not mask.level_enabled(spec.level):
-                continue
-            sub = slice_branch(fmap, spec)
-            features[i], logits[i] = branch_forward(sub, params, training)
-        embedding = assemble_embedding(features, mask)
-        return PyramidOutput(features, logits, embedding)
+        if fmap.data.ndim != 4 or fmap.data.shape[1:] != self.map_shape:
+            raise ValueError(f"feature map {fmap.data.shape} does not match the heads' "
+                             f"(channels, height, width) {self.map_shape}")
+        picked = [(spec, params) for spec, params in zip(self.specs, self.branches)
+                  if mask.level_enabled(spec.level)]
+        heads = [params for _, params in picked]
+        bns = [params.bn for params in heads]
+        b, batch, d = len(heads), fmap.data.shape[0], self.feature_dim
+
+        pooled = ag.stripe_pool(fmap, self.n,
+                                [(spec.position - 1, spec.level) for spec, _ in picked])
+        reduced = ag.matmul(pooled, ag.stack([p.reduce_weight for p in heads]))
+        wide = ag.reshape(ag.transpose(reduced, (1, 0, 2)), (batch, b * d))
+        # one batch norm over all branches' channels; their running stats are
+        # gathered into one array and handed back after the update
+        running_mean = np.concatenate([bn.running_mean for bn in bns])
+        running_var = np.concatenate([bn.running_var for bn in bns])
+        normed = ag.batch_norm(wide, ag.reshape(ag.stack([bn.gamma for bn in bns]), (b * d,)),
+                               ag.reshape(ag.stack([bn.beta for bn in bns]), (b * d,)),
+                               running_mean, running_var, training=training,
+                               momentum=bns[0].momentum, eps=bns[0].eps)
+        if training:
+            for bn, mean, var in zip(bns, np.split(running_mean, b), np.split(running_var, b)):
+                bn.running_mean[...] = mean
+                bn.running_var[...] = var
+        embedding = ag.relu(normed)
+
+        features = ag.transpose(ag.reshape(embedding, (batch, b, d)), (1, 0, 2))
+        logits = ag.matmul(features, ag.stack([p.classifier_weight for p in heads]))
+        if heads[0].classifier_bias is not None:
+            ones = Tensor(np.ones((b, batch, 1), dtype=logits.data.dtype))
+            logits = ag.add(logits, ag.matmul(ones, ag.stack([p.classifier_bias
+                                                              for p in heads])))
+        return PyramidOutput(embedding, logits)
 
     def named_parameters(self):
         yield from self.backbone.named_parameters()

@@ -262,7 +262,11 @@ def _entry(entries: dict, key: str, shape=()) -> np.ndarray:
 
 
 def _int_entry(entries: dict, key: str) -> int:
-    return int(_entry(entries, key)[()])
+    arr = _entry(entries, key)
+    if arr.dtype.kind not in "iu":
+        raise ContainerError(f"checkpoint entry {key!r} is not an integer "
+                             f"(stored as {arr.dtype.str})")
+    return int(arr[()])
 
 
 def _bytes_entry(entries: dict, key: str) -> bytes:
@@ -326,8 +330,21 @@ def rebuild_model(entries: dict) -> tuple:
     """Reconstruct the model (architecture + weights + running stats) stored
     in a loaded checkpoint. Returns (model, config)."""
     config = _decode_config(entries)
-    image_hw = (_int_entry(entries, "meta/image_h"), _int_entry(entries, "meta/image_w"))
-    model = build_model(config, image_hw, _int_entry(entries, "meta/num_identities"))
+    sizes = {key: _int_entry(entries, f"meta/{key}")
+             for key in ("image_h", "image_w", "num_identities")}
+    for key, value in sizes.items():
+        if value < 1:
+            raise ContainerError(f"checkpoint entry 'meta/{key}' must be positive, "
+                                 f"got {value}")
+    # the stored classifier fixes the identity count before anything is allocated
+    classifier = _entry(entries, "param/branch_l1_k1.classifier.weight", shape=None)
+    if classifier.shape != (config.feature_dim, sizes["num_identities"]):
+        raise ContainerError(f"checkpoint entry 'meta/num_identities' is "
+                             f"{sizes['num_identities']}, but the stored classifier "
+                             f"'param/branch_l1_k1.classifier.weight' has shape "
+                             f"{classifier.shape}")
+    model = build_model(config, (sizes["image_h"], sizes["image_w"]),
+                        sizes["num_identities"])
     for name, p in model.named_parameters():
         p.data[...] = _entry(entries, f"param/{name}", p.data.shape)
     for name, buf in model.named_buffers():
@@ -442,7 +459,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
                                       dtype=np.int64)
 
             out = model.forward(images, training=True, mask=mask)
-            l_id = id_loss(out.enabled_logits(), class_labels)
+            l_id = id_loss(out.logits, class_labels)
             l_tp: LossValue | None = None
 
             if config.no_triplet_alternating:

@@ -111,6 +111,33 @@ def reference_conv2d(x, w, g, stride, padding) -> tuple:
     return out, gxp[:, :, padding:padding + h, padding:padding + wd_], gw
 
 
+def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
+    """The pyramid head as one graph per branch: slice the branch's rows,
+    max pool plus avg pool, reduce, batch-norm, ReLU, classify, and sum the
+    branches' cross-entropies. Returns (embedding, per-branch logits in
+    enumeration order, ID loss). It is the library's original head, kept as
+    the reference for the stacked one."""
+    mask = mask or model.full_mask
+    fmap = model.backbone.forward(images, training)
+    features, logits, total = [], [], None
+    for spec, params in zip(model.specs, model.branches):
+        if not mask.level_enabled(spec.level):
+            continue
+        sub = ag.slice_rows(fmap, spec.row_start - 1, spec.row_end)
+        pooled = ag.add(ag.global_max_pool(sub), ag.global_avg_pool(sub))
+        feature = ag.relu(params.bn(ag.matmul(pooled, params.reduce_weight), training))
+        branch_logits = ag.matmul(feature, params.classifier_weight)
+        if params.classifier_bias is not None:
+            ones = Tensor(np.ones((feature.data.shape[0], 1), dtype=feature.data.dtype))
+            branch_logits = ag.add(branch_logits, ag.matmul(ones, params.classifier_bias))
+        ce = ag.softmax_cross_entropy(branch_logits, labels, reduction="none")
+        total = ce if total is None else ag.add(total, ce)
+        features.append(feature)
+        logits.append(branch_logits)
+    embedding = features[0] if len(features) == 1 else ag.concat(features, axis=1)
+    return embedding, logits, ag.reduce_mean(total)
+
+
 # -- gradient-check case builders ------------------------------------------------
 
 
@@ -156,6 +183,14 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         a = Tensor(rng.normal(size=(3, 4)))
         cases.append((lambda t, a=a, w=w: _weighted_sum(ag.matmul(a, t), w),
                       Tensor(rng.normal(size=(4, 2)))))
+        # a stack of matrix products, as the pyramid head applies its branches
+        b3 = Tensor(rng.normal(size=(2, 4, 3)))
+        w3 = rng.normal(size=(2, 5, 3))
+        cases.append((lambda t, b=b3, w=w3: _weighted_sum(ag.matmul(t, b), w),
+                      Tensor(rng.normal(size=(2, 5, 4)))))
+        a3 = Tensor(rng.normal(size=(2, 5, 4)))
+        cases.append((lambda t, a=a3, w=w3: _weighted_sum(ag.matmul(a, t), w),
+                      Tensor(rng.normal(size=(2, 4, 3)))))
     elif op_name == "conv2d":
         for stride in (1, 2):
             for padding in (0, 1):
@@ -192,6 +227,27 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         w = rng.normal(size=(2, 3))
         cases.append((lambda t, w=w: _weighted_sum(ag.global_avg_pool(t), w),
                       Tensor(rng.normal(size=(2, 3, 4, 3)))))
+    elif op_name == "stripe_pool":
+        # every window of 3 stripes of 2x2 cells, and a sparse subset
+        for windows in ([(s, l) for l in (1, 2, 3) for s in range(4 - l)], [(1, 2), (0, 1)]):
+            w = rng.normal(size=(len(windows), 2, 3))
+            cases.append((lambda t, ws=windows, w=w:
+                          _weighted_sum(ag.stripe_pool(t, 3, ws), w),
+                          Tensor(_distinct_values((2, 3, 6, 2), rng))))
+        # stripes of 3x6 cells, longer than the elementwise-loop limit
+        windows = [(0, 1), (1, 1), (0, 2)]
+        w = rng.normal(size=(len(windows), 1, 2))
+        cases.append((lambda t, ws=windows, w=w: _weighted_sum(ag.stripe_pool(t, 2, ws), w),
+                      Tensor(_distinct_values((1, 2, 6, 6), rng))))
+    elif op_name == "stack":
+        other = Tensor(rng.normal(size=(3, 2)))
+        w = rng.normal(size=(3, 3, 2))
+        cases.append((lambda t, o=other, w=w: _weighted_sum(ag.stack([t, o, t]), w),
+                      Tensor(rng.normal(size=(3, 2)))))
+    elif op_name == "transpose":
+        w = rng.normal(size=(4, 2, 3))
+        cases.append((lambda t, w=w: _weighted_sum(ag.transpose(t, (2, 0, 1)), w),
+                      Tensor(rng.normal(size=(2, 3, 4)))))
     elif op_name == "slice_rows":
         w = rng.normal(size=(2, 3, 3))
         cases.append((lambda t, w=w: _weighted_sum(ag.slice_rows(t, 2, 5), w),
@@ -292,7 +348,7 @@ def build_tiny_model(seed: int):
 def composite_loss(model, images: np.ndarray, labels: np.ndarray, margin: float):
     """id loss + batch-hard triplet loss through the whole model."""
     out = model.forward(Tensor(images), training=True)
-    li = id_loss(out.enabled_logits(), labels)
+    li = id_loss(out.logits, labels)
     lt = triplet_loss(out.embedding, labels, margin)
     return ag.add(li.tensor, lt.tensor)
 

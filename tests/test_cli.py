@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pyreid.chart import line_chart, write_png
+from pyreid.chart import PALETTE, line_chart, write_png
 from pyreid.cli import main
 from pyreid.container import load_tensors, save_tensors
 
@@ -135,6 +137,20 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "ck.pyrt", entries)
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, repr(key), "shape")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("meta/image_h", np.array(np.inf, dtype="<f8"), "is not an integer"),
+        ("meta/num_identities", np.array(10 ** 12, dtype="<i8"), "stored classifier"),
+        ("meta/num_identities", np.array(0, dtype="<i8"), "must be positive"),
+        ("meta/image_w", np.array(-16, dtype="<i8"), "must be positive"),
+    ], ids=["float_infinity", "huge_identity_count", "zero_identities", "negative_width"])
+    def test_checkpoint_forged_meta_integer(self, data_dir, trained_dir, tmp_path, capsys,
+                                            key, value, message):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        entries[key] = value
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, repr(key), message)
 
     def test_version_1_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -272,6 +288,44 @@ class TestExportCurves:
         assert ":2:" in capsys.readouterr().err
 
 
+class TestExportCurvesFuzz:
+    """Any text in a trace file is exported or refused with one `error:` line."""
+
+    HEADER = "tau,phase,L_id,L_tp,k_id,k_tp,p_id,p_tp,FL_id,FL_tp,lr"
+    NUMBER = st.sampled_from(["", "0", "-3", "2.5", "1e308", "-1e308", "5e-324", "inf",
+                              "-inf", "nan", "1e999", "9" * 400])
+    # mostly well-formed rows, so that the charts see extreme values
+    ROW = st.tuples(NUMBER, st.sampled_from(["id_only", "combined", ""]),
+                    st.lists(NUMBER, min_size=9, max_size=9)
+                    ).map(lambda row: [row[0], row[1], *row[2]])
+
+    def check(self, text, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(["export-curves", "--trace", str(trace), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+        else:
+            assert code == 2
+            assert_one_error_line(err)
+
+    @given(text=st.text())
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_arbitrary_text(self, text, tmp_path, capsys):
+        self.check(text, tmp_path, capsys)
+
+    @given(rows=st.lists(st.one_of(ROW, st.lists(st.text(max_size=4), max_size=12)),
+                         min_size=1, max_size=4))
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rows_after_a_valid_header(self, rows, tmp_path, capsys):
+        body = "\n".join(",".join(row) for row in rows)
+        self.check(f"{self.HEADER}\n{body}\n", tmp_path, capsys)
+
+
 class TestExitCodes:
     def test_divergence_maps_to_exit_3(self, data_dir, tmp_path, monkeypatch):
         import pyreid.cli as cli
@@ -315,6 +369,15 @@ class TestChartRenderer:
     def test_nan_values_break_the_line(self):
         img = line_chart([("a", [0, 1, 2], [1.0, float("nan"), 2.0])])
         assert img.shape == (400, 640, 3)
+
+    def test_extreme_finite_values(self):
+        # the value range overflows a float; the points still land on the canvas
+        img = line_chart([("a", [0, 2 ** 52], [1e308, -1e308])], width=60, height=40)
+        assert img.shape == (40, 60, 3)
+
+    def test_flat_series(self):
+        img = line_chart([("a", [3, 3], [2.0, 2.0])], width=60, height=40)
+        assert (img == np.array(PALETTE[0], dtype=np.uint8)).all(axis=2).any()
 
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError):

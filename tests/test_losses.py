@@ -10,56 +10,79 @@ from pyreid.losses import euclidean_distance, id_loss, triplet_loss
 from helpers import oracle_triplet
 
 
-def logits_for(batch, classes, value=0.0):
-    return Tensor(np.full((batch, classes), value, dtype=np.float32))
+def logits_for(batch, classes, value=0.0, branches=1):
+    return Tensor(np.full((branches, batch, classes), value, dtype=np.float32))
 
 
 class TestIdLoss:
     def test_uniform_single_branch(self):
         # all-zero logits over 4 identities cost ln 4
-        lv = id_loss([logits_for(3, 4)], [0, 1, 2])
+        lv = id_loss(logits_for(3, 4), [0, 1, 2])
         assert lv.task == "id"
         assert lv.count == 3
         assert lv.value == pytest.approx(math.log(4), rel=1e-6)
 
     def test_sums_over_branches(self):
         # Eq-style sum across branches: 21 uniform branches cost 21*ln 4
-        branches = [logits_for(2, 4) for _ in range(21)]
-        lv = id_loss(branches, [1, 3])
+        lv = id_loss(logits_for(2, 4, branches=21), [1, 3])
         assert lv.value == pytest.approx(21 * math.log(4), rel=1e-6)
         assert lv.value == pytest.approx(29.1121, abs=5e-4)
 
     def test_direct_evaluation(self):
         # logits [2,1,0] with label 0: loss = ln(1 + e^-1 + e^-2)
-        lv = id_loss([Tensor(np.array([[2.0, 1.0, 0.0]]))], [0])
+        lv = id_loss(Tensor(np.array([[[2.0, 1.0, 0.0]]])), [0])
         expected = math.log(1 + math.exp(-1) + math.exp(-2))
         assert lv.value == pytest.approx(expected, rel=1e-6)
         assert lv.value == pytest.approx(0.4076, abs=1e-4)
 
     def test_perfect_logit_drives_loss_to_zero(self):
-        lv = id_loss([Tensor(np.array([[50.0, 0.0, 0.0]]))], [0])
+        lv = id_loss(Tensor(np.array([[[50.0, 0.0, 0.0]]])), [0])
         assert lv.value == pytest.approx(0.0, abs=1e-6)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label out of range"):
-            id_loss([logits_for(1, 4)], [7])
+            id_loss(logits_for(1, 4), [7])
 
     def test_empty_branch_list(self):
         with pytest.raises(ValueError, match="no branch logits"):
-            id_loss([], [0])
+            id_loss(logits_for(1, 4, branches=0), [0])
 
     def test_nonnegative_on_random_inputs(self, rng):
         for _ in range(50):
-            logits = Tensor(rng.normal(size=(4, 6)).astype(np.float32))
+            logits = Tensor(rng.normal(size=(1, 4, 6)).astype(np.float32))
             labels = rng.integers(0, 6, size=4)
-            assert id_loss([logits], labels).value >= 0.0
+            assert id_loss(logits, labels).value >= 0.0
 
     def test_per_branch_shift_invariance(self, rng):
-        logits = rng.normal(size=(5, 7)).astype(np.float64)
+        logits = rng.normal(size=(3, 5, 7)).astype(np.float64)
         labels = rng.integers(0, 7, size=5)
-        base = id_loss([Tensor(logits)], labels).value
-        shifted = id_loss([Tensor(logits + 13.5)], labels).value
+        base = id_loss(Tensor(logits), labels).value
+        shifted = id_loss(Tensor(logits + np.array([13.5, -2.0, 0.25])[:, None, None]),
+                          labels).value
         assert shifted == pytest.approx(base, abs=1e-6)
+
+    def test_mean_over_images_of_sum_over_branches(self, rng):
+        # the stacked loss equals the per-branch cross-entropies summed per
+        # image and averaged over the batch, and so does its gradient
+        logits = rng.normal(size=(4, 5, 6))
+        labels = rng.integers(0, 6, size=5)
+        stacked = Tensor(logits.copy(), requires_grad=True)
+        lv = id_loss(stacked, labels)
+        backward(lv.tensor)
+        branches = [Tensor(lg.copy(), requires_grad=True) for lg in logits]
+        total = None
+        for lg in branches:
+            ce = ag.softmax_cross_entropy(lg, labels, reduction="none")
+            total = ce if total is None else ag.add(total, ce)
+        ref = ag.reduce_mean(total)
+        backward(ref)
+        assert lv.value == pytest.approx(ref.item(), rel=1e-12)
+        np.testing.assert_allclose(stacked.grad, np.stack([lg.grad for lg in branches]),
+                                   rtol=1e-12)
+
+    def test_rejects_unstacked_logits(self):
+        with pytest.raises(ValueError, match="branches, batch, identities"):
+            id_loss(Tensor(np.zeros((3, 4))), [0, 1, 2])
 
 
 class TestEuclideanDistance:
