@@ -52,6 +52,11 @@ class GenConfig:
             raise ConfigError(f"num_cams must be >= 2, got {self.num_cams}")
         if self.imgs_per_id < 2:
             raise ConfigError(f"imgs_per_id must be >= 2, got {self.imgs_per_id}")
+        # the figure needs a head row above the rest of the body
+        if self.img_h < 2:
+            raise ConfigError(f"img_h must be >= 2, got {self.img_h}")
+        if self.img_w < 1:
+            raise ConfigError(f"img_w must be >= 1, got {self.img_w}")
         if not 0.0 <= self.severity <= 1.0:
             raise ConfigError(f"severity must be in [0, 1], got {self.severity}")
 

@@ -20,27 +20,57 @@ class RankedResult:
     matches: np.ndarray  # bool per ranked position
 
 
-def rank_gallery(query_emb: np.ndarray, query_id: int, query_cam: int,
+_RANK_BLOCK = 128  # query rows per distance block; a (128, G) float64 buffer each
+
+
+def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.ndarray,
                  gallery_embs: np.ndarray, gallery_ids: np.ndarray,
-                 gallery_cams: np.ndarray, query_index: int = 0) -> RankedResult:
-    """Rank gallery entries by Euclidean distance to the query, after
-    dropping same-identity same-camera entries (junk under the standard
-    protocol). Distance ties break toward the lower gallery index."""
-    q = np.asarray(query_emb, dtype=np.float64)
-    g = np.asarray(gallery_embs, dtype=np.float64)
-    if q.shape != g.shape[1:]:
-        raise ValueError(f"rank_gallery: embedding dims differ, query {q.shape} vs "
+                 gallery_cams: np.ndarray) -> list:
+    """Rank the gallery for every query row by Euclidean distance, after
+    dropping the query's same-identity same-camera entries (junk under the
+    standard protocol). Distance ties break toward the lower gallery index.
+    Returns one RankedResult per query, in query order."""
+    q = np.asarray(query_embs, dtype=np.float64)
+    g = np.array(gallery_embs, dtype=np.float64)
+    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
+        raise ValueError(f"rank_gallery: embedding dims differ, query {q.shape[1:]} vs "
                          f"gallery {g.shape[1:]}")
-    keep = ~((gallery_ids == query_id) & (gallery_cams == query_cam))
-    kept = np.flatnonzero(keep)
-    if kept.size == 0:
-        raise ValueError(f"rank_gallery: query {query_index} has an empty gallery "
-                         f"after filtering")
-    dist = np.sqrt(((g[kept] - q) ** 2).sum(axis=1))
-    order_local = np.argsort(dist, kind="stable")
-    order = kept[order_local]
-    return RankedResult(query_index=query_index, order=order,
-                        matches=gallery_ids[order] == query_id)
+    if not g.shape[1]:
+        raise ValueError("rank_gallery: embeddings have no dimensions")
+    query_ids, query_cams = np.asarray(query_ids), np.asarray(query_cams)
+    # BLAS rounds the products of equal gallery rows differently by position,
+    # which would reorder their tie: every duplicate row takes the distances
+    # of its first occurrence. Adding 0.0 turns -0.0 into 0.0, so numerically
+    # equal rows are bitwise equal.
+    g += 0.0
+    rows = g.view(np.dtype((np.void, g.itemsize * g.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    source = first[inverse]
+    dup = np.flatnonzero(source != np.arange(len(g)))
+    g_sq = np.einsum("ij,ij->i", g, g)
+    results = []
+    for lo in range(0, len(q), _RANK_BLOCK):
+        qb = q[lo:lo + _RANK_BLOCK]
+        ids, cams = query_ids[lo:lo + _RANK_BLOCK, None], query_cams[lo:lo + _RANK_BLOCK, None]
+        # squared distances ||q||^2 + ||g||^2 - 2 q.g, clamped at 0
+        dist = (-2.0 * qb) @ g.T
+        dist += np.einsum("ij,ij->i", qb, qb)[:, None]
+        dist += g_sq
+        np.maximum(dist, 0.0, out=dist)
+        np.sqrt(dist, out=dist)
+        dist[:, dup] = dist[:, source[dup]]
+        junk = (gallery_ids == ids) & (gallery_cams == cams)
+        dist[junk] = np.inf
+        kept = len(g) - junk.sum(axis=1)
+        if not kept.all():
+            raise ValueError(f"rank_gallery: query {lo + int(np.argmin(kept))} has an empty "
+                             f"gallery after filtering")
+        order = np.argsort(dist, axis=1, kind="stable")
+        matches = gallery_ids[order] == ids
+        results.extend(RankedResult(query_index=lo + i, order=order[i, :k],
+                                    matches=matches[i, :k])
+                       for i, k in enumerate(kept))
+    return results
 
 
 def compute_cmc(results: list, max_rank: int) -> np.ndarray:
@@ -102,9 +132,8 @@ def evaluate_model(model: PyramidModel, dataset: ReIDDataset,
                                 l2_normalize=l2_normalize)
     g_embs = extract_embeddings(model, dataset.images[gallery.indices], mask,
                                 l2_normalize=l2_normalize)
-    results = [rank_gallery(q_embs[i], int(query.identities[i]), int(query.cameras[i]),
-                            g_embs, gallery.identities, gallery.cameras, query_index=i)
-               for i in range(len(query))]
+    results = rank_gallery(q_embs, query.identities, query.cameras,
+                           g_embs, gallery.identities, gallery.cameras)
     cmc = compute_cmc(results, max_rank)
     return {"mAP": compute_map(results),
             "rank1": float(cmc[0]),

@@ -300,13 +300,11 @@ class TestCriterion10InvarianceSuite:
         gids = rng.integers(0, 5, size=30)
         gcams = rng.integers(0, 2, size=30)
         queries = rng.normal(size=(6, 8))
+        qids, qcams = gids[np.arange(6) % 5], np.zeros(6, dtype=int)
+        base_r = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
         for scale in (0.01, 5.0):
-            for qi in range(6):
-                base_r = rank_gallery(queries[qi], int(gids[qi % 5]), 0,
-                                      gallery, gids, gcams, qi)
-                scaled = rank_gallery(queries[qi] * scale, int(gids[qi % 5]), 0,
-                                      gallery * scale, gids, gcams, qi)
-                assert base_r.order.tolist() == scaled.order.tolist()
+            scaled = rank_gallery(queries * scale, qids, qcams, gallery * scale, gids, gcams)
+            assert [r.order.tolist() for r in base_r] == [r.order.tolist() for r in scaled]
 
         # CMC monotonicity
         from pyreid.evaluation import RankedResult

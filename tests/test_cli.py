@@ -114,8 +114,22 @@ def assert_one_error_line(err: str, *fragments: str) -> None:
 
 
 class TestMalformedInputs:
-    """Broken checkpoints and dataset directories end in exit 2 with one
-    `error:` line that names the fault."""
+    """Broken checkpoints and dataset directories, and image sizes that
+    cannot be rendered, end in exit 2 with one `error:` line that names the
+    fault."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--height", "0", "img_h must be >= 2, got 0"),
+        ("--height", "1", "img_h must be >= 2, got 1"),
+        ("--height", "-5", "img_h must be >= 2, got -5"),
+        ("--width", "0", "img_w must be >= 1, got 0"),
+        ("--width", "-3", "img_w must be >= 1, got -3"),
+    ], ids=["zero_height", "one_row", "negative_height", "zero_width", "negative_width"])
+    def test_gen_data_unrenderable_size(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out", str(out), flag, value]) == 2
+        assert_one_error_line(capsys.readouterr().err, message)
+        assert not out.exists()
 
     def eval_with(self, checkpoint, dataset):
         return main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset)])

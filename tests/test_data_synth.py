@@ -45,6 +45,16 @@ class TestGeneration:
         with pytest.raises(ConfigError):
             GenConfig(severity=1.5)
 
+    @pytest.mark.parametrize("field, value", [("img_h", 1), ("img_h", 0), ("img_h", -5),
+                                              ("img_w", 0), ("img_w", -3)])
+    def test_unrenderable_image_size_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            GenConfig(**{field: value})
+
+    def test_smallest_image_size_renders(self):
+        ds = generate_dataset(GenConfig(num_ids=4, img_h=2, img_w=1, severity=1.0))
+        assert ds.images.shape == (40, 3, 2, 1)
+
 
 class TestIdentitySpecs:
     def test_proportions_and_colors_in_range(self):

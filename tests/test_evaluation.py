@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.evaluation import (RankedResult, compute_cmc, compute_map,
@@ -17,33 +19,47 @@ def result(matches, query_index=0):
                         matches=matches)
 
 
+def orders(results):
+    return [r.order.tolist() for r in results]
+
+
 class TestRankGallery:
     def test_same_camera_same_id_filtered(self):
         g = np.array([[0.0, 0.0], [1.0, 1.0]])
-        res = rank_gallery(np.zeros(2), 7, 0, g, np.array([7, 7]), np.array([0, 1]))
+        [res] = rank_gallery(np.zeros((1, 2)), [7], [0], g, np.array([7, 7]),
+                             np.array([0, 1]))
         assert res.order.tolist() == [1]
         assert res.matches.tolist() == [True]
 
     def test_sorted_by_distance(self):
         g = np.array([[5.0], [2.0], [7.0]])
-        res = rank_gallery(np.zeros(1), 1, 0, g, np.array([2, 3, 4]),
-                           np.array([1, 1, 1]))
+        [res] = rank_gallery(np.zeros((1, 1)), [1], [0], g, np.array([2, 3, 4]),
+                             np.array([1, 1, 1]))
         assert res.order.tolist() == [1, 0, 2]
 
     def test_tie_breaks_by_gallery_index(self):
         g = np.array([[3.0], [3.0], [1.0]])
-        res = rank_gallery(np.zeros(1), 9, 0, g, np.array([1, 2, 3]),
-                           np.array([1, 1, 1]))
+        [res] = rank_gallery(np.zeros((1, 1)), [9], [0], g, np.array([1, 2, 3]),
+                             np.array([1, 1, 1]))
         assert res.order.tolist() == [2, 0, 1]
 
+    def test_one_result_per_query_in_order(self):
+        g = np.array([[0.0], [1.0], [2.0]])
+        res = rank_gallery(np.array([[2.0], [0.0]]), [1, 1], [0, 0], g,
+                           np.array([1, 2, 1]), np.array([1, 1, 0]))
+        assert [r.query_index for r in res] == [0, 1]
+        assert orders(res) == [[1, 0], [0, 1]]
+        assert [r.matches.tolist() for r in res] == [[False, True], [True, False]]
+
     def test_empty_filtered_gallery_rejected(self):
-        g = np.array([[1.0]])
-        with pytest.raises(ValueError, match="empty gallery"):
-            rank_gallery(np.zeros(1), 5, 2, g, np.array([5]), np.array([2]))
+        g = np.array([[1.0], [2.0]])
+        with pytest.raises(ValueError, match="query 1 has an empty gallery"):
+            rank_gallery(np.zeros((3, 1)), [4, 5, 5], [2, 2, 2], g, np.array([5, 5]),
+                         np.array([2, 2]))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
-            rank_gallery(np.zeros(3), 0, 0, np.zeros((2, 4)), np.array([1, 2]),
+            rank_gallery(np.zeros((1, 3)), [0], [0], np.zeros((2, 4)), np.array([1, 2]),
                          np.array([0, 0]))
 
     def test_matches_exhaustive_oracle(self, rng):
@@ -52,14 +68,83 @@ class TestRankGallery:
             gallery = rng.normal(size=(n, 4))
             gids = rng.integers(0, 5, size=n)
             gcams = rng.integers(0, 3, size=n)
-            q = rng.normal(size=4)
-            qid = int(rng.integers(0, 5))
-            qcam = int(rng.integers(0, 3))
-            keep = ~((gids == qid) & (gcams == qcam))
-            if not keep.any():
+            queries = rng.normal(size=(int(rng.integers(1, 5)), 4))
+            qids = rng.integers(0, 5, size=len(queries))
+            qcams = rng.integers(0, 3, size=len(queries))
+            keep = [(~((gids == i) & (gcams == c))).any() for i, c in zip(qids, qcams)]
+            if not any(keep):
                 continue
-            res = rank_gallery(q, qid, qcam, gallery, gids, gcams)
-            assert res.order.tolist() == oracle_rank(q, qid, qcam, gallery, gids, gcams)
+            queries, qids, qcams = queries[keep], qids[keep], qcams[keep]
+            res = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
+            assert orders(res) == [oracle_rank(q, i, c, gallery, gids, gcams)
+                                   for q, i, c in zip(queries, qids, qcams)]
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A random gallery with duplicated rows at scattered indices, queries
+    of which some equal a gallery row, and identity/camera labels. Rows
+    either take small integer values, which tie the distances of distinct
+    rows exactly, or are ReLU-like: a shared offset plus noise, clipped at
+    zero, so that q.g is large next to the squared distance and the last
+    bits of the products matter. Zeros get random signs, so duplicates may
+    differ in the sign bit of a zero only. Sizes run past BLAS kernel
+    tiles."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(1, 340))
+    nq = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        rows = rng.integers(-2, 3, size=(n + nq, dim)).astype(np.float64)
+    else:
+        spread = draw(st.sampled_from([1.0, 0.1, 0.01]))
+        rows = np.maximum(rng.normal(size=dim) + spread * rng.normal(size=(n + nq, dim)), 0)
+        rows = rows.astype(np.float32).astype(np.float64)
+    gallery, queries = rows[:n], rows[n:]
+    copies = draw(st.integers(0, n))
+    gallery[rng.integers(0, n, size=copies)] = gallery[rng.integers(0, n, size=copies)]
+    zeros = rows == 0
+    rows[zeros] *= rng.choice([-1.0, 1.0], size=int(zeros.sum()))
+    equal = rng.uniform(size=nq) < draw(st.floats(0.0, 1.0))
+    queries[equal] = gallery[rng.integers(0, n, size=int(equal.sum()))]
+    ids, cams = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    return (queries, rng.integers(0, ids, size=nq), rng.integers(0, cams, size=nq),
+            gallery, rng.integers(0, ids, size=n), rng.integers(0, cams, size=n))
+
+
+class TestRankGalleryAgainstOracle:
+    """The batched ranking orders every query's gallery as the per-query
+    brute-force oracle does, ties included."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(retrieval_cases())
+    def test_orders_match_oracle(self, case):
+        queries, qids, qcams, gallery, gids, gcams = case
+        empty = [i for i, (qid, qcam) in enumerate(zip(qids, qcams))
+                 if ((gids == qid) & (gcams == qcam)).all()]
+        if empty:
+            with pytest.raises(ValueError, match=f"query {empty[0]} has an empty gallery"):
+                rank_gallery(queries, qids, qcams, gallery, gids, gcams)
+            return
+        res = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
+        assert [r.query_index for r in res] == list(range(len(queries)))
+        rows = gallery.tolist()  # plain floats keep the oracle quick
+        assert orders(res) == [oracle_rank(q, i, c, rows, gids, gcams)
+                               for q, i, c in zip(queries.tolist(), qids, qcams)]
+        for r, qid in zip(res, qids):
+            assert r.matches.tolist() == (gids[r.order] == qid).tolist()
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(retrieval_cases(), st.data())
+    def test_all_junk_query_named(self, case, data):
+        queries, qids, qcams, gallery, gids, gcams = case
+        # every gallery entry shares one identity and camera; queries with
+        # another identity keep the whole gallery, the chosen ones keep none
+        junk = data.draw(st.lists(st.integers(0, len(queries) - 1), min_size=1))
+        qids = np.where(np.isin(np.arange(len(queries)), junk), 0, 1)
+        with pytest.raises(ValueError, match=f"query {min(junk)} has an empty gallery"):
+            rank_gallery(queries, qids, np.zeros_like(qids), gallery,
+                         np.zeros_like(gids), np.zeros_like(gcams))
 
 
 class TestCmc:
@@ -138,6 +223,28 @@ class TestModelEvaluation:
         b = evaluate_model(model, ds)
         assert a == b
 
+    @pytest.mark.parametrize("mask", ["111111", "000001"])
+    @pytest.mark.parametrize("l2_normalize", [False, True])
+    def test_equals_brute_force_reference(self, setup, mask, l2_normalize):
+        """mAP and CMC@1/5/10 equal per-query brute-force ranking, AP and CMC."""
+        ds, model = setup
+        branch_mask = BranchMask.from_string(mask)
+        q = ds.query_split()
+        g = ds.gallery_split()
+        qe, ge = (extract_embeddings(model, ds.images[split.indices], branch_mask,
+                                     l2_normalize=l2_normalize).tolist()
+                  for split in (q, g))
+        all_matches = []
+        for emb, qid, qcam in zip(qe, q.identities, q.cameras):
+            order = oracle_rank(emb, qid, qcam, ge, g.identities, g.cameras)
+            all_matches.append([g.identities[j] == qid for j in order])
+        cmc = oracle_cmc(all_matches, 10)
+        m = evaluate_model(model, ds, mask=branch_mask, l2_normalize=l2_normalize)
+        assert m["mAP"] == pytest.approx(np.mean([oracle_ap(x) for x in all_matches]),
+                                         abs=1e-12)
+        for rank in (1, 5, 10):
+            assert m[f"rank{rank}"] == pytest.approx(cmc[rank - 1], abs=1e-12)
+
     def test_metric_keys(self, setup):
         ds, model = setup
         m = evaluate_model(model, ds)
@@ -159,9 +266,8 @@ class TestModelEvaluation:
         ge = extract_embeddings(model, ds.images[g.indices])
 
         def metrics(scale):
-            res = [rank_gallery(qe[i] * scale, int(q.identities[i]),
-                                int(q.cameras[i]), ge * scale, g.identities,
-                                g.cameras, i) for i in range(len(q))]
+            res = rank_gallery(qe * scale, q.identities, q.cameras, ge * scale,
+                               g.identities, g.cameras)
             return compute_map(res), compute_cmc(res, 5).tolist()
 
         base = metrics(1.0)
@@ -180,8 +286,7 @@ class TestModelEvaluation:
         perm = rng.permutation(len(g))
 
         def metrics(ge, gids, gcams):
-            res = [rank_gallery(qe[i], int(q.identities[i]), int(q.cameras[i]),
-                                ge, gids, gcams, i) for i in range(len(q))]
+            res = rank_gallery(qe, q.identities, q.cameras, ge, gids, gcams)
             return compute_map(res), compute_cmc(res, 5).tolist()
 
         assert metrics(ge[perm], g.identities[perm], g.cameras[perm]) == \
@@ -198,9 +303,7 @@ class TestModelEvaluation:
         ge = extract_embeddings(model, ds.images[g.indices])
 
         def run_map(gids, gcams):
-            res = [rank_gallery(qe[i], int(q.identities[i]), int(q.cameras[i]),
-                                ge, gids, gcams, i) for i in range(len(q))]
-            return compute_map(res)
+            return compute_map(rank_gallery(qe, q.identities, q.cameras, ge, gids, gcams))
 
         actual = run_map(g.identities, g.cameras)
         shuffled = []
