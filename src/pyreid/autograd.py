@@ -311,11 +311,6 @@ def relu(a: Tensor) -> Tensor:
     return _from_op(out, (a,), "relu", _bw)
 
 
-@catalog_op("hinge max(x, 0), same kernel as relu")
-def hinge(a: Tensor) -> Tensor:
-    return relu(a)
-
-
 # -- linear algebra ----------------------------------------------------------
 
 
@@ -600,21 +595,24 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return _from_op(out, tuple(ts), "concat", _bw)
 
 
-@catalog_op("same-shape tensors stacked along a new leading axis")
-def stack(tensors) -> Tensor:
-    ts = list(tensors)
-    if not ts:
-        raise ValueError("stack: no tensors given")
-    for t in ts[1:]:
-        if t.data.shape != ts[0].data.shape:
-            raise ValueError(f"stack: shape mismatch {ts[0].data.shape} vs {t.data.shape}")
-    out = np.stack([t.data for t in ts])
+@catalog_op("gather of distinct rows along the leading axis")
+def take_rows(x: Tensor, rows) -> Tensor:
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or x.data.ndim < 1:
+        raise ValueError(f"take_rows: need 1-D row indices into a >=1-D tensor, got "
+                         f"{rows.shape} into {x.data.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0]):
+        raise ValueError(f"take_rows: rows out of bounds for {x.data.shape[0]} rows")
+    if np.unique(rows).size != rows.size:
+        raise ValueError("take_rows: rows must be distinct")
+    out = x.data[rows]
 
     def _bw(g):
-        for t, gt in zip(ts, g):
-            _acc(t, gt)
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
+        _acc(x, gx)
 
-    return _from_op(out, tuple(ts), "stack", _bw)
+    return _from_op(out, (x,), "take_rows", _bw)
 
 
 @catalog_op("permutation of the axes")
@@ -672,34 +670,6 @@ def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Te
 
     return _from_op(np.asarray(out, dtype=logits.data.dtype), (logits,),
                     "softmax_cross_entropy", _bw)
-
-
-@catalog_op("Euclidean (L2) distance between two same-shape tensors")
-def euclidean_distance(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"euclidean_distance: shape mismatch {a.data.shape} vs {b.data.shape}")
-    diff = a.data - b.data
-    ssq = float((diff * diff).sum())
-    out = np.asarray(np.sqrt(ssq), dtype=a.data.dtype)
-
-    def _bw(g):
-        # 1e-12 under the root keeps the gradient finite at zero distance
-        ga = g * diff / np.sqrt(ssq + 1e-12)
-        _acc(a, ga)
-        _acc(b, -ga)
-
-    return _from_op(out, (a, b), "euclidean_distance", _bw)
-
-
-@catalog_op("Euclidean (L2) norm of all elements")
-def euclidean_norm(a: Tensor) -> Tensor:
-    ssq = float((a.data * a.data).sum())
-    out = np.asarray(np.sqrt(ssq), dtype=a.data.dtype)
-
-    def _bw(g):
-        _acc(a, g * a.data / np.sqrt(ssq + 1e-12))
-
-    return _from_op(out, (a,), "euclidean_norm", _bw)
 
 
 @catalog_op("matrix of pairwise Euclidean distances between row vectors")

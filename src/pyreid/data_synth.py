@@ -265,8 +265,13 @@ class ReIDDataset:
                 raise ContainerError(f"{where}: image {r[0]!r} is in no container")
             if r[3] not in split_codes:
                 raise ContainerError(f"{where}: unknown split {r[3]!r}")
+            image = entries[r[0]]
+            shape = rows[0][0].shape if rows else image.shape
+            if image.dtype != np.float32 or image.shape != shape:
+                raise ContainerError(f"{where}: image {r[0]!r} is {image.dtype.name} of "
+                                     f"shape {image.shape}, expected float32 of shape {shape}")
             try:
-                rows.append((entries[r[0]], int(r[1]), int(r[2]), split_codes[r[3]],
+                rows.append((image, int(r[1]), int(r[2]), split_codes[r[3]],
                              float(r[4]), float(r[5]), [int(v) for v in r[6:]]))
             except ValueError as exc:
                 raise ContainerError(f"{where}: {exc}") from exc

@@ -42,15 +42,6 @@ def id_loss(logits: Tensor, labels) -> LossValue:
     return LossValue("id", ag.mul(ce, 1.0 / n), count=int(labels.shape[0]))
 
 
-def euclidean_distance(a, b) -> float:
-    """Plain L2 distance between two vectors (no graph)."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"euclidean_distance: length mismatch {a.shape} vs {b.shape}")
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
 def triplet_loss(embeddings: Tensor, labels, margin: float,
                  squared: bool = False) -> LossValue:
     """Batch-hard triplet loss.
@@ -77,5 +68,5 @@ def triplet_loss(embeddings: Tensor, labels, margin: float,
     rows = np.asarray(anchors, dtype=np.int64)
     pos = ag.take_pairs(dist, rows, np.asarray([mined[i][0] for i in anchors], dtype=np.int64))
     neg = ag.take_pairs(dist, rows, np.asarray([mined[i][1] for i in anchors], dtype=np.int64))
-    terms = ag.hinge(ag.add(ag.sub(pos, neg), float(margin)))
+    terms = ag.relu(ag.add(ag.sub(pos, neg), float(margin)))
     return LossValue("tp", ag.reduce_mean(terms), count=len(anchors))

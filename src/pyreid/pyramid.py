@@ -9,8 +9,9 @@ feeds its own identity classifier. The concatenation of all enabled branch
 features is the retrieval embedding.
 
 The enabled branches run as one stacked head: the n parts are pooled once
-and every window's pool is derived from theirs, and the branches' own
-parameters are stacked so that one batched product applies all of them.
+and every window's pool is derived from theirs, and each kind of head
+parameter is one tensor with a row per branch, so that one batched product
+applies all of them.
 """
 
 from __future__ import annotations
@@ -87,34 +88,6 @@ class BranchMask:
         return sum(n - l + 1 for l in range(1, n + 1) if self.flags[l - 1])
 
 
-class BranchParams:
-    """Independent per-branch parameters: 1x1 reduction, batch-norm, classifier."""
-
-    def __init__(self, in_channels: int, feature_dim: int, num_identities: int,
-                 rng: np.random.Generator, classifier_bias: bool = False):
-        # stored (C, D): the 1x1 conv applied to a pooled C-vector is a matmul
-        self.reduce_weight = Tensor(fan_in_uniform(rng, (in_channels, feature_dim),
-                                                   in_channels), requires_grad=True)
-        self.bn = BatchNorm(feature_dim)
-        self.classifier_weight = Tensor(fan_in_uniform(rng, (feature_dim, num_identities),
-                                                       feature_dim), requires_grad=True)
-        self.classifier_bias = None
-        if classifier_bias:
-            # stored (1, K) so the batch broadcast is a plain matmul with ones
-            self.classifier_bias = Tensor(np.zeros((1, num_identities), dtype=ag.default_dtype()),
-                                          requires_grad=True)
-
-    def named_parameters(self, prefix: str):
-        yield f"{prefix}.reduce.weight", self.reduce_weight
-        yield from self.bn.named_parameters(f"{prefix}.bn")
-        yield f"{prefix}.classifier.weight", self.classifier_weight
-        if self.classifier_bias is not None:
-            yield f"{prefix}.classifier.bias", self.classifier_bias
-
-    def named_buffers(self, prefix: str):
-        yield from self.bn.named_buffers(f"{prefix}.bn")
-
-
 class PyramidOutput:
     """embedding: (N, B*D), the enabled branches' features side by side in
     enumeration order; logits: (B, N, num_identities), one slab per branch."""
@@ -126,7 +99,12 @@ class PyramidOutput:
 
 
 class PyramidModel:
-    """Backbone + pyramid branches + assembled embedding."""
+    """Backbone + pyramid branches + assembled embedding.
+
+    Each head parameter kind is one tensor with a row per branch, in
+    enumeration order: `reduce_weight` (B, C, D), the batch norm's affine
+    parameters and running statistics (B, D), `classifier_weight` (B, D, K)
+    and the optional `classifier_bias` (B, 1, K)."""
 
     def __init__(self, backbone: Backbone, n: int, feature_dim: int,
                  num_identities: int, image_hw: tuple, rng: np.random.Generator,
@@ -142,13 +120,35 @@ class PyramidModel:
                               f"adjust image height or backbone strides")
         self.map_shape = (c, h, w)
         self.specs = enumerate_branches(n, h)
-        self.branches = [BranchParams(c, feature_dim, num_identities, rng, classifier_bias)
-                         for _ in self.specs]
+        b, dtype = len(self.specs), ag.default_dtype()
+        # stored (C, D) per branch: the 1x1 conv applied to a pooled C-vector
+        # is a matmul. The seeded initial weights depend on the draw order:
+        # branch by branch, the reduction and then the classifier.
+        reduce = np.empty((b, c, feature_dim), dtype=dtype)
+        classify = np.empty((b, feature_dim, num_identities), dtype=dtype)
+        for i in range(b):
+            reduce[i] = fan_in_uniform(rng, (c, feature_dim), c)
+            classify[i] = fan_in_uniform(rng, (feature_dim, num_identities), feature_dim)
+        self.reduce_weight = Tensor(reduce, requires_grad=True)
+        self.bn = BatchNorm((b, feature_dim))
+        self.classifier_weight = Tensor(classify, requires_grad=True)
+        self.classifier_bias = None
+        if classifier_bias:
+            # (1, K) per branch, so the batch broadcast is a plain matmul with ones
+            self.classifier_bias = Tensor(np.zeros((b, 1, num_identities), dtype=dtype),
+                                          requires_grad=True)
         self.full_mask = BranchMask.full(n)
 
     def embedding_dim(self, mask: BranchMask | None = None) -> int:
         mask = mask or self.full_mask
         return self.feature_dim * mask.enabled_branch_count()
+
+    def enabled_rows(self, mask: BranchMask):
+        """Head parameter rows of the branches `mask` enables, or None if it
+        enables every branch."""
+        if all(mask.flags):
+            return None
+        return np.flatnonzero([mask.level_enabled(spec.level) for spec in self.specs])
 
     def forward(self, images: Tensor, training: bool,
                 mask: BranchMask | None = None) -> PyramidOutput:
@@ -159,47 +159,49 @@ class PyramidModel:
         if fmap.data.ndim != 4 or fmap.data.shape[1:] != self.map_shape:
             raise ValueError(f"feature map {fmap.data.shape} does not match the heads' "
                              f"(channels, height, width) {self.map_shape}")
-        picked = [(spec, params) for spec, params in zip(self.specs, self.branches)
-                  if mask.level_enabled(spec.level)]
-        heads = [params for _, params in picked]
-        bns = [params.bn for params in heads]
-        b, batch, d = len(heads), fmap.data.shape[0], self.feature_dim
+        rows = self.enabled_rows(mask)
+        if rows is None:
+            specs, index, pick = self.specs, slice(None), lambda t: t
+        else:
+            specs, index = [self.specs[i] for i in rows], rows
+            pick = lambda t: ag.take_rows(t, rows)
+        b, batch, d = len(specs), fmap.data.shape[0], self.feature_dim
 
-        pooled = ag.stripe_pool(fmap, self.n,
-                                [(spec.position - 1, spec.level) for spec, _ in picked])
-        reduced = ag.matmul(pooled, ag.stack([p.reduce_weight for p in heads]))
+        pooled = ag.stripe_pool(fmap, self.n, [(spec.position - 1, spec.level)
+                                               for spec in specs])
+        reduced = ag.matmul(pooled, pick(self.reduce_weight))
         wide = ag.reshape(ag.transpose(reduced, (1, 0, 2)), (batch, b * d))
-        # one batch norm over all branches' channels; their running stats are
-        # gathered into one array and handed back after the update
-        running_mean = np.concatenate([bn.running_mean for bn in bns])
-        running_var = np.concatenate([bn.running_var for bn in bns])
-        normed = ag.batch_norm(wide, ag.reshape(ag.stack([bn.gamma for bn in bns]), (b * d,)),
-                               ag.reshape(ag.stack([bn.beta for bn in bns]), (b * d,)),
+        # one batch norm over all enabled branches' channels; their rows of
+        # the running stats are read here and written back after the update
+        running_mean = self.bn.running_mean[index].reshape(b * d)
+        running_var = self.bn.running_var[index].reshape(b * d)
+        normed = ag.batch_norm(wide, ag.reshape(pick(self.bn.gamma), (b * d,)),
+                               ag.reshape(pick(self.bn.beta), (b * d,)),
                                running_mean, running_var, training=training,
-                               momentum=bns[0].momentum, eps=bns[0].eps)
+                               momentum=self.bn.momentum, eps=self.bn.eps)
         if training:
-            for bn, mean, var in zip(bns, np.split(running_mean, b), np.split(running_var, b)):
-                bn.running_mean[...] = mean
-                bn.running_var[...] = var
+            self.bn.running_mean[index] = running_mean.reshape(b, d)
+            self.bn.running_var[index] = running_var.reshape(b, d)
         embedding = ag.relu(normed)
 
         features = ag.transpose(ag.reshape(embedding, (batch, b, d)), (1, 0, 2))
-        logits = ag.matmul(features, ag.stack([p.classifier_weight for p in heads]))
-        if heads[0].classifier_bias is not None:
+        logits = ag.matmul(features, pick(self.classifier_weight))
+        if self.classifier_bias is not None:
             ones = Tensor(np.ones((b, batch, 1), dtype=logits.data.dtype))
-            logits = ag.add(logits, ag.matmul(ones, ag.stack([p.classifier_bias
-                                                              for p in heads])))
+            logits = ag.add(logits, ag.matmul(ones, pick(self.classifier_bias)))
         return PyramidOutput(embedding, logits)
 
     def named_parameters(self):
         yield from self.backbone.named_parameters()
-        for spec, params in zip(self.specs, self.branches):
-            yield from params.named_parameters(f"branch_l{spec.level}_k{spec.position}")
+        yield "head.reduce.weight", self.reduce_weight
+        yield from self.bn.named_parameters("head.bn")
+        yield "head.classifier.weight", self.classifier_weight
+        if self.classifier_bias is not None:
+            yield "head.classifier.bias", self.classifier_bias
 
     def named_buffers(self):
         yield from self.backbone.named_buffers()
-        for spec, params in zip(self.specs, self.branches):
-            yield from params.named_buffers(f"branch_l{spec.level}_k{spec.position}")
+        yield from self.bn.named_buffers("head.bn")
 
     def zero_grad(self):
         for _, p in self.named_parameters():

@@ -32,7 +32,7 @@ from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,11 @@ class TrainConfig:
     checkpoint_every: int = 0
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n must be positive, got {self.n}")
+        for key in ("n", "feature_dim", "epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.p_ids * self.k_imgs != self.batch_size:
             raise ConfigError(f"p_ids * k_imgs must equal batch_size, got "
                               f"{self.p_ids}*{self.k_imgs} != {self.batch_size}")
@@ -210,14 +213,19 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
 class SGD:
     """Momentum SGD over named parameters; batch-norm affine parameters are
-    exempt from weight decay."""
+    exempt from weight decay. Given `head_rows`, the pyramid head's
+    parameters and their momentum move only in those branch rows, so the
+    rows of disabled branches keep their initial values."""
 
     NO_DECAY_SUFFIXES = (".gamma", ".beta")
+    HEAD_PREFIX = "head."
 
-    def __init__(self, named_params: list, momentum: float, weight_decay: float):
+    def __init__(self, named_params: list, momentum: float, weight_decay: float,
+                 head_rows=None):
         self.params = list(named_params)
         self.momentum = momentum
         self.weight_decay = weight_decay
+        self.head_rows = head_rows
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def decays(self, name: str) -> bool:
@@ -228,10 +236,18 @@ class SGD:
             g = p.grad
             if g is None:
                 continue
+            wd = self.weight_decay if self.decays(name) else 0.0
+            if self.head_rows is None or not name.startswith(self.HEAD_PREFIX):
+                rows, w, v = None, p.data, self.velocity[name]
+            else:
+                rows = self.head_rows
+                w, v, g = p.data[rows], self.velocity[name][rows], g[rows]
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
-            wd = self.weight_decay if self.decays(name) else 0.0
-            sgd_step(p.data, g, self.velocity[name], lr, self.momentum, wd)
+            sgd_step(w, g, v, lr, self.momentum, wd)
+            if rows is not None:
+                p.data[rows] = w
+                self.velocity[name][rows] = v
 
 
 # -- model construction and checkpointing ---------------------------------------
@@ -337,11 +353,12 @@ def rebuild_model(entries: dict) -> tuple:
             raise ContainerError(f"checkpoint entry 'meta/{key}' must be positive, "
                                  f"got {value}")
     # the stored classifier fixes the identity count before anything is allocated
-    classifier = _entry(entries, "param/branch_l1_k1.classifier.weight", shape=None)
-    if classifier.shape != (config.feature_dim, sizes["num_identities"]):
+    classifier = _entry(entries, "param/head.classifier.weight", shape=None)
+    branches = BranchMask.full(config.n).enabled_branch_count()
+    if classifier.shape != (branches, config.feature_dim, sizes["num_identities"]):
         raise ContainerError(f"checkpoint entry 'meta/num_identities' is "
                              f"{sizes['num_identities']}, but the stored classifier "
-                             f"'param/branch_l1_k1.classifier.weight' has shape "
+                             f"'param/head.classifier.weight' has shape "
                              f"{classifier.shape}")
     model = build_model(config, (sizes["image_h"], sizes["image_w"]),
                         sizes["num_identities"])
@@ -404,7 +421,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     fingerprint = dataset.fingerprint()
     model = build_model(config, dataset.image_hw, len(label_map))
     mask = BranchMask.from_string(config.pyramid_mask)
-    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
+    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay,
+              head_rows=model.enabled_rows(mask))
     sched = SchedulerState(alpha=config.alpha, gamma=config.gamma,
                            switch_ratio=config.switch_ratio,
                            alternating=config.no_triplet_alternating)
@@ -429,7 +447,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             raise ConfigError("checkpoint was trained on a different dataset "
                               "(fingerprint mismatch)")
         model, _ = rebuild_model(entries)
-        opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
+        opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay,
+                  head_rows=model.enabled_rows(mask))
         for name, velocity in opt.velocity.items():
             velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape)
         sched = SchedulerState.from_scalars(

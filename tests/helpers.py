@@ -114,22 +114,33 @@ def reference_conv2d(x, w, g, stride, padding) -> tuple:
 def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
     """The pyramid head as one graph per branch: slice the branch's rows,
     max pool plus avg pool, reduce, batch-norm, ReLU, classify, and sum the
-    branches' cross-entropies. Returns (embedding, per-branch logits in
-    enumeration order, ID loss). It is the library's original head, kept as
-    the reference for the stacked one."""
+    branches' cross-entropies. Each branch reads its own row of the model's
+    head tensors and running statistics. Returns (embedding, per-branch
+    logits in enumeration order, ID loss). It is the library's original
+    head, kept as the reference for the stacked one."""
     mask = mask or model.full_mask
     fmap = model.backbone.forward(images, training)
+    bn = model.bn
+
+    def row(t, i):
+        return ag.reshape(ag.take_rows(t, [i]), t.data.shape[1:])
+
     features, logits, total = [], [], None
-    for spec, params in zip(model.specs, model.branches):
+    for i, spec in enumerate(model.specs):
         if not mask.level_enabled(spec.level):
             continue
         sub = ag.slice_rows(fmap, spec.row_start - 1, spec.row_end)
         pooled = ag.add(ag.global_max_pool(sub), ag.global_avg_pool(sub))
-        feature = ag.relu(params.bn(ag.matmul(pooled, params.reduce_weight), training))
-        branch_logits = ag.matmul(feature, params.classifier_weight)
-        if params.classifier_bias is not None:
+        normed = ag.batch_norm(ag.matmul(pooled, row(model.reduce_weight, i)),
+                               row(bn.gamma, i), row(bn.beta, i), bn.running_mean[i],
+                               bn.running_var[i], training=training,
+                               momentum=bn.momentum, eps=bn.eps)
+        feature = ag.relu(normed)
+        branch_logits = ag.matmul(feature, row(model.classifier_weight, i))
+        if model.classifier_bias is not None:
             ones = Tensor(np.ones((feature.data.shape[0], 1), dtype=feature.data.dtype))
-            branch_logits = ag.add(branch_logits, ag.matmul(ones, params.classifier_bias))
+            branch_logits = ag.add(branch_logits,
+                                   ag.matmul(ones, row(model.classifier_bias, i)))
         ce = ag.softmax_cross_entropy(branch_logits, labels, reduction="none")
         total = ce if total is None else ag.add(total, ce)
         features.append(feature)
@@ -170,11 +181,10 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         ws = rng.normal(size=(3, 4))
         cases.append((lambda t, op=op, s=scalar, w=ws: _weighted_sum(op(t, s), w),
                       Tensor(rng.normal(size=(3, 4)))))
-    elif op_name in ("relu", "hinge"):
-        op = getattr(ag, op_name)
+    elif op_name == "relu":
         w = rng.normal(size=(3, 4))
         x = _away_from_zero(rng.normal(size=(3, 4)))
-        cases.append((lambda t, op=op, w=w: _weighted_sum(op(t), w), Tensor(x)))
+        cases.append((lambda t, w=w: _weighted_sum(ag.relu(t), w), Tensor(x)))
     elif op_name == "matmul":
         b = Tensor(rng.normal(size=(4, 2)))
         w = rng.normal(size=(3, 2))
@@ -239,11 +249,11 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         w = rng.normal(size=(len(windows), 1, 2))
         cases.append((lambda t, ws=windows, w=w: _weighted_sum(ag.stripe_pool(t, 2, ws), w),
                       Tensor(_distinct_values((1, 2, 6, 6), rng))))
-    elif op_name == "stack":
-        other = Tensor(rng.normal(size=(3, 2)))
+    elif op_name == "take_rows":
+        # an unsorted subset of distinct rows, as a partial pyramid mask picks
         w = rng.normal(size=(3, 3, 2))
-        cases.append((lambda t, o=other, w=w: _weighted_sum(ag.stack([t, o, t]), w),
-                      Tensor(rng.normal(size=(3, 2)))))
+        cases.append((lambda t, w=w: _weighted_sum(ag.take_rows(t, [3, 0, 4]), w),
+                      Tensor(rng.normal(size=(5, 3, 2)))))
     elif op_name == "transpose":
         w = rng.normal(size=(4, 2, 3))
         cases.append((lambda t, w=w: _weighted_sum(ag.transpose(t, (2, 0, 1)), w),
@@ -264,13 +274,6 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         labels = rng.integers(0, 4, size=5)
         cases.append((lambda t, l=labels: ag.softmax_cross_entropy(t, l),
                       Tensor(rng.normal(size=(5, 4)))))
-    elif op_name == "euclidean_distance":
-        b = Tensor(rng.normal(size=6))
-        a = rng.normal(size=6) + 3.0  # keep the distance clear of zero
-        cases.append((lambda t, b=b: ag.euclidean_distance(t, b), Tensor(a)))
-    elif op_name == "euclidean_norm":
-        a = rng.normal(size=6) + 2.0
-        cases.append((lambda t: ag.euclidean_norm(t), Tensor(a)))
     elif op_name == "pairwise_distances":
         x = rng.normal(size=(5, 3)) + np.arange(5)[:, None]  # rows well separated
         w = rng.normal(size=(5, 5))
@@ -313,15 +316,11 @@ def swap_param(model, name: str, new_tensor):
                   "bn.gamma": (block.bn, "gamma"),
                   "bn.beta": (block.bn, "beta")}[tail]
     else:
-        head, tail = name.split(".", 1)
-        _, lv, kv = head.split("_")
-        idx = next(i for i, s in enumerate(model.specs)
-                   if s.level == int(lv[1:]) and s.position == int(kv[1:]))
-        bp = model.branches[idx]
-        target = {"reduce.weight": (bp, "reduce_weight"),
-                  "bn.gamma": (bp.bn, "gamma"),
-                  "bn.beta": (bp.bn, "beta"),
-                  "classifier.weight": (bp, "classifier_weight")}[tail]
+        target = {"head.reduce.weight": (model, "reduce_weight"),
+                  "head.bn.gamma": (model.bn, "gamma"),
+                  "head.bn.beta": (model.bn, "beta"),
+                  "head.classifier.weight": (model, "classifier_weight"),
+                  "head.classifier.bias": (model, "classifier_bias")}[name]
     obj, attr = target
     old = getattr(obj, attr)
     setattr(obj, attr, new_tensor)

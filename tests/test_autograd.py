@@ -48,12 +48,11 @@ class TestBackwardContract:
 
     def test_distance_gradient(self):
         # d/da ||a-b|| = (a-b)/||a-b||
-        a = Tensor(np.array([3.0, 0.0]), requires_grad=True)
-        b = Tensor(np.array([0.0, 4.0]))
-        d = ag.euclidean_distance(a, b)
-        backward(d)
-        assert d.item() == pytest.approx(5.0)
-        np.testing.assert_allclose(a.grad, [0.6, -0.8], atol=1e-6)
+        x = Tensor(np.array([[3.0, 0.0], [0.0, 4.0]]), requires_grad=True)
+        d = ag.take_pairs(ag.pairwise_distances(x), [0], [1])
+        backward(ag.reduce_sum(d))
+        assert d.data[0] == pytest.approx(5.0)
+        np.testing.assert_allclose(x.grad, [[0.6, -0.8], [-0.6, 0.8]], atol=1e-6)
 
     def test_nonscalar_loss_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -175,6 +174,22 @@ class TestOpSemantics:
         with pytest.raises(ValueError, match="out of bounds"):
             ag.take_pairs(Tensor(np.ones((2, 2))), [0], [2])
 
+    def test_take_rows_gathers_and_scatters_back(self, rng):
+        x = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
+        out = ag.take_rows(x, [4, 1])
+        np.testing.assert_array_equal(out.data, x.data[[4, 1]])
+        backward(ag.reduce_sum(ag.mul(out, Tensor(np.stack([np.full((2, 3), 2.0),
+                                                            np.ones((2, 3))])))))
+        np.testing.assert_array_equal(x.grad[:, 0, 0], [0.0, 1.0, 0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("rows, message", [([0, 5], "out of bounds"),
+                                               ([-1], "out of bounds"),
+                                               ([2, 2], "distinct"),
+                                               ([[0]], "1-D row indices")])
+    def test_take_rows_rejects_bad_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            ag.take_rows(Tensor(np.ones((5, 2))), rows)
+
     def test_pairwise_matches_direct(self, rng):
         x = rng.normal(size=(6, 4))
         d = ag.pairwise_distances(Tensor(x)).data
@@ -274,8 +289,7 @@ class TestCatalogInvariants:
         names = set(op_catalog())
         required = {"add", "sub", "mul", "matmul", "conv2d", "relu", "batch_norm",
                     "global_max_pool", "global_avg_pool", "slice_rows", "concat",
-                    "softmax_cross_entropy", "euclidean_distance", "hinge",
-                    "reduce_sum", "reduce_mean"}
+                    "softmax_cross_entropy", "take_rows", "reduce_sum", "reduce_mean"}
         assert required <= names
 
     def test_max_pool_dominates_avg_pool(self, rng):

@@ -97,6 +97,20 @@ class TestTrain:
                      "--out", str(tmp_path / "o"), "--pyramid-mask", "222222"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--feature-dim", "0", "feature_dim must be positive, got 0"),
+        ("--epochs", "0", "epochs must be positive, got 0"),
+        ("--epochs", "-1", "epochs must be positive, got -1"),
+        ("--seed", "-1", "seed must be non-negative, got -1"),
+    ], ids=["zero_feature_dim", "zero_epochs", "negative_epochs", "negative_seed"])
+    def test_size_out_of_range_exits_2(self, data_dir, tmp_path, capsys, flag, value,
+                                       message):
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out), flag, value])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, message)
+        assert not out.exists()
+
     def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text("seed = 1\nepochs =\n")
@@ -172,6 +186,32 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "v1.pyrt", entries)
         assert self.eval_with(tmp_path / "v1.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, "checkpoint version 1 not supported")
+
+    def test_version_2_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        entries["meta/version"] = np.array(2, dtype="<i8")
+        save_tensors(tmp_path / "v2.pyrt", entries)
+        assert self.eval_with(tmp_path / "v2.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, "checkpoint version 2 not supported")
+
+    @pytest.mark.parametrize("edit", [lambda image: image[:, :-1],
+                                      lambda image: image.astype(np.int64)],
+                             ids=["misshapen", "int64"])
+    def test_dataset_image_entry(self, data_dir, trained_dir, tmp_path, capsys, edit):
+        # the image on manifest line 3 is replaced; line 2's fixes the shape
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        name = (broken / "manifest.csv").read_text().splitlines()[2].split(",")[0]
+        container = next(path for path in broken.glob("*.pyrt")
+                         if name in load_tensors(path))
+        entries = load_tensors(container)
+        shape = entries[name].shape
+        bad = entries[name] = edit(entries[name])
+        save_tensors(container, entries)
+        assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"manifest.csv:3: image {name!r} is {bad.dtype.name} of shape "
+                              f"{bad.shape}, expected float32 of shape {shape}")
 
     def broken_dataset(self, data_dir, tmp_path, line: int, edit) -> Path:
         broken = tmp_path / "broken"

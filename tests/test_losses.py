@@ -5,7 +5,7 @@ import pytest
 
 import pyreid.autograd as ag
 from pyreid.autograd import Tensor, backward
-from pyreid.losses import euclidean_distance, id_loss, triplet_loss
+from pyreid.losses import id_loss, triplet_loss
 
 from helpers import oracle_triplet
 
@@ -83,25 +83,6 @@ class TestIdLoss:
     def test_rejects_unstacked_logits(self):
         with pytest.raises(ValueError, match="branches, batch, identities"):
             id_loss(Tensor(np.zeros((3, 4))), [0, 1, 2])
-
-
-class TestEuclideanDistance:
-    def test_zero_for_identical(self, rng):
-        x = rng.normal(size=8)
-        assert euclidean_distance(x, x) == 0.0
-
-    def test_three_four_five(self):
-        assert euclidean_distance([0.0, 0.0], [3.0, 4.0]) == pytest.approx(5.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            euclidean_distance([1.0], [1.0, 2.0])
-
-    def test_triangle_inequality(self, rng):
-        for _ in range(1000):
-            a, b, c = rng.normal(size=(3, 5))
-            assert euclidean_distance(a, c) <= (euclidean_distance(a, b)
-                                                + euclidean_distance(b, c) + 1e-9)
 
 
 class TestTripletLoss:

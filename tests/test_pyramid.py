@@ -209,9 +209,9 @@ class TestBranchForward:
         with use_dtype(np.float64):
             rng = np.random.default_rng(13)
             model = identity_model(n=2, height=12, num_ids=3, seed=13)
-            for params in model.branches:
-                params.bn.running_mean[:] = rng.normal(size=4) * 0.1
-                params.bn.running_var[:] = rng.uniform(0.5, 1.5, size=4)
+            for i in range(len(model.specs)):
+                model.bn.running_mean[i] = rng.normal(size=4) * 0.1
+                model.bn.running_var[i] = rng.uniform(0.5, 1.5, size=4)
             fmap = rng.uniform(0.1, 1.0, size=(1, 8, 12, 4))
 
             def f(t):
@@ -318,10 +318,11 @@ class TestAgainstReference:
                                classifier_bias=bias)
             images = rng.uniform(0, 1, size=(6, 3, 48, 16))
             grads = self.compare(model, images, rng.integers(0, 5, size=6), mask, rtol=1e-10)
-            names = [name for name, _ in model.named_parameters()]
-            levels = [int(name.split("_")[1][1:]) for name in names if name.startswith("branch")]
-            got = [g is not None for name, g in zip(names, grads) if name.startswith("branch")]
-            assert got == [mask[level - 1] == "1" for level in levels]
+            # a head gradient is nonzero in exactly the enabled branches' rows
+            enabled = [mask[spec.level - 1] == "1" for spec in model.specs]
+            for (name, _), g in zip(model.named_parameters(), grads):
+                if name.startswith("head."):
+                    assert [bool(np.any(r)) for r in g] == enabled, name
 
     def test_float32_desk_shapes(self, rng):
         model = make_model()
@@ -377,7 +378,9 @@ class TestHeadGraphSize:
 
     def test_node_count_does_not_grow_with_branches(self):
         counts = [self.head_nodes(mask) for mask in ("000001", "110011", "111111")]
-        assert counts[0] == counts[1] == counts[2], counts
+        # a partial mask gathers its rows of the four head tensors; the full
+        # mask reads them whole
+        assert counts[0] == counts[1] == counts[2] + 4, counts
 
 
 class TestModel:
@@ -427,7 +430,7 @@ class TestModel:
         images = Tensor(rng.uniform(0, 1, size=(2, 3, 24, 8)).astype(np.float32))
         d = model.feature_dim
         before = model.forward(images, training=False).embedding.data
-        model.branches[2].reduce_weight.data += 0.37
+        model.reduce_weight.data[2] += 0.37
         after = model.forward(images, training=False).embedding.data
         for i in range(len(model.specs)):
             cols = slice(i * d, (i + 1) * d)
@@ -438,7 +441,31 @@ class TestModel:
 
     def test_parameter_names(self):
         model = make_model(n=2, stages=((8, 2),), image_hw=(16, 8))
-        names = [n for n, _ in model.named_parameters()]
-        assert "branch_l1_k2.reduce.weight" in names
-        assert "branch_l2_k1.classifier.weight" in names
-        assert len([n for n in names if n.startswith("branch")]) == 3 * 4
+        shapes = {n: p.data.shape for n, p in model.named_parameters()
+                  if n.startswith("head.")}
+        assert shapes == {"head.reduce.weight": (3, 8, 16), "head.bn.gamma": (3, 16),
+                          "head.bn.beta": (3, 16), "head.classifier.weight": (3, 16, 10)}
+        buffers = {n: b.shape for n, b in model.named_buffers() if n.startswith("head.")}
+        assert buffers == {"head.bn.running_mean": (3, 16), "head.bn.running_var": (3, 16)}
+
+    @pytest.mark.parametrize("bias, count", [(False, 13), (True, 14)])
+    def test_one_tensor_per_head_parameter_kind(self, bias, count):
+        # the desk model: 9 backbone tensors, then one per head kind
+        model = make_model(classifier_bias=bias)
+        assert len(list(model.named_parameters())) == count
+        if bias:
+            assert model.classifier_bias.data.shape == (21, 1, 10)
+
+    def test_initial_weights_drawn_branch_by_branch(self):
+        # branch i draws its reduction, then its classifier, from the stream
+        # the backbone leaves behind
+        rng = np.random.default_rng(0)
+        Backbone(BackboneConfig(stages=((16, 2), (32, 2), (64, 1))), rng)
+        model = make_model()
+        for i in range(21):
+            np.testing.assert_array_equal(model.reduce_weight.data[i],
+                                          rng.uniform(-0.125, 0.125, size=(64, 16))
+                                          .astype(np.float32))
+            np.testing.assert_array_equal(model.classifier_weight.data[i],
+                                          rng.uniform(-0.25, 0.25, size=(16, 10))
+                                          .astype(np.float32))

@@ -2,12 +2,12 @@ import csv
 import math
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pyreid.container import load_tensors, save_tensors
@@ -112,6 +112,12 @@ class TestConfig:
     def test_mask_length_must_match_n(self):
         with pytest.raises(ConfigError, match="digits"):
             TrainConfig(pyramid_mask="11111").validate()
+
+    @pytest.mark.parametrize("key", ["n", "feature_dim", "epochs"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_sizes_must_be_positive(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be positive, got {value}"):
+            replace(TrainConfig(), **{key: value}).validate()
 
     def test_halvings_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
@@ -231,7 +237,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 2
+        assert int(entries["meta/version"]) == 3
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -334,7 +340,7 @@ def train_configs(draw):
         batch_size=p_ids * k_imgs, p_ids=p_ids, k_imgs=k_imgs,
         alpha=draw(st.floats(0.0, 1.0)), gamma=draw(finite),
         switch_ratio=draw(finite), base_lr=draw(finite), momentum=draw(finite),
-        weight_decay=draw(finite), epochs=draw(st.integers(0, 10**6)),
+        weight_decay=draw(finite), epochs=draw(st.integers(1, 10**6)),
         lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(-10, 10**4), max_size=4)))),
         seed=draw(st.integers(0, 2**64)),
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
@@ -395,6 +401,14 @@ class TestConfigCodecFuzz:
             except ConfigError:
                 return
         assert isinstance(config, TrainConfig)
+        # an accepted config builds a model or names its fault; the sizes
+        # are bounded so that no example allocates more than a few MB
+        assume(config.feature_dim <= 64 and config.in_channels <= 64
+               and all(width <= 64 for width, _ in config.backbone_stages))
+        try:
+            build_model(config, (48, 16), 10)
+        except ConfigError:
+            pass
 
     @given(st.one_of(
         config_texts.map(lambda t: _text_entry(resolved_config_text(TrainConfig()) + t)),
@@ -424,14 +438,20 @@ class TestAblationModes:
                                                               tmp_path):
         config = TrainConfig(seed=2, epochs=1, pyramid_mask="000001")
         result = train(config, toy_dataset, tmp_path / "mask")
-        model, _ = rebuild_model(load_checkpoint(result.checkpoint_path))
+        entries = load_checkpoint(result.checkpoint_path)
+        model, _ = rebuild_model(entries)
         init = build_model(config, toy_dataset.image_hw, model.num_identities)
-        for (name, p), (_, q) in zip(model.named_parameters(),
-                                     init.named_parameters()):
-            if name.startswith("branch_l6"):
-                assert not np.array_equal(p.data, q.data), name
-            elif name.startswith("branch"):
-                np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        heads = [(name, p, q) for (name, p), (_, q) in zip(model.named_parameters(),
+                                                           init.named_parameters())
+                 if name.startswith("head.")]
+        assert len(heads) == 4
+        for name, p, q in heads:
+            # row 20 is the one level-6 branch, the only one enabled
+            assert not np.array_equal(p.data[20], q.data[20]), name
+            np.testing.assert_array_equal(p.data[:20], q.data[:20], err_msg=name)
+            momentum = entries[f"momentum/{name}"]
+            assert np.any(momentum[20]), name
+            assert not np.any(momentum[:20]), name
 
     def test_mask_narrows_embedding_at_eval(self, toy_dataset, tmp_path):
         from pyreid.pyramid import BranchMask
