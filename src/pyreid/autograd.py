@@ -15,6 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _default_dtype = np.float32
 _grad_enabled = True
@@ -330,89 +331,135 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, (a, b), "matmul", _bw)
 
 
-@catalog_op("2-D convolution with stride and symmetric zero padding, "
-            "one GEMM per kernel offset")
-def conv2d(x: Tensor, w: Tensor, stride=1, padding=0) -> Tensor:
-    if w.data.ndim != 4:
-        raise ValueError(f"conv2d: kernel must be 4-D (out,in,kh,kw), got {w.data.shape}")
-    squeeze = x.data.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
-        raise ValueError(f"conv2d: input must be 3-D or 4-D, got {x.data.shape}")
-    n, c, h, wd_ = xd.shape
-    co, ci, kh, kw = w.data.shape
-    if ci != c:
-        raise ValueError(f"conv2d: channel mismatch, input {xd.shape} vs kernel {w.data.shape}")
-    sh, sw = (stride, stride) if isinstance(stride, int) else stride
-    ph, pw = (padding, padding) if isinstance(padding, int) else padding
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (wd_ + 2 * pw - kw) // sw + 1
-    if ho <= 0 or wo <= 0:
-        raise ValueError(f"conv2d: kernel {w.data.shape} larger than padded input {xd.shape}")
-    # Channels-last layout makes every kernel offset a plain matrix product:
-    # the window at offset (i, j) is an (N*Ho*Wo, C) matrix, copied into a
-    # reused buffer, times that offset's (C, Co) weight slice. No im2col
-    # matrix of all offsets at once is ever built.
-    dtype = np.result_type(xd, w.data)
-    xh = np.zeros((n, h + 2 * ph, wd_ + 2 * pw, c), dtype=dtype)
-    xh[:, ph:ph + h, pw:pw + wd_, :] = xd.transpose(0, 2, 3, 1)
-    wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype)  # (kh, kw, C, Co)
+_IM2COL_CHANNELS = 3  # input channels up to which conv_bn_relu builds one im2col matrix
+
+
+@catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "
+            "on channels-last maps, train/eval modes")
+def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean,
+                 running_var, stride: int, training: bool, momentum: float,
+                 eps: float) -> Tensor:
+    """One backbone block: an (N, H, W, C) map in, an (N, Ho, Wo, Co) map out,
+    with a channels-first (Co, C, 3, 3) kernel. Training normalizes by the
+    batch statistics and moves the running ones in place (the unbiased
+    variance into `running_var`); eval normalizes by the running ones."""
+    if x.data.ndim != 4:
+        raise ValueError(f"conv_bn_relu: input must be a 4-D (N,H,W,C) map, got {x.data.shape}")
+    n, h, wd_, c = x.data.shape
+    co = w.data.shape[0]
+    if w.data.shape != (co, c, 3, 3):
+        raise ValueError(f"conv_bn_relu: channel mismatch, input {x.data.shape} vs kernel "
+                         f"{w.data.shape}, expected ({co}, {c}, 3, 3)")
+    if gamma.data.shape != (co,) or beta.data.shape != (co,):
+        raise ValueError(f"conv_bn_relu: affine shape {gamma.data.shape}/{beta.data.shape} "
+                         f"does not match {co} channels")
+    if stride not in (1, 2):
+        raise ValueError(f"conv_bn_relu: stride must be 1 or 2, got {stride}")
+    dtype = np.result_type(x.data, w.data)
+    ho, wo = (h - 1) // stride + 1, (wd_ - 1) // stride + 1
     m = n * ho * wo
-
-    def window(i, j):
-        return (slice(None), slice(i, i + sh * (ho - 1) + 1, sh),
-                slice(j, j + sw * (wo - 1) + 1, sw))
-
-    cols = np.empty((m, c), dtype=dtype)
-    cols4 = cols.reshape(n, ho, wo, c)
-    acc = np.zeros((m, co), dtype=dtype)
-    part = np.empty_like(acc)
-    for i in range(kh):
-        for j in range(kw):
-            np.copyto(cols4, xh[window(i, j)])
-            acc += np.matmul(cols, wt[i, j], out=part)
-    out = np.ascontiguousarray(acc.reshape(n, ho, wo, co).transpose(0, 3, 1, 2))
-
-    def _bw(g):
-        g4 = g[None] if squeeze else g
-        gm = np.ascontiguousarray(g4.transpose(0, 2, 3, 1), dtype=dtype).reshape(m, co)
-        gwt = np.empty((kh, kw, c, co), dtype=dtype)
-        gxh = np.zeros_like(xh) if x._tracked else None
+    xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=dtype)
+    xp[:, 1:h + 1, 1:wd_ + 1] = x.data
+    # windows[..., i, j] is the (N, Ho, Wo, C) input under kernel offset (i, j)
+    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
+    # A thin input makes thin per-offset GEMMs, and its matrix of all nine
+    # offsets (9*C columns) is small; a wide input takes one GEMM per offset
+    # over a reused (M, C) buffer instead.
+    im2col = c <= _IM2COL_CHANNELS
+    if im2col:
+        cols = np.ascontiguousarray(windows).reshape(m, c * 9)
+        wcol = np.ascontiguousarray(w.data.reshape(co, c * 9).T, dtype=dtype)
+        y = cols @ wcol
+    else:
+        wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype)  # (3, 3, C, Co)
         cols = np.empty((m, c), dtype=dtype)
         cols4 = cols.reshape(n, ho, wo, c)
-        for i in range(kh):
-            for j in range(kw):
-                np.copyto(cols4, xh[window(i, j)])
-                np.matmul(cols.T, gm, out=gwt[i, j])
-                if gxh is not None:
-                    np.matmul(gm, wt[i, j].T, out=cols)
-                    gxh[window(i, j)] += cols4
-        if gxh is not None:
-            gx = np.ascontiguousarray(gxh[:, ph:ph + h, pw:pw + wd_, :].transpose(0, 3, 1, 2))
-            _acc(x, gx[0] if squeeze else gx)
-        _acc(w, np.ascontiguousarray(gwt.transpose(3, 2, 0, 1)))
+        y = np.zeros((m, co), dtype=dtype)
+        part = np.empty_like(y)
+        for i in range(3):
+            for j in range(3):
+                np.copyto(cols4, windows[..., i, j])
+                y += np.matmul(cols, wt[i, j], out=part)
 
-    return _from_op(out[0] if squeeze else out, (x, w), "conv2d", _bw)
+    # channel sums as ones-vector products, which BLAS does faster than
+    # numpy's axis-0 reductions on an (M, Co) matrix
+    ones = np.ones(m, dtype=dtype)
+    if training:
+        mean = (ones @ y) / m
+        y -= mean
+        var = (ones @ np.square(y)) / m
+        # running variance uses the unbiased estimate, normalization the biased one
+        uvar = var * (m / (m - 1)) if m > 1 else var
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean
+        running_var *= (1.0 - momentum)
+        running_var += momentum * uvar
+    else:
+        y -= running_mean
+        var = running_var
+    rstd = 1.0 / np.sqrt(var + eps)
+    xhat = y
+    xhat *= rstd  # normalized in place
+    out = xhat * gamma.data
+    out += beta.data
+    np.maximum(out, 0, out=out)
+
+    def _bw(g):
+        gy = g.reshape(m, co) * (out > 0)
+        gbeta = ones @ gy
+        ggamma = ones @ (gy * xhat)
+        _acc(gamma, ggamma)
+        _acc(beta, gbeta)
+        if training:
+            # the batch mean and variance tie every row to every other
+            gy -= xhat * (ggamma / m)
+            gy -= gbeta / m
+        gy *= gamma.data * rstd
+        gxp = np.zeros_like(xp) if x._tracked else None
+        if gxp is not None:
+            # for one offset the windows do not overlap, so += is safe
+            gwindows = sliding_window_view(gxp, (3, 3), axis=(1, 2),
+                                           writeable=True)[:, ::stride, ::stride]
+        if im2col:
+            _acc(w, (gy.T @ cols).reshape(w.data.shape))
+            if gxp is not None:
+                gcols = (gy @ wcol.T).reshape(n, ho, wo, c, 3, 3)
+                for i in range(3):
+                    for j in range(3):
+                        gwindows[..., i, j] += gcols[..., i, j]
+        else:
+            gwt = np.empty((3, 3, c, co), dtype=dtype)
+            for i in range(3):
+                for j in range(3):
+                    np.copyto(cols4, windows[..., i, j])
+                    np.matmul(cols.T, gy, out=gwt[i, j])
+                    if gxp is not None:
+                        np.matmul(gy, wt[i, j].T, out=cols)
+                        gwindows[..., i, j] += cols4
+            _acc(w, np.ascontiguousarray(gwt.transpose(3, 2, 0, 1)))
+        if gxp is not None:
+            _acc(x, gxp[:, 1:h + 1, 1:wd_ + 1])
+
+    return _from_op(out.reshape(n, ho, wo, co), (x, w, gamma, beta), "conv_bn_relu", _bw)
 
 
-@catalog_op("batch normalization over the non-channel axes, train/eval modes")
+@catalog_op("batch normalization over the batch axis of an (N, C) matrix, "
+            "train/eval modes")
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None,
                running_var=None, training: bool = True, momentum: float = 0.1,
                eps: float = 1e-5) -> Tensor:
-    if x.data.ndim not in (2, 4):
-        raise ValueError(f"batch_norm: expected 2-D or 4-D input, got {x.data.shape}")
+    if x.data.ndim != 2:
+        raise ValueError(f"batch_norm: expected 2-D input, got {x.data.shape}")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(f"batch_norm: affine shape {gamma.data.shape}/{beta.data.shape} "
                          f"does not match {c} channels")
-    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
-    bshape = (1, c) if x.data.ndim == 2 else (1, c, 1, 1)
 
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
         if running_mean is not None:
-            m = x.data.size // c
+            m = x.data.shape[0]
             # running variance uses the unbiased estimate, normalization the biased one
             uvar = var * (m / (m - 1)) if m > 1 else var
             running_mean *= (1.0 - momentum)
@@ -426,56 +473,23 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None,
         mean = running_mean
         std = np.sqrt(running_var + eps)
 
-    xhat = (x.data - mean.reshape(bshape)) / std.reshape(bshape)
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat = (x.data - mean) / std
+    out = gamma.data * xhat + beta.data
 
     def _bw(g):
-        _acc(gamma, (g * xhat).sum(axis=axes))
-        _acc(beta, g.sum(axis=axes))
-        gxh = g * gamma.data.reshape(bshape)
+        _acc(gamma, (g * xhat).sum(axis=0))
+        _acc(beta, g.sum(axis=0))
+        gxh = g * gamma.data
         if training:
-            mg = gxh.mean(axis=axes).reshape(bshape)
-            mgx = (gxh * xhat).mean(axis=axes).reshape(bshape)
-            gx = (gxh - mg - xhat * mgx) / std.reshape(bshape)
+            gx = (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)) / std
         else:
-            gx = gxh / std.reshape(bshape)
+            gx = gxh / std
         _acc(x, gx)
 
     return _from_op(out, (x, gamma, beta), "batch_norm", _bw)
 
 
-# -- pooling, slicing, concatenation ------------------------------------------
-
-
-@catalog_op("max over the trailing two spatial axes")
-def global_max_pool(x: Tensor) -> Tensor:
-    if x.data.ndim < 3:
-        raise ValueError(f"global_max_pool: expected >=3-D input, got {x.data.shape}")
-    lead = x.data.shape[:-2]
-    hw = x.data.shape[-2] * x.data.shape[-1]
-    flat = x.data.reshape(lead + (hw,))
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-
-    def _bw(g):
-        gf = np.zeros_like(flat)
-        np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
-        _acc(x, gf.reshape(x.data.shape))
-
-    return _from_op(out, (x,), "global_max_pool", _bw)
-
-
-@catalog_op("mean over the trailing two spatial axes")
-def global_avg_pool(x: Tensor) -> Tensor:
-    if x.data.ndim < 3:
-        raise ValueError(f"global_avg_pool: expected >=3-D input, got {x.data.shape}")
-    hw = x.data.shape[-2] * x.data.shape[-1]
-    out = x.data.mean(axis=(-2, -1))
-
-    def _bw(g):
-        _acc(x, np.broadcast_to(g[..., None, None] / hw, x.data.shape))
-
-    return _from_op(out, (x,), "global_avg_pool", _bw)
+# -- pooling and indexing ----------------------------------------------------
 
 
 _SHORT_STRIPE = 16  # elements per stripe up to which stripe_pool loops; < 256
@@ -552,47 +566,6 @@ def stripe_pool(x: Tensor, parts: int, windows) -> Tensor:
         _acc(x, gx.reshape(x.data.shape))
 
     return _from_op(out, (x,), "stripe_pool", _bw)
-
-
-@catalog_op("contiguous row slice along the height (second-to-last) axis")
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim < 3:
-        raise ValueError(f"slice_rows: expected >=3-D input, got {x.data.shape}")
-    h = x.data.shape[-2]
-    if not (0 <= start < stop <= h):
-        raise ValueError(f"slice_rows: range [{start}, {stop}) out of bounds for height {h}")
-    out = x.data[..., start:stop, :].copy()
-
-    def _bw(g):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop, :] = g
-        _acc(x, gx)
-
-    return _from_op(out, (x,), "slice_rows", _bw)
-
-
-@catalog_op("concatenation along a given axis (default feature/channel axis 1)")
-def concat(tensors, axis: int = 1) -> Tensor:
-    ts = list(tensors)
-    if not ts:
-        raise ValueError("concat: no tensors given")
-    ref = ts[0].data.shape
-    for t in ts[1:]:
-        s = t.data.shape
-        if len(s) != len(ref) or s[:axis] + s[axis + 1:] != ref[:axis] + ref[axis + 1:]:
-            raise ValueError(f"concat: shape mismatch {ref} vs {s} along axis {axis}")
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-
-    def _bw(g):
-        off = 0
-        index = [slice(None)] * g.ndim
-        for t, s in zip(ts, sizes):
-            index[axis] = slice(off, off + s)
-            _acc(t, g[tuple(index)])
-            off += s
-
-    return _from_op(out, tuple(ts), "concat", _bw)
 
 
 @catalog_op("gather of distinct rows along the leading axis")

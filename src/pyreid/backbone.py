@@ -1,9 +1,10 @@
 """Small trainable convolutional feature extractor.
 
-A stack of conv3x3 + batch-norm + ReLU blocks turns an input image into the
-feature map the pyramid slices. An empty stage list gives an identity
-backbone that passes precomputed feature maps straight through, which lets
-wide-channel geometries be exercised without any convolution.
+A stack of conv3x3 + batch-norm + ReLU blocks, each one fused op on
+channels-last maps, turns an input image into the feature map the pyramid
+slices. An empty stage list gives an identity backbone that passes
+precomputed feature maps straight through, which lets wide-channel
+geometries be exercised without any convolution.
 """
 
 from __future__ import annotations
@@ -35,11 +36,6 @@ class BatchNorm:
         self.eps = eps
         self.momentum = momentum
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ag.batch_norm(x, self.gamma, self.beta, self.running_mean,
-                             self.running_var, training=training,
-                             momentum=self.momentum, eps=self.eps)
-
     def named_parameters(self, prefix: str):
         yield f"{prefix}.gamma", self.gamma
         yield f"{prefix}.beta", self.beta
@@ -50,7 +46,7 @@ class BatchNorm:
 
 
 class ConvBlock:
-    """conv3x3 (padding 1) + batch-norm + ReLU."""
+    """conv3x3 (padding 1) + batch-norm + ReLU on an (N, H, W, C) map."""
 
     def __init__(self, in_ch: int, out_ch: int, stride: int, rng: np.random.Generator):
         self.weight = Tensor(fan_in_uniform(rng, (out_ch, in_ch, 3, 3), in_ch * 9),
@@ -59,8 +55,9 @@ class ConvBlock:
         self.bn = BatchNorm(out_ch)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return ag.relu(self.bn(ag.conv2d(x, self.weight, stride=self.stride, padding=1),
-                               training))
+        bn = self.bn
+        return ag.conv_bn_relu(x, self.weight, bn.gamma, bn.beta, bn.running_mean,
+                               bn.running_var, self.stride, training, bn.momentum, bn.eps)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.conv.weight", self.weight
@@ -115,10 +112,14 @@ class Backbone:
         return self.config.out_channels, h_img // sp, w_img // sp
 
     def forward(self, images: Tensor, training: bool) -> Tensor:
-        x = images
+        """(N, C, H, W) images to the (N, C, H, W) feature map; the blocks
+        work channels-last in between."""
+        if not self.blocks:
+            return images
+        x = ag.transpose(images, (0, 2, 3, 1))
         for block in self.blocks:
             x = block(x, training)
-        return x
+        return ag.transpose(x, (0, 3, 1, 2))
 
     def named_parameters(self):
         for i, block in enumerate(self.blocks):

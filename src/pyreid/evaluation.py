@@ -65,7 +65,14 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
         if not kept.all():
             raise ValueError(f"rank_gallery: query {lo + int(np.argmin(kept))} has an empty "
                              f"gallery after filtering")
-        order = np.argsort(dist, axis=1, kind="stable")
+        # numpy's default sort is several times faster than the stable one
+        # but may reorder equal distances; rows with two equal (or NaN)
+        # neighbours among their kept distances are sorted again, stably
+        order = np.argsort(dist, axis=1)
+        ranked = np.take_along_axis(dist, order, axis=1)
+        tied = ~(ranked[:, 1:] > ranked[:, :-1]) & (np.arange(len(g) - 1) < kept[:, None] - 1)
+        redo = np.flatnonzero(tied.any(axis=1))
+        order[redo] = np.argsort(dist[redo], axis=1, kind="stable")
         matches = gallery_ids[order] == ids
         results.extend(RankedResult(query_index=lo + i, order=order[i, :k],
                                     matches=matches[i, :k])

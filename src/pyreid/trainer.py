@@ -67,8 +67,9 @@ class TrainConfig:
         for key in ("n", "feature_dim", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in ("seed", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
         if self.p_ids * self.k_imgs != self.batch_size:
             raise ConfigError(f"p_ids * k_imgs must equal batch_size, got "
                               f"{self.p_ids}*{self.k_imgs} != {self.batch_size}")

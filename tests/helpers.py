@@ -89,8 +89,8 @@ def oracle_rank(query, qid, qcam, gallery, gids, gcams) -> list:
 def reference_conv2d(x, w, g, stride, padding) -> tuple:
     """Direct einsum convolution, one contraction per kernel offset, on 4-D
     arrays: (output, input gradient, weight gradient) for upstream gradient
-    `g`. It is the library's original kernel, kept as the reference for the
-    GEMM one."""
+    `g`. It is the library's original kernel, kept as the convolution of the
+    unfused backbone block below."""
     n, c, h, wd_ = x.shape
     co, _, kh, kw = w.shape
     ho = (h + 2 * padding - kh) // stride + 1
@@ -111,6 +111,127 @@ def reference_conv2d(x, w, g, stride, padding) -> tuple:
     return out, gxp[:, :, padding:padding + h, padding:padding + wd_], gw
 
 
+def reference_conv_bn_relu(x, w, gamma, beta, running_mean, running_var, stride,
+                           training, momentum, eps, g) -> tuple:
+    """The unfused backbone block on channels-last (N, H, W, C) arrays:
+    `reference_conv2d` with padding 1, then textbook batch norm (Ioffe &
+    Szegedy, Algorithm 1, differentiated term by term) and ReLU. Returns
+    (output, x gradient, w gradient, gamma gradient, beta gradient,
+    pre-activation) for upstream gradient `g`. Training mode moves the
+    running statistics in place, with the unbiased variance."""
+    xc = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+    gc = g.transpose(0, 3, 1, 2)
+    y = reference_conv2d(xc, w, np.zeros_like(gc), stride, 1)[0]
+    axes, cshape = (0, 2, 3), (1, -1, 1, 1)
+    m = y.size // y.shape[1]
+    if training:
+        mu, var = y.mean(axis=axes), y.var(axis=axes)
+        running_mean[...] = (1.0 - momentum) * running_mean + momentum * mu
+        running_var[...] = (1.0 - momentum) * running_var + momentum * var * m / (m - 1)
+    else:
+        mu, var = running_mean.copy(), running_var.copy()
+    std = np.sqrt(var + eps).reshape(cshape)
+    yc = y - mu.reshape(cshape)
+    xhat = yc / std
+    pre = gamma.reshape(cshape) * xhat + beta.reshape(cshape)
+    dpre = gc * (pre > 0)
+    dxhat = dpre * gamma.reshape(cshape)
+    if training:
+        dvar = (dxhat * yc).sum(axis=axes) * -0.5 * (var + eps) ** -1.5
+        dmu = -(dxhat / std).sum(axis=axes) - 2.0 * dvar * yc.mean(axis=axes)
+        dy = dxhat / std + dvar.reshape(cshape) * 2.0 * yc / m + dmu.reshape(cshape) / m
+    else:
+        dy = dxhat / std
+    _, gx, gw = reference_conv2d(xc, w, dy, stride, 1)
+
+    def nhwc(a):
+        return a.transpose(0, 2, 3, 1)
+
+    return (nhwc(np.maximum(pre, 0.0)), nhwc(gx), gw, (dpre * xhat).sum(axis=axes),
+            dpre.sum(axis=axes), nhwc(pre))
+
+
+# -- ops only the per-branch reference uses ------------------------------------------
+#
+# The library's head pools every branch in one `stripe_pool`; these four are
+# the per-branch pieces it replaced, kept as graph ops for the reference.
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Contiguous row slice along the height (second-to-last) axis."""
+    if x.data.ndim < 3:
+        raise ValueError(f"slice_rows: expected >=3-D input, got {x.data.shape}")
+    h = x.data.shape[-2]
+    if not (0 <= start < stop <= h):
+        raise ValueError(f"slice_rows: range [{start}, {stop}) out of bounds for height {h}")
+    out = x.data[..., start:stop, :].copy()
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        gx[..., start:stop, :] = g
+        ag._acc(x, gx)
+
+    return ag._from_op(out, (x,), "slice_rows", _bw)
+
+
+def global_max_pool(x: Tensor) -> Tensor:
+    """Max over the trailing two spatial axes; the gradient goes to the
+    first maximal element in row-major order."""
+    if x.data.ndim < 3:
+        raise ValueError(f"global_max_pool: expected >=3-D input, got {x.data.shape}")
+    lead = x.data.shape[:-2]
+    flat = x.data.reshape(lead + (x.data.shape[-2] * x.data.shape[-1],))
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def _bw(g):
+        gf = np.zeros_like(flat)
+        np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
+        ag._acc(x, gf.reshape(x.data.shape))
+
+    return ag._from_op(out, (x,), "global_max_pool", _bw)
+
+
+def global_avg_pool(x: Tensor) -> Tensor:
+    """Mean over the trailing two spatial axes."""
+    if x.data.ndim < 3:
+        raise ValueError(f"global_avg_pool: expected >=3-D input, got {x.data.shape}")
+    hw = x.data.shape[-2] * x.data.shape[-1]
+    out = x.data.mean(axis=(-2, -1))
+
+    def _bw(g):
+        ag._acc(x, np.broadcast_to(g[..., None, None] / hw, x.data.shape))
+
+    return ag._from_op(out, (x,), "global_avg_pool", _bw)
+
+
+def concat(tensors, axis: int = 1) -> Tensor:
+    """Concatenation along one axis."""
+    ts = list(tensors)
+    if not ts:
+        raise ValueError("concat: no tensors given")
+    ref = ts[0].data.shape
+    for t in ts[1:]:
+        s = t.data.shape
+        if len(s) != len(ref) or s[:axis] + s[axis + 1:] != ref[:axis] + ref[axis + 1:]:
+            raise ValueError(f"concat: shape mismatch {ref} vs {s} along axis {axis}")
+    out = np.concatenate([t.data for t in ts], axis=axis)
+    sizes = [t.data.shape[axis] for t in ts]
+
+    def _bw(g):
+        off = 0
+        index = [slice(None)] * g.ndim
+        for t, s in zip(ts, sizes):
+            index[axis] = slice(off, off + s)
+            ag._acc(t, g[tuple(index)])
+            off += s
+
+    return ag._from_op(out, tuple(ts), "concat", _bw)
+
+
+REFERENCE_OPS = ("concat", "global_avg_pool", "global_max_pool", "slice_rows")
+
+
 def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
     """The pyramid head as one graph per branch: slice the branch's rows,
     max pool plus avg pool, reduce, batch-norm, ReLU, classify, and sum the
@@ -129,8 +250,8 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
     for i, spec in enumerate(model.specs):
         if not mask.level_enabled(spec.level):
             continue
-        sub = ag.slice_rows(fmap, spec.row_start - 1, spec.row_end)
-        pooled = ag.add(ag.global_max_pool(sub), ag.global_avg_pool(sub))
+        sub = slice_rows(fmap, spec.row_start - 1, spec.row_end)
+        pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
         normed = ag.batch_norm(ag.matmul(pooled, row(model.reduce_weight, i)),
                                row(bn.gamma, i), row(bn.beta, i), bn.running_mean[i],
                                bn.running_var[i], training=training,
@@ -145,7 +266,7 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
         total = ce if total is None else ag.add(total, ce)
         features.append(feature)
         logits.append(branch_logits)
-    embedding = features[0] if len(features) == 1 else ag.concat(features, axis=1)
+    embedding = features[0] if len(features) == 1 else concat(features, axis=1)
     return embedding, logits, ag.reduce_mean(total)
 
 
@@ -167,9 +288,39 @@ def _weighted_sum(op_out: Tensor, weights: np.ndarray) -> Tensor:
     return ag.reduce_sum(ag.mul(op_out, Tensor(weights)))
 
 
+def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool) -> list:
+    """(f, t) pairs for one conv_bn_relu setting, one per differentiated
+    input. Draws are repeated until every pre-activation is at least 1e-3
+    from the ReLU kink."""
+    while True:
+        x = rng.normal(size=(2, 4, 3, c))
+        w = rng.normal(size=(2, c, 3, 3))
+        gamma = rng.uniform(0.5, 1.5, size=2)
+        beta = rng.normal(size=2)
+        stats = (rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
+        g = rng.normal(size=(2, (4 - 1) // stride + 1, (3 - 1) // stride + 1, 2))
+        pre = reference_conv_bn_relu(x, w, gamma, beta, stats[0].copy(), stats[1].copy(),
+                                     stride, training, 0.1, 1e-5, g)[-1]
+        if np.abs(pre).min() > 1e-3:
+            break
+
+    args = (x, w, gamma, beta)
+
+    def case(slot):
+        def f(t):
+            a = [Tensor(v) for v in args]
+            a[slot] = t
+            # training moves its own copy of the running statistics
+            return _weighted_sum(ag.conv_bn_relu(*a, stats[0].copy(), stats[1].copy(), stride,
+                                                 training, 0.1, 1e-5), g)
+        return f, Tensor(args[slot])
+
+    return [case(slot) for slot in range(4)]
+
+
 def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
-    """(f, x) pairs exercising one catalog op, with inputs kept away from
-    relu/max kinks. Weight tensors are fixed per case."""
+    """(f, x) pairs exercising one catalog op or one of `REFERENCE_OPS`, with
+    inputs kept away from relu/max kinks. Weight tensors are fixed per case."""
     cases = []
     if op_name in ("add", "sub", "mul"):
         op = getattr(ag, op_name)
@@ -201,19 +352,13 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         a3 = Tensor(rng.normal(size=(2, 5, 4)))
         cases.append((lambda t, a=a3, w=w3: _weighted_sum(ag.matmul(a, t), w),
                       Tensor(rng.normal(size=(2, 4, 3)))))
-    elif op_name == "conv2d":
+    elif op_name == "conv_bn_relu":
+        # stride 1 and 2, the im2col (C = 3) and per-offset (C = 4) paths,
+        # training and eval, each with respect to x, w, gamma and beta
         for stride in (1, 2):
-            for padding in (0, 1):
-                x = Tensor(rng.normal(size=(2, 3, 5, 4)))
-                kernel = Tensor(rng.normal(size=(2, 3, 3, 3)))
-                ho = (5 + 2 * padding - 3) // stride + 1
-                wo = (4 + 2 * padding - 3) // stride + 1
-                w = rng.normal(size=(2, 2, ho, wo))
-                cases.append((lambda t, k=kernel, w=w, s=stride, p=padding:
-                              _weighted_sum(ag.conv2d(t, k, stride=s, padding=p), w), x))
-                cases.append((lambda t, x=x, w=w, s=stride, p=padding:
-                              _weighted_sum(ag.conv2d(x, t, stride=s, padding=p), w),
-                              kernel))
+            for c in (3, 4):
+                for training in (True, False):
+                    cases.extend(_conv_bn_relu_cases(rng, stride, c, training))
     elif op_name == "batch_norm":
         x = Tensor(rng.normal(size=(5, 3)))
         gamma = Tensor(rng.normal(size=3) + 1.5)
@@ -232,10 +377,10 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
     elif op_name == "global_max_pool":
         x = Tensor(_distinct_values((2, 3, 4, 3), rng))
         w = rng.normal(size=(2, 3))
-        cases.append((lambda t, w=w: _weighted_sum(ag.global_max_pool(t), w), x))
+        cases.append((lambda t, w=w: _weighted_sum(global_max_pool(t), w), x))
     elif op_name == "global_avg_pool":
         w = rng.normal(size=(2, 3))
-        cases.append((lambda t, w=w: _weighted_sum(ag.global_avg_pool(t), w),
+        cases.append((lambda t, w=w: _weighted_sum(global_avg_pool(t), w),
                       Tensor(rng.normal(size=(2, 3, 4, 3)))))
     elif op_name == "stripe_pool":
         # every window of 3 stripes of 2x2 cells, and a sparse subset
@@ -260,15 +405,15 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
                       Tensor(rng.normal(size=(2, 3, 4)))))
     elif op_name == "slice_rows":
         w = rng.normal(size=(2, 3, 3))
-        cases.append((lambda t, w=w: _weighted_sum(ag.slice_rows(t, 2, 5), w),
+        cases.append((lambda t, w=w: _weighted_sum(slice_rows(t, 2, 5), w),
                       Tensor(rng.normal(size=(2, 6, 3)))))
     elif op_name == "concat":
         other = Tensor(rng.normal(size=(2, 3)))
         w = rng.normal(size=(2, 7))
-        cases.append((lambda t, o=other, w=w: _weighted_sum(ag.concat([t, o], axis=1), w),
+        cases.append((lambda t, o=other, w=w: _weighted_sum(concat([t, o], axis=1), w),
                       Tensor(rng.normal(size=(2, 4)))))
         w2 = rng.normal(size=(2, 8))
-        cases.append((lambda t, w=w2: _weighted_sum(ag.concat([t, t], axis=1), w),
+        cases.append((lambda t, w=w2: _weighted_sum(concat([t, t], axis=1), w),
                       Tensor(rng.normal(size=(2, 4)))))
     elif op_name == "softmax_cross_entropy":
         labels = rng.integers(0, 4, size=5)

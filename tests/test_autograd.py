@@ -7,7 +7,8 @@ import pyreid.autograd as ag
 from pyreid.autograd import Tensor, backward, no_grad, op_catalog, use_dtype
 from pyreid.gradcheck import finite_difference_check
 
-from helpers import gradcheck_cases, reference_conv2d
+from helpers import (REFERENCE_OPS, concat, global_avg_pool, global_max_pool,
+                     gradcheck_cases, reference_conv_bn_relu, slice_rows)
 
 
 class TestTensorBasics:
@@ -95,66 +96,82 @@ class TestOpSemantics:
         with pytest.raises(ValueError, match="matmul"):
             ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
-    def test_conv2d_all_ones(self):
-        # 1x5x5 ones through a 1x1x3x3 ones kernel: every window sums to 9
-        out = ag.conv2d(Tensor(np.ones((1, 5, 5))), Tensor(np.ones((1, 1, 3, 3))))
-        assert out.shape == (1, 3, 3)
-        np.testing.assert_allclose(out.data, 9.0)
+    def test_conv_bn_relu_all_ones_eval(self):
+        # ones through a ones kernel with padding 1: 9 inside, 6 on an edge,
+        # 4 in a corner; eval BN with zero mean and unit variance passes
+        # them through up to the sqrt(1 + eps) of the variance floor
+        one = Tensor(np.ones(1))
+        out = ag.conv_bn_relu(Tensor(np.ones((1, 5, 5, 1))), Tensor(np.ones((1, 1, 3, 3))),
+                              one, Tensor(np.zeros(1)), np.zeros(1), np.ones(1), 1, False,
+                              0.1, 1e-5)
+        assert out.shape == (1, 5, 5, 1)
+        edge = np.array([2.0, 3.0, 3.0, 3.0, 2.0])
+        np.testing.assert_allclose(out.data[0, :, :, 0], np.outer(edge, edge) / np.sqrt(1 + 1e-5))
 
-    def test_conv2d_matches_naive_loops(self, rng):
-        x = rng.normal(size=(2, 3, 6, 5))
-        w = rng.normal(size=(4, 3, 3, 2))
-        for stride, pad in [(1, 0), (2, 1), (1, 1)]:
-            out = ag.conv2d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
-            xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-            ho = (6 + 2 * pad - 3) // stride + 1
-            wo = (5 + 2 * pad - 2) // stride + 1
-            ref = np.zeros((2, 4, ho, wo))
-            for n in range(2):
-                for o in range(4):
-                    for i in range(ho):
-                        for j in range(wo):
-                            patch = xp[n, :, i * stride:i * stride + 3,
-                                       j * stride:j * stride + 2]
-                            ref[n, o, i, j] = (patch * w[o]).sum()
-            np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_bn_relu_matches_naive_loops(self, rng, stride):
+        # eval mode with running stats mean 0, variance 1 - eps and an
+        # identity affine leaves relu(convolution)
+        x = rng.normal(size=(2, 6, 5, 3))
+        w = rng.normal(size=(4, 3, 3, 3))
+        out = ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                              np.zeros(4), np.full(4, 1.0 - 1e-5), stride, False, 0.1,
+                              1e-5).data
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        ho, wo = (6 - 1) // stride + 1, (5 - 1) // stride + 1
+        ref = np.zeros((2, ho, wo, 4))
+        for n in range(2):
+            for o in range(4):
+                for i in range(ho):
+                    for j in range(wo):
+                        patch = xp[n, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                        ref[n, i, j, o] = max(0.0, (patch * w[o].transpose(1, 2, 0)).sum())
+        np.testing.assert_allclose(out, ref, rtol=1e-10, atol=1e-12)
 
-    def test_conv2d_channel_mismatch(self):
-        with pytest.raises(ValueError, match="channel mismatch"):
-            ag.conv2d(Tensor(np.ones((1, 2, 4, 4))), Tensor(np.ones((1, 3, 3, 3))))
+    @pytest.mark.parametrize("x_shape, w_shape, stride, message", [
+        ((1, 4, 4, 2), (1, 3, 3, 3), 1, "channel mismatch"),
+        ((1, 4, 4, 3), (1, 3, 2, 2), 1, "channel mismatch"),
+        ((1, 3, 4, 4), (1, 3, 3, 3), 1, "channel mismatch"),
+        ((4, 4, 3), (1, 3, 3, 3), 1, "4-D"),
+        ((1, 4, 4, 3), (1, 3, 3, 3), 3, "stride")])
+    def test_conv_bn_relu_bad_arguments(self, x_shape, w_shape, stride, message):
+        with pytest.raises(ValueError, match=message):
+            ag.conv_bn_relu(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
+                            Tensor(np.ones(1)), Tensor(np.zeros(1)), np.zeros(1),
+                            np.ones(1), stride, True, 0.1, 1e-5)
 
     def test_global_avg_pool_constant(self):
-        out = ag.global_avg_pool(Tensor(np.full((2, 3, 4), 5.0)))
+        out = global_avg_pool(Tensor(np.full((2, 3, 4), 5.0)))
         np.testing.assert_allclose(out.data, [5.0, 5.0])
 
     def test_global_max_pool_picks_max(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
-        out = ag.global_max_pool(Tensor(x))
+        out = global_max_pool(Tensor(x))
         np.testing.assert_allclose(out.data, x.max(axis=(2, 3)), rtol=1e-6)
 
     def test_max_pool_tie_gradient_goes_to_first(self):
         x = Tensor(np.array([[[1.0, 1.0], [0.0, 0.0]]]), requires_grad=True)
-        backward(ag.reduce_sum(ag.global_max_pool(x)))
+        backward(ag.reduce_sum(global_max_pool(x)))
         np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_slice_rows_shape(self):
-        out = ag.slice_rows(Tensor(np.ones((2, 6, 2))), 2, 4)
+        out = slice_rows(Tensor(np.ones((2, 6, 2))), 2, 4)
         assert out.shape == (2, 2, 2)
 
     def test_slice_rows_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
-            ag.slice_rows(Tensor(np.ones((2, 6, 2))), 4, 8)
+            slice_rows(Tensor(np.ones((2, 6, 2))), 4, 8)
 
     def test_concat_then_slice_roundtrip(self, rng):
         a = rng.normal(size=(2, 3, 4)).astype(np.float32)
         b = rng.normal(size=(2, 5, 4)).astype(np.float32)
-        cat = ag.concat([Tensor(a), Tensor(b)], axis=1)
-        np.testing.assert_array_equal(ag.slice_rows(cat, 0, 3).data, a)
-        np.testing.assert_array_equal(ag.slice_rows(cat, 3, 8).data, b)
+        cat = concat([Tensor(a), Tensor(b)], axis=1)
+        np.testing.assert_array_equal(slice_rows(cat, 0, 3).data, a)
+        np.testing.assert_array_equal(slice_rows(cat, 3, 8).data, b)
 
     def test_concat_shape_mismatch(self):
         with pytest.raises(ValueError, match="concat"):
-            ag.concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
+            concat([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))], axis=1)
 
     def test_softmax_ce_uniform(self):
         # all-zero logits over k classes cost ln k
@@ -199,69 +216,80 @@ class TestOpSemantics:
                 assert d[i, j] == pytest.approx(ref, rel=1e-5)
 
 
-def _conv_with_grads(x, w, g, stride, padding, track_x=True):
-    """GEMM conv2d forward plus backward from upstream gradient `g`:
-    (output tensor, input tensor, kernel tensor)."""
+def _block_with_grads(x, w, gamma, beta, stats, stride, training, g, track_x=True):
+    """conv_bn_relu forward plus backward from upstream gradient `g`:
+    (output, x, w, gamma, beta tensors); `stats` is moved in place."""
     xt = Tensor(x, requires_grad=track_x)
-    wt = Tensor(w, requires_grad=True)
-    out = ag.conv2d(xt, wt, stride=stride, padding=padding)
+    wt, gt, bt = (Tensor(a, requires_grad=True) for a in (w, gamma, beta))
+    out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, training, 0.1, 1e-5)
     backward(ag.reduce_sum(ag.mul(out, Tensor(g))))
-    return out, xt, wt
+    return out, xt, wt, gt, bt
 
 
-class TestConv2dAgainstEinsumReference:
-    @pytest.mark.parametrize("ndim", [3, 4])
-    @pytest.mark.parametrize("padding", [0, 1])
+def _block_inputs(rng, batch, c, h, wd, out_ch, stride, dtype):
+    """A block's input, fan-in-scaled kernel, affine, running stats and an
+    upstream gradient scaled by 1/sqrt(N*Ho*Wo), so that the output and
+    every gradient are of order one."""
+    ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
+    return (rng.normal(size=(batch, h, wd, c)).astype(dtype),
+            (rng.normal(size=(out_ch, c, 3, 3)) / np.sqrt(9 * c)).astype(dtype),
+            rng.uniform(0.5, 1.5, size=out_ch).astype(dtype),
+            rng.normal(size=out_ch).astype(dtype),
+            (rng.normal(size=out_ch).astype(dtype), rng.uniform(0.5, 2.0, size=out_ch)
+             .astype(dtype)),
+            (rng.normal(size=(batch, ho, wo, out_ch)) / np.sqrt(batch * ho * wo)).astype(dtype))
+
+
+class TestConvBnReluAgainstUnfusedReference:
+    """The fused block against einsum convolution + textbook batch norm + ReLU."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("c", [3, 5])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_forward_and_gradients_float64(self, rng, stride, padding, ndim):
-        x = rng.normal(size=(2, 3, 7, 6))[:1 if ndim == 3 else 2]
-        w = rng.normal(size=(4, 3, 3, 2))
-        ho = (7 + 2 * padding - 3) // stride + 1
-        wo = (6 + 2 * padding - 2) // stride + 1
-        g = rng.normal(size=(x.shape[0], 4, ho, wo))
-        ref_out, ref_gx, ref_gw = reference_conv2d(x, w, g, stride, padding)
-        if ndim == 3:
-            x, g, ref_out, ref_gx = x[0], g[0], ref_out[0], ref_gx[0]
-        out, xt, wt = _conv_with_grads(x, w, g, stride, padding)
-        np.testing.assert_allclose(out.data, ref_out, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(xt.grad, ref_gx, rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(wt.grad, ref_gw, rtol=1e-10, atol=1e-12)
+    def test_forward_gradients_and_running_stats_float64(self, rng, stride, c, training):
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 3, c, 7, 6, 4, stride, np.float64)
+        ref_stats = tuple(a.copy() for a in stats)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training,
+                                     0.1, 1e-5, g)
+        got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
+        for name, a, b in zip(("out", "x", "w", "gamma", "beta"),
+                              (got[0].data,) + tuple(t.grad for t in got[1:]), ref):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
+        for a, b in zip(stats, ref_stats):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("batch", [16, 64])
     @pytest.mark.parametrize("shape,out_ch,stride", [
         ((3, 48, 16), 16, 2), ((16, 24, 8), 32, 2), ((32, 12, 4), 64, 1)])
     def test_backbone_shapes_float32(self, rng, batch, shape, out_ch, stride):
-        # Weights at the backbone's fan-in scale and an upstream gradient
-        # scaled by 1/sqrt(N*Ho*Wo) keep the output and both gradients of
-        # order one, so one absolute tolerance fits all three. The reference
-        # runs in float64 on the same float32 inputs.
-        c, h, wd = shape
-        x = rng.normal(size=(batch, c, h, wd)).astype(np.float32)
-        w = (rng.normal(size=(out_ch, c, 3, 3)) / np.sqrt(9 * c)).astype(np.float32)
-        ho, wo = (h - 1) // stride + 1, (wd - 1) // stride + 1
-        g = (rng.normal(size=(batch, out_ch, ho, wo))
-             / np.sqrt(batch * ho * wo)).astype(np.float32)
-        out, xt, wt = _conv_with_grads(x, w, g, stride, 1)
-        ref = reference_conv2d(x.astype(np.float64), w.astype(np.float64),
-                               g.astype(np.float64), stride, 1)
-        for got, want in zip((out.data, xt.grad, wt.grad), ref):
-            assert got.dtype == np.float32
-            np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+        # The reference runs in float64 on the same float32 inputs.
+        x, w, gamma, beta, stats, g = _block_inputs(rng, batch, *shape, out_ch, stride,
+                                                    np.float32)
+        ref_stats = tuple(a.astype(np.float64) for a in stats)
+        ref = reference_conv_bn_relu(*(a.astype(np.float64) for a in (x, w, gamma, beta)),
+                                     *ref_stats, stride, True, 0.1, 1e-5,
+                                     g.astype(np.float64))
+        got = _block_with_grads(x, w, gamma, beta, stats, stride, True, g)
+        for a, b in zip((got[0].data,) + tuple(t.grad for t in got[1:]) + stats,
+                        ref[:5] + ref_stats):
+            assert a.dtype == np.float32
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
 
-    def test_untracked_input_gets_no_gradient(self, rng):
-        x = rng.normal(size=(2, 3, 6, 5))
-        w = rng.normal(size=(4, 3, 3, 3))
-        g = rng.normal(size=(2, 4, 3, 3))
-        _, xt, wt = _conv_with_grads(x, w, g, 2, 1, track_x=False)
+    @pytest.mark.parametrize("c", [3, 5])
+    def test_untracked_input_gets_no_gradient(self, rng, c):
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 2, c, 6, 5, 4, 2, np.float64)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *(a.copy() for a in stats), 2,
+                                     True, 0.1, 1e-5, g)
+        _, xt, wt, _, _ = _block_with_grads(x, w, gamma, beta, stats, 2, True, g,
+                                            track_x=False)
         assert xt.grad is None
-        np.testing.assert_allclose(wt.grad, reference_conv2d(x, w, g, 2, 1)[2],
-                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, ref[2], rtol=1e-10, atol=1e-12)
 
     def test_gradients_are_c_contiguous(self, rng):
-        for x in (rng.normal(size=(2, 3, 6, 5)), rng.normal(size=(3, 6, 5))):
-            g = rng.normal(size=x.shape[:-3] + (4, 6, 5))
-            _, xt, wt = _conv_with_grads(x, rng.normal(size=(4, 3, 3, 3)), g, 1, 1)
-            assert xt.grad.flags["C_CONTIGUOUS"] and wt.grad.flags["C_CONTIGUOUS"]
+        for c in (3, 5):
+            x, w, gamma, beta, stats, g = _block_inputs(rng, 2, c, 6, 5, 4, 1, np.float64)
+            got = _block_with_grads(x, w, gamma, beta, stats, 1, True, g)
+            assert all(t.grad.flags["C_CONTIGUOUS"] for t in got[1:])
 
 
 class TestDebugChecks:
@@ -287,15 +315,15 @@ class TestDebugChecks:
 class TestCatalogInvariants:
     def test_catalog_covers_required_primitives(self):
         names = set(op_catalog())
-        required = {"add", "sub", "mul", "matmul", "conv2d", "relu", "batch_norm",
-                    "global_max_pool", "global_avg_pool", "slice_rows", "concat",
+        required = {"add", "sub", "mul", "matmul", "conv_bn_relu", "relu", "batch_norm",
                     "softmax_cross_entropy", "take_rows", "reduce_sum", "reduce_mean"}
         assert required <= names
+        assert not names & set(REFERENCE_OPS)
 
     def test_max_pool_dominates_avg_pool(self, rng):
         for _ in range(20):
             x = Tensor(rng.normal(size=(3, 5, 4)))
-            assert (ag.global_max_pool(x).data >= ag.global_avg_pool(x).data - 1e-7).all()
+            assert (global_max_pool(x).data >= global_avg_pool(x).data - 1e-7).all()
 
     def test_softmax_ce_shift_invariance(self, rng):
         logits = rng.normal(size=(8, 5)).astype(np.float64)
@@ -327,9 +355,10 @@ class TestCatalogInvariants:
 
 
 class TestGradcheckPerOp:
-    """Light per-op sweep; the acceptance suite runs the full 100-case one."""
+    """Light per-op sweep, also over the ops the per-branch reference uses;
+    the acceptance suite runs the full 100-case one over the catalog."""
 
-    @pytest.mark.parametrize("op_name", sorted(op_catalog()))
+    @pytest.mark.parametrize("op_name", sorted(op_catalog()) + list(REFERENCE_OPS))
     def test_op_gradient(self, op_name):
         with use_dtype(np.float64):
             for seed in range(5):

@@ -111,6 +111,18 @@ class TestTrain:
         assert_one_error_line(capsys.readouterr().err, message)
         assert not out.exists()
 
+    def test_negative_checkpoint_every_exits_2(self, data_dir, tmp_path, capsys):
+        # checkpoint_every has no flag of its own; a config file sets it
+        config = tmp_path / "run.ini"
+        config.write_text("checkpoint_every = -1\n")
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "checkpoint_every must be non-negative, got -1")
+        assert not out.exists()
+
     def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text("seed = 1\nepochs =\n")

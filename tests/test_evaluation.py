@@ -43,6 +43,23 @@ class TestRankGallery:
                              np.array([1, 1, 1]))
         assert res.order.tolist() == [2, 0, 1]
 
+    def test_exact_ties_keep_the_stable_order(self, rng):
+        # small-integer rows give exact distances; every row of the gallery
+        # has duplicates at scattered indices and equal-distance neighbours,
+        # over more than one block of queries
+        distinct = rng.integers(-2, 3, size=(12, 4)).astype(np.float64)
+        g = distinct[rng.integers(0, 12, size=300)]
+        q = rng.integers(-2, 3, size=(200, 4)).astype(np.float64)
+        gids, gcams = rng.integers(0, 5, size=300), rng.integers(0, 2, size=300)
+        qids, qcams = rng.integers(0, 5, size=200), rng.integers(0, 2, size=200)
+        res = rank_gallery(q, qids, qcams, g, gids, gcams)
+        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        junk = (gids == qids[:, None]) & (gcams == qcams[:, None])
+        sq[junk] = np.inf
+        want = np.argsort(sq, axis=1, kind="stable")
+        for i, r in enumerate(res):
+            assert r.order.tolist() == want[i, :300 - junk[i].sum()].tolist()
+
     def test_one_result_per_query_in_order(self):
         g = np.array([[0.0], [1.0], [2.0]])
         res = rank_gallery(np.array([[2.0], [0.0]]), [1, 1], [0, 0], g,

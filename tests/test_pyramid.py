@@ -11,7 +11,7 @@ from pyreid.gradcheck import finite_difference_check
 from pyreid.losses import id_loss
 from pyreid.pyramid import BranchMask, PyramidModel, enumerate_branches
 
-from helpers import reference_pyramid_forward
+from helpers import global_avg_pool, global_max_pool, reference_pyramid_forward, slice_rows
 
 
 def make_model(n=6, feature_dim=16, num_ids=10, stages=((16, 2), (32, 2), (64, 1)),
@@ -102,8 +102,8 @@ class TestSlicing:
     def test_top_level_slice_is_whole_map(self, rng):
         fmap = Tensor(rng.normal(size=(8, 6, 3, 3)).astype(np.float32))
         pooled = ag.stripe_pool(fmap, 3, [(0, 3)])
-        np.testing.assert_allclose(pooled.data[0], ag.global_max_pool(fmap).data
-                                   + ag.global_avg_pool(fmap).data, rtol=1e-6)
+        np.testing.assert_allclose(pooled.data[0], global_max_pool(fmap).data
+                                   + global_avg_pool(fmap).data, rtol=1e-6)
 
     def test_batched_slice(self, rng):
         fmap = Tensor(rng.normal(size=(2, 8, 6, 3)).astype(np.float32))
@@ -111,9 +111,9 @@ class TestSlicing:
         pooled = ag.stripe_pool(fmap, 3, windows)
         assert pooled.shape == (6, 2, 8)
         for b, (s, l) in enumerate(windows):
-            sub = ag.slice_rows(fmap, 2 * s, 2 * (s + l))
-            np.testing.assert_allclose(pooled.data[b], ag.global_max_pool(sub).data
-                                       + ag.global_avg_pool(sub).data, rtol=1e-6)
+            sub = slice_rows(fmap, 2 * s, 2 * (s + l))
+            np.testing.assert_allclose(pooled.data[b], global_max_pool(sub).data
+                                       + global_avg_pool(sub).data, rtol=1e-6)
 
     @pytest.mark.parametrize("parts, windows, match", [
         (4, [(0, 1)], "does not split"),
@@ -139,8 +139,8 @@ class TestSlicing:
         ag.reduce_sum(ag.mul(ag.stripe_pool(t, 3, windows), Tensor(weights))).backward()
         ref = Tensor(x.copy(), requires_grad=True)
         for (s, l), w in zip(windows, weights):
-            sub = ag.slice_rows(ref, 2 * s, 2 * (s + l))
-            pooled = ag.add(ag.global_max_pool(sub), ag.global_avg_pool(sub))
+            sub = slice_rows(ref, 2 * s, 2 * (s + l))
+            pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
             ag.reduce_sum(ag.mul(pooled, Tensor(w))).backward()
         np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-12, atol=1e-15)
 
@@ -158,8 +158,8 @@ class TestSlicing:
         ag.reduce_sum(ag.mul(ag.stripe_pool(t, 2, windows), Tensor(weights))).backward()
         ref = Tensor(x.copy(), requires_grad=True)
         for (s, l), w in zip(windows, weights):
-            sub = ag.slice_rows(ref, 3 * s, 3 * (s + l))
-            pooled = ag.add(ag.global_max_pool(sub), ag.global_avg_pool(sub))
+            sub = slice_rows(ref, 3 * s, 3 * (s + l))
+            pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
             ag.reduce_sum(ag.mul(pooled, Tensor(w))).backward()
         np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-12, atol=1e-15)
 

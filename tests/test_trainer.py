@@ -119,6 +119,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be positive, got {value}"):
             replace(TrainConfig(), **{key: value}).validate()
 
+    @pytest.mark.parametrize("key", ["seed", "checkpoint_every"])
+    def test_counts_must_be_non_negative(self, key):
+        replace(TrainConfig(), **{key: 0}).validate()
+        with pytest.raises(ConfigError, match=f"{key} must be non-negative, got -1"):
+            replace(TrainConfig(), **{key: -1}).validate()
+
     def test_halvings_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
             TrainConfig(lr_halving_epochs=(20, 15)).validate()
