@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 _default_dtype = np.float32
 _grad_enabled = True
@@ -331,7 +331,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(out, (a, b), "matmul", _bw)
 
 
-_IM2COL_CHANNELS = 3  # input channels up to which conv_bn_relu builds one im2col matrix
+_CHUNK_BYTES = 1 << 18  # patch-matrix scratch of one chunk of images in conv_bn_relu
+
+
+def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int):
+    """Yield (first image, last image + 1, patch matrix) for each chunk of
+    images of a zero-padded (N, H+2, W+2, C) map. Row (n, r, s) of the
+    (rows, 9C) matrix is the 3x3 window of output pixel (r, s) in (i, j, c)
+    order; the matrix is one reused buffer of at most `_CHUNK_BYTES`, so
+    scratch memory does not grow with the batch."""
+    n, _, _, c = xp.shape
+    sn, sh, sw, sc = xp.strides
+    # in xp each window row's three taps are one contiguous 3*C run
+    windows = as_strided(xp, (n, ho, wo, 3, 3, c), (sn, stride * sh, stride * sw, sh, sw, sc),
+                         writeable=False)
+    step = max(1, _CHUNK_BYTES // (ho * wo * 9 * c * xp.itemsize))
+    buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=xp.dtype)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        cols = buf[:(hi - lo) * ho * wo]
+        np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), windows[lo:hi])
+        yield lo, hi, cols
 
 
 @catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "
@@ -357,30 +377,14 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
         raise ValueError(f"conv_bn_relu: stride must be 1 or 2, got {stride}")
     dtype = np.result_type(x.data, w.data)
     ho, wo = (h - 1) // stride + 1, (wd_ - 1) // stride + 1
-    m = n * ho * wo
+    m, p = n * ho * wo, ho * wo
     xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=dtype)
     xp[:, 1:h + 1, 1:wd_ + 1] = x.data
-    # windows[..., i, j] is the (N, Ho, Wo, C) input under kernel offset (i, j)
-    windows = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
-    # A thin input makes thin per-offset GEMMs, and its matrix of all nine
-    # offsets (9*C columns) is small; a wide input takes one GEMM per offset
-    # over a reused (M, C) buffer instead.
-    im2col = c <= _IM2COL_CHANNELS
-    if im2col:
-        cols = np.ascontiguousarray(windows).reshape(m, c * 9)
-        wcol = np.ascontiguousarray(w.data.reshape(co, c * 9).T, dtype=dtype)
-        y = cols @ wcol
-    else:
-        wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype)  # (3, 3, C, Co)
-        cols = np.empty((m, c), dtype=dtype)
-        cols4 = cols.reshape(n, ho, wo, c)
-        y = np.zeros((m, co), dtype=dtype)
-        part = np.empty_like(y)
-        for i in range(3):
-            for j in range(3):
-                np.copyto(cols4, windows[..., i, j])
-                y += np.matmul(cols, wt[i, j], out=part)
-
+    # the kernel as a (9C, Co) matrix in the patch matrix's (i, j, c) order
+    wcol = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype).reshape(9 * c, co)
+    y = np.empty((m, co), dtype=dtype)
+    for lo, hi, cols in _patch_chunks(xp, stride, ho, wo):
+        np.matmul(cols, wcol, out=y[lo * p:hi * p])
     # channel sums as ones-vector products, which BLAS does faster than
     # numpy's axis-0 reductions on an (M, Co) matrix
     ones = np.ones(m, dtype=dtype)
@@ -415,30 +419,30 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             gy -= xhat * (ggamma / m)
             gy -= gbeta / m
         gy *= gamma.data * rstd
-        gxp = np.zeros_like(xp) if x._tracked else None
-        if gxp is not None:
-            # for one offset the windows do not overlap, so += is safe
-            gwindows = sliding_window_view(gxp, (3, 3), axis=(1, 2),
-                                           writeable=True)[:, ::stride, ::stride]
-        if im2col:
-            _acc(w, (gy.T @ cols).reshape(w.data.shape))
+        gw = np.zeros((9 * c, co), dtype=dtype)
+        gxp = np.zeros_like(xp) if x._tracked and stride == 2 else None
+        for lo, hi, cols in _patch_chunks(xp, stride, ho, wo):
+            gw += cols.T @ gy[lo * p:hi * p]
             if gxp is not None:
-                gcols = (gy @ wcol.T).reshape(n, ho, wo, c, 3, 3)
+                # each offset's windows do not overlap at stride 2, so += is safe
+                gcols = np.matmul(gy[lo * p:hi * p], wcol.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
                 for i in range(3):
                     for j in range(3):
-                        gwindows[..., i, j] += gcols[..., i, j]
-        else:
-            gwt = np.empty((3, 3, c, co), dtype=dtype)
-            for i in range(3):
-                for j in range(3):
-                    np.copyto(cols4, windows[..., i, j])
-                    np.matmul(cols.T, gy, out=gwt[i, j])
-                    if gxp is not None:
-                        np.matmul(gy, wt[i, j].T, out=cols)
-                        gwindows[..., i, j] += cols4
-            _acc(w, np.ascontiguousarray(gwt.transpose(3, 2, 0, 1)))
+                        gxp[lo:hi, i:i + 2 * ho - 1:2, j:j + 2 * wo - 1:2] += gcols[:, :, :, i, j]
+        _acc(w, np.ascontiguousarray(gw.reshape(3, 3, c, co).transpose(3, 2, 0, 1)))
         if gxp is not None:
             _acc(x, gxp[:, 1:h + 1, 1:wd_ + 1])
+        elif x._tracked:
+            # at stride 1 the input gradient is the same convolution of the
+            # zero-padded output gradient with the flipped kernel: a gather
+            gyp = np.zeros((n, h + 2, wd_ + 2, co), dtype=dtype)
+            gyp[:, 1:h + 1, 1:wd_ + 1] = gy.reshape(n, h, wd_, co)
+            wflip = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1),
+                                         dtype=dtype).reshape(9 * co, c)
+            gx = np.empty((m, c), dtype=dtype)
+            for lo, hi, cols in _patch_chunks(gyp, 1, h, wd_):
+                np.matmul(cols, wflip, out=gx[lo * p:hi * p])
+            _acc(x, gx.reshape(n, h, wd_, c))
 
     return _from_op(out.reshape(n, ho, wo, co), (x, w, gamma, beta), "conv_bn_relu", _bw)
 

@@ -8,6 +8,7 @@ no code path with the library implementations they verify.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -288,17 +289,45 @@ def _weighted_sum(op_out: Tensor, weights: np.ndarray) -> Tensor:
     return ag.reduce_sum(ag.mul(op_out, Tensor(weights)))
 
 
-def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool) -> list:
+@contextmanager
+def _chunk_budget(nbytes: int):
+    """Temporarily set conv_bn_relu's patch-matrix budget, so that small
+    inputs span several chunks of images."""
+    prev = ag._CHUNK_BYTES
+    ag._CHUNK_BYTES = nbytes
+    try:
+        yield
+    finally:
+        ag._CHUNK_BYTES = prev
+
+
+def conv_bn_relu_in_chunks(nbytes: int, *args) -> Tensor:
+    """`ag.conv_bn_relu(*args)` with its forward and its backward both run
+    under a patch-matrix budget of `nbytes`."""
+    with _chunk_budget(nbytes):
+        out = ag.conv_bn_relu(*args)
+    bw = out._backward
+    if bw is not None:
+        def _bw(g):
+            with _chunk_budget(nbytes):
+                bw(g)
+        out._backward = _bw
+    return out
+
+
+def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool, batch: int = 2,
+                        budget: int | None = None) -> list:
     """(f, t) pairs for one conv_bn_relu setting, one per differentiated
-    input. Draws are repeated until every pre-activation is at least 1e-3
+    input; a `budget` in bytes replaces the patch-matrix budget of every
+    call. Draws are repeated until every pre-activation is at least 1e-3
     from the ReLU kink."""
     while True:
-        x = rng.normal(size=(2, 4, 3, c))
+        x = rng.normal(size=(batch, 4, 3, c))
         w = rng.normal(size=(2, c, 3, 3))
         gamma = rng.uniform(0.5, 1.5, size=2)
         beta = rng.normal(size=2)
         stats = (rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
-        g = rng.normal(size=(2, (4 - 1) // stride + 1, (3 - 1) // stride + 1, 2))
+        g = rng.normal(size=(batch, (4 - 1) // stride + 1, (3 - 1) // stride + 1, 2))
         pre = reference_conv_bn_relu(x, w, gamma, beta, stats[0].copy(), stats[1].copy(),
                                      stride, training, 0.1, 1e-5, g)[-1]
         if np.abs(pre).min() > 1e-3:
@@ -311,8 +340,10 @@ def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool) -> list:
             a = [Tensor(v) for v in args]
             a[slot] = t
             # training moves its own copy of the running statistics
-            return _weighted_sum(ag.conv_bn_relu(*a, stats[0].copy(), stats[1].copy(), stride,
-                                                 training, 0.1, 1e-5), g)
+            call = (*a, stats[0].copy(), stats[1].copy(), stride, training, 0.1, 1e-5)
+            out = (ag.conv_bn_relu(*call) if budget is None
+                   else conv_bn_relu_in_chunks(budget, *call))
+            return _weighted_sum(out, g)
         return f, Tensor(args[slot])
 
     return [case(slot) for slot in range(4)]
@@ -353,12 +384,14 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         cases.append((lambda t, a=a3, w=w3: _weighted_sum(ag.matmul(a, t), w),
                       Tensor(rng.normal(size=(2, 4, 3)))))
     elif op_name == "conv_bn_relu":
-        # stride 1 and 2, the im2col (C = 3) and per-offset (C = 4) paths,
-        # training and eval, each with respect to x, w, gamma and beta
+        # the stride-1 gather and stride-2 scatter input gradients, C = 3
+        # and 4, training and eval, each with respect to x, w, gamma and beta
         for stride in (1, 2):
             for c in (3, 4):
                 for training in (True, False):
                     cases.extend(_conv_bn_relu_cases(rng, stride, c, training))
+        # three images a chunk of one each, forward and both backward passes
+        cases.extend(_conv_bn_relu_cases(rng, 1, 3, True, batch=3, budget=1))
     elif op_name == "batch_norm":
         x = Tensor(rng.normal(size=(5, 3)))
         gamma = Tensor(rng.normal(size=3) + 1.5)

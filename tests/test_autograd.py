@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,49 @@ class TestConvBnReluAgainstUnfusedReference:
                         ref[:5] + ref_stats):
             assert a.dtype == np.float32
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_several_chunks_float64(self, rng, monkeypatch, stride, training):
+        # a budget of two images' patch rows splits 5 images 2 + 2 + 1 in
+        # every pass: forward, weight gradient and (stride 1) the gather
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 5, 4, 7, 6, 4, stride, np.float64)
+        ho, wo = g.shape[1:3]
+        monkeypatch.setattr(ag, "_CHUNK_BYTES", 2 * ho * wo * 9 * 4 * 8)
+        chunks, patch_chunks = [], ag._patch_chunks
+
+        def spy(*args):
+            chunks.append([])
+            for lo, hi, cols in patch_chunks(*args):
+                chunks[-1].append(hi - lo)
+                yield lo, hi, cols
+
+        monkeypatch.setattr(ag, "_patch_chunks", spy)
+        ref_stats = tuple(a.copy() for a in stats)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training,
+                                     0.1, 1e-5, g)
+        got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
+        assert chunks == [[2, 2, 1]] * (3 if stride == 1 else 2)
+        for name, a, b in zip(("out", "x", "w", "gamma", "beta"),
+                              (got[0].data,) + tuple(t.grad for t in got[1:]), ref):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
+        for a, b in zip(stats, ref_stats):
+            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    def test_scratch_memory_stays_below_full_patch_matrices(self, rng):
+        # the stride-1 (32 -> 64, 12x4) backbone block at B = 64: one
+        # forward plus backward must peak below a full (M, 9C) patch matrix
+        # plus a full (M, 9Co) gather matrix, which an unchunked op holds
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 64, 32, 12, 4, 64, 1, np.float32)
+        m = 64 * 12 * 4
+        full = m * 9 * 32 * 4 + m * 9 * 64 * 4
+        tracemalloc.start()
+        try:
+            _block_with_grads(x, w, gamma, beta, stats, 1, True, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full, f"peak {peak / 2**20:.1f} MiB, full matrices {full / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("c", [3, 5])
     def test_untracked_input_gets_no_gradient(self, rng, c):

@@ -160,6 +160,25 @@ class TestMalformedInputs:
     def eval_with(self, checkpoint, dataset):
         return main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset)])
 
+    def test_checkpoint_is_a_directory(self, data_dir, tmp_path, capsys):
+        assert self.eval_with(tmp_path, data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, "Is a directory", str(tmp_path))
+
+    def test_dataset_is_a_file(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir / "manifest.csv"), "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "Not a directory", str(data_dir))
+        assert not out.exists()
+
+    def test_config_is_a_directory(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(tmp_path)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "Is a directory", str(tmp_path))
+        assert not out.exists()
+
     @pytest.mark.parametrize("prefix", ["param/", "buffer/", "meta/num_identities",
                                         "meta/config"])
     def test_checkpoint_missing_entry(self, data_dir, trained_dir, tmp_path, capsys, prefix):
