@@ -572,26 +572,6 @@ def stripe_pool(x: Tensor, parts: int, windows) -> Tensor:
     return _from_op(out, (x,), "stripe_pool", _bw)
 
 
-@catalog_op("gather of distinct rows along the leading axis")
-def take_rows(x: Tensor, rows) -> Tensor:
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or x.data.ndim < 1:
-        raise ValueError(f"take_rows: need 1-D row indices into a >=1-D tensor, got "
-                         f"{rows.shape} into {x.data.shape}")
-    if rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0]):
-        raise ValueError(f"take_rows: rows out of bounds for {x.data.shape[0]} rows")
-    if np.unique(rows).size != rows.size:
-        raise ValueError("take_rows: rows must be distinct")
-    out = x.data[rows]
-
-    def _bw(g):
-        gx = np.zeros_like(x.data)
-        gx[rows] = g
-        _acc(x, gx)
-
-    return _from_op(out, (x,), "take_rows", _bw)
-
-
 @catalog_op("permutation of the axes")
 def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)

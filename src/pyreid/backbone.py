@@ -24,10 +24,9 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class BatchNorm:
-    """Per-channel batch normalization with learnable affine and running stats;
-    `num_features` is a channel count or, for one row per pyramid branch, a shape."""
+    """Per-channel batch normalization with learnable affine and running stats."""
 
-    def __init__(self, num_features, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         dtype = ag.default_dtype()
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)

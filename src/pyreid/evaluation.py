@@ -31,7 +31,7 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
     standard protocol). Distance ties break toward the lower gallery index.
     Returns one RankedResult per query, in query order."""
     q = np.asarray(query_embs, dtype=np.float64)
-    g = np.array(gallery_embs, dtype=np.float64)
+    g = np.array(gallery_embs, dtype=np.float64, order="C")
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ValueError(f"rank_gallery: embedding dims differ, query {q.shape[1:]} vs "
                          f"gallery {g.shape[1:]}")
@@ -113,13 +113,14 @@ def extract_embeddings(model: PyramidModel, images: np.ndarray,
                        mask: BranchMask | None = None, batch_size: int = 64,
                        l2_normalize: bool = False) -> np.ndarray:
     """Eval-mode embeddings (running batch-norm statistics) for a stack of
-    images, in input order."""
+    images, in input order. A `mask` other than the model's keeps the
+    columns of its branches; the model must hold them all."""
+    columns = None if mask is None or mask == model.mask else model.embedding_columns(mask)
     chunks = []
     with no_grad():
         for off in range(0, len(images), batch_size):
-            out = model.forward(Tensor(images[off:off + batch_size]), training=False,
-                                mask=mask)
-            chunks.append(out.embedding.data)
+            emb = model.forward(Tensor(images[off:off + batch_size]), training=False).embedding
+            chunks.append(emb.data if columns is None else emb.data[:, columns])
     embs = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
     if l2_normalize:
         norms = np.sqrt((embs.astype(np.float64) ** 2).sum(axis=1, keepdims=True))
@@ -154,13 +155,10 @@ def evaluate_checkpoint(checkpoint_path, dataset: ReIDDataset,
     """Rebuild the model stored in a checkpoint and evaluate it."""
     from .trainer import load_checkpoint, rebuild_model
 
-    ck = load_checkpoint(checkpoint_path)
-    model, config = rebuild_model(ck)
+    model, _ = rebuild_model(load_checkpoint(checkpoint_path))
     if model.image_hw != dataset.image_hw:
         raise ConfigError(f"checkpoint expects {model.image_hw} images, dataset has "
                           f"{dataset.image_hw}")
-    if mask is None:
-        mask = BranchMask.from_string(config.pyramid_mask)
     return evaluate_model(model, dataset, mask=mask, l2_normalize=l2_normalize)
 
 

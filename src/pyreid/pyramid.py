@@ -8,10 +8,10 @@ feature_dim vector through a bias-free 1x1 conv + batch-norm + ReLU, and
 feeds its own identity classifier. The concatenation of all enabled branch
 features is the retrieval embedding.
 
-The enabled branches run as one stacked head: the n parts are pooled once
-and every window's pool is derived from theirs, and each kind of head
-parameter is one tensor with a row per branch, so that one batched product
-applies all of them.
+A model holds the branches of the levels its mask enables, and they run as
+one stacked head: the n parts are pooled once and every window's pool is
+derived from theirs, and each kind of head parameter is one tensor with a
+row per branch, so that one batched product applies all of them.
 """
 
 from __future__ import annotations
@@ -99,96 +99,93 @@ class PyramidOutput:
 
 
 class PyramidModel:
-    """Backbone + pyramid branches + assembled embedding.
+    """Backbone + the branches of the enabled pyramid levels + assembled
+    embedding.
 
-    Each head parameter kind is one tensor with a row per branch, in
-    enumeration order: `reduce_weight` (B, C, D), the batch norm's affine
-    parameters and running statistics (B, D), `classifier_weight` (B, D, K)
-    and the optional `classifier_bias` (B, 1, K)."""
+    The model holds only the branches `mask` enables (all of them if it is
+    None). Each head parameter kind is one tensor with a row per held
+    branch, in enumeration order: `reduce_weight` (B, C, D),
+    `classifier_weight` (B, D, K) and the optional `classifier_bias`
+    (B, 1, K). The batch norm's affine parameters and running statistics
+    are flat (B*D,), in the embedding's column order."""
 
     def __init__(self, backbone: Backbone, n: int, feature_dim: int,
                  num_identities: int, image_hw: tuple, rng: np.random.Generator,
-                 classifier_bias: bool = False):
+                 classifier_bias: bool = False, mask: BranchMask | None = None):
         self.backbone = backbone
         self.n = n
         self.feature_dim = feature_dim
         self.num_identities = num_identities
         self.image_hw = tuple(image_hw)
+        self.mask = mask or BranchMask.full(n)
+        if self.mask.n != n:
+            raise ConfigError(f"mask {self.mask} has {self.mask.n} levels, model has {n}")
         c, h, w = backbone.output_shape(*self.image_hw)
         if h % n:
             raise ConfigError(f"feature map height {h} not divisible by part count {n}; "
                               f"adjust image height or backbone strides")
         self.map_shape = (c, h, w)
-        self.specs = enumerate_branches(n, h)
-        b, dtype = len(self.specs), ag.default_dtype()
         # stored (C, D) per branch: the 1x1 conv applied to a pooled C-vector
-        # is a matmul. The seeded initial weights depend on the draw order:
-        # branch by branch, the reduction and then the classifier.
-        reduce = np.empty((b, c, feature_dim), dtype=dtype)
-        classify = np.empty((b, feature_dim, num_identities), dtype=dtype)
-        for i in range(b):
-            reduce[i] = fan_in_uniform(rng, (c, feature_dim), c)
-            classify[i] = fan_in_uniform(rng, (feature_dim, num_identities), feature_dim)
-        self.reduce_weight = Tensor(reduce, requires_grad=True)
-        self.bn = BatchNorm((b, feature_dim))
-        self.classifier_weight = Tensor(classify, requires_grad=True)
+        # is a matmul. Every branch draws its reduction and then its
+        # classifier in enumeration order, so a branch's seeded initial
+        # weights do not depend on the mask.
+        self.specs, reduce, classify = [], [], []
+        for spec in enumerate_branches(n, h):
+            r = fan_in_uniform(rng, (c, feature_dim), c)
+            k = fan_in_uniform(rng, (feature_dim, num_identities), feature_dim)
+            if self.mask.level_enabled(spec.level):
+                self.specs.append(spec)
+                reduce.append(r)
+                classify.append(k)
+        b = len(self.specs)
+        self.reduce_weight = Tensor(np.stack(reduce), requires_grad=True)
+        self.bn = BatchNorm(b * feature_dim)
+        self.classifier_weight = Tensor(np.stack(classify), requires_grad=True)
         self.classifier_bias = None
         if classifier_bias:
             # (1, K) per branch, so the batch broadcast is a plain matmul with ones
-            self.classifier_bias = Tensor(np.zeros((b, 1, num_identities), dtype=dtype),
-                                          requires_grad=True)
-        self.full_mask = BranchMask.full(n)
+            self.classifier_bias = Tensor(
+                np.zeros((b, 1, num_identities), dtype=ag.default_dtype()),
+                requires_grad=True)
 
     def embedding_dim(self, mask: BranchMask | None = None) -> int:
-        mask = mask or self.full_mask
-        return self.feature_dim * mask.enabled_branch_count()
+        """Width of the embedding, or of the columns of a held sub-mask."""
+        return int(self.embedding_columns(mask or self.mask).sum())
 
-    def enabled_rows(self, mask: BranchMask):
-        """Head parameter rows of the branches `mask` enables, or None if it
-        enables every branch."""
-        if all(mask.flags):
-            return None
-        return np.flatnonzero([mask.level_enabled(spec.level) for spec in self.specs])
+    def embedding_columns(self, mask: BranchMask) -> np.ndarray:
+        """Boolean selector of the embedding columns of the branches `mask`
+        enables, which the model must hold. In eval mode a branch's columns
+        do not depend on the other branches, so they equal the embedding of
+        a model built for `mask` with the same weights."""
+        if mask.n != self.n or any(f and not held
+                                   for f, held in zip(mask.flags, self.mask.flags)):
+            raise ConfigError(f"mask {mask} is not a sub-mask of the model's mask "
+                              f"{self.mask}")
+        return np.repeat([mask.level_enabled(spec.level) for spec in self.specs],
+                         self.feature_dim)
 
-    def forward(self, images: Tensor, training: bool,
-                mask: BranchMask | None = None) -> PyramidOutput:
-        mask = mask or self.full_mask
-        if mask.n != self.n:
-            raise ConfigError(f"mask {mask} has {mask.n} levels, model has {self.n}")
+    def forward(self, images: Tensor, training: bool) -> PyramidOutput:
         fmap = self.backbone.forward(images, training)
         if fmap.data.ndim != 4 or fmap.data.shape[1:] != self.map_shape:
             raise ValueError(f"feature map {fmap.data.shape} does not match the heads' "
                              f"(channels, height, width) {self.map_shape}")
-        rows = self.enabled_rows(mask)
-        if rows is None:
-            specs, index, pick = self.specs, slice(None), lambda t: t
-        else:
-            specs, index = [self.specs[i] for i in rows], rows
-            pick = lambda t: ag.take_rows(t, rows)
-        b, batch, d = len(specs), fmap.data.shape[0], self.feature_dim
+        b, batch, d = len(self.specs), fmap.data.shape[0], self.feature_dim
 
         pooled = ag.stripe_pool(fmap, self.n, [(spec.position - 1, spec.level)
-                                               for spec in specs])
-        reduced = ag.matmul(pooled, pick(self.reduce_weight))
+                                               for spec in self.specs])
+        reduced = ag.matmul(pooled, self.reduce_weight)
         wide = ag.reshape(ag.transpose(reduced, (1, 0, 2)), (batch, b * d))
-        # one batch norm over all enabled branches' channels; their rows of
-        # the running stats are read here and written back after the update
-        running_mean = self.bn.running_mean[index].reshape(b * d)
-        running_var = self.bn.running_var[index].reshape(b * d)
-        normed = ag.batch_norm(wide, ag.reshape(pick(self.bn.gamma), (b * d,)),
-                               ag.reshape(pick(self.bn.beta), (b * d,)),
-                               running_mean, running_var, training=training,
-                               momentum=self.bn.momentum, eps=self.bn.eps)
-        if training:
-            self.bn.running_mean[index] = running_mean.reshape(b, d)
-            self.bn.running_var[index] = running_var.reshape(b, d)
-        embedding = ag.relu(normed)
+        # one batch norm over all branches' channels
+        bn = self.bn
+        embedding = ag.relu(ag.batch_norm(wide, bn.gamma, bn.beta, bn.running_mean,
+                                          bn.running_var, training=training,
+                                          momentum=bn.momentum, eps=bn.eps))
 
         features = ag.transpose(ag.reshape(embedding, (batch, b, d)), (1, 0, 2))
-        logits = ag.matmul(features, pick(self.classifier_weight))
+        logits = ag.matmul(features, self.classifier_weight)
         if self.classifier_bias is not None:
             ones = Tensor(np.ones((b, batch, 1), dtype=logits.data.dtype))
-            logits = ag.add(logits, ag.matmul(ones, pick(self.classifier_bias)))
+            logits = ag.add(logits, ag.matmul(ones, self.classifier_bias))
         return PyramidOutput(embedding, logits)
 
     def named_parameters(self):

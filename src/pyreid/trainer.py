@@ -32,7 +32,7 @@ from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -214,19 +214,14 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
 
 class SGD:
     """Momentum SGD over named parameters; batch-norm affine parameters are
-    exempt from weight decay. Given `head_rows`, the pyramid head's
-    parameters and their momentum move only in those branch rows, so the
-    rows of disabled branches keep their initial values."""
+    exempt from weight decay."""
 
     NO_DECAY_SUFFIXES = (".gamma", ".beta")
-    HEAD_PREFIX = "head."
 
-    def __init__(self, named_params: list, momentum: float, weight_decay: float,
-                 head_rows=None):
+    def __init__(self, named_params: list, momentum: float, weight_decay: float):
         self.params = list(named_params)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.head_rows = head_rows
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def decays(self, name: str) -> bool:
@@ -237,18 +232,10 @@ class SGD:
             g = p.grad
             if g is None:
                 continue
-            wd = self.weight_decay if self.decays(name) else 0.0
-            if self.head_rows is None or not name.startswith(self.HEAD_PREFIX):
-                rows, w, v = None, p.data, self.velocity[name]
-            else:
-                rows = self.head_rows
-                w, v, g = p.data[rows], self.velocity[name][rows], g[rows]
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
-            sgd_step(w, g, v, lr, self.momentum, wd)
-            if rows is not None:
-                p.data[rows] = w
-                self.velocity[name][rows] = v
+            sgd_step(p.data, g, self.velocity[name], lr, self.momentum,
+                     self.weight_decay if self.decays(name) else 0.0)
 
 
 # -- model construction and checkpointing ---------------------------------------
@@ -264,7 +251,8 @@ def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> Py
     backbone = Backbone(BackboneConfig(in_channels=config.in_channels,
                                        stages=config.backbone_stages), rng)
     return PyramidModel(backbone, config.n, config.feature_dim, num_identities,
-                        image_hw, rng, classifier_bias=config.classifier_bias)
+                        image_hw, rng, classifier_bias=config.classifier_bias,
+                        mask=BranchMask.from_string(config.pyramid_mask))
 
 
 def _entry(entries: dict, key: str, shape=()) -> np.ndarray:
@@ -355,7 +343,7 @@ def rebuild_model(entries: dict) -> tuple:
                                  f"got {value}")
     # the stored classifier fixes the identity count before anything is allocated
     classifier = _entry(entries, "param/head.classifier.weight", shape=None)
-    branches = BranchMask.full(config.n).enabled_branch_count()
+    branches = BranchMask.from_string(config.pyramid_mask).enabled_branch_count()
     if classifier.shape != (branches, config.feature_dim, sizes["num_identities"]):
         raise ContainerError(f"checkpoint entry 'meta/num_identities' is "
                              f"{sizes['num_identities']}, but the stored classifier "
@@ -421,9 +409,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     label_map = make_label_map(split)
     fingerprint = dataset.fingerprint()
     model = build_model(config, dataset.image_hw, len(label_map))
-    mask = BranchMask.from_string(config.pyramid_mask)
-    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay,
-              head_rows=model.enabled_rows(mask))
+    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
     sched = SchedulerState(alpha=config.alpha, gamma=config.gamma,
                            switch_ratio=config.switch_ratio,
                            alternating=config.no_triplet_alternating)
@@ -448,8 +434,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             raise ConfigError("checkpoint was trained on a different dataset "
                               "(fingerprint mismatch)")
         model, _ = rebuild_model(entries)
-        opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay,
-                  head_rows=model.enabled_rows(mask))
+        opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
         for name, velocity in opt.velocity.items():
             velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape)
         sched = SchedulerState.from_scalars(
@@ -478,7 +463,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             class_labels = np.asarray([label_map[int(i)] for i in batch.identities],
                                       dtype=np.int64)
 
-            out = model.forward(images, training=True, mask=mask)
+            out = model.forward(images, training=True)
             l_id = id_loss(out.logits, class_labels)
             l_tp: LossValue | None = None
 

@@ -230,22 +230,46 @@ def concat(tensors, axis: int = 1) -> Tensor:
     return ag._from_op(out, tuple(ts), "concat", _bw)
 
 
-REFERENCE_OPS = ("concat", "global_avg_pool", "global_max_pool", "slice_rows")
+def take_rows(x: Tensor, rows) -> Tensor:
+    """Gather of distinct rows along the leading axis."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or x.data.ndim < 1:
+        raise ValueError(f"take_rows: need 1-D row indices into a >=1-D tensor, got "
+                         f"{rows.shape} into {x.data.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= x.data.shape[0]):
+        raise ValueError(f"take_rows: rows out of bounds for {x.data.shape[0]} rows")
+    if np.unique(rows).size != rows.size:
+        raise ValueError("take_rows: rows must be distinct")
+    out = x.data[rows]
+
+    def _bw(g):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
+        ag._acc(x, gx)
+
+    return ag._from_op(out, (x,), "take_rows", _bw)
+
+
+REFERENCE_OPS = ("concat", "global_avg_pool", "global_max_pool", "slice_rows", "take_rows")
 
 
 def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
     """The pyramid head as one graph per branch: slice the branch's rows,
     max pool plus avg pool, reduce, batch-norm, ReLU, classify, and sum the
     branches' cross-entropies. Each branch reads its own row of the model's
-    head tensors and running statistics. Returns (embedding, per-branch
-    logits in enumeration order, ID loss). It is the library's original
-    head, kept as the reference for the stacked one."""
-    mask = mask or model.full_mask
+    head tensors and its D entries of the batch-norm state. `mask`, the
+    model's own if None, picks the held branches that run. Returns
+    (embedding, per-branch logits in enumeration order, ID loss). It is the
+    library's original head, kept as the reference for the stacked one."""
+    mask = mask or model.mask
     fmap = model.backbone.forward(images, training)
-    bn = model.bn
+    bn, d = model.bn, model.feature_dim
 
     def row(t, i):
-        return ag.reshape(ag.take_rows(t, [i]), t.data.shape[1:])
+        return ag.reshape(take_rows(t, [i]), t.data.shape[1:])
+
+    def entries(t, i):
+        return row(ag.reshape(t, (-1, d)), i)
 
     features, logits, total = [], [], None
     for i, spec in enumerate(model.specs):
@@ -253,10 +277,12 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
             continue
         sub = slice_rows(fmap, spec.row_start - 1, spec.row_end)
         pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
+        # a view, so that a training-mode update lands in the model's buffers
+        stats = slice(i * d, (i + 1) * d)
         normed = ag.batch_norm(ag.matmul(pooled, row(model.reduce_weight, i)),
-                               row(bn.gamma, i), row(bn.beta, i), bn.running_mean[i],
-                               bn.running_var[i], training=training,
-                               momentum=bn.momentum, eps=bn.eps)
+                               entries(bn.gamma, i), entries(bn.beta, i),
+                               bn.running_mean[stats], bn.running_var[stats],
+                               training=training, momentum=bn.momentum, eps=bn.eps)
         feature = ag.relu(normed)
         branch_logits = ag.matmul(feature, row(model.classifier_weight, i))
         if model.classifier_bias is not None:
@@ -430,7 +456,7 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
     elif op_name == "take_rows":
         # an unsorted subset of distinct rows, as a partial pyramid mask picks
         w = rng.normal(size=(3, 3, 2))
-        cases.append((lambda t, w=w: _weighted_sum(ag.take_rows(t, [3, 0, 4]), w),
+        cases.append((lambda t, w=w: _weighted_sum(take_rows(t, [3, 0, 4]), w),
                       Tensor(rng.normal(size=(5, 3, 2)))))
     elif op_name == "transpose":
         w = rng.normal(size=(4, 2, 3))

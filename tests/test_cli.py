@@ -225,6 +225,14 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "v2.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, "checkpoint version 2 not supported")
 
+    def test_version_3_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
+        # version 3 stored all 21 branches' head rows whatever the mask
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        entries["meta/version"] = np.array(3, dtype="<i8")
+        save_tensors(tmp_path / "v3.pyrt", entries)
+        assert self.eval_with(tmp_path / "v3.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, "checkpoint version 3 not supported")
+
     @pytest.mark.parametrize("edit", [lambda image: image[:, :-1],
                                       lambda image: image.astype(np.int64)],
                              ids=["misshapen", "int64"])
@@ -279,7 +287,18 @@ class TestEval:
                      "--out", str(out)])
         assert code == 0
         rows = list(csv.DictReader(open(out / "metrics.csv")))
-        assert rows[0]["mask"] == "000001"
+        assert len(rows) == 1 and rows[0]["mask"] == "000001"
+        assert 0.0 < float(rows[0]["mAP"]) <= 1.0
+
+    def test_mask_with_an_untrained_level_exits_2(self, data_dir, tmp_path, capsys):
+        run = tmp_path / "r101001"
+        assert main(["train", "--dataset", str(data_dir), "--out", str(run), "--seed", "7",
+                     "--epochs", "1", "--pyramid-mask", "101001"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.pyrt"),
+                     "--dataset", str(data_dir), "--mask", "111111"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "111111", "101001")
 
 
 class TestAblate:

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pyreid.autograd import Tensor, use_dtype
 from pyreid.data_synth import GenConfig, generate_dataset
+from pyreid.errors import ConfigError
 from pyreid.evaluation import (RankedResult, compute_cmc, compute_map,
                                evaluate_model, extract_embeddings, rank_gallery)
 from pyreid.pyramid import BranchMask
 from pyreid.trainer import TrainConfig, build_model
 
-from helpers import oracle_ap, oracle_cmc, oracle_rank
+from helpers import oracle_ap, oracle_cmc, oracle_rank, reference_pyramid_forward
 
 
 def result(matches, query_index=0):
@@ -42,6 +44,21 @@ class TestRankGallery:
         [res] = rank_gallery(np.zeros((1, 1)), [9], [0], g, np.array([1, 2, 3]),
                              np.array([1, 1, 1]))
         assert res.order.tolist() == [2, 0, 1]
+
+    def test_gallery_memory_layout_does_not_matter(self, rng):
+        # Fortran order, a column gather (as a sub-mask's embedding is) and a
+        # column slice rank like the C-ordered gallery, duplicate rows included
+        g = rng.normal(size=(40, 6))
+        g[[7, 30]] = g[2]
+        q = rng.normal(size=(9, 6))
+        ids, cams = rng.integers(0, 5, size=40), np.arange(40) % 2
+        wide = np.concatenate([rng.normal(size=(40, 3)), g], axis=1)
+        layouts = [g, np.asfortranarray(g), wide[:, [3, 4, 5, 6, 7, 8]], wide[:, 3:]]
+        assert not any(layout.flags["C_CONTIGUOUS"] for layout in layouts[1:])
+        runs = [rank_gallery(q, ids[:9], cams[:9], layout, ids, cams) for layout in layouts]
+        matches = [[r.matches.tolist() for r in run] for run in runs]
+        for run, match in zip(runs[1:], matches[1:]):
+            assert orders(run) == orders(runs[0]) and match == matches[0]
 
     def test_exact_ties_keep_the_stable_order(self, rng):
         # small-integer rows give exact distances; every row of the gallery
@@ -332,3 +349,34 @@ class TestModelEvaluation:
                 continue  # a shuffle can starve a query of matches
         mean, sd = float(np.mean(shuffled)), float(np.std(shuffled))
         assert abs(actual - mean) <= 3.0 * max(sd, 1e-6)
+
+
+class TestSubMaskEmbedding:
+    """A model's embedding for a sub-mask of its own is that mask's columns
+    of its full embedding."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mask", ["000001", "110011", "011100"])
+    def test_columns_of_the_full_embedding(self, mask, dtype):
+        with use_dtype(dtype):
+            rng = np.random.default_rng(31)
+            model = build_model(TrainConfig(seed=3), (48, 16), 6)
+            images = rng.uniform(0, 1, size=(5, 3, 48, 16)).astype(dtype)
+            model.forward(Tensor(images), training=True)  # move the running statistics
+            sub = BranchMask.from_string(mask)
+            full = extract_embeddings(model, images)
+            part = extract_embeddings(model, images, sub)
+            kept = [i for i, spec in enumerate(model.specs)
+                    if sub.level_enabled(spec.level)]
+            np.testing.assert_array_equal(part,
+                                          full.reshape(5, 21, -1)[:, kept].reshape(5, -1))
+            ref, _, _ = reference_pyramid_forward(model, Tensor(images), np.arange(5),
+                                                  training=False, mask=sub)
+        tol = {"rtol": 1e-10} if dtype == np.float64 else {"rtol": 1e-4, "atol": 1e-5}
+        np.testing.assert_allclose(part, ref.data, **tol)
+
+    def test_mask_with_a_level_the_model_lacks_is_refused(self):
+        model = build_model(TrainConfig(seed=3, pyramid_mask="101001"), (48, 16), 6)
+        with pytest.raises(ConfigError, match="mask 111111 .* mask 101001"):
+            extract_embeddings(model, np.zeros((2, 3, 48, 16), dtype=np.float32),
+                               BranchMask.from_string("111111"))

@@ -15,11 +15,12 @@ from helpers import global_avg_pool, global_max_pool, reference_pyramid_forward,
 
 
 def make_model(n=6, feature_dim=16, num_ids=10, stages=((16, 2), (32, 2), (64, 1)),
-               image_hw=(48, 16), seed=0, classifier_bias=False):
+               image_hw=(48, 16), seed=0, classifier_bias=False, mask=None):
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(stages=stages), rng)
     return PyramidModel(backbone, n, feature_dim, num_ids, image_hw, rng,
-                        classifier_bias=classifier_bias)
+                        classifier_bias=classifier_bias,
+                        mask=mask and BranchMask.from_string(mask))
 
 
 class TestEnumeration:
@@ -77,12 +78,13 @@ class TestEnumeration:
 
 
 def identity_model(n=3, channels=8, height=6, width=4, feature_dim=4, num_ids=5,
-                   classifier_bias=False, seed=0):
+                   classifier_bias=False, seed=0, mask=None):
     """Pyramid heads alone: an empty backbone passes the feature map through."""
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(in_channels=channels, stages=()), rng)
     return PyramidModel(backbone, n, feature_dim, num_ids, (height, width), rng,
-                        classifier_bias=classifier_bias)
+                        classifier_bias=classifier_bias,
+                        mask=mask and BranchMask.from_string(mask))
 
 
 class TestSlicing:
@@ -210,8 +212,8 @@ class TestBranchForward:
             rng = np.random.default_rng(13)
             model = identity_model(n=2, height=12, num_ids=3, seed=13)
             for i in range(len(model.specs)):
-                model.bn.running_mean[i] = rng.normal(size=4) * 0.1
-                model.bn.running_var[i] = rng.uniform(0.5, 1.5, size=4)
+                model.bn.running_mean[4 * i:4 * i + 4] = rng.normal(size=4) * 0.1
+                model.bn.running_var[4 * i:4 * i + 4] = rng.uniform(0.5, 1.5, size=4)
             fmap = rng.uniform(0.1, 1.0, size=(1, 8, 12, 4))
 
             def f(t):
@@ -226,9 +228,9 @@ class TestAssembly:
     """The embedding: enabled branch features side by side."""
 
     def full_and_masked(self, mask, rng):
-        model = identity_model(n=6, channels=16, height=12, feature_dim=128)
+        model = identity_model(n=6, channels=16, height=12, feature_dim=128, mask=mask)
         fmap = Tensor(rng.normal(size=(2, 16, 12, 4)).astype(np.float32))
-        return model, fmap, model.forward(fmap, training=False, mask=BranchMask.from_string(mask))
+        return model, fmap, model.forward(fmap, training=False)
 
     def test_full_mask_dimension(self, rng):
         _, _, out = self.full_and_masked("111111", rng)
@@ -238,8 +240,7 @@ class TestAssembly:
     def test_global_only_mask(self, rng):
         model, fmap, out = self.full_and_masked("000001", rng)
         assert out.embedding.shape == (2, 128)
-        emb, _, _ = reference_pyramid_forward(model, fmap, [0, 1], training=False,
-                                              mask=BranchMask.from_string("000001"))
+        emb, _, _ = reference_pyramid_forward(model, fmap, [0, 1], training=False)
         np.testing.assert_allclose(out.embedding.data, emb.data, rtol=1e-5, atol=1e-6)
 
     def test_mask_110011(self, rng):
@@ -249,10 +250,8 @@ class TestAssembly:
         assert out.embedding.shape[1] == 1792
 
     def test_wrong_length_rejected(self, rng):
-        model = identity_model()
         with pytest.raises(ConfigError, match="has 6 levels, model has 3"):
-            model.forward(Tensor(np.ones((2, 8, 6, 4))), training=False,
-                          mask=BranchMask.full(6))
+            identity_model(mask="111111")
 
     def test_all_false_mask_rejected(self):
         with pytest.raises(ConfigError, match="disables every"):
@@ -261,9 +260,8 @@ class TestAssembly:
     def test_every_enabled_branch_feature_present(self, rng):
         # each enabled branch's feature fills its own D columns, in
         # enumeration order, and a disabled one fills none
-        mask = BranchMask.from_string("101101")
-        model, fmap, out = self.full_and_masked(str(mask), rng)
-        emb, _, _ = reference_pyramid_forward(model, fmap, [0, 1], training=False, mask=mask)
+        model, fmap, out = self.full_and_masked("101101", rng)
+        emb, _, _ = reference_pyramid_forward(model, fmap, [0, 1], training=False)
         assert out.embedding.shape == emb.shape == (2, (6 + 4 + 3 + 1) * 128)
         np.testing.assert_allclose(out.embedding.data, emb.data, rtol=1e-5, atol=1e-6)
 
@@ -271,8 +269,7 @@ class TestAssembly:
 class TestAgainstReference:
     """The stacked head against the per-branch loop it replaced."""
 
-    def compare(self, model, images, labels, mask, rtol, atol=0.0):
-        mask = BranchMask.from_string(mask)
+    def compare(self, model, images, labels, rtol, atol=0.0):
         names = [name for name, _ in model.named_parameters()]
         runs = []
         for forward in ("stacked", "reference"):
@@ -280,11 +277,11 @@ class TestAgainstReference:
             model.zero_grad()
             x = Tensor(images.copy(), requires_grad=True)
             if forward == "stacked":
-                out = model.forward(x, training=True, mask=mask)
+                out = model.forward(x, training=True)
                 emb, logits = out.embedding, out.logits.data
                 loss = id_loss(out.logits, labels).tensor
             else:
-                emb, per_branch, loss = reference_pyramid_forward(model, x, labels, True, mask)
+                emb, per_branch, loss = reference_pyramid_forward(model, x, labels, True)
                 logits = np.stack([lg.data for lg in per_branch])
             loss.backward()
             grads = [p.grad for _, p in model.named_parameters()]
@@ -315,20 +312,21 @@ class TestAgainstReference:
         with use_dtype(np.float64):
             rng = np.random.default_rng(21)
             model = make_model(feature_dim=4, num_ids=5, stages=((8, 2), (8, 2)), seed=21,
-                               classifier_bias=bias)
+                               classifier_bias=bias, mask=mask)
             images = rng.uniform(0, 1, size=(6, 3, 48, 16))
-            grads = self.compare(model, images, rng.integers(0, 5, size=6), mask, rtol=1e-10)
-            # a head gradient is nonzero in exactly the enabled branches' rows
-            enabled = [mask[spec.level - 1] == "1" for spec in model.specs]
+            grads = self.compare(model, images, rng.integers(0, 5, size=6), rtol=1e-10)
+            # the model holds the enabled branches only, and each one's
+            # head gradient is nonzero
+            b = BranchMask.from_string(mask).enabled_branch_count()
+            assert len(model.specs) == b
             for (name, _), g in zip(model.named_parameters(), grads):
                 if name.startswith("head."):
-                    assert [bool(np.any(r)) for r in g] == enabled, name
+                    assert np.any(g.reshape(b, -1), axis=1).all(), name
 
     def test_float32_desk_shapes(self, rng):
         model = make_model()
         images = rng.uniform(0, 1, size=(16, 3, 48, 16)).astype(np.float32)
-        self.compare(model, images, rng.integers(0, 10, size=16), "111111",
-                     rtol=1e-4, atol=1e-5)
+        self.compare(model, images, rng.integers(0, 10, size=16), rtol=1e-4, atol=1e-5)
 
     def test_tied_stripe_maxima(self):
         # zeros tie every element of a window, the constant block repeats
@@ -338,7 +336,7 @@ class TestAgainstReference:
             fmap = np.zeros((4, 8, 6, 4))
             fmap[:2, :4] = 0.5
             fmap[:, 1, 4, 2] = 0.75
-            self.compare(model, fmap, [0, 1, 2, 3], "111", rtol=1e-10, atol=1e-12)
+            self.compare(model, fmap, [0, 1, 2, 3], rtol=1e-10, atol=1e-12)
 
     def test_stripes_longer_than_256_elements(self):
         # a 384 x 128 image through a stride-4 backbone gives 512-element
@@ -352,19 +350,18 @@ class TestAgainstReference:
             fmap[:, 1, 5, 99] = 1.5
             fmap[:, 2] = 0.0
             fmap[:, 3, [2, 4], [90, 10]] = 1.5
-            self.compare(model, fmap, [0, 1, 4], "11", rtol=1e-10, atol=1e-12)
+            self.compare(model, fmap, [0, 1, 4], rtol=1e-10, atol=1e-12)
 
 
 class TestHeadGraphSize:
     @staticmethod
     def head_nodes(mask):
-        model = make_model()
+        model = make_model(mask=mask)
         images = Tensor(np.random.default_rng(0).uniform(
             0, 1, size=(16, 3, 48, 16)).astype(np.float32))
         fmap = model.backbone.forward(images, training=True)
         model.backbone = type("Fixed", (), {"forward": lambda self, x, training: fmap})()
-        loss = id_loss(model.forward(images, training=True,
-                                     mask=BranchMask.from_string(mask)).logits,
+        loss = id_loss(model.forward(images, training=True).logits,
                        np.arange(16) % 10).tensor
         # count the recorded nodes (those with parents) above the feature map
         count, seen, todo = 0, {id(fmap)}, [loss]
@@ -378,9 +375,8 @@ class TestHeadGraphSize:
 
     def test_node_count_does_not_grow_with_branches(self):
         counts = [self.head_nodes(mask) for mask in ("000001", "110011", "111111")]
-        # a partial mask gathers its rows of the four head tensors; the full
-        # mask reads them whole
-        assert counts[0] == counts[1] == counts[2] + 4, counts
+        # every mask reads the head tensors whole
+        assert counts[0] == counts[1] == counts[2], counts
 
 
 class TestModel:
@@ -388,6 +384,8 @@ class TestModel:
         model = make_model(feature_dim=16)
         assert model.embedding_dim() == 21 * 16
         assert model.embedding_dim(BranchMask.from_string("000001")) == 16
+        with pytest.raises(ConfigError, match="not a sub-mask"):
+            make_model(mask="101001").embedding_dim(BranchMask.full(6))
 
     def test_build_rejects_indivisible_height(self):
         with pytest.raises(ConfigError, match="not divisible"):
@@ -415,8 +413,8 @@ class TestModel:
         model = make_model(n=4, stages=((8, 2), (8, 2)), image_hw=(32, 16))
         images = Tensor(rng.uniform(0, 1, size=(3, 3, 32, 16)).astype(np.float32))
         full = model.forward(images, training=False).embedding.data
-        masked = model.forward(images, training=False,
-                               mask=BranchMask.from_string("1011")).embedding.data
+        masked = make_model(n=4, stages=((8, 2), (8, 2)), image_hw=(32, 16), mask="1011"
+                            ).forward(images, training=False).embedding.data
         d = model.feature_dim
         kept = [i for i, spec in enumerate(model.specs) if spec.level != 2]
         assert masked.shape == (3, len(kept) * d)
@@ -443,10 +441,10 @@ class TestModel:
         model = make_model(n=2, stages=((8, 2),), image_hw=(16, 8))
         shapes = {n: p.data.shape for n, p in model.named_parameters()
                   if n.startswith("head.")}
-        assert shapes == {"head.reduce.weight": (3, 8, 16), "head.bn.gamma": (3, 16),
-                          "head.bn.beta": (3, 16), "head.classifier.weight": (3, 16, 10)}
+        assert shapes == {"head.reduce.weight": (3, 8, 16), "head.bn.gamma": (48,),
+                          "head.bn.beta": (48,), "head.classifier.weight": (3, 16, 10)}
         buffers = {n: b.shape for n, b in model.named_buffers() if n.startswith("head.")}
-        assert buffers == {"head.bn.running_mean": (3, 16), "head.bn.running_var": (3, 16)}
+        assert buffers == {"head.bn.running_mean": (48,), "head.bn.running_var": (48,)}
 
     @pytest.mark.parametrize("bias, count", [(False, 13), (True, 14)])
     def test_one_tensor_per_head_parameter_kind(self, bias, count):

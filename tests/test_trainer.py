@@ -243,7 +243,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 3
+        assert int(entries["meta/version"]) == 4
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -440,24 +440,32 @@ class TestAblationModes:
         phases = [r["phase"] for r in rows]
         assert phases[:4] == ["id_only", "combined", "id_only", "combined"]
 
-    def test_masked_training_leaves_disabled_branches_at_init(self, toy_dataset,
-                                                              tmp_path):
+    def test_masked_model_holds_only_enabled_branches(self, toy_dataset, tmp_path):
         config = TrainConfig(seed=2, epochs=1, pyramid_mask="000001")
         result = train(config, toy_dataset, tmp_path / "mask")
         entries = load_checkpoint(result.checkpoint_path)
         model, _ = rebuild_model(entries)
         init = build_model(config, toy_dataset.image_hw, model.num_identities)
-        heads = [(name, p, q) for (name, p), (_, q) in zip(model.named_parameters(),
-                                                           init.named_parameters())
-                 if name.startswith("head.")]
+        full = build_model(replace(config, pyramid_mask="111111"), toy_dataset.image_hw,
+                           model.num_identities)
+        assert [(spec.level, spec.position) for spec in model.specs] == [(6, 1)]
+        d = config.feature_dim
+        heads = [(name, p, q, f) for (name, p), (_, q), (_, f)
+                 in zip(model.named_parameters(), init.named_parameters(),
+                        full.named_parameters()) if name.startswith("head.")]
         assert len(heads) == 4
-        for name, p, q in heads:
-            # row 20 is the one level-6 branch, the only one enabled
-            assert not np.array_equal(p.data[20], q.data[20]), name
-            np.testing.assert_array_equal(p.data[:20], q.data[:20], err_msg=name)
-            momentum = entries[f"momentum/{name}"]
-            assert np.any(momentum[20]), name
-            assert not np.any(momentum[:20]), name
+        for name, p, q, f in heads:
+            # the one level-6 branch is row 20 of the full model; the batch
+            # norm's state holds its D entries
+            np.testing.assert_array_equal(q.data, f.data[20:21] if f.data.ndim == 3
+                                          else f.data[20 * d:21 * d], err_msg=name)
+            assert entries[f"param/{name}"].shape == q.data.shape, name
+            assert q.data.shape[0] == (1 if q.data.ndim == 3 else d), name
+            assert not np.array_equal(p.data, q.data), name
+            assert np.any(entries[f"momentum/{name}"]), name
+        for name, buf in model.named_buffers():
+            if name.startswith("head."):
+                assert entries[f"buffer/{name}"].shape == buf.shape == (d,), name
 
     def test_mask_narrows_embedding_at_eval(self, toy_dataset, tmp_path):
         from pyreid.pyramid import BranchMask
