@@ -355,14 +355,18 @@ def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int):
 
 
 @catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "
-            "on channels-last maps, train/eval modes")
+            "on channels-last maps; training uses batch statistics, eval folds the "
+            "running ones into the kernel")
 def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean,
                  running_var, stride: int, training: bool, momentum: float,
                  eps: float) -> Tensor:
     """One backbone block: an (N, H, W, C) map in, an (N, Ho, Wo, Co) map out,
     with a channels-first (Co, C, 3, 3) kernel. Training normalizes by the
     batch statistics and moves the running ones in place (the unbiased
-    variance into `running_var`); eval normalizes by the running ones."""
+    variance into `running_var`). Eval batch norm is a fixed per-channel
+    affine: the kernel is scaled by gamma / sqrt(running_var + eps), the GEMM
+    writes the output directly and one shift adds the rest; backward uses
+    the running statistics as they were at this forward."""
     if x.data.ndim != 4:
         raise ValueError(f"conv_bn_relu: input must be a 4-D (N,H,W,C) map, got {x.data.shape}")
     n, h, wd_, c = x.data.shape
@@ -380,11 +384,18 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     m, p = n * ho * wo, ho * wo
     xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=dtype)
     xp[:, 1:h + 1, 1:wd_ + 1] = x.data
-    # the kernel as a (9C, Co) matrix in the patch matrix's (i, j, c) order
+    # the kernel as a (9C, Co) matrix in the patch matrix's (i, j, c) order;
+    # wk is the one the GEMM multiplies by, with eval's scale folded in
     wcol = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype).reshape(9 * c, co)
+    wk = wcol
+    if not training:
+        mean = running_mean.copy()
+        rstd = 1.0 / np.sqrt(running_var + eps)
+        scale = gamma.data * rstd
+        wk = wcol * scale
     y = np.empty((m, co), dtype=dtype)
     for lo, hi, cols in _patch_chunks(xp, stride, ho, wo):
-        np.matmul(cols, wcol, out=y[lo * p:hi * p])
+        np.matmul(cols, wk, out=y[lo * p:hi * p])
     # channel sums as ones-vector products, which BLAS does faster than
     # numpy's axis-0 reductions on an (M, Co) matrix
     ones = np.ones(m, dtype=dtype)
@@ -398,37 +409,49 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * uvar
+        rstd = 1.0 / np.sqrt(var + eps)
+        xhat = y
+        xhat *= rstd  # normalized in place
+        out = xhat * gamma.data
+        out += beta.data
     else:
-        y -= running_mean
-        var = running_var
-    rstd = 1.0 / np.sqrt(var + eps)
-    xhat = y
-    xhat *= rstd  # normalized in place
-    out = xhat * gamma.data
-    out += beta.data
+        out = y
+        out += beta.data - mean * scale
     np.maximum(out, 0, out=out)
 
     def _bw(g):
         gy = g.reshape(m, co) * (out > 0)
         gbeta = ones @ gy
-        ggamma = ones @ (gy * xhat)
-        _acc(gamma, ggamma)
-        _acc(beta, gbeta)
         if training:
+            ggamma = ones @ (gy * xhat)
             # the batch mean and variance tie every row to every other
             gy -= xhat * (ggamma / m)
             gy -= gbeta / m
-        gy *= gamma.data * rstd
+            gy *= gamma.data * rstd
+        # in eval gy stays unscaled: gw is then patchesᵀ·gy, and the input
+        # gradient multiplies gy by the folded kernel
         gw = np.zeros((9 * c, co), dtype=dtype)
-        gxp = np.zeros_like(xp) if x._tracked and stride == 2 else None
+        gxp = (np.zeros((n, 2 * ho + 2, 2 * wo + 2, c), dtype=dtype)
+               if x._tracked and stride == 2 else None)
         for lo, hi, cols in _patch_chunks(xp, stride, ho, wo):
             gw += cols.T @ gy[lo * p:hi * p]
             if gxp is not None:
-                # each offset's windows do not overlap at stride 2, so += is safe
-                gcols = np.matmul(gy[lo * p:hi * p], wcol.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
-                for i in range(3):
-                    for j in range(3):
-                        gxp[lo:hi, i:i + 2 * ho - 1:2, j:j + 2 * wo - 1:2] += gcols[:, :, :, i, j]
+                gcols = np.matmul(gy[lo * p:hi * p], wk.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
+                # padded row 2r + i is row r + i // 2 of phase i % 2: offsets
+                # i, j < 2 fill both phases of one shifted window, and each
+                # element gets its terms in the order of an (i, j) loop
+                gv = gxp[lo:hi].reshape(-1, ho + 1, 2, wo + 1, 2, c)
+                gv[:, :ho, :, :wo] += gcols[:, :, :, :2, :2].transpose(0, 1, 3, 2, 4, 5)
+                gv[:, :ho, :, 1:, 0] += gcols[:, :, :, :2, 2].transpose(0, 1, 3, 2, 4)
+                gv[:, 1:, 0, :wo] += gcols[:, :, :, 2, :2]
+                gv[:, 1:, 0, 1:, 0] += gcols[:, :, :, 2, 2]
+        if not training:
+            # sum over rows of gy * y is sum over k of wcol * (patchesᵀ·gy),
+            # so gamma's gradient needs no copy of the convolution y
+            ggamma = ((wcol * gw).sum(axis=0) - mean * gbeta) * rstd
+            gw *= scale
+        _acc(gamma, ggamma)
+        _acc(beta, gbeta)
         _acc(w, np.ascontiguousarray(gw.reshape(3, 3, c, co).transpose(3, 2, 0, 1)))
         if gxp is not None:
             _acc(x, gxp[:, 1:h + 1, 1:wd_ + 1])
@@ -437,8 +460,8 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             # zero-padded output gradient with the flipped kernel: a gather
             gyp = np.zeros((n, h + 2, wd_ + 2, co), dtype=dtype)
             gyp[:, 1:h + 1, 1:wd_ + 1] = gy.reshape(n, h, wd_, co)
-            wflip = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1),
-                                         dtype=dtype).reshape(9 * co, c)
+            wflip = np.ascontiguousarray(wk.reshape(3, 3, c, co)[::-1, ::-1]
+                                         .transpose(0, 1, 3, 2)).reshape(9 * co, c)
             gx = np.empty((m, c), dtype=dtype)
             for lo, hi, cols in _patch_chunks(gyp, 1, h, wd_):
                 np.matmul(cols, wflip, out=gx[lo * p:hi * p])

@@ -259,18 +259,19 @@ class TestConvBnReluAgainstUnfusedReference:
         for a, b in zip(stats, ref_stats):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("batch", [16, 64])
     @pytest.mark.parametrize("shape,out_ch,stride", [
         ((3, 48, 16), 16, 2), ((16, 24, 8), 32, 2), ((32, 12, 4), 64, 1)])
-    def test_backbone_shapes_float32(self, rng, batch, shape, out_ch, stride):
+    def test_backbone_shapes_float32(self, rng, batch, shape, out_ch, stride, training):
         # The reference runs in float64 on the same float32 inputs.
         x, w, gamma, beta, stats, g = _block_inputs(rng, batch, *shape, out_ch, stride,
                                                     np.float32)
         ref_stats = tuple(a.astype(np.float64) for a in stats)
         ref = reference_conv_bn_relu(*(a.astype(np.float64) for a in (x, w, gamma, beta)),
-                                     *ref_stats, stride, True, 0.1, 1e-5,
+                                     *ref_stats, stride, training, 0.1, 1e-5,
                                      g.astype(np.float64))
-        got = _block_with_grads(x, w, gamma, beta, stats, stride, True, g)
+        got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
         for a, b in zip((got[0].data,) + tuple(t.grad for t in got[1:]) + stats,
                         ref[:5] + ref_stats):
             assert a.dtype == np.float32
@@ -303,6 +304,24 @@ class TestConvBnReluAgainstUnfusedReference:
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
         for a, b in zip(stats, ref_stats):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_eval_gradients_use_the_statistics_of_their_forward(self, rng, stride):
+        # a training forward between an eval forward and its backward moves
+        # the shared running statistics; the eval gradients must not see it
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 3, 4, 7, 6, 5, stride, np.float64)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *(a.copy() for a in stats), stride,
+                                     False, 0.1, 1e-5, g)
+        xt = Tensor(x, requires_grad=True)
+        wt, gt, bt = (Tensor(a, requires_grad=True) for a in (w, gamma, beta))
+        out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, False, 0.1, 1e-5)
+        before = tuple(a.copy() for a in stats)
+        ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, stride,
+                        True, 0.1, 1e-5)
+        assert not any(np.array_equal(a, b) for a, b in zip(stats, before))
+        backward(ag.reduce_sum(ag.mul(out, Tensor(g))))
+        for name, t, b in zip(("x", "w", "gamma", "beta"), (xt, wt, gt, bt), ref[1:5]):
+            np.testing.assert_allclose(t.grad, b, rtol=1e-10, atol=1e-12, err_msg=name)
 
     def test_scratch_memory_stays_below_full_patch_matrices(self, rng):
         # the stride-1 (32 -> 64, 12x4) backbone block at B = 64: one
