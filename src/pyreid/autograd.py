@@ -17,6 +17,8 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .batching import batch_hard_mine
+
 _default_dtype = np.float32
 _grad_enabled = True
 
@@ -126,9 +128,6 @@ class Tensor:
             raise ValueError(f"item: tensor has {self.data.size} elements")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -144,12 +143,6 @@ class Tensor:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -169,12 +162,6 @@ class Tensor:
 
     def relu(self):
         return relu(self)
-
-    def sum(self, axis=None):
-        return reduce_sum(self, axis)
-
-    def mean(self, axis=None):
-        return reduce_mean(self, axis)
 
 
 # -- graph plumbing ---------------------------------------------------------
@@ -273,19 +260,6 @@ def add(a: Tensor, b) -> Tensor:
         _acc(b, _reduce_to(g, b.data.shape))
 
     return _from_op(out, (a, b), "add", _bw)
-
-
-@catalog_op("elementwise or scalar subtraction")
-def sub(a: Tensor, b) -> Tensor:
-    b = _as_tensor(b, a)
-    _check_elementwise("sub", a, b)
-    out = a.data - b.data
-
-    def _bw(g):
-        _acc(a, _reduce_to(g, a.data.shape))
-        _acc(b, _reduce_to(-g, b.data.shape))
-
-    return _from_op(out, (a, b), "sub", _bw)
 
 
 @catalog_op("elementwise or scalar multiplication")
@@ -609,86 +583,6 @@ def transpose(x: Tensor, axes) -> Tensor:
     return _from_op(out, (x,), "transpose", _bw)
 
 
-# -- losses and reductions -----------------------------------------------------
-
-
-@catalog_op("fused, log-sum-exp-stabilized softmax cross-entropy")
-def softmax_cross_entropy(logits: Tensor, labels, reduction: str = "mean") -> Tensor:
-    if logits.data.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy: logits must be 2-D, got {logits.data.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.data.shape
-    if labels.shape != (n,):
-        raise ValueError(f"softmax_cross_entropy: labels shape {labels.shape} does not match "
-                         f"batch {n}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"softmax_cross_entropy: label out of range [0, {k})")
-    if reduction not in ("mean", "sum", "none"):
-        raise ValueError(f"softmax_cross_entropy: unknown reduction {reduction!r}")
-
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    rows = np.arange(n)
-    per = lse - z[rows, labels]
-    if reduction == "mean":
-        out = per.mean()
-    elif reduction == "sum":
-        out = per.sum()
-    else:
-        out = per
-
-    def _bw(g):
-        p = np.exp(z - lse[:, None])
-        p[rows, labels] -= 1
-        if reduction == "mean":
-            gx = p * (g / n)
-        elif reduction == "sum":
-            gx = p * g
-        else:
-            gx = p * g[:, None]
-        _acc(logits, gx)
-
-    return _from_op(np.asarray(out, dtype=logits.data.dtype), (logits,),
-                    "softmax_cross_entropy", _bw)
-
-
-@catalog_op("matrix of pairwise Euclidean distances between row vectors")
-def pairwise_distances(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"pairwise_distances: expected 2-D input, got {x.data.shape}")
-    diff = x.data[:, None, :] - x.data[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + 1e-12)
-
-    def _bw(g):
-        w = (g + g.T) / d
-        gx = w.sum(axis=1)[:, None] * x.data - w @ x.data
-        _acc(x, gx)
-
-    return _from_op(d.astype(x.data.dtype, copy=False), (x,), "pairwise_distances", _bw)
-
-
-@catalog_op("gather matrix entries at (row, col) index pairs")
-def take_pairs(m: Tensor, rows, cols) -> Tensor:
-    if m.data.ndim != 2:
-        raise ValueError(f"take_pairs: expected 2-D input, got {m.data.shape}")
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if rows.shape != cols.shape:
-        raise ValueError(f"take_pairs: index shapes differ, {rows.shape} vs {cols.shape}")
-    h, w = m.data.shape
-    if rows.size and not ((rows >= 0).all() and (rows < h).all()
-                          and (cols >= 0).all() and (cols < w).all()):
-        raise ValueError(f"take_pairs: indices out of bounds for shape {m.data.shape}")
-    out = m.data[rows, cols].copy()
-
-    def _bw(g):
-        gm = np.zeros_like(m.data)
-        np.add.at(gm, (rows, cols), g)
-        _acc(m, gm)
-
-    return _from_op(out, (m,), "take_pairs", _bw)
-
-
 @catalog_op("shape change without reordering elements")
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
@@ -700,28 +594,67 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _from_op(out.copy(), (x,), "reshape", _bw)
 
 
-@catalog_op("sum of all elements or along one axis")
-def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    out = x.data.sum(axis=axis)
+# -- losses ------------------------------------------------------------------
+
+
+@catalog_op("fused, log-sum-exp-stabilized softmax cross-entropy, summed over the batch")
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    if logits.data.ndim != 2:
+        raise ValueError(f"softmax_cross_entropy: logits must be 2-D, got {logits.data.shape}")
+    labels = np.asarray(labels, dtype=np.int64)
+    n, k = logits.data.shape
+    if labels.shape != (n,):
+        raise ValueError(f"softmax_cross_entropy: labels shape {labels.shape} does not match "
+                         f"batch {n}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"softmax_cross_entropy: label out of range [0, {k})")
+
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    rows = np.arange(n)
+    out = (lse - z[rows, labels]).sum()
 
     def _bw(g):
-        if axis is None:
-            _acc(x, np.broadcast_to(g, x.data.shape))
-        else:
-            _acc(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+        p = np.exp(z - lse[:, None])
+        p[rows, labels] -= 1
+        _acc(logits, p * g)
 
-    return _from_op(np.asarray(out, dtype=x.data.dtype), (x,), "reduce_sum", _bw)
+    return _from_op(np.asarray(out, dtype=logits.data.dtype), (logits,),
+                    "softmax_cross_entropy", _bw)
 
 
-@catalog_op("mean of all elements or along one axis")
-def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    out = x.data.mean(axis=axis)
-    count = x.data.size if axis is None else x.data.shape[axis]
+@catalog_op("batch-hard triplet loss: mean over the anchors with a positive and a "
+            "negative of hinge(d(hardest positive) - d(hardest negative) + margin) on "
+            "Euclidean or squared row distances")
+def batch_hard_triplet(x: Tensor, labels, margin: float, squared: bool) -> Tensor:
+    """Batch-hard triplet loss (Hermans et al., arXiv:1703.07737) of a (B, D)
+    embedding batch. Distances come from the (B, B, D) row differences, and
+    `batch_hard_mine` picks each anchor's hardest positive and negative.
+    The backward scatters the hinge gradients into a (B, B) distance
+    gradient W and returns rowsum(W)·x − W·x."""
+    if x.data.ndim != 2:
+        raise ValueError(f"batch_hard_triplet: expected 2-D input, got {x.data.shape}")
+    diff = x.data[:, None, :] - x.data[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + 1e-12)
+    dist = d * d if squared else d
+    hp, hn = batch_hard_mine(dist, labels)
+    a = np.flatnonzero((hp >= 0) & (hn >= 0))
+    if not a.size:
+        raise ValueError("batch_hard_triplet: no anchor has both a positive and a negative")
+    hp, hn = hp[a], hn[a]
+    hinge = (dist[a, hp] - dist[a, hn]) + x.data.dtype.type(margin)
+    active = hinge > 0
+    out = np.where(active, hinge, hinge.dtype.type(0)).mean()
 
     def _bw(g):
-        if axis is None:
-            _acc(x, np.broadcast_to(g / count, x.data.shape))
-        else:
-            _acc(x, np.broadcast_to(np.expand_dims(g / count, axis), x.data.shape))
+        gt = (g / a.size) * active
+        gd = np.zeros_like(dist)
+        gd[a, hp] += gt
+        gd[a, hn] -= gt
+        if squared:
+            gd *= d
+            gd += gd
+        w = (gd + gd.T) / d
+        _acc(x, w.sum(axis=1)[:, None] * x.data - w @ x.data)
 
-    return _from_op(np.asarray(out, dtype=x.data.dtype), (x,), "reduce_mean", _bw)
+    return _from_op(np.asarray(out, dtype=x.data.dtype), (x,), "batch_hard_triplet", _bw)

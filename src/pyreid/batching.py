@@ -110,10 +110,11 @@ def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int,
     return batches
 
 
-def batch_hard_mine(dist: np.ndarray, labels, validate: bool = False) -> list:
+def batch_hard_mine(dist: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """Per anchor, the index of its hardest positive (max same-label
-    distance) and hardest negative (min different-label distance), or None
-    where no candidate exists. Ties break toward the smallest index."""
+    distance) and of its hardest negative (min different-label distance), as
+    two arrays with -1 where no candidate exists. Ties break toward the
+    smallest index."""
     dist = np.asarray(dist)
     labels = np.asarray(labels)
     n = dist.shape[0]
@@ -121,13 +122,6 @@ def batch_hard_mine(dist: np.ndarray, labels, validate: bool = False) -> list:
         raise ValueError(f"batch_hard_mine: distance matrix must be square, got {dist.shape}")
     if labels.shape != (n,):
         raise ValueError(f"batch_hard_mine: {labels.shape[0]} labels for a {n}x{n} matrix")
-    if validate:
-        if not np.allclose(dist, dist.T, atol=1e-5):
-            raise ValueError("batch_hard_mine: distance matrix is not symmetric")
-        if (dist < -1e-9).any():
-            raise ValueError("batch_hard_mine: distance matrix has negative entries")
-    if n == 0:
-        return []
 
     same = labels[:, None] == labels[None, :]
     pos_mask = same & ~np.eye(n, dtype=bool)
@@ -135,5 +129,4 @@ def batch_hard_mine(dist: np.ndarray, labels, validate: bool = False) -> list:
     # argmax/argmin return the first (smallest) index on ties
     hp = np.where(pos_mask, dist, -np.inf).argmax(axis=1)
     hn = np.where(neg_mask, dist, np.inf).argmin(axis=1)
-    return [(int(p) if has_p else None, int(q) if has_n else None)
-            for p, q, has_p, has_n in zip(hp, hn, pos_mask.any(axis=1), neg_mask.any(axis=1))]
+    return np.where(pos_mask.any(axis=1), hp, -1), np.where(neg_mask.any(axis=1), hn, -1)

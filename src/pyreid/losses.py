@@ -9,7 +9,6 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .batching import batch_hard_mine
 
 
 @dataclass
@@ -37,19 +36,18 @@ def id_loss(logits: Tensor, labels) -> LossValue:
     if b == 0:
         raise ValueError("id_loss: no branch logits given")
     labels = np.asarray(labels, dtype=np.int64)
-    ce = ag.softmax_cross_entropy(ag.reshape(logits, (b * n, k)), np.tile(labels, b),
-                                  reduction="sum")
+    ce = ag.softmax_cross_entropy(ag.reshape(logits, (b * n, k)), np.tile(labels, b))
     return LossValue("id", ag.mul(ce, 1.0 / n), count=int(labels.shape[0]))
 
 
 def triplet_loss(embeddings: Tensor, labels, margin: float,
                  squared: bool = False) -> LossValue:
-    """Batch-hard triplet loss.
+    """Batch-hard triplet loss (`autograd.batch_hard_triplet`).
 
     Every row is an anchor; anchors with at least one positive and one
     negative contribute hinge(d(a, hardest positive) - d(a, hardest
     negative) + margin), and the loss is the mean over those valid anchors.
-    Anchors without a positive or a negative are skipped.
+    A batch without a valid anchor gives a degenerate zero loss.
     """
     if embeddings.data.ndim != 2 or embeddings.data.shape[0] < 2:
         raise ValueError(f"triplet_loss: need a (B>=2, D) embedding batch, got "
@@ -57,16 +55,14 @@ def triplet_loss(embeddings: Tensor, labels, margin: float,
     if margin <= 0:
         raise ValueError(f"triplet_loss: margin must be positive, got {margin}")
     labels = np.asarray(labels, dtype=np.int64)
-    dist = ag.pairwise_distances(embeddings)
-    if squared:
-        dist = ag.mul(dist, dist)
-    mined = batch_hard_mine(dist.data, labels)
-    anchors = [i for i, (hp, hn) in enumerate(mined) if hp is not None and hn is not None]
-    if not anchors:
+    if labels.shape != embeddings.data.shape[:1]:
+        raise ValueError(f"triplet_loss: {labels.size} labels for a batch of "
+                         f"{embeddings.data.shape[0]}")
+    # an anchor has a positive when its label repeats, a negative when another label exists
+    members = (labels[:, None] == labels[None, :]).sum(axis=1)
+    count = int(((members > 1) & (members < labels.size)).sum())
+    if not count:
         zero = Tensor(np.zeros((), dtype=embeddings.data.dtype))
         return LossValue("tp", zero, count=0, degenerate=True)
-    rows = np.asarray(anchors, dtype=np.int64)
-    pos = ag.take_pairs(dist, rows, np.asarray([mined[i][0] for i in anchors], dtype=np.int64))
-    neg = ag.take_pairs(dist, rows, np.asarray([mined[i][1] for i in anchors], dtype=np.int64))
-    terms = ag.relu(ag.add(ag.sub(pos, neg), float(margin)))
-    return LossValue("tp", ag.reduce_mean(terms), count=len(anchors))
+    return LossValue("tp", ag.batch_hard_triplet(embeddings, labels, margin, squared),
+                     count=count)

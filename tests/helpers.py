@@ -14,6 +14,7 @@ import numpy as np
 
 import pyreid.autograd as ag
 from pyreid.autograd import Tensor
+from pyreid.batching import batch_hard_mine
 from pyreid.losses import id_loss, triplet_loss
 
 
@@ -40,20 +41,22 @@ def oracle_triplet(embeddings, labels, margin) -> tuple:
     return sum(terms) / len(terms), len(terms)
 
 
-def oracle_mine(dist, labels) -> list:
-    """Exhaustive scan for hardest positive / negative, first index on ties."""
+def oracle_mine(dist, labels) -> tuple:
+    """Exhaustive scan for hardest positive / negative, first index on ties:
+    (positive list, negative list), -1 where an anchor has no candidate."""
     n = len(labels)
-    out = []
+    positives, negatives = [], []
     for i in range(n):
-        hp, hp_d = None, -math.inf
-        hn, hn_d = None, math.inf
+        hp, hp_d = -1, -math.inf
+        hn, hn_d = -1, math.inf
         for j in range(n):
             if j != i and labels[j] == labels[i] and dist[i][j] > hp_d:
                 hp, hp_d = j, dist[i][j]
             if labels[j] != labels[i] and dist[i][j] < hn_d:
                 hn, hn_d = j, dist[i][j]
-        out.append((hp, hn))
-    return out
+        positives.append(hp)
+        negatives.append(hn)
+    return positives, negatives
 
 
 def oracle_ap(matches) -> float:
@@ -250,7 +253,108 @@ def take_rows(x: Tensor, rows) -> Tensor:
     return ag._from_op(out, (x,), "take_rows", _bw)
 
 
-REFERENCE_OPS = ("concat", "global_avg_pool", "global_max_pool", "slice_rows", "take_rows")
+# -- ops only the reference triplet loss and the tests use -------------------------------
+#
+# The library's triplet loss is one `batch_hard_triplet` op; these are the
+# pieces of the graph it replaced, kept as graph ops for the reference.
+# `reduce_sum` also turns an op's output into the scalar a test backpropagates.
+
+
+def sub(a: Tensor, b) -> Tensor:
+    """Elementwise or scalar subtraction."""
+    b = ag._as_tensor(b, a)
+    ag._check_elementwise("sub", a, b)
+    out = a.data - b.data
+
+    def _bw(g):
+        ag._acc(a, ag._reduce_to(g, a.data.shape))
+        ag._acc(b, ag._reduce_to(-g, b.data.shape))
+
+    return ag._from_op(out, (a, b), "sub", _bw)
+
+
+def pairwise_distances(x: Tensor) -> Tensor:
+    """Matrix of pairwise Euclidean distances between row vectors."""
+    if x.data.ndim != 2:
+        raise ValueError(f"pairwise_distances: expected 2-D input, got {x.data.shape}")
+    diff = x.data[:, None, :] - x.data[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + 1e-12)
+
+    def _bw(g):
+        w = (g + g.T) / d
+        gx = w.sum(axis=1)[:, None] * x.data - w @ x.data
+        ag._acc(x, gx)
+
+    return ag._from_op(d.astype(x.data.dtype, copy=False), (x,), "pairwise_distances", _bw)
+
+
+def take_pairs(m: Tensor, rows, cols) -> Tensor:
+    """Gather of matrix entries at (row, col) index pairs."""
+    if m.data.ndim != 2:
+        raise ValueError(f"take_pairs: expected 2-D input, got {m.data.shape}")
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape:
+        raise ValueError(f"take_pairs: index shapes differ, {rows.shape} vs {cols.shape}")
+    h, w = m.data.shape
+    if rows.size and not ((rows >= 0).all() and (rows < h).all()
+                          and (cols >= 0).all() and (cols < w).all()):
+        raise ValueError(f"take_pairs: indices out of bounds for shape {m.data.shape}")
+    out = m.data[rows, cols].copy()
+
+    def _bw(g):
+        gm = np.zeros_like(m.data)
+        np.add.at(gm, (rows, cols), g)
+        ag._acc(m, gm)
+
+    return ag._from_op(out, (m,), "take_pairs", _bw)
+
+
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
+    """Sum of all elements or along one axis."""
+    out = x.data.sum(axis=axis)
+
+    def _bw(g):
+        if axis is None:
+            ag._acc(x, np.broadcast_to(g, x.data.shape))
+        else:
+            ag._acc(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape))
+
+    return ag._from_op(np.asarray(out, dtype=x.data.dtype), (x,), "reduce_sum", _bw)
+
+
+def reduce_mean(x: Tensor, axis=None) -> Tensor:
+    """Mean of all elements or along one axis."""
+    out = x.data.mean(axis=axis)
+    count = x.data.size if axis is None else x.data.shape[axis]
+
+    def _bw(g):
+        if axis is None:
+            ag._acc(x, np.broadcast_to(g / count, x.data.shape))
+        else:
+            ag._acc(x, np.broadcast_to(np.expand_dims(g / count, axis), x.data.shape))
+
+    return ag._from_op(np.asarray(out, dtype=x.data.dtype), (x,), "reduce_mean", _bw)
+
+
+REFERENCE_OPS = ("concat", "global_avg_pool", "global_max_pool", "pairwise_distances",
+                 "reduce_mean", "reduce_sum", "slice_rows", "sub", "take_pairs", "take_rows")
+
+
+def reference_triplet_loss(embeddings: Tensor, labels, margin: float,
+                           squared: bool = False) -> Tensor:
+    """The batch-hard triplet loss as a graph of generic ops: pairwise
+    distances, squared if asked, two gathers at the mined pairs of the valid
+    anchors, the hinge and the mean. It is the library's original
+    composition, kept as the reference for `ag.batch_hard_triplet`."""
+    dist = pairwise_distances(embeddings)
+    if squared:
+        dist = ag.mul(dist, dist)
+    hp, hn = batch_hard_mine(dist.data, labels)
+    rows = np.flatnonzero((hp >= 0) & (hn >= 0))
+    pos = take_pairs(dist, rows, hp[rows])
+    neg = take_pairs(dist, rows, hn[rows])
+    return reduce_mean(ag.relu(ag.add(sub(pos, neg), float(margin))))
 
 
 def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
@@ -289,12 +393,12 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
             ones = Tensor(np.ones((feature.data.shape[0], 1), dtype=feature.data.dtype))
             branch_logits = ag.add(branch_logits,
                                    ag.matmul(ones, row(model.classifier_bias, i)))
-        ce = ag.softmax_cross_entropy(branch_logits, labels, reduction="none")
+        ce = ag.softmax_cross_entropy(branch_logits, labels)
         total = ce if total is None else ag.add(total, ce)
         features.append(feature)
         logits.append(branch_logits)
     embedding = features[0] if len(features) == 1 else concat(features, axis=1)
-    return embedding, logits, ag.reduce_mean(total)
+    return embedding, logits, ag.mul(total, 1.0 / len(labels))
 
 
 # -- gradient-check case builders ------------------------------------------------
@@ -312,7 +416,7 @@ def _distinct_values(shape, rng, gap: float = 2e-3) -> np.ndarray:
 
 
 def _weighted_sum(op_out: Tensor, weights: np.ndarray) -> Tensor:
-    return ag.reduce_sum(ag.mul(op_out, Tensor(weights)))
+    return reduce_sum(ag.mul(op_out, Tensor(weights)))
 
 
 @contextmanager
@@ -375,12 +479,44 @@ def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool, batch: int = 2
     return [case(slot) for slot in range(4)]
 
 
+def _triplet_case(rng, labels: np.ndarray, squared: bool) -> tuple:
+    """(embeddings, margin) for a batch-hard triplet gradient check. Draws
+    are repeated until each anchor's hardest positive and hardest negative
+    lead the runners-up by 1e-3 and no two rows are closer than 0.1; the
+    margin keeps every hinge at least 0.5 above its kink."""
+    n = len(labels)
+    same = labels[:, None] == labels[None, :]
+    while True:
+        x = rng.normal(size=(n, 3))
+        d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
+        if d[~np.eye(n, dtype=bool)].min() < 0.1:
+            continue
+        if squared:
+            d = d * d
+        gaps = []
+        for i in range(n):
+            pos = np.sort(d[i][same[i] & (np.arange(n) != i)])
+            neg = np.sort(d[i][~same[i]])
+            gaps += [pos[-1] - pos[-2]] if len(pos) > 1 else []
+            gaps += [neg[1] - neg[0]] if len(neg) > 1 else []
+        if min(gaps) > 1e-3:
+            return x, _active_margin(d, labels)
+
+
+def _active_margin(d: np.ndarray, labels) -> float:
+    """A margin that keeps every batch-hard hinge on distances `d` at least
+    0.5 above its kink."""
+    hp, hn = batch_hard_mine(d, labels)
+    rows = np.flatnonzero((hp >= 0) & (hn >= 0))
+    return float((d[rows, hn[rows]] - d[rows, hp[rows]]).max()) + 0.5
+
+
 def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
     """(f, x) pairs exercising one catalog op or one of `REFERENCE_OPS`, with
     inputs kept away from relu/max kinks. Weight tensors are fixed per case."""
     cases = []
     if op_name in ("add", "sub", "mul"):
-        op = getattr(ag, op_name)
+        op = sub if op_name == "sub" else getattr(ag, op_name)
         other = Tensor(rng.normal(size=(3, 4)))
         w = rng.normal(size=(3, 4))
         cases.append((lambda t, op=op, o=other, w=w: _weighted_sum(op(t, o), w),
@@ -478,30 +614,38 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
         labels = rng.integers(0, 4, size=5)
         cases.append((lambda t, l=labels: ag.softmax_cross_entropy(t, l),
                       Tensor(rng.normal(size=(5, 4)))))
+    elif op_name == "batch_hard_triplet":
+        # three images of two identities and one of a third, whose anchor
+        # has no positive; Euclidean and squared distances
+        labels = np.asarray([0, 0, 0, 1, 1, 1, 2])
+        for squared in (False, True):
+            x, margin = _triplet_case(rng, labels, squared)
+            cases.append((lambda t, m=margin, s=squared:
+                          ag.batch_hard_triplet(t, labels, m, s), Tensor(x)))
     elif op_name == "pairwise_distances":
         x = rng.normal(size=(5, 3)) + np.arange(5)[:, None]  # rows well separated
         w = rng.normal(size=(5, 5))
-        cases.append((lambda t, w=w: _weighted_sum(ag.pairwise_distances(t), w),
+        cases.append((lambda t, w=w: _weighted_sum(pairwise_distances(t), w),
                       Tensor(x)))
     elif op_name == "take_pairs":
         rows = np.asarray([0, 1, 2, 0])
         cols = np.asarray([3, 2, 0, 1])
         w = rng.normal(size=4)
-        cases.append((lambda t, w=w: _weighted_sum(ag.take_pairs(t, rows, cols), w),
+        cases.append((lambda t, w=w: _weighted_sum(take_pairs(t, rows, cols), w),
                       Tensor(rng.normal(size=(4, 4)))))
     elif op_name == "reshape":
         w = rng.normal(size=(2, 6))
         cases.append((lambda t, w=w: _weighted_sum(ag.reshape(t, (2, 6)), w),
                       Tensor(rng.normal(size=(3, 4)))))
     elif op_name == "reduce_sum":
-        cases.append((lambda t: ag.reduce_sum(t), Tensor(rng.normal(size=(3, 4)))))
+        cases.append((lambda t: reduce_sum(t), Tensor(rng.normal(size=(3, 4)))))
         w = rng.normal(size=4)
-        cases.append((lambda t, w=w: _weighted_sum(ag.reduce_sum(t, axis=0), w),
+        cases.append((lambda t, w=w: _weighted_sum(reduce_sum(t, axis=0), w),
                       Tensor(rng.normal(size=(3, 4)))))
     elif op_name == "reduce_mean":
-        cases.append((lambda t: ag.reduce_mean(t), Tensor(rng.normal(size=(3, 4)))))
+        cases.append((lambda t: reduce_mean(t), Tensor(rng.normal(size=(3, 4)))))
         w = rng.normal(size=3)
-        cases.append((lambda t, w=w: _weighted_sum(ag.reduce_mean(t, axis=1), w),
+        cases.append((lambda t, w=w: _weighted_sum(reduce_mean(t, axis=1), w),
                       Tensor(rng.normal(size=(3, 4)))))
     else:
         raise AssertionError(f"no gradcheck builder for op {op_name!r}")
@@ -559,11 +703,7 @@ def composite_loss(model, images: np.ndarray, labels: np.ndarray, margin: float)
 def composite_margin(model, images, labels) -> float:
     """A margin that keeps every batch-hard hinge strictly active, so the
     composite loss is locally smooth for finite differencing."""
-    from pyreid.batching import batch_hard_mine
-
     with ag.no_grad():
         out = model.forward(Tensor(images), training=True)
-        d = ag.pairwise_distances(out.embedding).data
-    gaps = [d[i][hn] - d[i][hp] for i, (hp, hn) in enumerate(batch_hard_mine(d, labels))
-            if hp is not None and hn is not None]
-    return float(max(gaps)) + 0.5
+        d = pairwise_distances(out.embedding).data
+    return _active_margin(d, labels)

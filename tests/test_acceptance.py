@@ -147,7 +147,8 @@ class TestCriterion3OracleEquivalence:
             x = rng.normal(size=(n, 4))
             dist = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
             labels = rng.integers(0, 6, size=n)
-            assert batch_hard_mine(dist, labels) == oracle_mine(dist, labels)
+            hp, hn = batch_hard_mine(dist, labels)
+            assert (hp.tolist(), hn.tolist()) == oracle_mine(dist, labels)
         print("\nACCEPTANCE 3a PASS: batch-hard mining == exhaustive scan on "
               "1000 random batches")
 

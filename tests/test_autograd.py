@@ -6,10 +6,12 @@ import pytest
 
 import pyreid.autograd as ag
 from pyreid.autograd import Tensor, backward, no_grad, op_catalog, use_dtype
+from pyreid.batching import batch_hard_mine
 from pyreid.gradcheck import finite_difference_check
 
 from helpers import (REFERENCE_OPS, concat, global_avg_pool, global_max_pool,
-                     gradcheck_cases, reference_conv_bn_relu, slice_rows, take_rows)
+                     gradcheck_cases, pairwise_distances, reduce_sum, reference_conv_bn_relu,
+                     reference_triplet_loss, slice_rows, take_pairs, take_rows)
 
 
 class TestTensorBasics:
@@ -35,24 +37,24 @@ class TestTensorBasics:
 class TestBackwardContract:
     def test_sum_of_squares(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        backward(ag.reduce_sum(ag.mul(x, x)))
+        backward(reduce_sum(ag.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0], rtol=1e-6)
 
     def test_dead_relu_grad_zero(self):
         x = Tensor(np.array([-1.0]), requires_grad=True)
-        backward(ag.reduce_sum(ag.relu(x)))
+        backward(reduce_sum(ag.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_relu_grad_at_exact_zero_is_zero(self):
         x = Tensor(np.array([0.0]), requires_grad=True)
-        backward(ag.reduce_sum(ag.relu(x)))
+        backward(reduce_sum(ag.relu(x)))
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_distance_gradient(self):
         # d/da ||a-b|| = (a-b)/||a-b||
         x = Tensor(np.array([[3.0, 0.0], [0.0, 4.0]]), requires_grad=True)
-        d = ag.take_pairs(ag.pairwise_distances(x), [0], [1])
-        backward(ag.reduce_sum(d))
+        d = take_pairs(pairwise_distances(x), [0], [1])
+        backward(reduce_sum(d))
         assert d.data[0] == pytest.approx(5.0)
         np.testing.assert_allclose(x.grad, [[0.6, -0.8], [-0.6, 0.8]], atol=1e-6)
 
@@ -63,7 +65,7 @@ class TestBackwardContract:
 
     def test_double_backward_rejected(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = ag.reduce_sum(x)
+        loss = reduce_sum(x)
         backward(loss)
         with pytest.raises(RuntimeError, match="already consumed"):
             backward(loss)
@@ -74,13 +76,13 @@ class TestBackwardContract:
 
     def test_grad_accumulates_across_uses(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        backward(ag.reduce_sum(ag.add(ag.mul(x, 3.0), ag.mul(x, 4.0))))
+        backward(reduce_sum(ag.add(ag.mul(x, 3.0), ag.mul(x, 4.0))))
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_no_grad_suppresses_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
-            out = ag.reduce_sum(ag.mul(x, x))
+            out = reduce_sum(ag.mul(x, x))
         assert out._prev == ()
 
 
@@ -152,7 +154,7 @@ class TestOpSemantics:
 
     def test_max_pool_tie_gradient_goes_to_first(self):
         x = Tensor(np.array([[[1.0, 1.0], [0.0, 0.0]]]), requires_grad=True)
-        backward(ag.reduce_sum(global_max_pool(x)))
+        backward(reduce_sum(global_max_pool(x)))
         np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_slice_rows_shape(self):
@@ -190,14 +192,14 @@ class TestOpSemantics:
 
     def test_take_pairs_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
-            ag.take_pairs(Tensor(np.ones((2, 2))), [0], [2])
+            take_pairs(Tensor(np.ones((2, 2))), [0], [2])
 
     def test_take_rows_gathers_and_scatters_back(self, rng):
         x = Tensor(rng.normal(size=(5, 2, 3)), requires_grad=True)
         out = take_rows(x, [4, 1])
         np.testing.assert_array_equal(out.data, x.data[[4, 1]])
-        backward(ag.reduce_sum(ag.mul(out, Tensor(np.stack([np.full((2, 3), 2.0),
-                                                            np.ones((2, 3))])))))
+        backward(reduce_sum(ag.mul(out, Tensor(np.stack([np.full((2, 3), 2.0),
+                                                         np.ones((2, 3))])))))
         np.testing.assert_array_equal(x.grad[:, 0, 0], [0.0, 1.0, 0.0, 0.0, 2.0])
 
     @pytest.mark.parametrize("rows, message", [([0, 5], "out of bounds"),
@@ -210,7 +212,7 @@ class TestOpSemantics:
 
     def test_pairwise_matches_direct(self, rng):
         x = rng.normal(size=(6, 4))
-        d = ag.pairwise_distances(Tensor(x)).data
+        d = pairwise_distances(Tensor(x)).data
         for i in range(6):
             for j in range(6):
                 ref = math.sqrt(((x[i] - x[j]) ** 2).sum() + 1e-12)
@@ -223,7 +225,7 @@ def _block_with_grads(x, w, gamma, beta, stats, stride, training, g, track_x=Tru
     xt = Tensor(x, requires_grad=track_x)
     wt, gt, bt = (Tensor(a, requires_grad=True) for a in (w, gamma, beta))
     out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, training, 0.1, 1e-5)
-    backward(ag.reduce_sum(ag.mul(out, Tensor(g))))
+    backward(reduce_sum(ag.mul(out, Tensor(g))))
     return out, xt, wt, gt, bt
 
 
@@ -319,7 +321,7 @@ class TestConvBnReluAgainstUnfusedReference:
         ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, stride,
                         True, 0.1, 1e-5)
         assert not any(np.array_equal(a, b) for a, b in zip(stats, before))
-        backward(ag.reduce_sum(ag.mul(out, Tensor(g))))
+        backward(reduce_sum(ag.mul(out, Tensor(g))))
         for name, t, b in zip(("x", "w", "gamma", "beta"), (xt, wt, gt, bt), ref[1:5]):
             np.testing.assert_allclose(t.grad, b, rtol=1e-10, atol=1e-12, err_msg=name)
 
@@ -375,12 +377,41 @@ class TestDebugChecks:
             ag.debug_checks = False
 
 
+class TestBatchHardTripletAgainstReference:
+    """The one-op triplet loss repeats the float arithmetic of the generic-op
+    graph it replaced, so loss and gradient bytes are equal."""
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("shape", [(16, 336), (64, 128), (64, 2688)])
+    def test_bitwise_float32(self, rng, shape, squared):
+        b, dim = shape
+        labels = np.repeat(np.arange(b // 4), 4)  # a P x K batch, K = 4
+        x = (rng.normal(size=(b // 4, dim))[labels] + rng.normal(size=shape)).astype(np.float32)
+        # the median hardest-pair gap as margin leaves about half the hinges active
+        d = pairwise_distances(Tensor(x)).data
+        d = d * d if squared else d
+        hp, hn = batch_hard_mine(d, labels)
+        margin = float(np.median(d[np.arange(b), hn] - d[np.arange(b), hp]))
+        results = []
+        for loss_fn in (ag.batch_hard_triplet, reference_triplet_loss):
+            t = Tensor(x, requires_grad=True)
+            loss = loss_fn(t, labels, margin, squared)
+            backward(loss)
+            results.append((loss.data.tobytes(), t.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_rejects_a_batch_without_a_valid_anchor(self):
+        with pytest.raises(ValueError, match="no anchor"):
+            ag.batch_hard_triplet(Tensor(np.ones((3, 2))), [0, 1, 2], 1.0, False)
+
+
 class TestCatalogInvariants:
     def test_catalog_covers_required_primitives(self):
         names = set(op_catalog())
-        required = {"add", "sub", "mul", "matmul", "conv_bn_relu", "relu", "batch_norm",
-                    "softmax_cross_entropy", "reduce_sum", "reduce_mean"}
-        assert required <= names
+        # exactly the ops the model and its two losses record
+        used = {"add", "mul", "relu", "matmul", "conv_bn_relu", "batch_norm", "stripe_pool",
+                "transpose", "reshape", "softmax_cross_entropy", "batch_hard_triplet"}
+        assert names == used
         assert not names & set(REFERENCE_OPS)
 
     def test_max_pool_dominates_avg_pool(self, rng):
@@ -435,7 +466,7 @@ class TestGradcheckPerOp:
         # remains
         for _ in range(5):
             x = Tensor(rng.normal(size=7).astype(np.float64))
-            err = finite_difference_check(lambda t: ag.reduce_sum(ag.mul(t, t)), x)
+            err = finite_difference_check(lambda t: reduce_sum(ag.mul(t, t)), x)
             assert err < 1e-7
 
     def test_softmax_ce_tighter_bound(self, rng):
@@ -453,5 +484,5 @@ class TestGradcheckPerOp:
 
     def test_float32_input_rejected(self):
         with pytest.raises(ValueError, match="float64"):
-            finite_difference_check(lambda t: ag.reduce_sum(t),
+            finite_difference_check(lambda t: reduce_sum(t),
                                     Tensor(np.ones(3, dtype=np.float32)))

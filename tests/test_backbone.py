@@ -7,6 +7,8 @@ from pyreid.errors import ConfigError
 from pyreid.gradcheck import finite_difference_check
 import pyreid.autograd as ag
 
+from helpers import reduce_sum
+
 
 def make_backbone(stages, in_channels=3, seed=0):
     return Backbone(BackboneConfig(in_channels=in_channels, stages=stages),
@@ -96,7 +98,7 @@ class TestGradients:
                     setattr(obj, attr, t)
                     try:
                         out = bb.forward(Tensor(x), training=True)
-                        return ag.reduce_sum(ag.mul(out, Tensor(weights)))
+                        return reduce_sum(ag.mul(out, Tensor(weights)))
                     finally:
                         setattr(obj, attr, old)
 

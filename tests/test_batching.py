@@ -115,9 +115,9 @@ class TestBatchHardMine:
         d = np.abs(rng.normal(size=(4, 4)))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        mined = batch_hard_mine(d, [0, 1, 2, 3])
-        assert all(hp is None for hp, _ in mined)
-        assert all(hn is not None for _, hn in mined)
+        hp, hn = batch_hard_mine(d, [0, 1, 2, 3])
+        assert (hp == -1).all()
+        assert (hn >= 0).all()
 
     def test_matches_oracle_on_random_cases(self, rng):
         for _ in range(1000):
@@ -125,7 +125,8 @@ class TestBatchHardMine:
             x = rng.normal(size=(n, 3))
             d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
             labels = rng.integers(0, 4, size=n)
-            assert batch_hard_mine(d, labels) == oracle_mine(d, labels)
+            hp, hn = batch_hard_mine(d, labels)
+            assert (hp.tolist(), hn.tolist()) == oracle_mine(d, labels)
 
     def test_tie_breaks_to_smallest_index(self):
         d = np.array([[0.0, 2.0, 2.0, 5.0],
@@ -133,11 +134,11 @@ class TestBatchHardMine:
                       [2.0, 1.0, 0.0, 4.0],
                       [5.0, 1.0, 4.0, 0.0]])
         labels = [0, 0, 1, 1]
-        mined = batch_hard_mine(d, labels)
+        hp, hn = batch_hard_mine(d, labels)
         # anchor 0: negatives at distance 2 (idx 2) and 5 (idx 3); unique
-        assert mined[0] == (1, 2)
+        assert (hp[0], hn[0]) == (1, 2)
         # anchor 1: negatives 2 and 3 both at distance 1, pick index 2
-        assert mined[1] == (0, 2)
+        assert (hp[1], hn[1]) == (0, 2)
 
     def test_positive_tie_breaks_to_smallest_index(self):
         d = np.array([[0.0, 3.0, 3.0, 1.0],
@@ -145,7 +146,9 @@ class TestBatchHardMine:
                       [3.0, 2.0, 0.0, 4.0],
                       [1.0, 4.0, 4.0, 0.0]])
         # anchor 0: positives 1 and 2 both at distance 3, pick index 1
-        assert batch_hard_mine(d, [0, 0, 0, 1]) == [(1, 3), (0, 3), (0, 3), (None, 0)]
+        hp, hn = batch_hard_mine(d, [0, 0, 0, 1])
+        assert hp.tolist() == [1, 0, 0, -1]
+        assert hn.tolist() == [3, 3, 3, 0]
 
     def test_permutation_equivariance(self, rng):
         for _ in range(50):
@@ -155,31 +158,15 @@ class TestBatchHardMine:
             labels = rng.integers(0, 3, size=n)
             base = batch_hard_mine(d, labels)
             perm = rng.permutation(n)
-            inv = np.argsort(perm)
             permuted = batch_hard_mine(d[np.ix_(perm, perm)], labels[perm])
             for new_i, old_i in enumerate(perm):
-                hp, hn = permuted[new_i]
-                ohp, ohn = base[old_i]
-                # map back; ties may legitimately resolve to a different
-                # member of the tied set, so compare distances, not indices
-                if ohp is None:
-                    assert hp is None
-                else:
-                    assert d[old_i][perm[hp]] == pytest.approx(d[old_i][ohp])
-                if ohn is None:
-                    assert hn is None
-                else:
-                    assert d[old_i][perm[hn]] == pytest.approx(d[old_i][ohn])
-
-    def test_validate_rejects_asymmetric(self):
-        d = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            batch_hard_mine(d, [0, 1], validate=True)
-
-    def test_validate_rejects_negative(self):
-        d = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError, match="negative"):
-            batch_hard_mine(d, [0, 1], validate=True)
+                for new, old in zip(permuted, base):
+                    # map back; ties may legitimately resolve to a different
+                    # member of the tied set, so compare distances, not indices
+                    if old[old_i] == -1:
+                        assert new[new_i] == -1
+                    else:
+                        assert d[old_i][perm[new[new_i]]] == pytest.approx(d[old_i][old[old_i]])
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels"):

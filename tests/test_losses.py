@@ -62,8 +62,9 @@ class TestIdLoss:
         assert shifted == pytest.approx(base, abs=1e-6)
 
     def test_mean_over_images_of_sum_over_branches(self, rng):
-        # the stacked loss equals the per-branch cross-entropies summed per
-        # image and averaged over the batch, and so does its gradient
+        # the stacked loss equals the per-branch cross-entropies, each summed
+        # over the batch, added and divided by the batch size; so does its
+        # gradient
         logits = rng.normal(size=(4, 5, 6))
         labels = rng.integers(0, 6, size=5)
         stacked = Tensor(logits.copy(), requires_grad=True)
@@ -72,9 +73,9 @@ class TestIdLoss:
         branches = [Tensor(lg.copy(), requires_grad=True) for lg in logits]
         total = None
         for lg in branches:
-            ce = ag.softmax_cross_entropy(lg, labels, reduction="none")
+            ce = ag.softmax_cross_entropy(lg, labels)
             total = ce if total is None else ag.add(total, ce)
-        ref = ag.reduce_mean(total)
+        ref = ag.mul(total, 1.0 / len(labels))
         backward(ref)
         assert lv.value == pytest.approx(ref.item(), rel=1e-12)
         np.testing.assert_allclose(stacked.grad, np.stack([lg.grad for lg in branches]),
@@ -145,6 +146,11 @@ class TestTripletLoss:
     def test_margin_must_be_positive(self):
         with pytest.raises(ValueError, match="margin"):
             triplet_loss(Tensor(np.ones((4, 2))), [0, 0, 1, 1], margin=0.0)
+
+    def test_label_count_mismatch(self):
+        # three distinct labels give no valid anchor, yet the batch has four rows
+        with pytest.raises(ValueError, match="labels"):
+            triplet_loss(Tensor(np.ones((4, 2))), [0, 1, 2], margin=1.0)
 
     def test_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="B>=2"):

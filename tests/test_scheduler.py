@@ -9,6 +9,8 @@ from pyreid.scheduler import (P_FLOOR, Phase, SchedulerState, combined_objective
                               focal_weight, loss_reduction_prob, select_phase,
                               update_ema)
 
+from helpers import reduce_sum
+
 
 class TestEma:
     def test_direct_arithmetic(self):
@@ -122,7 +124,7 @@ class TestCombinedObjective:
         import pyreid.autograd as ag
         from pyreid.autograd import Tensor, backward
         x = Tensor(np.array([2.0]), requires_grad=True)
-        loss = combined_objective(ag.reduce_sum(x), ag.reduce_sum(ag.mul(x, x)),
+        loss = combined_objective(reduce_sum(x), reduce_sum(ag.mul(x, x)),
                                   0.5, 0.25)
         backward(loss)
         assert x.grad[0] == pytest.approx(0.5 + 0.25 * 2 * 2.0)
