@@ -63,10 +63,6 @@ def use_dtype(dtype):
         set_default_dtype(prev)
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (evaluation, data prep)."""
@@ -128,9 +124,6 @@ class Tensor:
             raise ValueError(f"item: tensor has {self.data.size} elements")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         backward(self)
 
@@ -148,20 +141,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not in the op catalog")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def relu(self):
-        return relu(self)
 
 
 # -- graph plumbing ---------------------------------------------------------
@@ -185,11 +164,14 @@ def _from_op(data, prev, op, backward_fn):
     return out
 
 
-def _acc(t: Tensor, g) -> None:
+def _acc(t: Tensor, g, own: bool = False) -> None:
+    """Add `g` to `t.grad`. A first gradient is copied unless `own` says the op
+    built `g` for `t` alone (nothing else reads or writes it) in `t`'s dtype."""
     if not t._tracked:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        own = own and type(g) is np.ndarray and g.dtype == t.data.dtype
+        t.grad = g if own else np.array(g, dtype=t.data.dtype, copy=True)
     else:
         t.grad += g
 
@@ -269,8 +251,8 @@ def mul(a: Tensor, b) -> Tensor:
     out = a.data * b.data
 
     def _bw(g):
-        _acc(a, _reduce_to(g * b.data, a.data.shape))
-        _acc(b, _reduce_to(g * a.data, b.data.shape))
+        _acc(a, _reduce_to(g * b.data, a.data.shape), own=True)
+        _acc(b, _reduce_to(g * a.data, b.data.shape), own=True)
 
     return _from_op(out, (a, b), "mul", _bw)
 
@@ -281,7 +263,7 @@ def relu(a: Tensor) -> Tensor:
     out = np.where(mask, a.data, a.data.dtype.type(0))
 
     def _bw(g):
-        _acc(a, g * mask)
+        _acc(a, g * mask, own=True)
 
     return _from_op(out, (a,), "relu", _bw)
 
@@ -299,8 +281,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = ad @ bd
 
     def _bw(g):
-        _acc(a, g @ np.swapaxes(bd, -1, -2))
-        _acc(b, np.swapaxes(ad, -1, -2) @ g)
+        _acc(a, g @ np.swapaxes(bd, -1, -2), own=True)
+        _acc(b, np.swapaxes(ad, -1, -2) @ g, own=True)
 
     return _from_op(out, (a, b), "matmul", _bw)
 
@@ -424,9 +406,9 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             # so gamma's gradient needs no copy of the convolution y
             ggamma = ((wcol * gw).sum(axis=0) - mean * gbeta) * rstd
             gw *= scale
-        _acc(gamma, ggamma)
-        _acc(beta, gbeta)
-        _acc(w, np.ascontiguousarray(gw.reshape(3, 3, c, co).transpose(3, 2, 0, 1)))
+        _acc(gamma, ggamma, own=True)
+        _acc(beta, gbeta, own=True)
+        _acc(w, np.ascontiguousarray(gw.reshape(3, 3, c, co).transpose(3, 2, 0, 1)), own=True)
         if gxp is not None:
             _acc(x, gxp[:, 1:h + 1, 1:wd_ + 1])
         elif x._tracked:
@@ -439,7 +421,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             gx = np.empty((m, c), dtype=dtype)
             for lo, hi, cols in _patch_chunks(gyp, 1, h, wd_):
                 np.matmul(cols, wflip, out=gx[lo * p:hi * p])
-            _acc(x, gx.reshape(n, h, wd_, c))
+            _acc(x, gx.reshape(n, h, wd_, c), own=True)
 
     return _from_op(out.reshape(n, ho, wo, co), (x, w, gamma, beta), "conv_bn_relu", _bw)
 
@@ -478,14 +460,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None,
     out = gamma.data * xhat + beta.data
 
     def _bw(g):
-        _acc(gamma, (g * xhat).sum(axis=0))
-        _acc(beta, g.sum(axis=0))
+        _acc(gamma, (g * xhat).sum(axis=0), own=True)
+        _acc(beta, g.sum(axis=0), own=True)
         gxh = g * gamma.data
         if training:
             gx = (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)) / std
         else:
             gx = gxh / std
-        _acc(x, gx)
+        _acc(x, gx, own=True)
 
     return _from_op(out, (x, gamma, beta), "batch_norm", _bw)
 
@@ -493,78 +475,76 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None,
 # -- pooling and indexing ----------------------------------------------------
 
 
-_SHORT_STRIPE = 16  # elements per stripe up to which stripe_pool loops; < 256
+_SHORT_STRIPE = 16  # elements per stripe up to which the first-max search loops; < 256
 
 
-@catalog_op("max plus mean over windows of consecutive horizontal stripes, "
-            "derived from one pool of each stripe")
+@catalog_op("max plus mean over windows of consecutive horizontal stripes of a "
+            "channels-last map, derived from one pool of each stripe")
 def stripe_pool(x: Tensor, parts: int, windows) -> Tensor:
-    """(B, N, C) pools of an (N, C, H, W) map cut into `parts` equal stripes
+    """(B, N, C) pools of an (N, H, W, C) map cut into `parts` equal stripes
     of rows: row b is the max plus the mean over the rows of window b, given
     as (first stripe, stripe count). The max gradient goes to the first
-    maximal element in row-major order, as a max over the window would."""
+    maximal element in row-major (h, w) order, as a max over the window would."""
     if x.data.ndim != 4:
-        raise ValueError(f"stripe_pool: expected a 4-D (N,C,H,W) map, got {x.data.shape}")
-    n, c, h, w = x.data.shape
+        raise ValueError(f"stripe_pool: expected a 4-D (N,H,W,C) map, got {x.data.shape}")
+    n, h, w, c = x.data.shape
     if parts < 1 or h % parts:
         raise ValueError(f"stripe_pool: height {h} does not split into {parts} stripes")
     windows = [(int(s), int(l)) for s, l in windows]
     if not windows or any(s < 0 or l < 1 or s + l > parts for s, l in windows):
         raise ValueError(f"stripe_pool: windows {windows} are not nonempty runs of "
                          f"{parts} stripes")
+    dtype = x.data.dtype
     unit = h // parts * w  # elements of one stripe of one channel
-    xs = x.data.reshape(n, c, parts, unit)
-    # on a short stripe, unit-1 elementwise maxima and one matrix-vector
-    # product beat reductions over the trailing axis; on a long one the
-    # reductions win
-    short = unit <= _SHORT_STRIPE
-    if short:
-        smax = xs[..., 0].copy()
-        for k in range(1, unit):
-            np.maximum(smax, xs[..., k], out=smax)
-    else:
-        smax = xs.max(axis=-1)
-    ssum = (x.data.reshape(n * c * parts, unit) @ np.ones(unit, dtype=x.data.dtype)
-            ).reshape(smax.shape)
-    # wmax[l][s] is the max over stripes s .. s+l-1, as (parts-l+1, N, C),
-    # and wsum[l][s] the sum; a window's pool does not depend on the others
-    wmax = [None, np.ascontiguousarray(smax.transpose(2, 0, 1))]
-    wsum = [None, np.ascontiguousarray(ssum.transpose(2, 0, 1))]
-    for l in range(2, max(l for _, l in windows) + 1):
-        wmax.append(np.maximum(wmax[-1][:-1], wmax[1][l - 1:]))
-        wsum.append(wsum[-1][:-1] + wsum[1][l - 1:])
-    out = np.stack([wmax[l][s] + wsum[l][s] / (l * unit) for s, l in windows])
-    # spread[b, s] is stripe s's weight in the mean over window b
-    spread = np.zeros((len(windows), parts), dtype=x.data.dtype)
+    xs = x.data.reshape(n, parts, unit, c)
+    # unit-1 elementwise maxima over (N, parts, C) slices, and the sums as
+    # ones-vector products, beat numpy's reductions over the middle axis
+    smax = xs[:, :, 0].copy()
+    for k in range(1, unit):
+        np.maximum(smax, xs[:, :, k], out=smax)
+    ssum = np.matmul(np.ones((1, unit), dtype=dtype), xs).reshape(smax.shape)
+    # spread[b, s] is stripe s's weight in the mean over window b, so one
+    # product gives every window's mean
+    spread = np.zeros((len(windows), parts), dtype=dtype)
     for b, (s, l) in enumerate(windows):
         spread[b, s:s + l] = 1.0 / (l * unit)
+    out = spread @ ssum.transpose(1, 0, 2).reshape(parts, n * c)
+    out = out.reshape(len(windows), n, c)
+    # wmax[l][s] is the max over stripes s .. s+l-1, as (parts-l+1, N, C)
+    wmax = [None, np.ascontiguousarray(smax.transpose(1, 0, 2))]
+    for l in range(2, max(l for _, l in windows) + 1):
+        wmax.append(np.maximum(wmax[-1][:-1], wmax[1][l - 1:]))
+    for b, (s, l) in enumerate(windows):
+        out[b] += wmax[l][s]
 
     def _bw(g):
-        # the stripe holding each window's max is the first one whose prefix
-        # max reaches it: skip every prefix of the window with a smaller max
-        skip = {l: np.zeros(wmax[l].shape, dtype=np.intp) for _, l in windows}
-        for l, count in skip.items():
-            for m in range(1, l):
-                count += wmax[m][:parts - l + 1] < wmax[l]
-        stripe = np.stack([s + skip[l][s] for s, l in windows])  # (B, N, C)
-        cell = np.arange(n * c).reshape(n, c) * parts
-        gmax = np.bincount((cell + stripe).ravel(), weights=g.ravel(),
-                           minlength=n * c * parts)
-        # the first element of each stripe holding its max; a short stripe's
-        # index fits a byte
-        if short:
-            xt = np.ascontiguousarray(xs.transpose(3, 0, 1, 2))
-            seen = xt[0] == smax
+        # each window max's gradient runs down the wmax chain: a level-l max
+        # is its first l-1 stripes' unless the last stripe's is larger, so
+        # ties go to the first stripe
+        gwin = [None] + [np.zeros_like(m) for m in wmax[1:]]
+        for b, (s, l) in enumerate(windows):
+            gwin[l][s] += g[b]
+        for l in range(len(wmax) - 1, 1, -1):
+            left = gwin[l] * (wmax[l - 1][:-1] >= wmax[1][l - 1:])
+            gwin[l - 1][:-1] += left
+            gwin[1][l - 1:] += gwin[l] - left
+        # the first element of each stripe holding its max; a short
+        # stripe's index fits a byte
+        if unit <= _SHORT_STRIPE:
+            seen = xs[:, :, 0] == smax
             first = (~seen).view(np.uint8)
             for k in range(1, unit - 1):
-                seen |= xt[k] == smax
+                seen |= xs[:, :, k] == smax
                 first += ~seen
         else:
-            first = xs.argmax(axis=-1)
-        gmean = g.reshape(len(windows), n * c).T @ spread  # (N*C, parts)
-        gx = np.repeat(gmean.ravel(), unit)
-        gx[np.arange(n * c * parts) * unit + first.ravel()] += gmax
-        _acc(x, gx.reshape(x.data.shape))
+            first = xs.argmax(axis=2)
+        gmean = (spread.T @ g.reshape(len(windows), n * c)).reshape(parts, n, 1, c)
+        gx = np.empty((n, parts, unit, c), dtype=dtype)
+        gx[...] = gmean.transpose(1, 0, 2, 3)
+        cell = np.arange(n * parts, dtype=np.intp)[:, None] * unit
+        flat = (cell + first.reshape(n * parts, c).astype(np.intp)) * c + np.arange(c)
+        gx.reshape(-1)[flat.ravel()] += gwin[1].transpose(1, 0, 2).ravel()
+        _acc(x, gx.reshape(x.data.shape), own=True)
 
     return _from_op(out, (x,), "stripe_pool", _bw)
 
@@ -578,7 +558,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     out = np.ascontiguousarray(x.data.transpose(axes))
 
     def _bw(g):
-        _acc(x, np.ascontiguousarray(g.transpose(inverse)))
+        _acc(x, g.transpose(inverse).copy(), own=True)
 
     return _from_op(out, (x,), "transpose", _bw)
 
@@ -617,7 +597,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     def _bw(g):
         p = np.exp(z - lse[:, None])
         p[rows, labels] -= 1
-        _acc(logits, p * g)
+        _acc(logits, p * g, own=True)
 
     return _from_op(np.asarray(out, dtype=logits.data.dtype), (logits,),
                     "softmax_cross_entropy", _bw)
@@ -655,6 +635,6 @@ def batch_hard_triplet(x: Tensor, labels, margin: float, squared: bool) -> Tenso
             gd *= d
             gd += gd
         w = (gd + gd.T) / d
-        _acc(x, w.sum(axis=1)[:, None] * x.data - w @ x.data)
+        _acc(x, w.sum(axis=1)[:, None] * x.data - w @ x.data, own=True)
 
     return _from_op(np.asarray(out, dtype=x.data.dtype), (x,), "batch_hard_triplet", _bw)

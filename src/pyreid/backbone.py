@@ -1,9 +1,9 @@
 """Small trainable convolutional feature extractor.
 
-A stack of conv3x3 + batch-norm + ReLU blocks, each one fused op on
-channels-last maps, turns an input image into the feature map the pyramid
-slices. An empty stage list gives an identity backbone that passes
-precomputed feature maps straight through, which lets wide-channel
+A stack of conv3x3 + batch-norm + ReLU blocks, each one fused op, turns a
+channels-last (N, H, W, 3) image batch into the (N, H, W, C) feature map
+the pyramid slices. An empty stage list gives an identity backbone that
+passes precomputed feature maps straight through, which lets wide-channel
 geometries be exercised without any convolution.
 """
 
@@ -103,22 +103,18 @@ class Backbone:
             in_ch = out_ch
 
     def output_shape(self, h_img: int, w_img: int) -> tuple[int, int, int]:
-        """(C, H, W) of the feature map for an h_img x w_img input."""
+        """(H, W, C) of the feature map for an h_img x w_img input."""
         sp = self.config.stride_product
         if h_img % sp or w_img % sp:
             raise ConfigError(f"input size {h_img}x{w_img} not divisible by the "
                               f"backbone stride product {sp}")
-        return self.config.out_channels, h_img // sp, w_img // sp
+        return h_img // sp, w_img // sp, self.config.out_channels
 
     def forward(self, images: Tensor, training: bool) -> Tensor:
-        """(N, C, H, W) images to the (N, C, H, W) feature map; the blocks
-        work channels-last in between."""
-        if not self.blocks:
-            return images
-        x = ag.transpose(images, (0, 2, 3, 1))
+        """(N, H, W, C) images to the (N, H, W, C) feature map."""
         for block in self.blocks:
-            x = block(x, training)
-        return ag.transpose(x, (0, 3, 1, 2))
+            images = block(images, training)
+        return images
 
     def named_parameters(self):
         for i, block in enumerate(self.blocks):

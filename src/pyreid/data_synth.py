@@ -8,7 +8,9 @@ must survive: vertical misalignment, vertical scale jitter, and a painted
 occlusion box. A single severity knob in [0, 1] scales all three.
 
 Generation is a pure function of (config, seed): identities, cameras and
-samples each draw from their own SeedSequence-derived PCG64 stream.
+samples each draw from their own SeedSequence-derived PCG64 stream. Images
+are held channels-last, (N, H, W, 3); on disk each split's container holds
+its images as one `images` entry, in `manifest.csv` row order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .batching import Split
-from .container import load_tensors, save_tensors, serialize_tensors
+from .container import load_tensors, save_tensors
 from .errors import ConfigError, ContainerError
 
 SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY = 0, 1, 2
@@ -187,7 +189,7 @@ def _draw_corruption(rng: np.random.Generator, severity: float,
 
 @dataclass
 class ReIDDataset:
-    """In-memory dataset: (N, 3, H, W) images plus per-sample metadata."""
+    """In-memory dataset: (N, H, W, 3) float32 images plus per-sample metadata."""
     images: np.ndarray
     identities: np.ndarray
     cameras: np.ndarray
@@ -202,7 +204,7 @@ class ReIDDataset:
 
     @property
     def image_hw(self) -> tuple:
-        return self.images.shape[2], self.images.shape[3]
+        return self.images.shape[1], self.images.shape[2]
 
     def _split(self, code: int) -> Split:
         idx = np.flatnonzero(self.splits == code)
@@ -219,12 +221,6 @@ class ReIDDataset:
 
     # -- persistence ---------------------------------------------------------
 
-    def _containers(self) -> dict:
-        per_split = {code: {} for code in _SPLIT_NAMES}
-        for i in range(len(self)):
-            per_split[int(self.splits[i])][f"img_{i:05d}"] = self.images[i]
-        return {name: per_split[code] for code, name in _SPLIT_NAMES.items()}
-
     def _manifest_bytes(self) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -240,8 +236,8 @@ class ReIDDataset:
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        for name, tensors in self._containers().items():
-            save_tensors(directory / f"{name}.pyrt", tensors)
+        for code, name in _SPLIT_NAMES.items():
+            save_tensors(directory / f"{name}.pyrt", {"images": self.images[self.splits == code]})
         (directory / "manifest.csv").write_bytes(self._manifest_bytes())
 
     @classmethod
@@ -251,9 +247,6 @@ class ReIDDataset:
         header = next(reader, [])
         if tuple(header) != MANIFEST_COLUMNS:
             raise ConfigError(f"unexpected manifest columns {header}")
-        entries: dict[str, np.ndarray] = {}
-        for name in _SPLIT_NAMES.values():
-            entries.update(load_tensors(directory / f"{name}.pyrt"))
         split_codes = {v: k for k, v in _SPLIT_NAMES.items()}
         rows = []
         for r in reader:
@@ -261,27 +254,38 @@ class ReIDDataset:
             if len(r) != len(MANIFEST_COLUMNS):
                 raise ContainerError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields, "
                                      f"got {len(r)}")
-            if r[0] not in entries:
-                raise ContainerError(f"{where}: image {r[0]!r} is in no container")
+            # a row's image is the next one of its split's container
+            if r[0] != f"img_{len(rows):05d}":
+                raise ContainerError(f"{where}: image {r[0]!r} is out of place, expected "
+                                     f"'img_{len(rows):05d}'")
             if r[3] not in split_codes:
                 raise ContainerError(f"{where}: unknown split {r[3]!r}")
-            image = entries[r[0]]
-            shape = rows[0][0].shape if rows else image.shape
-            if image.dtype != np.float32 or image.shape != shape:
-                raise ContainerError(f"{where}: image {r[0]!r} is {image.dtype.name} of "
-                                     f"shape {image.shape}, expected float32 of shape {shape}")
             try:
-                rows.append((image, int(r[1]), int(r[2]), split_codes[r[3]],
+                rows.append((int(r[1]), int(r[2]), split_codes[r[3]],
                              float(r[4]), float(r[5]), [int(v) for v in r[6:]]))
             except ValueError as exc:
                 raise ContainerError(f"{where}: {exc}") from exc
         if not rows:
             raise ContainerError("manifest.csv lists no images")
-        images, identities, cameras, splits, offsets, scales, boxes = zip(*rows)
-        return cls(images=np.stack(images),
+        identities, cameras, splits, offsets, scales, boxes = zip(*rows)
+        splits = np.array(splits, dtype=np.int64)
+        images = None
+        for code, name in _SPLIT_NAMES.items():
+            split_images = _split_images(directory / f"{name}.pyrt")
+            members = np.flatnonzero(splits == code)
+            if len(split_images) != len(members):
+                raise ContainerError(f"{name}.pyrt holds {len(split_images)} images, "
+                                     f"manifest.csv lists {len(members)} {name} rows")
+            if images is None:
+                images = np.empty((len(rows),) + split_images.shape[1:], dtype=np.float32)
+            elif split_images.shape[1:] != images.shape[1:]:
+                raise ContainerError(f"{name}.pyrt: images are {split_images.shape[1:]}, "
+                                     f"train.pyrt's are {images.shape[1:]}")
+            images[members] = split_images
+        return cls(images=images,
                    identities=np.array(identities, dtype=np.int64),
                    cameras=np.array(cameras, dtype=np.int64),
-                   splits=np.array(splits, dtype=np.int64),
+                   splits=splits,
                    offsets=np.array(offsets, dtype=np.float64),
                    scales=np.array(scales, dtype=np.float64),
                    occ_boxes=np.array(boxes, dtype=np.int64))
@@ -289,9 +293,24 @@ class ReIDDataset:
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self._manifest_bytes())
-        for _, tensors in sorted(self._containers().items()):
-            h.update(serialize_tensors(tensors))
+        # the pixels are hashed in place: a copy per split would raise peak memory
+        h.update(repr(self.images.shape).encode())
+        h.update(np.ascontiguousarray(self.images, dtype="<f4"))
         return h.hexdigest()
+
+
+def _split_images(path: Path) -> np.ndarray:
+    """The (n, H, W, 3) float32 images of one split container."""
+    entries = load_tensors(path)
+    if list(entries) != ["images"]:
+        raise ContainerError(f"{path.name} holds {len(entries)} entries, not one 'images' "
+                             f"tensor; a dataset with one entry per image is in an old "
+                             f"format: regenerate it with gen-data")
+    images = entries["images"]
+    if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3:
+        raise ContainerError(f"{path.name}: images are {images.dtype.name} of shape "
+                             f"{images.shape}, expected float32 of shape (n, H, W, 3)")
+    return images
 
 
 def _camera_assignment(seed: int, identity: int, imgs: int, cams: int,
@@ -325,7 +344,7 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
     train_ids = set(int(i) for i in id_order[:config.num_ids // 2])
 
     n = config.num_ids * config.imgs_per_id
-    images = np.zeros((n, 3, h, w), dtype=np.float32)
+    images = np.zeros((n, h, w, 3), dtype=np.float32)
     identities = np.zeros(n, dtype=np.int64)
     cameras = np.zeros(n, dtype=np.int64)
     splits = np.zeros(n, dtype=np.int64)
@@ -353,7 +372,7 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
                                      corr.occ_color)
             img = img * cam.brightness + cam.channel_shift[:, None, None]
             img = img + rng.normal(0.0, cam.noise_sigma, size=img.shape)
-            images[idx] = np.clip(img, 0.0, 1.0).astype(np.float32)
+            images[idx] = np.clip(img, 0.0, 1.0).astype(np.float32).transpose(1, 2, 0)
             identities[idx] = identity
             cameras[idx] = cam.camera
             offsets[idx] = corr.offset

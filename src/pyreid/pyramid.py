@@ -120,11 +120,11 @@ class PyramidModel:
         self.mask = mask or BranchMask.full(n)
         if self.mask.n != n:
             raise ConfigError(f"mask {self.mask} has {self.mask.n} levels, model has {n}")
-        c, h, w = backbone.output_shape(*self.image_hw)
+        h, w, c = backbone.output_shape(*self.image_hw)
         if h % n:
             raise ConfigError(f"feature map height {h} not divisible by part count {n}; "
                               f"adjust image height or backbone strides")
-        self.map_shape = (c, h, w)
+        self.map_shape = (h, w, c)
         # stored (C, D) per branch: the 1x1 conv applied to a pooled C-vector
         # is a matmul. Every branch draws its reduction and then its
         # classifier in enumeration order, so a branch's seeded initial
@@ -168,7 +168,7 @@ class PyramidModel:
         fmap = self.backbone.forward(images, training)
         if fmap.data.ndim != 4 or fmap.data.shape[1:] != self.map_shape:
             raise ValueError(f"feature map {fmap.data.shape} does not match the heads' "
-                             f"(channels, height, width) {self.map_shape}")
+                             f"(height, width, channels) {self.map_shape}")
         b, batch, d = len(self.specs), fmap.data.shape[0], self.feature_dim
 
         pooled = ag.stripe_pool(fmap, self.n, [(spec.position - 1, spec.level)

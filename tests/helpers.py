@@ -18,6 +18,12 @@ from pyreid.batching import batch_hard_mine
 from pyreid.losses import id_loss, triplet_loss
 
 
+def nhwc(a: np.ndarray) -> np.ndarray:
+    """A channels-first (N, C, H, W) array as a contiguous channels-last
+    (N, H, W, C) one, so a check can draw or build its data as before."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 # -- brute-force oracles -------------------------------------------------------
 
 
@@ -147,10 +153,6 @@ def reference_conv_bn_relu(x, w, gamma, beta, running_mean, running_var, stride,
     else:
         dy = dxhat / std
     _, gx, gw = reference_conv2d(xc, w, dy, stride, 1)
-
-    def nhwc(a):
-        return a.transpose(0, 2, 3, 1)
-
     return (nhwc(np.maximum(pre, 0.0)), nhwc(gx), gw, (dpre * xhat).sum(axis=axes),
             dpre.sum(axis=axes), nhwc(pre))
 
@@ -162,49 +164,53 @@ def reference_conv_bn_relu(x, w, gamma, beta, running_mean, running_var, stride,
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous row slice along the height (second-to-last) axis."""
+    """Contiguous row slice along the height (second) axis of an (N, H, W, C)
+    map, or of any (N, H, ...) array."""
     if x.data.ndim < 3:
         raise ValueError(f"slice_rows: expected >=3-D input, got {x.data.shape}")
-    h = x.data.shape[-2]
+    h = x.data.shape[1]
     if not (0 <= start < stop <= h):
         raise ValueError(f"slice_rows: range [{start}, {stop}) out of bounds for height {h}")
-    out = x.data[..., start:stop, :].copy()
+    out = x.data[:, start:stop].copy()
 
     def _bw(g):
         gx = np.zeros_like(x.data)
-        gx[..., start:stop, :] = g
+        gx[:, start:stop] = g
         ag._acc(x, gx)
 
     return ag._from_op(out, (x,), "slice_rows", _bw)
 
 
 def global_max_pool(x: Tensor) -> Tensor:
-    """Max over the trailing two spatial axes; the gradient goes to the
-    first maximal element in row-major order."""
+    """(N, C) max over the spatial axes of an (N, H, W, C) map (every axis
+    but the first and the last); the gradient goes to the first maximal
+    element in row-major order."""
     if x.data.ndim < 3:
         raise ValueError(f"global_max_pool: expected >=3-D input, got {x.data.shape}")
-    lead = x.data.shape[:-2]
-    flat = x.data.reshape(lead + (x.data.shape[-2] * x.data.shape[-1],))
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    n, c = x.data.shape[0], x.data.shape[-1]
+    flat = x.data.reshape(n, -1, c)
+    idx = flat.argmax(axis=1)[:, None]
+    out = np.take_along_axis(flat, idx, axis=1)[:, 0]
 
     def _bw(g):
         gf = np.zeros_like(flat)
-        np.put_along_axis(gf, idx[..., None], g[..., None], axis=-1)
+        np.put_along_axis(gf, idx, g[:, None], axis=1)
         ag._acc(x, gf.reshape(x.data.shape))
 
     return ag._from_op(out, (x,), "global_max_pool", _bw)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the trailing two spatial axes."""
+    """(N, C) mean over the spatial axes of an (N, H, W, C) map."""
     if x.data.ndim < 3:
         raise ValueError(f"global_avg_pool: expected >=3-D input, got {x.data.shape}")
-    hw = x.data.shape[-2] * x.data.shape[-1]
-    out = x.data.mean(axis=(-2, -1))
+    n, c = x.data.shape[0], x.data.shape[-1]
+    spatial = x.data.size // (n * c)
+    out = x.data.reshape(n, -1, c).mean(axis=1)
 
     def _bw(g):
-        ag._acc(x, np.broadcast_to(g[..., None, None] / hw, x.data.shape))
+        ag._acc(x, np.broadcast_to((g / spatial)[:, None], (n, spatial, c))
+                .reshape(x.data.shape))
 
     return ag._from_op(out, (x,), "global_avg_pool", _bw)
 
@@ -583,12 +589,12 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
             w = rng.normal(size=(len(windows), 2, 3))
             cases.append((lambda t, ws=windows, w=w:
                           _weighted_sum(ag.stripe_pool(t, 3, ws), w),
-                          Tensor(_distinct_values((2, 3, 6, 2), rng))))
+                          Tensor(nhwc(_distinct_values((2, 3, 6, 2), rng)))))
         # stripes of 3x6 cells, longer than the elementwise-loop limit
         windows = [(0, 1), (1, 1), (0, 2)]
         w = rng.normal(size=(len(windows), 1, 2))
         cases.append((lambda t, ws=windows, w=w: _weighted_sum(ag.stripe_pool(t, 2, ws), w),
-                      Tensor(_distinct_values((1, 2, 6, 6), rng))))
+                      Tensor(nhwc(_distinct_values((1, 2, 6, 6), rng)))))
     elif op_name == "take_rows":
         # an unsorted subset of distinct rows, as a partial pyramid mask picks
         w = rng.normal(size=(3, 3, 2))
@@ -687,7 +693,7 @@ def build_tiny_model(seed: int):
     backbone = Backbone(BackboneConfig(in_channels=3, stages=((4, 2),)), rng)
     model = PyramidModel(backbone, n=2, feature_dim=3, num_identities=2,
                          image_hw=(8, 8), rng=rng)
-    images = rng.uniform(0.0, 1.0, size=(4, 3, 8, 8))
+    images = nhwc(rng.uniform(0.0, 1.0, size=(4, 3, 8, 8)))
     labels = np.asarray([0, 0, 1, 1])
     return model, images, labels
 

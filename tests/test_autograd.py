@@ -79,6 +79,25 @@ class TestBackwardContract:
         backward(reduce_sum(ag.add(ag.mul(x, 3.0), ag.mul(x, 4.0))))
         np.testing.assert_allclose(x.grad, [7.0])
 
+    def test_add_gives_each_operand_its_own_gradient(self):
+        # add passes its upstream gradient to both operands: each gets a copy
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = ag.add(a, b)
+        backward(reduce_sum(ag.mul(out, Tensor(np.arange(6.0).reshape(2, 3)))))
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, out.grad)
+        assert not np.shares_memory(b.grad, out.grad)
+
+    @pytest.mark.parametrize("op", [lambda t: ag.transpose(t, (0, 1)),
+                                    lambda t: ag.reshape(t, (2, 3))],
+                             ids=["identity_transpose", "reshape"])
+    def test_view_of_the_upstream_gradient_is_copied(self, op):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        out = op(x)
+        backward(reduce_sum(ag.mul(out, Tensor(np.arange(6.0).reshape(2, 3)))))
+        assert not np.shares_memory(x.grad, out.grad)
+
     def test_no_grad_suppresses_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -144,18 +163,18 @@ class TestOpSemantics:
                             np.ones(1), stride, True, 0.1, 1e-5)
 
     def test_global_avg_pool_constant(self):
-        out = global_avg_pool(Tensor(np.full((2, 3, 4), 5.0)))
-        np.testing.assert_allclose(out.data, [5.0, 5.0])
+        out = global_avg_pool(Tensor(np.full((2, 3, 4, 1), 5.0)))
+        np.testing.assert_allclose(out.data, [[5.0], [5.0]])
 
     def test_global_max_pool_picks_max(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
         out = global_max_pool(Tensor(x))
-        np.testing.assert_allclose(out.data, x.max(axis=(2, 3)), rtol=1e-6)
+        np.testing.assert_allclose(out.data, x.max(axis=(1, 2)), rtol=1e-6)
 
     def test_max_pool_tie_gradient_goes_to_first(self):
-        x = Tensor(np.array([[[1.0, 1.0], [0.0, 0.0]]]), requires_grad=True)
+        x = Tensor(np.array([[[[1.0], [1.0]], [[0.0], [0.0]]]]), requires_grad=True)
         backward(reduce_sum(global_max_pool(x)))
-        np.testing.assert_array_equal(x.grad, [[[1.0, 0.0], [0.0, 0.0]]])
+        np.testing.assert_array_equal(x.grad, [[[[1.0], [0.0]], [[0.0], [0.0]]]])
 
     def test_slice_rows_shape(self):
         out = slice_rows(Tensor(np.ones((2, 6, 2))), 2, 4)

@@ -7,7 +7,7 @@ from pyreid.errors import ConfigError
 from pyreid.gradcheck import finite_difference_check
 import pyreid.autograd as ag
 
-from helpers import reduce_sum
+from helpers import nhwc, reduce_sum
 
 
 def make_backbone(stages, in_channels=3, seed=0):
@@ -18,22 +18,22 @@ def make_backbone(stages, in_channels=3, seed=0):
 class TestGeometry:
     def test_desk_config_output_shape(self):
         bb = make_backbone(((16, 2), (32, 2), (64, 1)))
-        assert bb.output_shape(48, 16) == (64, 12, 4)
-        out = bb.forward(Tensor(np.zeros((2, 3, 48, 16), dtype=np.float32)), training=True)
-        assert out.shape == (2, 64, 12, 4)
+        assert bb.output_shape(48, 16) == (12, 4, 64)
+        out = bb.forward(Tensor(np.zeros((2, 48, 16, 3), dtype=np.float32)), training=True)
+        assert out.shape == (2, 12, 4, 64)
 
     def test_paper_geometry_stride_16(self):
         # 384x128 input through overall stride 16 gives a 24x8 map, and 24
         # splits evenly into 6 basic parts
         bb = make_backbone(((8, 2), (8, 2), (8, 2), (8, 2)))
-        c, h, w = bb.output_shape(384, 128)
+        h, w, c = bb.output_shape(384, 128)
         assert (h, w) == (24, 8)
         assert h % 6 == 0
 
     def test_identity_backbone_passthrough(self):
         bb = make_backbone((), in_channels=2048)
-        assert bb.output_shape(24, 8) == (2048, 24, 8)
-        fmap = Tensor(np.random.default_rng(0).normal(size=(1, 2048, 24, 8))
+        assert bb.output_shape(24, 8) == (24, 8, 2048)
+        fmap = Tensor(np.random.default_rng(0).normal(size=(1, 24, 8, 2048))
                       .astype(np.float32))
         out = bb.forward(fmap, training=False)
         assert out is fmap
@@ -51,7 +51,7 @@ class TestGeometry:
 class TestForward:
     def test_deterministic_given_params(self):
         bb = make_backbone(((8, 2),))
-        x = np.random.default_rng(3).normal(size=(2, 3, 8, 8)).astype(np.float32)
+        x = nhwc(np.random.default_rng(3).normal(size=(2, 3, 8, 8)).astype(np.float32))
         a = bb.forward(Tensor(x), training=False).data
         b = bb.forward(Tensor(x), training=False).data
         np.testing.assert_array_equal(a, b)
@@ -59,13 +59,13 @@ class TestForward:
     def test_train_mode_updates_running_stats(self):
         bb = make_backbone(((8, 2),))
         before = bb.blocks[0].bn.running_mean.copy()
-        x = np.random.default_rng(3).normal(size=(4, 3, 8, 8)).astype(np.float32)
+        x = nhwc(np.random.default_rng(3).normal(size=(4, 3, 8, 8)).astype(np.float32))
         bb.forward(Tensor(x), training=True)
         assert not np.array_equal(before, bb.blocks[0].bn.running_mean)
 
     def test_eval_mode_leaves_running_stats(self):
         bb = make_backbone(((8, 2),))
-        x = np.random.default_rng(3).normal(size=(4, 3, 8, 8)).astype(np.float32)
+        x = nhwc(np.random.default_rng(3).normal(size=(4, 3, 8, 8)).astype(np.float32))
         bb.forward(Tensor(x), training=True)
         snap = bb.blocks[0].bn.running_mean.copy()
         bb.forward(Tensor(x), training=False)
@@ -84,8 +84,8 @@ class TestGradients:
     def test_gradient_reaches_every_conv_weight(self):
         with use_dtype(np.float64):
             bb = make_backbone(((4, 2), (4, 1)))
-            x = np.random.default_rng(7).uniform(0.2, 0.8, size=(2, 3, 8, 8))
-            weights = np.random.default_rng(8).normal(size=(2, 4, 4, 4))
+            x = nhwc(np.random.default_rng(7).uniform(0.2, 0.8, size=(2, 3, 8, 8)))
+            weights = nhwc(np.random.default_rng(8).normal(size=(2, 4, 4, 4)))
             for name, p in bb.named_parameters():
                 block = bb.blocks[int(name.split(".")[1][5:])]
                 tail = name.split(".", 2)[2]

@@ -233,24 +233,60 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "v3.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, "checkpoint version 3 not supported")
 
-    @pytest.mark.parametrize("edit", [lambda image: image[:, :-1],
-                                      lambda image: image.astype(np.int64)],
-                             ids=["misshapen", "int64"])
-    def test_dataset_image_entry(self, data_dir, trained_dir, tmp_path, capsys, edit):
-        # the image on manifest line 3 is replaced; line 2's fixes the shape
+    @pytest.mark.parametrize("edit, message", [
+        (lambda images: images[:, :, :-1],
+         lambda bad, good: f"images are {bad.shape[1:]}, train.pyrt's are {good.shape[1:]}"),
+        (lambda images: images.astype(np.int64),
+         lambda bad, good: f"images are int64 of shape {bad.shape}, expected float32 of "
+                           f"shape (n, H, W, 3)"),
+    ], ids=["misshapen", "int64"])
+    def test_dataset_image_entry(self, data_dir, trained_dir, tmp_path, capsys, edit,
+                                 message):
+        # the gallery's images are replaced; the train split's fix the shape
         broken = tmp_path / "broken"
         shutil.copytree(data_dir, broken)
-        name = (broken / "manifest.csv").read_text().splitlines()[2].split(",")[0]
-        container = next(path for path in broken.glob("*.pyrt")
-                         if name in load_tensors(path))
-        entries = load_tensors(container)
-        shape = entries[name].shape
-        bad = entries[name] = edit(entries[name])
-        save_tensors(container, entries)
+        images = load_tensors(broken / "gallery.pyrt")["images"]
+        bad = edit(images)
+        save_tensors(broken / "gallery.pyrt", {"images": bad})
         assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
         assert_one_error_line(capsys.readouterr().err,
-                              f"manifest.csv:3: image {name!r} is {bad.dtype.name} of shape "
-                              f"{bad.shape}, expected float32 of shape {shape}")
+                              f"gallery.pyrt: {message(bad, images)}")
+
+    def test_container_and_manifest_row_counts_differ(self, data_dir, trained_dir, tmp_path,
+                                                      capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        images = load_tensors(broken / "query.pyrt")["images"]
+        save_tensors(broken / "query.pyrt", {"images": images[:-1]})
+        assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"query.pyrt holds {len(images) - 1} images, manifest.csv "
+                              f"lists {len(images)} query rows")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_per_image_dataset_refused(self, data_dir, trained_dir, tmp_path, capsys,
+                                       command):
+        # the earlier format: one channels-first (3, H, W) entry per image,
+        # named as its manifest row
+        old = tmp_path / "old"
+        shutil.copytree(data_dir, old)
+        rows = list(csv.reader((old / "manifest.csv").read_text().splitlines()))[1:]
+        for split in ("train", "query", "gallery"):
+            images = load_tensors(old / f"{split}.pyrt")["images"]
+            names = [row[0] for row in rows if row[3] == split]
+            save_tensors(old / f"{split}.pyrt",
+                         {name: image.transpose(2, 0, 1) for name, image in zip(names, images)})
+        out = tmp_path / "o"
+        args = (["train", "--dataset", str(old), "--out", str(out), "--epochs", "1"]
+                if command == "train" else
+                ["eval", "--checkpoint", str(trained_dir / "checkpoint.pyrt"),
+                 "--dataset", str(old)])
+        assert main(args) == 2
+        train_rows = sum(row[3] == "train" for row in rows)
+        assert_one_error_line(capsys.readouterr().err,
+                              f"train.pyrt holds {train_rows} entries, not one 'images' tensor",
+                              "regenerate it with gen-data")
+        assert not out.exists()
 
     def broken_dataset(self, data_dir, tmp_path, line: int, edit) -> Path:
         broken = tmp_path / "broken"
@@ -261,7 +297,8 @@ class TestMalformedInputs:
         return broken
 
     @pytest.mark.parametrize("line, edit, message", [
-        (2, lambda row: ["img_99999"] + row[1:], "image 'img_99999' is in no container"),
+        (2, lambda row: ["img_99999"] + row[1:],
+         "image 'img_99999' is out of place, expected 'img_00000'"),
         (3, lambda row: row[:3] + ["bogus"] + row[4:], "unknown split 'bogus'"),
         (4, lambda row: row[:3], "expected 10 fields, got 3"),
         (5, lambda row: row[:1] + ["x"] + row[2:], "invalid literal"),

@@ -10,7 +10,7 @@ class TestGeneration:
     def test_sample_count(self):
         ds = generate_dataset(GenConfig(num_ids=20, imgs_per_id=10, num_cams=2, seed=0))
         assert len(ds) == 200
-        assert ds.images.shape == (200, 3, 48, 16)
+        assert ds.images.shape == (200, 48, 16, 3)
         assert ds.images.dtype == np.float32
 
     def test_zero_severity_has_identity_corruption_metadata(self):
@@ -53,7 +53,7 @@ class TestGeneration:
 
     def test_smallest_image_size_renders(self):
         ds = generate_dataset(GenConfig(num_ids=4, img_h=2, img_w=1, severity=1.0))
-        assert ds.images.shape == (40, 3, 2, 1)
+        assert ds.images.shape == (40, 2, 1, 3)
 
 
 class TestIdentitySpecs:

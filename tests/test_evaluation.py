@@ -11,7 +11,7 @@ from pyreid.evaluation import (RankedResult, compute_cmc, compute_map,
 from pyreid.pyramid import BranchMask
 from pyreid.trainer import TrainConfig, build_model
 
-from helpers import oracle_ap, oracle_cmc, oracle_rank, reference_pyramid_forward
+from helpers import nhwc, oracle_ap, oracle_cmc, oracle_rank, reference_pyramid_forward
 
 
 def result(matches, query_index=0):
@@ -361,7 +361,7 @@ class TestSubMaskEmbedding:
         with use_dtype(dtype):
             rng = np.random.default_rng(31)
             model = build_model(TrainConfig(seed=3), (48, 16), 6)
-            images = rng.uniform(0, 1, size=(5, 3, 48, 16)).astype(dtype)
+            images = nhwc(rng.uniform(0, 1, size=(5, 3, 48, 16)).astype(dtype))
             model.forward(Tensor(images), training=True)  # move the running statistics
             sub = BranchMask.from_string(mask)
             full = extract_embeddings(model, images)
@@ -378,5 +378,5 @@ class TestSubMaskEmbedding:
     def test_mask_with_a_level_the_model_lacks_is_refused(self):
         model = build_model(TrainConfig(seed=3, pyramid_mask="101001"), (48, 16), 6)
         with pytest.raises(ConfigError, match="mask 111111 .* mask 101001"):
-            extract_embeddings(model, np.zeros((2, 3, 48, 16), dtype=np.float32),
+            extract_embeddings(model, np.zeros((2, 48, 16, 3), dtype=np.float32),
                                BranchMask.from_string("111111"))

@@ -11,8 +11,8 @@ from pyreid.gradcheck import finite_difference_check
 from pyreid.losses import id_loss
 from pyreid.pyramid import BranchMask, PyramidModel, enumerate_branches
 
-from helpers import (global_avg_pool, global_max_pool, reduce_sum, reference_pyramid_forward,
-                     slice_rows)
+from helpers import (global_avg_pool, global_max_pool, nhwc, reduce_sum,
+                     reference_pyramid_forward, slice_rows)
 
 
 def make_model(n=6, feature_dim=16, num_ids=10, stages=((16, 2), (32, 2), (64, 1)),
@@ -93,23 +93,23 @@ class TestSlicing:
     the map."""
 
     def test_slice_matches_eq1_substitution(self, rng):
-        fmap = Tensor(rng.normal(size=(2, 64, 12, 4)).astype(np.float32))
+        fmap = Tensor(nhwc(rng.normal(size=(2, 64, 12, 4)).astype(np.float32)))
         spec = next(s for s in enumerate_branches(6, 12)
                     if s.level == 3 and s.position == 2)
         pooled = ag.stripe_pool(fmap, 6, [(spec.position - 1, spec.level)])
         assert pooled.shape == (1, 2, 64)
-        rows = fmap.data[:, :, 2:8, :]
-        np.testing.assert_allclose(pooled.data[0], rows.max(axis=(2, 3)) + rows.mean(axis=(2, 3)),
+        rows = fmap.data[:, 2:8]
+        np.testing.assert_allclose(pooled.data[0], rows.max(axis=(1, 2)) + rows.mean(axis=(1, 2)),
                                    rtol=1e-6)
 
     def test_top_level_slice_is_whole_map(self, rng):
-        fmap = Tensor(rng.normal(size=(8, 6, 3, 3)).astype(np.float32))
+        fmap = Tensor(nhwc(rng.normal(size=(8, 6, 3, 3)).astype(np.float32)))
         pooled = ag.stripe_pool(fmap, 3, [(0, 3)])
         np.testing.assert_allclose(pooled.data[0], global_max_pool(fmap).data
                                    + global_avg_pool(fmap).data, rtol=1e-6)
 
     def test_batched_slice(self, rng):
-        fmap = Tensor(rng.normal(size=(2, 8, 6, 3)).astype(np.float32))
+        fmap = Tensor(nhwc(rng.normal(size=(2, 8, 6, 3)).astype(np.float32)))
         windows = [(s, l) for l in (1, 2, 3) for s in range(4 - l)]
         pooled = ag.stripe_pool(fmap, 3, windows)
         assert pooled.shape == (6, 2, 8)
@@ -126,21 +126,23 @@ class TestSlicing:
     ])
     def test_bad_arguments_rejected(self, parts, windows, match):
         with pytest.raises(ValueError, match=match):
-            ag.stripe_pool(Tensor(np.ones((1, 2, 6, 2))), parts, windows)
+            ag.stripe_pool(Tensor(np.ones((1, 6, 2, 2))), parts, windows)
 
     def test_tied_maxima_route_the_gradient_like_a_window_max(self):
         # stripe maxima tie across and within stripes, and post-ReLU zeros tie
         # everywhere: each window's max gradient must land on the element a
-        # max pool over the window's rows picks, its first in row-major order
+        # max pool over the window's rows picks, its first in row-major
+        # (h, w) order (built channels-first, (N, C, H, W), and pooled
+        # channels-last)
         x = np.zeros((2, 3, 6, 2))
         x[0, 0, [0, 3, 5], [1, 0, 1]] = 1.0
         x[0, 1, 2:4, :] = 0.5
         x[1, 2] = np.tile([[0.25, 0.75]], (6, 1))
         windows = [(s, l) for l in (1, 2, 3) for s in range(4 - l)]
         weights = np.random.default_rng(3).normal(size=(len(windows), 2, 3))
-        t = Tensor(x.copy(), requires_grad=True)
+        t = Tensor(nhwc(x), requires_grad=True)
         reduce_sum(ag.mul(ag.stripe_pool(t, 3, windows), Tensor(weights))).backward()
-        ref = Tensor(x.copy(), requires_grad=True)
+        ref = Tensor(nhwc(x), requires_grad=True)
         for (s, l), w in zip(windows, weights):
             sub = slice_rows(ref, 2 * s, 2 * (s + l))
             pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
@@ -150,6 +152,7 @@ class TestSlicing:
     def test_max_gradient_lands_past_256_elements_into_a_stripe(self):
         # stripes of 3 x 100 = 300 elements: the first maximum sits beyond
         # the range of a byte-sized index, tied within and across stripes
+        # (built channels-first, (N, C, H, W), and pooled channels-last)
         x = np.zeros((1, 2, 6, 100))
         x[0, 0, 2, [60, 90]] = 1.0    # stripe 0, elements 260 and 290
         x[0, 0, 5, 99] = 0.5          # stripe 1, its last element
@@ -157,9 +160,9 @@ class TestSlicing:
         x[0, 1, 4, 10] = 2.0          # stripe 1, element 110, ties stripe 0
         windows = [(0, 1), (1, 1), (0, 2)]
         weights = np.random.default_rng(5).normal(size=(len(windows), 1, 2))
-        t = Tensor(x.copy(), requires_grad=True)
+        t = Tensor(nhwc(x), requires_grad=True)
         reduce_sum(ag.mul(ag.stripe_pool(t, 2, windows), Tensor(weights))).backward()
-        ref = Tensor(x.copy(), requires_grad=True)
+        ref = Tensor(nhwc(x), requires_grad=True)
         for (s, l), w in zip(windows, weights):
             sub = slice_rows(ref, 3 * s, 3 * (s + l))
             pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
@@ -172,20 +175,20 @@ class TestBranchForward:
 
     def test_constant_channels_pool_to_double(self):
         c = np.array([0.5, -1.0, 2.0], dtype=np.float32)
-        fmap = Tensor(np.broadcast_to(c[None, :, None, None], (1, 3, 4, 2)).copy())
+        fmap = Tensor(np.broadcast_to(c, (1, 4, 2, 3)).copy())
         pooled = ag.stripe_pool(fmap, 2, [(0, 1), (0, 2)])
         np.testing.assert_allclose(pooled.data, np.stack([(2 * c)[None]] * 2), rtol=1e-6)
 
     def test_feature_dimension(self, rng):
         model = identity_model(n=2, channels=64, height=4, feature_dim=128, num_ids=10)
-        out = model.forward(Tensor(rng.normal(size=(2, 64, 4, 4)).astype(np.float32)),
+        out = model.forward(Tensor(nhwc(rng.normal(size=(2, 64, 4, 4)).astype(np.float32))),
                             training=True)
         assert out.embedding.shape == (2, 3 * 128)
         assert out.logits.shape == (3, 2, 10)
 
     def test_single_map_form(self, rng):
         model = identity_model()
-        out = model.forward(Tensor(rng.normal(size=(1, 8, 6, 4)).astype(np.float32)),
+        out = model.forward(Tensor(nhwc(rng.normal(size=(1, 8, 6, 4)).astype(np.float32))),
                             training=False)
         assert out.embedding.shape == (1, 6 * 4)
         assert out.logits.shape == (6, 1, 5)
@@ -193,12 +196,12 @@ class TestBranchForward:
     def test_channel_mismatch_error(self):
         model = identity_model()
         with pytest.raises(ValueError, match="channels"):
-            model.forward(Tensor(np.ones((2, 6, 6, 4))), training=True)
+            model.forward(Tensor(np.ones((2, 6, 4, 6))), training=True)
 
     def test_gradcheck_through_branch_and_ce(self):
         with use_dtype(np.float64):
             model = identity_model(seed=11, num_ids=3)
-            fmap = np.random.default_rng(11).uniform(0.1, 1.0, size=(4, 8, 6, 4))
+            fmap = nhwc(np.random.default_rng(11).uniform(0.1, 1.0, size=(4, 8, 6, 4)))
             labels = np.array([0, 1, 2, 1])
 
             def f(t):
@@ -215,7 +218,7 @@ class TestBranchForward:
             for i in range(len(model.specs)):
                 model.bn.running_mean[4 * i:4 * i + 4] = rng.normal(size=4) * 0.1
                 model.bn.running_var[4 * i:4 * i + 4] = rng.uniform(0.5, 1.5, size=4)
-            fmap = rng.uniform(0.1, 1.0, size=(1, 8, 12, 4))
+            fmap = nhwc(rng.uniform(0.1, 1.0, size=(1, 8, 12, 4)))
 
             def f(t):
                 return id_loss(model.forward(t, training=False).logits, [2]).tensor
@@ -230,7 +233,7 @@ class TestAssembly:
 
     def full_and_masked(self, mask, rng):
         model = identity_model(n=6, channels=16, height=12, feature_dim=128, mask=mask)
-        fmap = Tensor(rng.normal(size=(2, 16, 12, 4)).astype(np.float32))
+        fmap = Tensor(nhwc(rng.normal(size=(2, 16, 12, 4)).astype(np.float32)))
         return model, fmap, model.forward(fmap, training=False)
 
     def test_full_mask_dimension(self, rng):
@@ -314,7 +317,7 @@ class TestAgainstReference:
             rng = np.random.default_rng(21)
             model = make_model(feature_dim=4, num_ids=5, stages=((8, 2), (8, 2)), seed=21,
                                classifier_bias=bias, mask=mask)
-            images = rng.uniform(0, 1, size=(6, 3, 48, 16))
+            images = nhwc(rng.uniform(0, 1, size=(6, 3, 48, 16)))
             grads = self.compare(model, images, rng.integers(0, 5, size=6), rtol=1e-10)
             # the model holds the enabled branches only, and each one's
             # head gradient is nonzero
@@ -326,23 +329,24 @@ class TestAgainstReference:
 
     def test_float32_desk_shapes(self, rng):
         model = make_model()
-        images = rng.uniform(0, 1, size=(16, 3, 48, 16)).astype(np.float32)
+        images = nhwc(rng.uniform(0, 1, size=(16, 3, 48, 16)).astype(np.float32))
         self.compare(model, images, rng.integers(0, 10, size=16), rtol=1e-4, atol=1e-5)
 
     def test_tied_stripe_maxima(self):
         # zeros tie every element of a window, the constant block repeats
-        # each stripe's maximum, and one 0.75 is a unique maximum
+        # each stripe's maximum, and one 0.75 is a unique maximum (built
+        # channels-first)
         with use_dtype(np.float64):
             model = identity_model(n=3, channels=8, height=6, feature_dim=4, num_ids=5, seed=4)
             fmap = np.zeros((4, 8, 6, 4))
             fmap[:2, :4] = 0.5
             fmap[:, 1, 4, 2] = 0.75
-            self.compare(model, fmap, [0, 1, 2, 3], rtol=1e-10, atol=1e-12)
+            self.compare(model, nhwc(fmap), [0, 1, 2, 3], rtol=1e-10, atol=1e-12)
 
     def test_stripes_longer_than_256_elements(self):
         # a 384 x 128 image through a stride-4 backbone gives 512-element
         # stripes for n = 6; here 2 stripes of 3 x 100 with maxima past
-        # element 256, some of them tied
+        # element 256, some of them tied (built channels-first)
         with use_dtype(np.float64):
             rng = np.random.default_rng(6)
             model = identity_model(n=2, channels=4, height=6, width=100, seed=6)
@@ -351,15 +355,15 @@ class TestAgainstReference:
             fmap[:, 1, 5, 99] = 1.5
             fmap[:, 2] = 0.0
             fmap[:, 3, [2, 4], [90, 10]] = 1.5
-            self.compare(model, fmap, [0, 1, 4], rtol=1e-10, atol=1e-12)
+            self.compare(model, nhwc(fmap), [0, 1, 4], rtol=1e-10, atol=1e-12)
 
 
 class TestHeadGraphSize:
     @staticmethod
     def head_nodes(mask):
         model = make_model(mask=mask)
-        images = Tensor(np.random.default_rng(0).uniform(
-            0, 1, size=(16, 3, 48, 16)).astype(np.float32))
+        images = Tensor(nhwc(np.random.default_rng(0).uniform(
+            0, 1, size=(16, 3, 48, 16)).astype(np.float32)))
         fmap = model.backbone.forward(images, training=True)
         model.backbone = type("Fixed", (), {"forward": lambda self, x, training: fmap})()
         loss = id_loss(model.forward(images, training=True).logits,
@@ -378,6 +382,31 @@ class TestHeadGraphSize:
         counts = [self.head_nodes(mask) for mask in ("000001", "110011", "111111")]
         # every mask reads the head tensors whole
         assert counts[0] == counts[1] == counts[2], counts
+
+    @staticmethod
+    def recorded_ops(out):
+        """Op names of the recorded nodes `out` depends on, itself included."""
+        ops, seen, todo = [], set(), [out]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if node._prev:
+                    ops.append(node._op)
+                todo.extend(node._prev)
+        return ops
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_channels_last_forward_records_only_the_heads_transposes(self, training):
+        # images enter channels-last and the pyramid pools the backbone's
+        # map as it comes: the backbone records no transpose, the head two
+        model = make_model()
+        images = Tensor(np.random.default_rng(0).uniform(
+            0, 1, size=(16, 48, 16, 3)).astype(np.float32))
+        fmap = model.backbone.forward(images, training)
+        assert sorted(self.recorded_ops(fmap)) == ["conv_bn_relu"] * 3
+        ops = self.recorded_ops(model.forward(images, training).logits)
+        assert ops.count("transpose") == 2, ops
 
 
 class TestModel:
@@ -406,13 +435,13 @@ class TestModel:
             except ConfigError:
                 continue
             built += 1
-            assert model.map_shape[1] % n == 0
+            assert model.map_shape[0] % n == 0
         assert built > 5
 
     def test_masking_locality(self, rng):
         """Disabling a level leaves the remaining branch features bit-identical."""
         model = make_model(n=4, stages=((8, 2), (8, 2)), image_hw=(32, 16))
-        images = Tensor(rng.uniform(0, 1, size=(3, 3, 32, 16)).astype(np.float32))
+        images = Tensor(nhwc(rng.uniform(0, 1, size=(3, 3, 32, 16)).astype(np.float32)))
         full = model.forward(images, training=False).embedding.data
         masked = make_model(n=4, stages=((8, 2), (8, 2)), image_hw=(32, 16), mask="1011"
                             ).forward(images, training=False).embedding.data
@@ -426,7 +455,7 @@ class TestModel:
     def test_branch_independence(self, rng):
         """Perturbing one branch's parameters changes no other feature."""
         model = make_model(n=3, stages=((8, 2),), image_hw=(24, 8))
-        images = Tensor(rng.uniform(0, 1, size=(2, 3, 24, 8)).astype(np.float32))
+        images = Tensor(nhwc(rng.uniform(0, 1, size=(2, 3, 24, 8)).astype(np.float32)))
         d = model.feature_dim
         before = model.forward(images, training=False).embedding.data
         model.reduce_weight.data[2] += 0.37
