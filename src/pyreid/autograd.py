@@ -605,17 +605,22 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 @catalog_op("batch-hard triplet loss: mean over the anchors with a positive and a "
             "negative of hinge(d(hardest positive) - d(hardest negative) + margin) on "
-            "Euclidean or squared row distances")
+            "Euclidean or squared row distances, from a float64 Gram matrix")
 def batch_hard_triplet(x: Tensor, labels, margin: float, squared: bool) -> Tensor:
     """Batch-hard triplet loss (Hermans et al., arXiv:1703.07737) of a (B, D)
-    embedding batch. Distances come from the (B, B, D) row differences, and
-    `batch_hard_mine` picks each anchor's hardest positive and negative.
-    The backward scatters the hinge gradients into a (B, B) distance
-    gradient W and returns rowsum(W)·x − W·x."""
+    embedding batch. Squared distances ‖a‖² + ‖b‖² − 2a·b are accumulated
+    in float64, as `rank_gallery` does, so near-identical rows do not
+    cancel; the sum commutes and the Gram matrix is symmetric, so equal
+    rows get equal distance rows. `batch_hard_mine` picks each anchor's
+    hardest positive and negative. The backward scatters the hinge
+    gradients into a (B, B) distance gradient W and returns rowsum(W)·x − W·x."""
     if x.data.ndim != 2:
         raise ValueError(f"batch_hard_triplet: expected 2-D input, got {x.data.shape}")
-    diff = x.data[:, None, :] - x.data[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + 1e-12)
+    x64 = x.data.astype(np.float64)
+    sq = np.einsum("ij,ij->i", x64, x64)
+    d2 = (sq[:, None] + sq) - 2.0 * (x64 @ x64.T)
+    np.fill_diagonal(d2, 0.0)
+    d = np.sqrt(np.maximum(d2, 0.0) + 1e-12).astype(x.data.dtype, copy=False)
     dist = d * d if squared else d
     hp, hn = batch_hard_mine(dist, labels)
     a = np.flatnonzero((hp >= 0) & (hn >= 0))

@@ -353,6 +353,9 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
     occ_boxes = np.full((n, 4), -1, dtype=np.int64)
 
     cam_specs = [_camera_spec(seed, c) for c in range(config.num_cams)]
+    # an identity's images are clipped channels-first here, then written
+    # channels-last with one transposed copy
+    clipped = np.empty((config.imgs_per_id, 3, h, w), dtype=np.float32)
 
     idx = 0
     for identity in range(config.num_ids):
@@ -372,7 +375,7 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
                                      corr.occ_color)
             img = img * cam.brightness + cam.channel_shift[:, None, None]
             img = img + rng.normal(0.0, cam.noise_sigma, size=img.shape)
-            images[idx] = np.clip(img, 0.0, 1.0).astype(np.float32).transpose(1, 2, 0)
+            np.clip(img, 0.0, 1.0, out=clipped[j])
             identities[idx] = identity
             cameras[idx] = cam.camera
             offsets[idx] = corr.offset
@@ -380,6 +383,7 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
             if corr.occ_box is not None:
                 occ_boxes[idx] = corr.occ_box
             idx += 1
+        images[first:idx] = clipped.transpose(0, 2, 3, 1)
         if is_test:
             # one query per camera the identity appears in, remainder gallery
             splits[first:idx] = SPLIT_GALLERY

@@ -396,28 +396,93 @@ class TestDebugChecks:
             ag.debug_checks = False
 
 
-class TestBatchHardTripletAgainstReference:
-    """The one-op triplet loss repeats the float arithmetic of the generic-op
-    graph it replaced, so loss and gradient bytes are equal."""
+def _triplet_with_grad(loss_fn, x, labels, margin, squared):
+    t = Tensor(x, requires_grad=True)
+    loss = loss_fn(t, labels, margin, squared)
+    backward(loss)
+    return loss.data, t.grad
 
-    @pytest.mark.parametrize("squared", [False, True])
-    @pytest.mark.parametrize("shape", [(16, 336), (64, 128), (64, 2688)])
-    def test_bitwise_float32(self, rng, shape, squared):
+
+class TestBatchHardTripletAgainstReference:
+    """The one-op triplet loss takes its distances from a float64 Gram matrix,
+    the generic-op graph from the (B, B, D) row differences: loss and
+    gradient agree within the rounding of the input dtype."""
+
+    @staticmethod
+    def _batch(rng, shape, squared):
         b, dim = shape
         labels = np.repeat(np.arange(b // 4), 4)  # a P x K batch, K = 4
-        x = (rng.normal(size=(b // 4, dim))[labels] + rng.normal(size=shape)).astype(np.float32)
+        x = rng.normal(size=(b // 4, dim))[labels] + rng.normal(size=shape)
         # the median hardest-pair gap as margin leaves about half the hinges active
         d = pairwise_distances(Tensor(x)).data
         d = d * d if squared else d
         hp, hn = batch_hard_mine(d, labels)
-        margin = float(np.median(d[np.arange(b), hn] - d[np.arange(b), hp]))
-        results = []
-        for loss_fn in (ag.batch_hard_triplet, reference_triplet_loss):
-            t = Tensor(x, requires_grad=True)
-            loss = loss_fn(t, labels, margin, squared)
-            backward(loss)
-            results.append((loss.data.tobytes(), t.grad.tobytes()))
-        assert results[0] == results[1]
+        return x, labels, float(np.median(d[np.arange(b), hn] - d[np.arange(b), hp]))
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("shape", [(16, 336), (64, 128), (64, 2688)])
+    def test_float32(self, rng, shape, squared):
+        x, labels, margin = self._batch(rng, shape, squared)
+        x = x.astype(np.float32)
+        loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, margin, squared)
+        ref_loss, ref_grad = _triplet_with_grad(reference_triplet_loss, x, labels, margin,
+                                                squared)
+        assert loss.dtype == grad.dtype == np.float32
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-5)
+        assert np.abs(grad - ref_grad).max() <= 1e-6 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("shape", [(16, 336), (64, 128), (64, 2688)])
+    def test_float64(self, rng, shape, squared):
+        x, labels, margin = self._batch(rng, shape, squared)
+        with use_dtype(np.float64):
+            loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, margin, squared)
+            ref_loss, ref_grad = _triplet_with_grad(reference_triplet_loss, x, labels, margin,
+                                                    squared)
+        assert loss.dtype == grad.dtype == np.float64
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tied_negatives_send_the_gradient_to_the_first(self, rng, dtype):
+        # rows 3 and 60 are bitwise equal, the only members of identity 1,
+        # and tie as anchor 0's hardest negative; every row shares one large
+        # random offset, so the Gram entries are large and BLAS sums them at
+        # different kernel positions. Only anchor 0's hinge is active, so row
+        # 60 must get no gradient at all.
+        b, dim, j, k = 64, 2688, 3, 60
+        labels = np.empty(b, dtype=np.int64)
+        geometry = np.zeros((b, dim))
+        labels[[0, 1]] = 0
+        geometry[1, 0] = 1.0  # anchor 0's positive, at distance 1
+        labels[[j, k]] = 1
+        geometry[[j, k], 1] = 1.5  # tied negatives, at distance 1.5
+        others = np.setdiff1d(np.arange(b), [0, 1, j, k])
+        labels[others] = 2 + np.arange(len(others)) // 2
+        # every other pair sits 10 apart from everything, 0.5 apart inside
+        geometry[others, 2 + np.arange(len(others)) // 2] = 10.0
+        geometry[others[1::2], dim - 1] = 0.5
+        x = (geometry + rng.normal(size=dim)).astype(dtype)
+        assert x[j].tobytes() == x[k].tobytes()
+        with use_dtype(dtype):
+            loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, 0.6, False)
+        np.testing.assert_allclose(loss, (1.0 - 1.5 + 0.6) / b, rtol=1e-4)
+        assert not grad[k].any()
+        assert np.abs(grad[j]).max() > 1e-3
+        assert not np.delete(grad, [0, 1, j], axis=0).any()
+
+    def test_memory_stays_below_a_difference_tensor(self, rng):
+        # forward plus backward at the paper's full-pyramid shape (B = 64,
+        # D = 21 x 128) must hold no (B, B, D) tensor: it alone is 42 MiB
+        x = rng.normal(size=(64, 2688)).astype(np.float32)
+        labels = np.repeat(np.arange(16), 4)
+        tracemalloc.start()
+        try:
+            _triplet_with_grad(ag.batch_hard_triplet, x, labels, 1.0, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_rejects_a_batch_without_a_valid_anchor(self):
         with pytest.raises(ValueError, match="no anchor"):
