@@ -12,6 +12,9 @@ the default dtype to float64 via `use_dtype`.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -288,26 +291,79 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 _CHUNK_BYTES = 1 << 18  # patch-matrix scratch of one chunk of images in conv_bn_relu
+# threads that share conv_bn_relu's chunks: one per CPU this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_tasks: queue.SimpleQueue = queue.SimpleQueue()  # chunk loops for the helper threads
+_helpers = 0  # helper threads started in this process
 
 
-def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int):
-    """Yield (first image, last image + 1, patch matrix) for each chunk of
-    images of a zero-padded (N, H+2, W+2, C) map. Row (n, r, s) of the
-    (rows, 9C) matrix is the 3x3 window of output pixel (r, s) in (i, j, c)
-    order; the matrix is one reused buffer of at most `_CHUNK_BYTES`, so
-    scratch memory does not grow with the batch."""
+def _helper() -> None:
+    while True:
+        _tasks.get()()
+
+
+def _forget_helpers() -> None:
+    # a forked child has none of its parent's threads
+    global _tasks, _helpers
+    _tasks, _helpers = queue.SimpleQueue(), 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
+    """Call fn(first image, last image + 1, patch matrix) for each chunk of
+    images of a zero-padded (N, H+2, W+2, C) map; return the results in chunk
+    order. Row (n, r, s) of the (rows, 9C) matrix is the 3x3 window of output
+    pixel (r, s) in (i, j, c) order. `_CHUNK_BYTES` alone sets the chunks.
+    Up to `_WORKERS` threads, the caller and helpers, claim the chunks one at
+    a time, and each reuses one matrix buffer of at most `_CHUNK_BYTES`, so
+    scratch memory does not grow with the batch. `fn` must write only what
+    its own chunk owns; a caller that adds results does so in chunk order, so
+    the bits do not depend on the thread count. Every chunk runs, and the
+    first error in chunk order is raised once all of them have finished."""
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
     # in xp each window row's three taps are one contiguous 3*C run
     windows = as_strided(xp, (n, ho, wo, 3, 3, c), (sn, stride * sh, stride * sw, sh, sw, sc),
                          writeable=False)
     step = max(1, _CHUNK_BYTES // (ho * wo * 9 * c * xp.itemsize))
-    buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=xp.dtype)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        cols = buf[:(hi - lo) * ho * wo]
-        np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), windows[lo:hi])
-        yield lo, hi, cols
+    starts = range(0, n, step)
+    results, errors = [None] * len(starts), []
+    todo = iter(range(len(starts)))  # each next() claims one chunk, atomically under the GIL
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+
+    def run():
+        buf = None
+        for i in todo:
+            try:
+                if buf is None:
+                    buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=xp.dtype)
+                lo, hi = starts[i], min(starts[i] + step, n)
+                cols = buf[:(hi - lo) * ho * wo]
+                np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), windows[lo:hi])
+                results[i] = fn(lo, hi, cols)
+            except BaseException as exc:  # raised by the calling thread below
+                errors.append((i, exc))
+            finished.put(i)
+
+    global _helpers
+    helpers = min(_WORKERS, len(starts)) - 1
+    while _helpers < helpers:
+        threading.Thread(target=_helper, name="pyreid-conv", daemon=True).start()
+        _helpers += 1
+    for _ in range(helpers):
+        _tasks.put(run)
+    run()
+    # a helper may still be in its last chunk; a helper that comes late finds
+    # no chunk left and touches nothing
+    for _ in starts:
+        finished.get()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
 
 
 @catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "
@@ -350,8 +406,8 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
         scale = gamma.data * rstd
         wk = wcol * scale
     y = np.empty((m, co), dtype=dtype)
-    for lo, hi, cols in _patch_chunks(xp, stride, ho, wo):
-        np.matmul(cols, wk, out=y[lo * p:hi * p])
+    _patch_chunks(xp, stride, ho, wo,
+                  lambda lo, hi, cols: np.matmul(cols, wk, out=y[lo * p:hi * p]))
     # channel sums as ones-vector products, which BLAS does faster than
     # numpy's axis-0 reductions on an (M, Co) matrix
     ones = np.ones(m, dtype=dtype)
@@ -386,13 +442,14 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             gy *= gamma.data * rstd
         # in eval gy stays unscaled: gw is then patchesᵀ·gy, and the input
         # gradient multiplies gy by the folded kernel
-        gw = np.zeros((9 * c, co), dtype=dtype)
         gxp = (np.zeros((n, 2 * ho + 2, 2 * wo + 2, c), dtype=dtype)
                if x._tracked and stride == 2 else None)
-        for lo, hi, cols in _patch_chunks(xp, stride, ho, wo):
-            gw += cols.T @ gy[lo * p:hi * p]
+
+        def chunk_bw(lo, hi, cols):
+            gyc = gy[lo * p:hi * p]
+            part = cols.T @ gyc
             if gxp is not None:
-                gcols = np.matmul(gy[lo * p:hi * p], wk.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
+                gcols = np.matmul(gyc, wk.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
                 # padded row 2r + i is row r + i // 2 of phase i % 2: offsets
                 # i, j < 2 fill both phases of one shifted window, and each
                 # element gets its terms in the order of an (i, j) loop
@@ -401,6 +458,13 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
                 gv[:, :ho, :, 1:, 0] += gcols[:, :, :, :2, 2].transpose(0, 1, 3, 2, 4)
                 gv[:, 1:, 0, :wo] += gcols[:, :, :, 2, :2]
                 gv[:, 1:, 0, 1:, 0] += gcols[:, :, :, 2, 2]
+            return part
+
+        # each chunk's weight-gradient term is added in chunk order, as one
+        # running sum over the chunks would add it
+        gw = np.zeros((9 * c, co), dtype=dtype)
+        for part in _patch_chunks(xp, stride, ho, wo, chunk_bw):
+            gw += part
         if not training:
             # sum over rows of gy * y is sum over k of wcol * (patchesᵀ·gy),
             # so gamma's gradient needs no copy of the convolution y
@@ -419,8 +483,8 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             wflip = np.ascontiguousarray(wk.reshape(3, 3, c, co)[::-1, ::-1]
                                          .transpose(0, 1, 3, 2)).reshape(9 * co, c)
             gx = np.empty((m, c), dtype=dtype)
-            for lo, hi, cols in _patch_chunks(gyp, 1, h, wd_):
-                np.matmul(cols, wflip, out=gx[lo * p:hi * p])
+            _patch_chunks(gyp, 1, h, wd_,
+                          lambda lo, hi, cols: np.matmul(cols, wflip, out=gx[lo * p:hi * p]))
             _acc(x, gx.reshape(n, h, wd_, c), own=True)
 
     return _from_op(out.reshape(n, ho, wo, co), (x, w, gamma, beta), "conv_bn_relu", _bw)

@@ -23,7 +23,7 @@ from .evaluation import evaluate_checkpoint, metrics_table
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
 from .trainer import make_config, resolved_config_text, train
-from . import chart
+from . import autograd, chart
 
 
 def _write_metrics_csv(path, rows: list) -> None:
@@ -88,6 +88,7 @@ def _run_info(start: float) -> str:
         "blas": blas_version,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         "cpu_count": os.cpu_count(),
+        "conv_workers": autograd._WORKERS,
     }
     return "".join(f"{key} = {value}\n" for key, value in fields.items())
 

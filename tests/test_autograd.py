@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -298,33 +301,125 @@ class TestConvBnReluAgainstUnfusedReference:
             assert a.dtype == np.float32
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_several_chunks_float64(self, rng, monkeypatch, stride, training):
+    def test_several_chunks_float64(self, rng, monkeypatch, stride, training, workers):
         # a budget of two images' patch rows splits 5 images 2 + 2 + 1 in
-        # every pass: forward, weight gradient and (stride 1) the gather
+        # every pass (forward, weight gradient and, at stride 1, the gather),
+        # whatever the number of worker threads that share the chunks
         x, w, gamma, beta, stats, g = _block_inputs(rng, 5, 4, 7, 6, 4, stride, np.float64)
         ho, wo = g.shape[1:3]
         monkeypatch.setattr(ag, "_CHUNK_BYTES", 2 * ho * wo * 9 * 4 * 8)
-        chunks, patch_chunks = [], ag._patch_chunks
+        monkeypatch.setattr(ag, "_WORKERS", workers)
+        passes, patch_chunks = [], ag._patch_chunks
 
-        def spy(*args):
-            chunks.append([])
-            for lo, hi, cols in patch_chunks(*args):
-                chunks[-1].append(hi - lo)
-                yield lo, hi, cols
+        def spy(xp, stride, ho, wo, fn):
+            chunks = []
+            passes.append(chunks)
+
+            def record(lo, hi, cols):
+                chunks.append((lo, hi, threading.get_ident()))
+                return fn(lo, hi, cols)
+
+            return patch_chunks(xp, stride, ho, wo, record)
 
         monkeypatch.setattr(ag, "_patch_chunks", spy)
         ref_stats = tuple(a.copy() for a in stats)
         ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training,
                                      0.1, 1e-5, g)
         got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
-        assert chunks == [[2, 2, 1]] * (3 if stride == 1 else 2)
+        assert [[hi - lo for lo, hi, _ in sorted(p)] for p in passes] == \
+            [[2, 2, 1]] * (3 if stride == 1 else 2)
+        assert all(len({t for _, _, t in p}) <= workers for p in passes)
         for name, a, b in zip(("out", "x", "w", "gamma", "beta"),
                               (got[0].data,) + tuple(t.grad for t in got[1:]), ref):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
         for a, b in zip(stats, ref_stats):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("budget", [None, 1 << 16])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape,out_ch,stride", [
+        ((3, 48, 16), 16, 2), ((16, 24, 8), 32, 2), ((32, 12, 4), 64, 1)])
+    def test_bits_do_not_depend_on_worker_count(self, rng, monkeypatch, shape, out_ch,
+                                                stride, training, budget):
+        # the blocks have 6, 8 and 16 chunks at the default budget and 22, 32
+        # and 64 at 64 KiB; 3 workers claim them in whatever order they come
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 64, *shape, out_ch, stride,
+                                                    np.float32)
+        if budget is not None:
+            monkeypatch.setattr(ag, "_CHUNK_BYTES", budget)
+        runs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ag, "_WORKERS", workers)
+            moved = tuple(a.copy() for a in stats)
+            got = _block_with_grads(x, w, gamma, beta, moved, stride, training, g)
+            runs.append((got[0].data,) + tuple(t.grad for t in got[1:]) + moved)
+        for run in runs[1:]:
+            for name, a, b in zip(("out", "x", "w", "gamma", "beta", "mean", "var"),
+                                  runs[0], run):
+                assert np.array_equal(a, b), name
+
+    def test_more_workers_than_cpus_and_fast_thread_switching_keep_the_bits(self, rng,
+                                                                            monkeypatch):
+        # 16 one-image chunks per pass claimed by 5 threads that the
+        # interpreter switches between every 10 us: a chunk claimed twice or
+        # never would change or leave out rows of the output or gradients
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 16, 32, 12, 4, 64, 1, np.float32)
+        monkeypatch.setattr(ag, "_CHUNK_BYTES", 1)
+        runs = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 5, 5, 5):
+                monkeypatch.setattr(ag, "_WORKERS", workers)
+                got = _block_with_grads(x, w, gamma, beta, tuple(a.copy() for a in stats), 1,
+                                        True, g)
+                runs.append((got[0].data,) + tuple(t.grad for t in got[1:]))
+        finally:
+            sys.setswitchinterval(switch)
+        for run in runs[1:]:
+            for name, a, b in zip(("out", "x", "w", "gamma", "beta"), runs[0], run):
+                assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("failing", [(0,), (4,), (1, 4)])
+    def test_error_in_a_chunk_is_raised_after_every_chunk_finishes(self, rng, monkeypatch,
+                                                                   failing):
+        # 6 one-image chunks shared by 3 threads: a failing chunk raises at
+        # once, every other one takes 20 ms and must finish before the first
+        # error in chunk order leaves the op, whichever thread runs it
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 6, 4, 7, 6, 4, 1, np.float64)
+        monkeypatch.setattr(ag, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(ag, "_WORKERS", 3)
+        finished, patch_chunks = [], ag._patch_chunks
+
+        def failing_chunks(xp, stride, ho, wo, fn):
+            def chunk(lo, hi, cols):
+                if lo in failing:
+                    raise RuntimeError(f"chunk {lo}")
+                time.sleep(0.02)
+                result = fn(lo, hi, cols)
+                finished.append(lo)
+                return result
+
+            return patch_chunks(xp, stride, ho, wo, chunk)
+
+        monkeypatch.setattr(ag, "_patch_chunks", failing_chunks)
+        with pytest.raises(RuntimeError, match=f"chunk {failing[0]}"):
+            ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, 1,
+                            True, 0.1, 1e-5)
+        assert sorted(finished) == [c for c in range(6) if c not in failing]
+        # the pool is still usable, and gives the one-thread bits
+        monkeypatch.setattr(ag, "_patch_chunks", patch_chunks)
+        runs = []
+        for workers in (3, 1):
+            monkeypatch.setattr(ag, "_WORKERS", workers)
+            got = _block_with_grads(x, w, gamma, beta, tuple(a.copy() for a in stats), 1,
+                                    True, g)
+            runs.append((got[0].data,) + tuple(t.grad for t in got[1:]))
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_eval_gradients_use_the_statistics_of_their_forward(self, rng, stride):

@@ -1,4 +1,5 @@
 import csv
+import os
 import shutil
 import zlib
 from pathlib import Path
@@ -59,9 +60,10 @@ class TestTrain:
         lines = (trained_dir / "run_info.txt").read_text().splitlines()
         info = dict(line.split(" = ", 1) for line in lines)
         for key in ("started_unix", "duration_s", "numpy_version", "blas",
-                    "openblas_num_threads", "cpu_count"):
+                    "openblas_num_threads", "cpu_count", "conv_workers"):
             assert info.get(key), key
         assert info["numpy_version"] == np.__version__
+        assert info["conv_workers"] == str(len(os.sched_getaffinity(0)))
 
     def test_resolved_config_reproduces_run(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "replay"
