@@ -12,6 +12,8 @@ the default dtype to float64 via `use_dtype`.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import os
 import queue
 import threading
@@ -291,10 +293,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 _CHUNK_BYTES = 1 << 18  # patch-matrix scratch of one chunk of images in conv_bn_relu
-# threads that share conv_bn_relu's chunks: one per CPU this process may run on
+# threads that share conv_bn_relu's chunks and rank_gallery's query blocks:
+# one per CPU this process may run on
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_tasks: queue.SimpleQueue = queue.SimpleQueue()  # chunk loops for the helper threads
+_tasks: queue.SimpleQueue = queue.SimpleQueue()  # claim loops for the helper threads
 _helpers = 0  # helper threads started in this process
 
 
@@ -313,17 +316,57 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
+def _share_tasks(count: int, worker) -> list:
+    """Run tasks 0 .. count - 1 and return their results in task order. Up
+    to `_WORKERS` threads, the caller and helpers, claim the tasks one at a
+    time, each in the caller's context variables (numpy's error state among
+    them). A thread's first claim calls worker(), which returns the function
+    that runs task i in that thread; whatever scratch it holds is freed when
+    the thread has no task left. A task must write only what it owns; a
+    caller that adds results does so in task order, so the bits do not
+    depend on the thread count. Every task runs, and the first error in task
+    order is raised once all of them have finished: no task is still
+    running when this returns."""
+    results, errors = [None] * count, []
+    todo = iter(range(count))  # each next() claims one task, atomically under the GIL
+    finished: queue.SimpleQueue = queue.SimpleQueue()
+
+    def run():
+        task = None
+        for i in todo:
+            try:
+                if task is None:
+                    task = worker()
+                results[i] = task(i)
+            except BaseException as exc:  # raised by the calling thread below
+                errors.append((i, exc))
+            finished.put(i)
+
+    global _helpers
+    helpers = min(_WORKERS, count) - 1
+    while _helpers < helpers:
+        threading.Thread(target=_helper, name="pyreid-worker", daemon=True).start()
+        _helpers += 1
+    for _ in range(helpers):
+        _tasks.put(functools.partial(contextvars.copy_context().run, run))
+    run()
+    # a helper may still be in its last task; a helper that comes late finds
+    # no task left and touches nothing
+    for _ in range(count):
+        finished.get()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return results
+
+
 def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
     """Call fn(first image, last image + 1, patch matrix) for each chunk of
     images of a zero-padded (N, H+2, W+2, C) map; return the results in chunk
     order. Row (n, r, s) of the (rows, 9C) matrix is the 3x3 window of output
     pixel (r, s) in (i, j, c) order. `_CHUNK_BYTES` alone sets the chunks.
-    Up to `_WORKERS` threads, the caller and helpers, claim the chunks one at
-    a time, and each reuses one matrix buffer of at most `_CHUNK_BYTES`, so
-    scratch memory does not grow with the batch. `fn` must write only what
-    its own chunk owns; a caller that adds results does so in chunk order, so
-    the bits do not depend on the thread count. Every chunk runs, and the
-    first error in chunk order is raised once all of them have finished."""
+    The chunks are `_share_tasks`' tasks, and each thread reuses one matrix
+    buffer of at most `_CHUNK_BYTES`, so scratch memory does not grow with
+    the batch. `fn` must write only what its own chunk owns."""
     n, _, _, c = xp.shape
     sn, sh, sw, sc = xp.strides
     # in xp each window row's three taps are one contiguous 3*C run
@@ -331,39 +374,19 @@ def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
                          writeable=False)
     step = max(1, _CHUNK_BYTES // (ho * wo * 9 * c * xp.itemsize))
     starts = range(0, n, step)
-    results, errors = [None] * len(starts), []
-    todo = iter(range(len(starts)))  # each next() claims one chunk, atomically under the GIL
-    finished: queue.SimpleQueue = queue.SimpleQueue()
 
-    def run():
-        buf = None
-        for i in todo:
-            try:
-                if buf is None:
-                    buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=xp.dtype)
-                lo, hi = starts[i], min(starts[i] + step, n)
-                cols = buf[:(hi - lo) * ho * wo]
-                np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), windows[lo:hi])
-                results[i] = fn(lo, hi, cols)
-            except BaseException as exc:  # raised by the calling thread below
-                errors.append((i, exc))
-            finished.put(i)
+    def worker():
+        buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=xp.dtype)
 
-    global _helpers
-    helpers = min(_WORKERS, len(starts)) - 1
-    while _helpers < helpers:
-        threading.Thread(target=_helper, name="pyreid-conv", daemon=True).start()
-        _helpers += 1
-    for _ in range(helpers):
-        _tasks.put(run)
-    run()
-    # a helper may still be in its last chunk; a helper that comes late finds
-    # no chunk left and touches nothing
-    for _ in starts:
-        finished.get()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return results
+        def chunk(i):
+            lo, hi = starts[i], min(starts[i] + step, n)
+            cols = buf[:(hi - lo) * ho * wo]
+            np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), windows[lo:hi])
+            return fn(lo, hi, cols)
+
+        return chunk
+
+    return _share_tasks(len(starts), worker)
 
 
 @catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "

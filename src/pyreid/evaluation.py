@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, no_grad
+from .autograd import Tensor, _share_tasks, no_grad
 from .data_synth import ReIDDataset
 from .errors import ConfigError
 from .pyramid import BranchMask, PyramidModel
@@ -20,7 +20,20 @@ class RankedResult:
     matches: np.ndarray  # bool per ranked position
 
 
-_RANK_BLOCK = 128  # query rows per distance block; a (128, G) float64 buffer each
+# query rows per task: a (128, G) float64 distance block and its (128, G)
+# int64 keys each. Blocks of fewer rows would change BLAS's rounding of the
+# distance products for some gallery shapes, and with it near-tie rankings
+_RANK_BLOCK = 128
+
+
+def _hash_multipliers(dim: int) -> np.ndarray:
+    """One odd 64-bit multiplier per embedding column: splitmix64 of the
+    column number. Odd multipliers are invertible modulo 2**64, so two rows
+    that differ in one column always hash apart."""
+    z = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
 
 
 def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.ndarray,
@@ -29,7 +42,16 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
     """Rank the gallery for every query row by Euclidean distance, after
     dropping the query's same-identity same-camera entries (junk under the
     standard protocol). Distance ties break toward the lower gallery index.
-    Returns one RankedResult per query, in query order."""
+    Returns one RankedResult per query, in query order.
+
+    Blocks of `_RANK_BLOCK` queries are tasks of `autograd._share_tasks`.
+    Each block sorts one int64 key per distance: the distance's bits with
+    the low b = (G - 1).bit_length() bits replaced by the gallery index.
+    Non-negative doubles order as their bits, and junk distances are inf,
+    so where the kept keys of a row all differ above the low b bits, the
+    sorted keys are the exact (distance, index) order. Rows with two kept
+    keys equal above those bits (every tie and near-tie) or with a NaN
+    distance are sorted again with a stable argsort of the distances."""
     q = np.asarray(query_embs, dtype=np.float64)
     g = np.array(gallery_embs, dtype=np.float64, order="C")
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
@@ -41,18 +63,29 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
     # BLAS rounds the products of equal gallery rows differently by position,
     # which would reorder their tie: every duplicate row takes the distances
     # of its first occurrence. Adding 0.0 turns -0.0 into 0.0, so numerically
-    # equal rows are bitwise equal.
+    # equal rows are bitwise equal. Equal rows hash alike, so only rows whose
+    # hash another row shares are compared in full.
     g += 0.0
-    rows = g.view(np.dtype((np.void, g.itemsize * g.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    source = first[inverse]
-    dup = np.flatnonzero(source != np.arange(len(g)))
+    n = len(g)
+    _, inverse, counts = np.unique(g.view(np.uint64) @ _hash_multipliers(g.shape[1]),
+                                   return_inverse=True, return_counts=True)
+    shared = np.flatnonzero(counts[inverse] > 1)
+    source = np.arange(n)
+    if len(shared):
+        rows = g[shared].view(np.dtype((np.void, g.itemsize * g.shape[1]))).ravel()
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        source[shared] = shared[first[inverse]]
+    dup = np.flatnonzero(source != np.arange(n))
     g_sq = np.einsum("ij,ij->i", g, g)
-    results = []
-    for lo in range(0, len(q), _RANK_BLOCK):
+    low = (1 << (n - 1).bit_length()) - 1  # key bits that hold the gallery index
+    index = np.arange(n, dtype=np.int64)
+
+    def rank_block(block: int) -> list:
+        lo = block * _RANK_BLOCK
         qb = q[lo:lo + _RANK_BLOCK]
         ids, cams = query_ids[lo:lo + _RANK_BLOCK, None], query_cams[lo:lo + _RANK_BLOCK, None]
-        # squared distances ||q||^2 + ||g||^2 - 2 q.g, clamped at 0
+        # squared distances ||q||^2 + ||g||^2 - 2 q.g, clamped at 0; adding
+        # the non-negative norms leaves no -0.0
         dist = (-2.0 * qb) @ g.T
         dist += np.einsum("ij,ij->i", qb, qb)[:, None]
         dist += g_sq
@@ -61,23 +94,28 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
         dist[:, dup] = dist[:, source[dup]]
         junk = (gallery_ids == ids) & (gallery_cams == cams)
         dist[junk] = np.inf
-        kept = len(g) - junk.sum(axis=1)
+        kept = n - junk.sum(axis=1)
         if not kept.all():
             raise ValueError(f"rank_gallery: query {lo + int(np.argmin(kept))} has an empty "
                              f"gallery after filtering")
-        # numpy's default sort is several times faster than the stable one
-        # but may reorder equal distances; rows with two equal (or NaN)
-        # neighbours among their kept distances are sorted again, stably
-        order = np.argsort(dist, axis=1)
-        ranked = np.take_along_axis(dist, order, axis=1)
-        tied = ~(ranked[:, 1:] > ranked[:, :-1]) & (np.arange(len(g) - 1) < kept[:, None] - 1)
-        redo = np.flatnonzero(tied.any(axis=1))
+        keys = dist.view(np.int64) & ~low
+        keys |= index
+        keys.sort(axis=1)
+        redo = np.isnan(dist.max(axis=1))  # NaN keys sort by their bits, not last
+        if n > 1:
+            # the first adjacent pair of sorted keys equal above the index bits
+            same = (keys[:, 1:] ^ keys[:, :-1]) <= low
+            first = same.argmax(axis=1)
+            redo |= same[np.arange(len(qb)), first] & (first < kept - 1)
+        order = np.bitwise_and(keys, low, out=keys)
+        redo = np.flatnonzero(redo)
         order[redo] = np.argsort(dist[redo], axis=1, kind="stable")
         matches = gallery_ids[order] == ids
-        results.extend(RankedResult(query_index=lo + i, order=order[i, :k],
-                                    matches=matches[i, :k])
-                       for i, k in enumerate(kept))
-    return results
+        return [RankedResult(query_index=lo + i, order=order[i, :k], matches=matches[i, :k])
+                for i, k in enumerate(kept)]
+
+    blocks = _share_tasks(-(-len(q) // _RANK_BLOCK), lambda: rank_block)
+    return [res for block in blocks for res in block]
 
 
 def compute_cmc(results: list, max_rank: int) -> np.ndarray:

@@ -471,6 +471,53 @@ class TestConvBnReluAgainstUnfusedReference:
             assert all(t.grad.flags["C_CONTIGUOUS"] for t in got[1:])
 
 
+class TestShareTasks:
+    """The worker threads that conv_bn_relu's chunks and rank_gallery's
+    query blocks share."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_results_in_task_order(self, monkeypatch, workers):
+        monkeypatch.setattr(ag, "_WORKERS", workers)
+        threads = set()
+
+        def task(i):
+            threads.add(threading.get_ident())
+            time.sleep(0.001 * (i % 3))
+            return i * i
+
+        assert ag._share_tasks(9, lambda: task) == [i * i for i in range(9)]
+        assert len(threads) <= workers
+        assert ag._share_tasks(0, lambda: task) == []
+
+    def test_first_error_in_task_order_after_every_task(self, monkeypatch):
+        # task 4 fails at once and task 1 late: task 1's error leaves, once
+        # the slow task 2 has finished too
+        monkeypatch.setattr(ag, "_WORKERS", 3)
+        finished = []
+
+        def task(i):
+            if i == 1:
+                time.sleep(0.03)
+            if i in (1, 4):
+                raise RuntimeError(f"task {i}")
+            time.sleep(0.06 if i == 2 else 0.0)
+            finished.append(i)
+
+        with pytest.raises(RuntimeError, match="task 1"):
+            ag._share_tasks(6, lambda: task)
+        assert sorted(finished) == [0, 2, 3, 5]
+
+    def test_helpers_run_in_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(ag, "_WORKERS", 3)
+
+        def task(i):
+            time.sleep(0.01)
+            return np.geterr()["invalid"]
+
+        with np.errstate(invalid="ignore"):
+            assert ag._share_tasks(6, lambda: task) == ["ignore"] * 6
+
+
 class TestDebugChecks:
     def test_non_finite_output_raises_when_enabled(self):
         ag.debug_checks = True

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pyreid.autograd as ag
+import pyreid.evaluation as evaluation
 from pyreid.autograd import Tensor, use_dtype
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.errors import ConfigError
@@ -23,6 +25,22 @@ def result(matches, query_index=0):
 
 def orders(results):
     return [r.order.tolist() for r in results]
+
+
+def ranked(results):
+    """Everything a ranking returns, as plain lists."""
+    return [(r.query_index, r.order.tolist(), r.matches.tolist()) for r in results]
+
+
+def rank_on_workers(monkeypatch, *args, workers=(1, 2, 3)):
+    """rank_gallery's results with each number of worker threads; they must
+    all be the same, and the first is returned."""
+    runs = []
+    for count in workers:
+        monkeypatch.setattr(ag, "_WORKERS", count)
+        runs.append(ranked(rank_gallery(*args)))
+    assert all(run == runs[0] for run in runs[1:])
+    return runs[0]
 
 
 class TestRankGallery:
@@ -60,22 +78,25 @@ class TestRankGallery:
         for run, match in zip(runs[1:], matches[1:]):
             assert orders(run) == orders(runs[0]) and match == matches[0]
 
-    def test_exact_ties_keep_the_stable_order(self, rng):
+    def test_exact_ties_keep_the_stable_order(self, rng, monkeypatch):
         # small-integer rows give exact distances; every row of the gallery
         # has duplicates at scattered indices and equal-distance neighbours,
-        # over more than one block of queries
+        # over two blocks of queries shared by 1, 2 and 3 threads
         distinct = rng.integers(-2, 3, size=(12, 4)).astype(np.float64)
         g = distinct[rng.integers(0, 12, size=300)]
         q = rng.integers(-2, 3, size=(200, 4)).astype(np.float64)
         gids, gcams = rng.integers(0, 5, size=300), rng.integers(0, 2, size=300)
         qids, qcams = rng.integers(0, 5, size=200), rng.integers(0, 2, size=200)
-        res = rank_gallery(q, qids, qcams, g, gids, gcams)
+        assert len(q) > evaluation._RANK_BLOCK
+        res = rank_on_workers(monkeypatch, q, qids, qcams, g, gids, gcams)
         sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
         junk = (gids == qids[:, None]) & (gcams == qcams[:, None])
         sq[junk] = np.inf
         want = np.argsort(sq, axis=1, kind="stable")
-        for i, r in enumerate(res):
-            assert r.order.tolist() == want[i, :300 - junk[i].sum()].tolist()
+        assert [i for i, _, _ in res] == list(range(200))
+        for i, (_, order, matches) in enumerate(res):
+            assert order == want[i, :300 - junk[i].sum()].tolist()
+            assert matches == (gids[order] == qids[i]).tolist()
 
     def test_one_result_per_query_in_order(self):
         g = np.array([[0.0], [1.0], [2.0]])
@@ -90,6 +111,102 @@ class TestRankGallery:
         with pytest.raises(ValueError, match="query 1 has an empty gallery"):
             rank_gallery(np.zeros((3, 1)), [4, 5, 5], [2, 2, 2], g, np.array([5, 5]),
                          np.array([2, 2]))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_empty_gallery_in_two_blocks_names_the_lower_query(self, rng, monkeypatch,
+                                                                workers):
+        # queries 300 and 140 (third and second block) keep no gallery entry;
+        # the blocks after the first finish before the error leaves
+        monkeypatch.setattr(ag, "_WORKERS", workers)
+        g = rng.normal(size=(50, 3))
+        qids = np.arange(320) % 7 + 1
+        qids[[300, 140]] = 0
+        with pytest.raises(ValueError, match="query 140 has an empty gallery"):
+            rank_gallery(rng.normal(size=(320, 3)), qids, np.zeros(320, dtype=int), g,
+                         np.zeros(50, dtype=int), np.zeros(50, dtype=int))
+
+    def test_no_queries(self):
+        assert rank_gallery(np.zeros((0, 3)), [], [], np.ones((4, 3)), np.arange(4),
+                            np.zeros(4, dtype=int)) == []
+
+    def test_one_gallery_image(self):
+        res = rank_gallery(np.zeros((3, 2)), [1, 2, 3], [0, 0, 0], np.ones((1, 2)),
+                           np.array([2]), np.array([1]))
+        assert ranked(res) == [(0, [0], [False]), (1, [0], [True]), (2, [0], [False])]
+        with pytest.raises(ValueError, match="query 1 has an empty gallery"):
+            rank_gallery(np.zeros((2, 2)), [1, 2], [1, 1], np.ones((1, 2)), np.array([2]),
+                         np.array([1]))
+
+    def test_distances_one_ulp_apart_rank_exactly(self):
+        # |x| and the next double share every key bit above the index bits;
+        # the larger one comes first in gallery order, so index order is wrong
+        a = 1.5
+        b = np.nextafter(a, 2.0)
+        g = np.array([[9.0], [b], [4.0], [a], [b], [7.0], [a], [0.5]])
+        res = rank_gallery(np.zeros((1, 1)), [0], [0], g, np.arange(1, 9), np.zeros(8))
+        assert orders(res) == [[7, 3, 6, 1, 4, 2, 5, 0]]
+
+    def test_nan_distance_ranks_last(self):
+        # an inf column the query shares gives -inf + inf: a NaN with its sign
+        # bit set, which as an integer key would sort first
+        g = np.array([[3.0, 0.0], [np.inf, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert np.signbit(-2.0 * np.inf + 1.0 + np.inf)
+            res = rank_gallery(np.array([[1.0, 0.0]]), [0], [0], g, np.arange(1, 5),
+                               np.zeros(4))
+        assert orders(res) == [[2, 3, 0, 1]]
+
+    def test_nan_payloads_do_not_order_nan_distances(self):
+        # NaN embeddings give NaN distances that keep their payloads; as
+        # integer keys the larger payload at the lower index would rank last
+        nans = np.array([0x7FF8000000100000, 0x7FF8000000000100]).view(np.float64)
+        g = np.array([[3.0], [nans[0]], [1.0], [nans[1]], [2.0]])
+        with np.errstate(invalid="ignore"):
+            res = rank_gallery(np.ones((1, 1)), [0], [0], g, np.arange(1, 6), np.zeros(5))
+        assert orders(res) == [[2, 4, 0, 1, 3]]
+
+    def test_nan_rows_in_every_block_on_every_worker_count(self, rng, monkeypatch):
+        # every query has a positive first column, so -2 q.g + |g|^2 is
+        # -inf + inf for the inf row; np.errstate set by the caller holds in
+        # the worker threads too
+        g = rng.normal(size=(40, 3))
+        g[17] = [np.inf, 0.0, 0.0]
+        q = np.abs(rng.normal(size=(300, 3))) + 0.1
+        ids = rng.integers(0, 4, size=300)
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = rank_on_workers(monkeypatch, q, ids, ids, g, np.full(40, -1),
+                                  np.zeros(40))
+        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        sq[:, 17] = np.nan
+        assert [order for _, order, _ in res] == np.argsort(sq, axis=1, kind="stable").tolist()
+
+    def test_one_hash_for_every_row_gives_the_same_rankings(self, rng, monkeypatch):
+        # every gallery row collides: the duplicate check falls back to
+        # comparing all rows in full and must find the same first occurrences
+        distinct = rng.integers(-2, 3, size=(9, 5)).astype(np.float64)
+        g = np.concatenate([distinct[rng.integers(0, 9, size=60)], rng.normal(size=(20, 5))])
+        g[rng.uniform(size=g.shape) < 0.1] = -0.0
+        q = np.concatenate([g[::7], rng.normal(size=(8, 5))])
+        args = (q, np.zeros(len(q)), np.zeros(len(q)), g, np.ones(80), np.zeros(80))
+        want = ranked(rank_gallery(*args))
+        monkeypatch.setattr(evaluation, "_hash_multipliers",
+                            lambda dim: np.zeros(dim, dtype=np.uint64))
+        assert ranked(rank_gallery(*args)) == want
+        assert orders(rank_gallery(*args)) == [oracle_rank(r, 0, 0, g.tolist(), np.ones(80),
+                                                           np.zeros(80)) for r in q.tolist()]
+
+    def test_wide_embeddings(self, rng):
+        # 5,000 columns: one hash multiplier each, and rows that differ in
+        # one column only must not be taken for duplicates
+        g = rng.integers(-1, 2, size=(30, 5000)).astype(np.float64)
+        g[10] = g[3]
+        g[20] = g[3]
+        g[20, 4999] += 1.0
+        q = rng.integers(-1, 2, size=(4, 5000)).astype(np.float64)
+        res = rank_gallery(q, np.zeros(4), np.zeros(4), g, np.ones(30), np.zeros(30))
+        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        assert orders(res) == np.argsort(sq, axis=1, kind="stable").tolist()
+        assert len(set(evaluation._hash_multipliers(5000).tolist())) == 5000
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
@@ -153,20 +270,34 @@ class TestRankGalleryAgainstOracle:
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(retrieval_cases())
     def test_orders_match_oracle(self, case):
+        # with the shipped block and with blocks of 5 queries, which the
+        # worker threads share when there are 1, 2 or 3 of them
         queries, qids, qcams, gallery, gids, gcams = case
         empty = [i for i, (qid, qcam) in enumerate(zip(qids, qcams))
                  if ((gids == qid) & (gcams == qcam)).all()]
+        runs = []
+        for block, workers in [(evaluation._RANK_BLOCK, 1), (5, 1), (5, 2), (5, 3)]:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "_RANK_BLOCK", block)
+                mp.setattr(ag, "_WORKERS", workers)
+                if empty:
+                    with pytest.raises(ValueError,
+                                       match=f"query {empty[0]} has an empty gallery"):
+                        rank_gallery(queries, qids, qcams, gallery, gids, gcams)
+                else:
+                    runs.append(ranked(rank_gallery(queries, qids, qcams, gallery, gids,
+                                                    gcams)))
         if empty:
-            with pytest.raises(ValueError, match=f"query {empty[0]} has an empty gallery"):
-                rank_gallery(queries, qids, qcams, gallery, gids, gcams)
             return
-        res = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
-        assert [r.query_index for r in res] == list(range(len(queries)))
         rows = gallery.tolist()  # plain floats keep the oracle quick
-        assert orders(res) == [oracle_rank(q, i, c, rows, gids, gcams)
-                               for q, i, c in zip(queries.tolist(), qids, qcams)]
-        for r, qid in zip(res, qids):
-            assert r.matches.tolist() == (gids[r.order] == qid).tolist()
+        want = [oracle_rank(q, i, c, rows, gids, gcams)
+                for q, i, c in zip(queries.tolist(), qids, qcams)]
+        for run in runs:
+            assert [i for i, _, _ in run] == list(range(len(queries)))
+            assert [order for _, order, _ in run] == want
+            for (_, order, matches), qid in zip(run, qids):
+                assert matches == (gids[order] == qid).tolist()
+        assert all(run == runs[1] for run in runs[2:])
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(retrieval_cases(), st.data())
