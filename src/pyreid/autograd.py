@@ -692,8 +692,8 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 @catalog_op("batch-hard triplet loss: mean over the anchors with a positive and a "
             "negative of hinge(d(hardest positive) - d(hardest negative) + margin) on "
-            "Euclidean or squared row distances, from a float64 Gram matrix")
-def batch_hard_triplet(x: Tensor, labels, margin: float, squared: bool) -> Tensor:
+            "Euclidean row distances, from a float64 Gram matrix")
+def batch_hard_triplet(x: Tensor, labels, margin: float) -> Tensor:
     """Batch-hard triplet loss (Hermans et al., arXiv:1703.07737) of a (B, D)
     embedding batch. Squared distances ‖a‖² + ‖b‖² − 2a·b are accumulated
     in float64, as `rank_gallery` does, so near-identical rows do not
@@ -708,24 +708,20 @@ def batch_hard_triplet(x: Tensor, labels, margin: float, squared: bool) -> Tenso
     d2 = (sq[:, None] + sq) - 2.0 * (x64 @ x64.T)
     np.fill_diagonal(d2, 0.0)
     d = np.sqrt(np.maximum(d2, 0.0) + 1e-12).astype(x.data.dtype, copy=False)
-    dist = d * d if squared else d
-    hp, hn = batch_hard_mine(dist, labels)
+    hp, hn = batch_hard_mine(d, labels)
     a = np.flatnonzero((hp >= 0) & (hn >= 0))
     if not a.size:
         raise ValueError("batch_hard_triplet: no anchor has both a positive and a negative")
     hp, hn = hp[a], hn[a]
-    hinge = (dist[a, hp] - dist[a, hn]) + x.data.dtype.type(margin)
+    hinge = (d[a, hp] - d[a, hn]) + x.data.dtype.type(margin)
     active = hinge > 0
     out = np.where(active, hinge, hinge.dtype.type(0)).mean()
 
     def _bw(g):
         gt = (g / a.size) * active
-        gd = np.zeros_like(dist)
+        gd = np.zeros_like(d)
         gd[a, hp] += gt
         gd[a, hn] -= gt
-        if squared:
-            gd *= d
-            gd += gd
         w = (gd + gd.T) / d
         _acc(x, w.sum(axis=1)[:, None] * x.data - w @ x.data, own=True)
 

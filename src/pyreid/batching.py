@@ -66,14 +66,12 @@ def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list
     return batches
 
 
-def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int,
-               with_replacement: bool = False) -> list[MiniBatch]:
+def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[MiniBatch]:
     """One epoch of ID-balanced batches: P identities x K images each, drawn
-    i.i.d. per batch.
+    i.i.d. per batch, the K images without replacement.
 
-    By default identities with fewer than K images are never used; the
-    with_replacement policy keeps them and samples their images with
-    replacement. Epoch length is ceil(eligible images / (P*K)) batches.
+    Identities with fewer than K images are never used. Epoch length is
+    ceil(eligible images / (P*K)) batches.
     """
     if p < 1 or k < 1:
         raise ValueError(f"pk_batches: P and K must be >= 1, got P={p} K={k}")
@@ -82,10 +80,7 @@ def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int,
     groups: dict[int, np.ndarray] = {}
     for ident in np.unique(split.identities):
         groups[int(ident)] = np.flatnonzero(split.identities == ident)
-    if with_replacement:
-        eligible = sorted(groups)
-    else:
-        eligible = sorted(i for i, g in groups.items() if len(g) >= k)
+    eligible = sorted(i for i, g in groups.items() if len(g) >= k)
     if len(eligible) < p:
         counts = {i: len(g) for i, g in sorted(groups.items())}
         raise ValueError(f"pk_batches: only {len(eligible)} identities have >= {k} images, "
@@ -97,12 +92,8 @@ def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int,
     batches = []
     for _ in range(n_batches):
         ids = rng.choice(eligible_arr, size=p, replace=False)
-        sel = []
-        for ident in ids:
-            g = groups[int(ident)]
-            replace = with_replacement and len(g) < k
-            sel.append(rng.choice(g, size=k, replace=replace))
-        sel = np.concatenate(sel)
+        sel = np.concatenate([rng.choice(groups[int(ident)], size=k, replace=False)
+                              for ident in ids])
         batches.append(MiniBatch(indices=split.indices[sel],
                                  identities=split.identities[sel],
                                  cameras=split.cameras[sel],

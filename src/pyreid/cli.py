@@ -67,11 +67,9 @@ def _collect_overrides(args) -> dict:
 
 
 def _train_and_evaluate(config, dataset, out_dir) -> dict:
-    """Train one run and evaluate its checkpoint the way its config says;
-    `train` and `ablate` both report metrics through here."""
-    result = train(config, dataset, out_dir)
-    return evaluate_checkpoint(result.checkpoint_path, dataset,
-                               l2_normalize=config.l2_normalize_eval)
+    """Train one run and evaluate its checkpoint; `train` and `ablate` both
+    report metrics through here."""
+    return evaluate_checkpoint(train(config, dataset, out_dir).checkpoint_path, dataset)
 
 
 def _run_info(start: float) -> str:
@@ -112,8 +110,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     dataset = ReIDDataset.load(args.dataset)
     mask = BranchMask.from_string(args.mask) if args.mask else None
-    metrics = evaluate_checkpoint(args.checkpoint, dataset, mask=mask,
-                                  l2_normalize=args.l2_normalize)
+    metrics = evaluate_checkpoint(args.checkpoint, dataset, mask=mask)
     print(metrics_table(metrics))
     if args.out:
         out_dir = Path(args.out)
@@ -256,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--mask", default=None)
-    p.add_argument("--l2-normalize", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 

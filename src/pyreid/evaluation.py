@@ -148,8 +148,7 @@ def compute_map(results: list) -> float:
 
 
 def extract_embeddings(model: PyramidModel, images: np.ndarray,
-                       mask: BranchMask | None = None, batch_size: int = 64,
-                       l2_normalize: bool = False) -> np.ndarray:
+                       mask: BranchMask | None = None, batch_size: int = 64) -> np.ndarray:
     """Eval-mode embeddings (running batch-norm statistics) for a stack of
     images, in input order. A `mask` other than the model's keeps the
     columns of its branches; the model must hold them all."""
@@ -159,25 +158,18 @@ def extract_embeddings(model: PyramidModel, images: np.ndarray,
         for off in range(0, len(images), batch_size):
             emb = model.forward(Tensor(images[off:off + batch_size]), training=False).embedding
             chunks.append(emb.data if columns is None else emb.data[:, columns])
-    embs = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
-    if l2_normalize:
-        norms = np.sqrt((embs.astype(np.float64) ** 2).sum(axis=1, keepdims=True))
-        embs = embs / np.maximum(norms, 1e-12)
-    return embs
+    return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
 
 
 def evaluate_model(model: PyramidModel, dataset: ReIDDataset,
-                   mask: BranchMask | None = None, max_rank: int = 10,
-                   l2_normalize: bool = False) -> dict:
+                   mask: BranchMask | None = None, max_rank: int = 10) -> dict:
     """mAP and CMC at ranks 1/5/10 over the dataset's query/gallery splits."""
     query = dataset.query_split()
     gallery = dataset.gallery_split()
     if len(query) == 0 or len(gallery) == 0:
         raise ConfigError("evaluate_model: dataset has no query/gallery split")
-    q_embs = extract_embeddings(model, dataset.images[query.indices], mask,
-                                l2_normalize=l2_normalize)
-    g_embs = extract_embeddings(model, dataset.images[gallery.indices], mask,
-                                l2_normalize=l2_normalize)
+    q_embs = extract_embeddings(model, dataset.images[query.indices], mask)
+    g_embs = extract_embeddings(model, dataset.images[gallery.indices], mask)
     results = rank_gallery(q_embs, query.identities, query.cameras,
                            g_embs, gallery.identities, gallery.cameras)
     cmc = compute_cmc(results, max_rank)
@@ -188,8 +180,7 @@ def evaluate_model(model: PyramidModel, dataset: ReIDDataset,
 
 
 def evaluate_checkpoint(checkpoint_path, dataset: ReIDDataset,
-                        mask: BranchMask | None = None,
-                        l2_normalize: bool = False) -> dict:
+                        mask: BranchMask | None = None) -> dict:
     """Rebuild the model stored in a checkpoint and evaluate it."""
     from .trainer import load_checkpoint, rebuild_model
 
@@ -197,7 +188,7 @@ def evaluate_checkpoint(checkpoint_path, dataset: ReIDDataset,
     if model.image_hw != dataset.image_hw:
         raise ConfigError(f"checkpoint expects {model.image_hw} images, dataset has "
                           f"{dataset.image_hw}")
-    return evaluate_model(model, dataset, mask=mask, l2_normalize=l2_normalize)
+    return evaluate_model(model, dataset, mask=mask)
 
 
 def metrics_table(metrics: dict) -> str:

@@ -3,6 +3,7 @@ over concatenated embeddings."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,7 @@ def id_loss(logits: Tensor, labels) -> LossValue:
     return LossValue("id", ag.mul(ce, 1.0 / n), count=int(labels.shape[0]))
 
 
-def triplet_loss(embeddings: Tensor, labels, margin: float,
-                 squared: bool = False) -> LossValue:
+def triplet_loss(embeddings: Tensor, labels, margin: float) -> LossValue:
     """Batch-hard triplet loss (`autograd.batch_hard_triplet`).
 
     Every row is an anchor; anchors with at least one positive and one
@@ -52,8 +52,8 @@ def triplet_loss(embeddings: Tensor, labels, margin: float,
     if embeddings.data.ndim != 2 or embeddings.data.shape[0] < 2:
         raise ValueError(f"triplet_loss: need a (B>=2, D) embedding batch, got "
                          f"{embeddings.data.shape}")
-    if margin <= 0:
-        raise ValueError(f"triplet_loss: margin must be positive, got {margin}")
+    if not (margin > 0 and math.isfinite(margin)):
+        raise ValueError(f"triplet_loss: margin must be finite and positive, got {margin}")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != embeddings.data.shape[:1]:
         raise ValueError(f"triplet_loss: {labels.size} labels for a batch of "
@@ -64,5 +64,5 @@ def triplet_loss(embeddings: Tensor, labels, margin: float,
     if not count:
         zero = Tensor(np.zeros((), dtype=embeddings.data.dtype))
         return LossValue("tp", zero, count=0, degenerate=True)
-    return LossValue("tp", ag.batch_hard_triplet(embeddings, labels, margin, squared),
+    return LossValue("tp", ag.batch_hard_triplet(embeddings, labels, margin),
                      count=count)

@@ -104,14 +104,14 @@ class PyramidModel:
 
     The model holds only the branches `mask` enables (all of them if it is
     None). Each head parameter kind is one tensor with a row per held
-    branch, in enumeration order: `reduce_weight` (B, C, D),
-    `classifier_weight` (B, D, K) and the optional `classifier_bias`
-    (B, 1, K). The batch norm's affine parameters and running statistics
-    are flat (B*D,), in the embedding's column order."""
+    branch, in enumeration order: `reduce_weight` (B, C, D) and the
+    bias-free `classifier_weight` (B, D, K). The batch norm's affine
+    parameters and running statistics are flat (B*D,), in the embedding's
+    column order."""
 
     def __init__(self, backbone: Backbone, n: int, feature_dim: int,
                  num_identities: int, image_hw: tuple, rng: np.random.Generator,
-                 classifier_bias: bool = False, mask: BranchMask | None = None):
+                 mask: BranchMask | None = None):
         self.backbone = backbone
         self.n = n
         self.feature_dim = feature_dim
@@ -141,12 +141,6 @@ class PyramidModel:
         self.reduce_weight = Tensor(np.stack(reduce), requires_grad=True)
         self.bn = BatchNorm(b * feature_dim)
         self.classifier_weight = Tensor(np.stack(classify), requires_grad=True)
-        self.classifier_bias = None
-        if classifier_bias:
-            # (1, K) per branch, so the batch broadcast is a plain matmul with ones
-            self.classifier_bias = Tensor(
-                np.zeros((b, 1, num_identities), dtype=ag.default_dtype()),
-                requires_grad=True)
 
     def embedding_dim(self, mask: BranchMask | None = None) -> int:
         """Width of the embedding, or of the columns of a held sub-mask."""
@@ -182,19 +176,13 @@ class PyramidModel:
                                           momentum=bn.momentum, eps=bn.eps))
 
         features = ag.transpose(ag.reshape(embedding, (batch, b, d)), (1, 0, 2))
-        logits = ag.matmul(features, self.classifier_weight)
-        if self.classifier_bias is not None:
-            ones = Tensor(np.ones((b, batch, 1), dtype=logits.data.dtype))
-            logits = ag.add(logits, ag.matmul(ones, self.classifier_bias))
-        return PyramidOutput(embedding, logits)
+        return PyramidOutput(embedding, ag.matmul(features, self.classifier_weight))
 
     def named_parameters(self):
         yield from self.backbone.named_parameters()
         yield "head.reduce.weight", self.reduce_weight
         yield from self.bn.named_parameters("head.bn")
         yield "head.classifier.weight", self.classifier_weight
-        if self.classifier_bias is not None:
-            yield "head.classifier.bias", self.classifier_bias
 
     def named_buffers(self):
         yield from self.backbone.named_buffers()

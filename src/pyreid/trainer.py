@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autograd as ag
 from .autograd import Tensor, backward, no_grad
 from .backbone import Backbone, BackboneConfig
 from .batching import MiniBatch, Split, pk_batches, random_batches
@@ -32,7 +31,7 @@ from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -54,12 +53,6 @@ class TrainConfig:
     seed: int = 0
     pyramid_mask: str = "111111"
     no_triplet_alternating: bool = False
-    pk_with_replacement: bool = False
-    triplet_in_id_phase: bool = True
-    classifier_bias: bool = False
-    squared_distance: bool = False
-    l2_normalize_eval: bool = False
-    in_channels: int = 3
     backbone_stages: tuple = ((16, 2), (32, 2), (64, 1))
     checkpoint_every: int = 0
 
@@ -82,10 +75,17 @@ class TrainConfig:
         if len(self.pyramid_mask) != self.n:
             raise ConfigError(f"pyramid_mask {self.pyramid_mask!r} must have n={self.n} digits")
         BranchMask.from_string(self.pyramid_mask)
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        # a NaN fails every comparison, so it is refused with the range
+        for key, ok, rule in (("margin", self.margin > 0, "positive"),
+                              ("alpha", 0 <= self.alpha <= 1, "in [0, 1]"),
+                              ("gamma", self.gamma >= 0, "non-negative"),
+                              ("switch_ratio", self.switch_ratio > 0, "positive"),
+                              ("base_lr", self.base_lr > 0, "positive"),
+                              ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                              ("weight_decay", self.weight_decay >= 0, "non-negative")):
+            if not (ok and math.isfinite(getattr(self, key))):
+                raise ConfigError(f"{key} must be finite and {rule}, "
+                                  f"got {getattr(self, key)}")
 
 
 PROFILES = {
@@ -248,11 +248,9 @@ def make_label_map(split: Split) -> dict:
 def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> PyramidModel:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, _INIT_PURPOSE])))
-    backbone = Backbone(BackboneConfig(in_channels=config.in_channels,
-                                       stages=config.backbone_stages), rng)
+    backbone = Backbone(BackboneConfig(stages=config.backbone_stages), rng)
     return PyramidModel(backbone, config.n, config.feature_dim, num_identities,
-                        image_hw, rng, classifier_bias=config.classifier_bias,
-                        mask=BranchMask.from_string(config.pyramid_mask))
+                        image_hw, rng, mask=BranchMask.from_string(config.pyramid_mask))
 
 
 def _entry(entries: dict, key: str, shape=()) -> np.ndarray:
@@ -417,8 +415,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     rand_stream = _BatchStream(lambda e: random_batches(
         split, config.batch_size, config.seed, e))
     pk_stream = _BatchStream(lambda e: pk_batches(
-        split, config.p_ids, config.k_imgs, config.seed, e,
-        with_replacement=config.pk_with_replacement))
+        split, config.p_ids, config.k_imgs, config.seed, e))
 
     if resume_from is not None:
         entries = load_checkpoint(resume_from)
@@ -472,15 +469,14 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
                 loss = l_id.tensor
             elif phase == Phase.ID_ONLY:
                 loss = l_id.tensor
-                if config.triplet_in_id_phase and len(batch) >= 2:
+                if len(batch) >= 2:
                     # tracked but not optimized: feeds the triplet EMA so the
                     # phase rule can ever leave the ID-only regime
                     with no_grad():
                         l_tp = triplet_loss(Tensor(out.embedding.data), batch.identities,
-                                            config.margin, squared=config.squared_distance)
+                                            config.margin)
             else:
-                l_tp = triplet_loss(out.embedding, batch.identities, config.margin,
-                                    squared=config.squared_distance)
+                l_tp = triplet_loss(out.embedding, batch.identities, config.margin)
                 if sched.fl_id == 0.0 and sched.fl_tp == 0.0:
                     loss = None  # zero total weight: no parameter update
                 else:

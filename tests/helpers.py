@@ -347,15 +347,12 @@ REFERENCE_OPS = ("concat", "global_avg_pool", "global_max_pool", "pairwise_dista
                  "reduce_mean", "reduce_sum", "slice_rows", "sub", "take_pairs", "take_rows")
 
 
-def reference_triplet_loss(embeddings: Tensor, labels, margin: float,
-                           squared: bool = False) -> Tensor:
+def reference_triplet_loss(embeddings: Tensor, labels, margin: float) -> Tensor:
     """The batch-hard triplet loss as a graph of generic ops: pairwise
-    distances, squared if asked, two gathers at the mined pairs of the valid
-    anchors, the hinge and the mean. It is the library's original
-    composition, kept as the reference for `ag.batch_hard_triplet`."""
+    distances, two gathers at the mined pairs of the valid anchors, the
+    hinge and the mean. It is the library's original composition, kept as
+    the reference for `ag.batch_hard_triplet`."""
     dist = pairwise_distances(embeddings)
-    if squared:
-        dist = ag.mul(dist, dist)
     hp, hn = batch_hard_mine(dist.data, labels)
     rows = np.flatnonzero((hp >= 0) & (hn >= 0))
     pos = take_pairs(dist, rows, hp[rows])
@@ -395,10 +392,6 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
                                training=training, momentum=bn.momentum, eps=bn.eps)
         feature = ag.relu(normed)
         branch_logits = ag.matmul(feature, row(model.classifier_weight, i))
-        if model.classifier_bias is not None:
-            ones = Tensor(np.ones((feature.data.shape[0], 1), dtype=feature.data.dtype))
-            branch_logits = ag.add(branch_logits,
-                                   ag.matmul(ones, row(model.classifier_bias, i)))
         ce = ag.softmax_cross_entropy(branch_logits, labels)
         total = ce if total is None else ag.add(total, ce)
         features.append(feature)
@@ -485,7 +478,7 @@ def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool, batch: int = 2
     return [case(slot) for slot in range(4)]
 
 
-def _triplet_case(rng, labels: np.ndarray, squared: bool) -> tuple:
+def _triplet_case(rng, labels: np.ndarray) -> tuple:
     """(embeddings, margin) for a batch-hard triplet gradient check. Draws
     are repeated until each anchor's hardest positive and hardest negative
     lead the runners-up by 1e-3 and no two rows are closer than 0.1; the
@@ -497,8 +490,6 @@ def _triplet_case(rng, labels: np.ndarray, squared: bool) -> tuple:
         d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(-1))
         if d[~np.eye(n, dtype=bool)].min() < 0.1:
             continue
-        if squared:
-            d = d * d
         gaps = []
         for i in range(n):
             pos = np.sort(d[i][same[i] & (np.arange(n) != i)])
@@ -622,12 +613,10 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
                       Tensor(rng.normal(size=(5, 4)))))
     elif op_name == "batch_hard_triplet":
         # three images of two identities and one of a third, whose anchor
-        # has no positive; Euclidean and squared distances
+        # has no positive
         labels = np.asarray([0, 0, 0, 1, 1, 1, 2])
-        for squared in (False, True):
-            x, margin = _triplet_case(rng, labels, squared)
-            cases.append((lambda t, m=margin, s=squared:
-                          ag.batch_hard_triplet(t, labels, m, s), Tensor(x)))
+        x, margin = _triplet_case(rng, labels)
+        cases.append((lambda t, m=margin: ag.batch_hard_triplet(t, labels, m), Tensor(x)))
     elif op_name == "pairwise_distances":
         x = rng.normal(size=(5, 3)) + np.arange(5)[:, None]  # rows well separated
         w = rng.normal(size=(5, 5))
@@ -673,8 +662,7 @@ def swap_param(model, name: str, new_tensor):
         target = {"head.reduce.weight": (model, "reduce_weight"),
                   "head.bn.gamma": (model.bn, "gamma"),
                   "head.bn.beta": (model.bn, "beta"),
-                  "head.classifier.weight": (model, "classifier_weight"),
-                  "head.classifier.bias": (model, "classifier_bias")}[name]
+                  "head.classifier.weight": (model, "classifier_weight")}[name]
     obj, attr = target
     old = getattr(obj, attr)
     setattr(obj, attr, new_tensor)

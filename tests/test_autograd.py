@@ -538,9 +538,9 @@ class TestDebugChecks:
             ag.debug_checks = False
 
 
-def _triplet_with_grad(loss_fn, x, labels, margin, squared):
+def _triplet_with_grad(loss_fn, x, labels, margin):
     t = Tensor(x, requires_grad=True)
-    loss = loss_fn(t, labels, margin, squared)
+    loss = loss_fn(t, labels, margin)
     backward(loss)
     return loss.data, t.grad
 
@@ -551,36 +551,31 @@ class TestBatchHardTripletAgainstReference:
     gradient agree within the rounding of the input dtype."""
 
     @staticmethod
-    def _batch(rng, shape, squared):
+    def _batch(rng, shape):
         b, dim = shape
         labels = np.repeat(np.arange(b // 4), 4)  # a P x K batch, K = 4
         x = rng.normal(size=(b // 4, dim))[labels] + rng.normal(size=shape)
         # the median hardest-pair gap as margin leaves about half the hinges active
         d = pairwise_distances(Tensor(x)).data
-        d = d * d if squared else d
         hp, hn = batch_hard_mine(d, labels)
         return x, labels, float(np.median(d[np.arange(b), hn] - d[np.arange(b), hp]))
 
-    @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize("shape", [(16, 336), (64, 128), (64, 2688)])
-    def test_float32(self, rng, shape, squared):
-        x, labels, margin = self._batch(rng, shape, squared)
+    def test_float32(self, rng, shape):
+        x, labels, margin = self._batch(rng, shape)
         x = x.astype(np.float32)
-        loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, margin, squared)
-        ref_loss, ref_grad = _triplet_with_grad(reference_triplet_loss, x, labels, margin,
-                                                squared)
+        loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, margin)
+        ref_loss, ref_grad = _triplet_with_grad(reference_triplet_loss, x, labels, margin)
         assert loss.dtype == grad.dtype == np.float32
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-5)
         assert np.abs(grad - ref_grad).max() <= 1e-6 * np.abs(ref_grad).max()
 
-    @pytest.mark.parametrize("squared", [False, True])
     @pytest.mark.parametrize("shape", [(16, 336), (64, 128), (64, 2688)])
-    def test_float64(self, rng, shape, squared):
-        x, labels, margin = self._batch(rng, shape, squared)
+    def test_float64(self, rng, shape):
+        x, labels, margin = self._batch(rng, shape)
         with use_dtype(np.float64):
-            loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, margin, squared)
-            ref_loss, ref_grad = _triplet_with_grad(reference_triplet_loss, x, labels, margin,
-                                                    squared)
+            loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, margin)
+            ref_loss, ref_grad = _triplet_with_grad(reference_triplet_loss, x, labels, margin)
         assert loss.dtype == grad.dtype == np.float64
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
         assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
@@ -607,7 +602,7 @@ class TestBatchHardTripletAgainstReference:
         x = (geometry + rng.normal(size=dim)).astype(dtype)
         assert x[j].tobytes() == x[k].tobytes()
         with use_dtype(dtype):
-            loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, 0.6, False)
+            loss, grad = _triplet_with_grad(ag.batch_hard_triplet, x, labels, 0.6)
         np.testing.assert_allclose(loss, (1.0 - 1.5 + 0.6) / b, rtol=1e-4)
         assert not grad[k].any()
         assert np.abs(grad[j]).max() > 1e-3
@@ -620,7 +615,7 @@ class TestBatchHardTripletAgainstReference:
         labels = np.repeat(np.arange(16), 4)
         tracemalloc.start()
         try:
-            _triplet_with_grad(ag.batch_hard_triplet, x, labels, 1.0, False)
+            _triplet_with_grad(ag.batch_hard_triplet, x, labels, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -628,7 +623,7 @@ class TestBatchHardTripletAgainstReference:
 
     def test_rejects_a_batch_without_a_valid_anchor(self):
         with pytest.raises(ValueError, match="no anchor"):
-            ag.batch_hard_triplet(Tensor(np.ones((3, 2))), [0, 1, 2], 1.0, False)
+            ag.batch_hard_triplet(Tensor(np.ones((3, 2))), [0, 1, 2], 1.0)
 
 
 class TestCatalogInvariants:

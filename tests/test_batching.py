@@ -77,17 +77,6 @@ class TestPKBatches:
             for batch in pk_batches(split, 8, 8, seed=7, epoch=epoch):
                 assert 9 not in batch.identities
 
-    def test_with_replacement_lifts_exclusion(self):
-        ids = np.concatenate([np.repeat(np.arange(3), 4), np.repeat(3, 2)])
-        split = make_split(ids)
-        seen_small = False
-        for epoch in range(20):
-            for batch in pk_batches(split, 4, 4, seed=2, epoch=epoch,
-                                    with_replacement=True):
-                assert len(batch) == 16
-                seen_small = seen_small or 3 in batch.identities
-        assert seen_small
-
     def test_too_few_eligible_identities_lists_counts(self):
         split = make_split(np.repeat(np.arange(3), 5))
         with pytest.raises(ValueError) as exc:

@@ -125,6 +125,41 @@ class TestTrain:
                               "checkpoint_every must be non-negative, got -1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("margin", "nan", "positive"), ("margin", "inf", "positive"),
+        ("margin", "0", "positive"), ("base_lr", "-0.01", "positive"),
+        ("base_lr", "nan", "positive"), ("base_lr", "inf", "positive"),
+        ("momentum", "nan", "in [0, 1)"), ("momentum", "1", "in [0, 1)"),
+        ("momentum", "-0.5", "in [0, 1)"), ("weight_decay", "-1", "non-negative"),
+        ("weight_decay", "inf", "non-negative"), ("gamma", "-1", "non-negative"),
+        ("gamma", "nan", "non-negative"), ("switch_ratio", "nan", "positive"),
+        ("switch_ratio", "0", "positive"), ("switch_ratio", "inf", "positive"),
+        ("alpha", "nan", "in [0, 1]"),
+    ])
+    def test_config_value_out_of_range_exits_2(self, data_dir, tmp_path, capsys, key,
+                                               value, rule):
+        config = tmp_path / "run.ini"
+        config.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{key} must be finite and {rule}, got {float(value)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["pk_with_replacement", "triplet_in_id_phase",
+                                     "classifier_bias", "squared_distance",
+                                     "l2_normalize_eval", "in_channels"])
+    def test_removed_config_key_exits_2(self, data_dir, tmp_path, capsys, key):
+        config = tmp_path / "run.ini"
+        config.write_text(f"seed = 1\n{key} = 1\n")
+        code = main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "o"),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{config}:2: unknown config key {key!r}")
+
     def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.ini"
         config.write_text("seed = 1\nepochs =\n")
@@ -213,27 +248,18 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, repr(key), message)
 
-    def test_version_1_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
+    # version 1 stored one config/<field> entry per field, version 2 one entry
+    # per branch and kind, version 3 all 21 branches' head rows whatever the
+    # mask, and version 4 six config keys that no longer exist
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    def test_old_version_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys,
+                                            version):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
-        entries["meta/version"] = np.array(1, dtype="<i8")
-        save_tensors(tmp_path / "v1.pyrt", entries)
-        assert self.eval_with(tmp_path / "v1.pyrt", data_dir) == 2
-        assert_one_error_line(capsys.readouterr().err, "checkpoint version 1 not supported")
-
-    def test_version_2_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
-        entries = load_tensors(trained_dir / "checkpoint.pyrt")
-        entries["meta/version"] = np.array(2, dtype="<i8")
-        save_tensors(tmp_path / "v2.pyrt", entries)
-        assert self.eval_with(tmp_path / "v2.pyrt", data_dir) == 2
-        assert_one_error_line(capsys.readouterr().err, "checkpoint version 2 not supported")
-
-    def test_version_3_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys):
-        # version 3 stored all 21 branches' head rows whatever the mask
-        entries = load_tensors(trained_dir / "checkpoint.pyrt")
-        entries["meta/version"] = np.array(3, dtype="<i8")
-        save_tensors(tmp_path / "v3.pyrt", entries)
-        assert self.eval_with(tmp_path / "v3.pyrt", data_dir) == 2
-        assert_one_error_line(capsys.readouterr().err, "checkpoint version 3 not supported")
+        entries["meta/version"] = np.array(version, dtype="<i8")
+        save_tensors(tmp_path / "old.pyrt", entries)
+        assert self.eval_with(tmp_path / "old.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"checkpoint version {version} not supported (expected 5)")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda images: images[:, :, :-1],
@@ -369,12 +395,9 @@ class TestAblate:
         assert statuses["111111"] == "ok"
         assert statuses["21"].startswith("error:")
 
-    def test_metrics_match_train_with_l2_normalized_eval(self, data_dir, tmp_path):
-        from pyreid.data_synth import ReIDDataset
-        from pyreid.evaluation import evaluate_checkpoint
-
-        config = tmp_path / "l2.ini"
-        config.write_text("l2_normalize_eval = true\n")
+    def test_metrics_match_train(self, data_dir, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("margin = 1.2\n")
         common = ["--dataset", str(data_dir), "--config", str(config), "--epochs", "2"]
         assert main(["train", "--out", str(tmp_path / "tr"), "--seed", "3",
                      "--pyramid-mask", "000001"] + common) == 0
@@ -385,10 +408,6 @@ class TestAblate:
                        if r["seed"] == "3")
         keys = ("mAP", "rank1", "rank5", "rank10")
         assert [ablated[k] for k in keys] == [trained[k] for k in keys]
-        # the normalisation must move the metrics, or the comparison shows nothing
-        plain = evaluate_checkpoint(tmp_path / "tr" / "checkpoint.pyrt",
-                                    ReIDDataset.load(data_dir), l2_normalize=False)
-        assert repr(plain["mAP"]) != trained["mAP"]
 
     def test_programming_error_propagates(self, data_dir, tmp_path, monkeypatch):
         import pyreid.cli as cli

@@ -389,22 +389,20 @@ class TestModelEvaluation:
         assert a == b
 
     @pytest.mark.parametrize("mask", ["111111", "000001"])
-    @pytest.mark.parametrize("l2_normalize", [False, True])
-    def test_equals_brute_force_reference(self, setup, mask, l2_normalize):
+    def test_equals_brute_force_reference(self, setup, mask):
         """mAP and CMC@1/5/10 equal per-query brute-force ranking, AP and CMC."""
         ds, model = setup
         branch_mask = BranchMask.from_string(mask)
         q = ds.query_split()
         g = ds.gallery_split()
-        qe, ge = (extract_embeddings(model, ds.images[split.indices], branch_mask,
-                                     l2_normalize=l2_normalize).tolist()
+        qe, ge = (extract_embeddings(model, ds.images[split.indices], branch_mask).tolist()
                   for split in (q, g))
         all_matches = []
         for emb, qid, qcam in zip(qe, q.identities, q.cameras):
             order = oracle_rank(emb, qid, qcam, ge, g.identities, g.cameras)
             all_matches.append([g.identities[j] == qid for j in order])
         cmc = oracle_cmc(all_matches, 10)
-        m = evaluate_model(model, ds, mask=branch_mask, l2_normalize=l2_normalize)
+        m = evaluate_model(model, ds, mask=branch_mask)
         assert m["mAP"] == pytest.approx(np.mean([oracle_ap(x) for x in all_matches]),
                                          abs=1e-12)
         for rank in (1, 5, 10):

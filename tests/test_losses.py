@@ -143,9 +143,10 @@ class TestTripletLoss:
                                margin=1.4).value
         assert shifted == pytest.approx(base, abs=1e-9)
 
-    def test_margin_must_be_positive(self):
-        with pytest.raises(ValueError, match="margin"):
-            triplet_loss(Tensor(np.ones((4, 2))), [0, 0, 1, 1], margin=0.0)
+    @pytest.mark.parametrize("margin", [0.0, float("nan"), float("inf")])
+    def test_margin_must_be_finite_and_positive(self, margin):
+        with pytest.raises(ValueError, match="margin must be finite and positive"):
+            triplet_loss(Tensor(np.ones((4, 2))), [0, 0, 1, 1], margin=margin)
 
     def test_label_count_mismatch(self):
         # three distinct labels give no valid anchor, yet the batch has four rows

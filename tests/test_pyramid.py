@@ -16,11 +16,10 @@ from helpers import (global_avg_pool, global_max_pool, nhwc, reduce_sum,
 
 
 def make_model(n=6, feature_dim=16, num_ids=10, stages=((16, 2), (32, 2), (64, 1)),
-               image_hw=(48, 16), seed=0, classifier_bias=False, mask=None):
+               image_hw=(48, 16), seed=0, mask=None):
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(stages=stages), rng)
     return PyramidModel(backbone, n, feature_dim, num_ids, image_hw, rng,
-                        classifier_bias=classifier_bias,
                         mask=mask and BranchMask.from_string(mask))
 
 
@@ -79,12 +78,11 @@ class TestEnumeration:
 
 
 def identity_model(n=3, channels=8, height=6, width=4, feature_dim=4, num_ids=5,
-                   classifier_bias=False, seed=0, mask=None):
+                   seed=0, mask=None):
     """Pyramid heads alone: an empty backbone passes the feature map through."""
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(in_channels=channels, stages=()), rng)
     return PyramidModel(backbone, n, feature_dim, num_ids, (height, width), rng,
-                        classifier_bias=classifier_bias,
                         mask=mask and BranchMask.from_string(mask))
 
 
@@ -309,14 +307,12 @@ class TestAgainstReference:
             check(b, r, name)
         return grads
 
-    @pytest.mark.parametrize("mask, bias", [("111111", False), ("000001", False),
-                                            ("110011", False), ("111111", True),
-                                            ("110011", True)])
-    def test_float64(self, mask, bias):
+    @pytest.mark.parametrize("mask", ["111111", "000001", "110011"])
+    def test_float64(self, mask):
         with use_dtype(np.float64):
             rng = np.random.default_rng(21)
             model = make_model(feature_dim=4, num_ids=5, stages=((8, 2), (8, 2)), seed=21,
-                               classifier_bias=bias, mask=mask)
+                               mask=mask)
             images = nhwc(rng.uniform(0, 1, size=(6, 3, 48, 16)))
             grads = self.compare(model, images, rng.integers(0, 5, size=6), rtol=1e-10)
             # the model holds the enabled branches only, and each one's
@@ -476,13 +472,9 @@ class TestModel:
         buffers = {n: b.shape for n, b in model.named_buffers() if n.startswith("head.")}
         assert buffers == {"head.bn.running_mean": (48,), "head.bn.running_var": (48,)}
 
-    @pytest.mark.parametrize("bias, count", [(False, 13), (True, 14)])
-    def test_one_tensor_per_head_parameter_kind(self, bias, count):
+    def test_one_tensor_per_head_parameter_kind(self):
         # the desk model: 9 backbone tensors, then one per head kind
-        model = make_model(classifier_bias=bias)
-        assert len(list(model.named_parameters())) == count
-        if bias:
-            assert model.classifier_bias.data.shape == (21, 1, 10)
+        assert len(list(make_model().named_parameters())) == 13
 
     def test_initial_weights_drawn_branch_by_branch(self):
         # branch i draws its reduction, then its classifier, from the stream

@@ -125,6 +125,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be non-negative, got -1"):
             replace(TrainConfig(), **{key: -1}).validate()
 
+    def test_closed_range_ends_accepted(self):
+        # the config-file refusals of out-of-range floats are in test_cli.py
+        replace(TrainConfig(), alpha=1.0, gamma=0.0, momentum=0.0,
+                weight_decay=0.0).validate()
+
+    def test_readme_config_table_lists_every_field_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n| key | meaning |", 1)[1].split("\n\n", 1)[0]
+        keys = [line.split("|")[1].strip().strip("`") for line in section.splitlines()[2:]]
+        assert keys == [f.name for f in fields(TrainConfig)]
+
     def test_halvings_must_increase(self):
         with pytest.raises(ConfigError, match="increasing"):
             TrainConfig(lr_halving_epochs=(20, 15)).validate()
@@ -154,12 +165,13 @@ class TestConfig:
     def test_values_parse_by_the_type_of_the_default(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("lr_halving_epochs = 3, 5\nbackbone_stages = 8:2,4:1\n"
-                        "margin = 2\nclassifier_bias = yes\npyramid_mask = 000011\n")
+                        "margin = 2\nno_triplet_alternating = yes\npyramid_mask = 000011\n")
         c = make_config("desk", file_path=path)
         assert (c.lr_halving_epochs, c.backbone_stages) == ((3, 5), ((8, 2), (4, 1)))
-        assert (c.margin, c.classifier_bias, c.pyramid_mask) == (2.0, True, "000011")
+        assert (c.margin, c.no_triplet_alternating, c.pyramid_mask) == (2.0, True, "000011")
 
-    @pytest.mark.parametrize("line", ["epochs =", "epochs = 1.5", "classifier_bias = maybe",
+    @pytest.mark.parametrize("line", ["epochs =", "epochs = 1.5",
+                                      "no_triplet_alternating = maybe",
                                       "backbone_stages = 16", "backbone_stages = 16:2:1"])
     def test_bad_value_names_source_line_and_key(self, tmp_path, line):
         path = tmp_path / "run.ini"
@@ -243,7 +255,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 4
+        assert int(entries["meta/version"]) == 5
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -336,27 +348,24 @@ class TestCheckpointSchema:
 
 @st.composite
 def train_configs(draw):
-    """Valid TrainConfigs with a small model."""
+    """Valid TrainConfigs with a small model; each float field is drawn from
+    its valid range."""
     n = draw(st.integers(1, 6))
     p_ids, k_imgs = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-    finite = st.floats(allow_nan=False, allow_infinity=False)
+    non_negative = st.floats(min_value=0.0, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     return TrainConfig(
         n=n, feature_dim=draw(st.integers(1, 8)),
-        margin=draw(st.floats(min_value=1e-6, max_value=1e6)),
+        margin=draw(positive),
         batch_size=p_ids * k_imgs, p_ids=p_ids, k_imgs=k_imgs,
-        alpha=draw(st.floats(0.0, 1.0)), gamma=draw(finite),
-        switch_ratio=draw(finite), base_lr=draw(finite), momentum=draw(finite),
-        weight_decay=draw(finite), epochs=draw(st.integers(1, 10**6)),
+        alpha=draw(st.floats(0.0, 1.0)), gamma=draw(non_negative),
+        switch_ratio=draw(positive), base_lr=draw(positive),
+        momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        weight_decay=draw(non_negative), epochs=draw(st.integers(1, 10**6)),
         lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(-10, 10**4), max_size=4)))),
         seed=draw(st.integers(0, 2**64)),
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
         no_triplet_alternating=draw(st.booleans()),
-        pk_with_replacement=draw(st.booleans()),
-        triplet_in_id_phase=draw(st.booleans()),
-        classifier_bias=draw(st.booleans()),
-        squared_distance=draw(st.booleans()),
-        l2_normalize_eval=draw(st.booleans()),
-        in_channels=draw(st.integers(1, 4)),
         backbone_stages=tuple(draw(st.lists(
             st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), max_size=3))),
         checkpoint_every=draw(st.integers(0, 100)))
@@ -409,7 +418,7 @@ class TestConfigCodecFuzz:
         assert isinstance(config, TrainConfig)
         # an accepted config builds a model or names its fault; the sizes
         # are bounded so that no example allocates more than a few MB
-        assume(config.feature_dim <= 64 and config.in_channels <= 64
+        assume(config.feature_dim <= 64
                and all(width <= 64 for width, _ in config.backbone_stages))
         try:
             build_model(config, (48, 16), 10)
