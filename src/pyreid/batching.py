@@ -30,8 +30,6 @@ class MiniBatch:
     indices: np.ndarray
     identities: np.ndarray
     cameras: np.ndarray
-    strategy: str
-    partial: bool = False
 
     def __len__(self):
         return len(self.indices)
@@ -48,7 +46,7 @@ _PK_PURPOSE = 202
 
 def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list[MiniBatch]:
     """One epoch of uniformly shuffled batches; every image appears exactly
-    once, the final batch may be short (flagged partial)."""
+    once, the final batch may be short."""
     if batch_size < 1:
         raise ValueError(f"random_batches: batch_size must be >= 1, got {batch_size}")
     if len(split) == 0:
@@ -60,9 +58,7 @@ def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list
         sel = order[off:off + batch_size]
         batches.append(MiniBatch(indices=split.indices[sel],
                                  identities=split.identities[sel],
-                                 cameras=split.cameras[sel],
-                                 strategy="random",
-                                 partial=len(sel) < batch_size))
+                                 cameras=split.cameras[sel]))
     return batches
 
 
@@ -96,8 +92,7 @@ def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[Mini
                               for ident in ids])
         batches.append(MiniBatch(indices=split.indices[sel],
                                  identities=split.identities[sel],
-                                 cameras=split.cameras[sel],
-                                 strategy="id_balanced"))
+                                 cameras=split.cameras[sel]))
     return batches
 
 

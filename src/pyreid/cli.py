@@ -276,7 +276,6 @@ def main(argv=None) -> int:
     # deterministic for a fixed BLAS thread count (seeded streams, fixed op
     # order), so the conventional determinism switch needs no wiring here.
     if os.environ.get("PYREID_DEBUG", "").strip() in ("1", "true", "yes"):
-        from . import autograd
         autograd.debug_checks = True
     parser = build_parser()
     args = parser.parse_args(argv)

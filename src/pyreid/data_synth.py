@@ -197,7 +197,6 @@ class ReIDDataset:
     offsets: np.ndarray
     scales: np.ndarray
     occ_boxes: np.ndarray  # (N, 4) int, -1s where absent
-    config: GenConfig | None = None
 
     def __len__(self):
         return len(self.identities)
@@ -394,4 +393,4 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
                 splits[int(sample_rng.choice(members))] = SPLIT_QUERY
     return ReIDDataset(images=images, identities=identities, cameras=cameras,
                        splits=splits, offsets=offsets, scales=scales,
-                       occ_boxes=occ_boxes, config=config)
+                       occ_boxes=occ_boxes)

@@ -84,20 +84,16 @@ def combined_objective(loss_id, loss_tp, fl_id: float, fl_tp: float):
 @dataclass
 class TaskStats:
     """EMA state of one task. k is None until the first observed loss."""
-    k_prev: float | None = None
     k: float | None = None
     p: float = 1.0
 
     def observe(self, loss: float, alpha: float) -> None:
-        if self.k is None:
-            self.k_prev = loss  # first call seeds the average with L_0
-        else:
-            self.k_prev = self.k
-        self.k = update_ema(self.k_prev, loss, alpha)
-        if loss <= ZERO_LOSS_EPS or self.k_prev <= 0:
+        k_prev = loss if self.k is None else self.k  # the first loss seeds the average
+        self.k = update_ema(k_prev, loss, alpha)
+        if loss <= ZERO_LOSS_EPS or k_prev <= 0:
             self.p = 1.0
         else:
-            self.p = loss_reduction_prob(self.k, self.k_prev)
+            self.p = loss_reduction_prob(self.k, k_prev)
 
 
 @dataclass
@@ -132,32 +128,24 @@ class SchedulerState:
         stats.observe(loss, self.alpha)
 
     # -- checkpoint support --------------------------------------------------
+    #
+    # The policy (alpha, gamma, switch_ratio, alternating) is the config's, and
+    # begin_iteration recomputes the focal weights, so a checkpoint holds only
+    # the counter, the phase and each task's average and probability.
 
     def to_scalars(self) -> dict:
         enc = lambda v: float("nan") if v is None else float(v)
-        return {
-            "alpha": self.alpha, "gamma": self.gamma, "switch_ratio": self.switch_ratio,
-            "alternating": float(self.alternating),
-            "tau": float(self.tau), "phase": float(self.phase == Phase.COMBINED),
-            "k_prev_id": enc(self.id_stats.k_prev), "k_id": enc(self.id_stats.k),
-            "p_id": self.id_stats.p,
-            "k_prev_tp": enc(self.tp_stats.k_prev), "k_tp": enc(self.tp_stats.k),
-            "p_tp": self.tp_stats.p,
-            "fl_id": self.fl_id, "fl_tp": self.fl_tp,
-        }
+        return {"tau": float(self.tau), "phase": float(self.phase == Phase.COMBINED),
+                "k_id": enc(self.id_stats.k), "p_id": self.id_stats.p,
+                "k_tp": enc(self.tp_stats.k), "p_tp": self.tp_stats.p}
 
-    @classmethod
-    def from_scalars(cls, s: dict) -> "SchedulerState":
+    def restore(self, s: dict) -> None:
+        """Continue from the point `to_scalars` recorded."""
         dec = lambda v: None if math.isnan(v) else float(v)
-        state = cls(alpha=s["alpha"], gamma=s["gamma"], switch_ratio=s["switch_ratio"],
-                    alternating=s["alternating"] == 1.0)
-        state.tau = int(s["tau"])
-        state.phase = Phase.COMBINED if s["phase"] == 1.0 else Phase.ID_ONLY
-        state.id_stats = TaskStats(dec(s["k_prev_id"]), dec(s["k_id"]), s["p_id"])
-        state.tp_stats = TaskStats(dec(s["k_prev_tp"]), dec(s["k_tp"]), s["p_tp"])
-        state.fl_id = s["fl_id"]
-        state.fl_tp = s["fl_tp"]
-        return state
+        self.tau = int(s["tau"])
+        self.phase = Phase.COMBINED if s["phase"] == 1.0 else Phase.ID_ONLY
+        self.id_stats = TaskStats(dec(s["k_id"]), s["p_id"])
+        self.tp_stats = TaskStats(dec(s["k_tp"]), s["p_tp"])
 
 
 class TraceWriter:

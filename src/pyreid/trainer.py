@@ -31,15 +31,15 @@ from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    n: int = 6
+    """The part count n is len(pyramid_mask), and both samplers draw
+    batch_size = p_ids * k_imgs images."""
     feature_dim: int = 16
     margin: float = 1.4
-    batch_size: int = 16
     p_ids: int = 4
     k_imgs: int = 4
     alpha: float = 0.25
@@ -56,24 +56,27 @@ class TrainConfig:
     backbone_stages: tuple = ((16, 2), (32, 2), (64, 1))
     checkpoint_every: int = 0
 
+    @property
+    def batch_size(self) -> int:
+        return self.p_ids * self.k_imgs
+
     def validate(self) -> None:
-        for key in ("n", "feature_dim", "epochs"):
+        for key in ("feature_dim", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         for key in ("seed", "checkpoint_every"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
-        if self.p_ids * self.k_imgs != self.batch_size:
-            raise ConfigError(f"p_ids * k_imgs must equal batch_size, got "
-                              f"{self.p_ids}*{self.k_imgs} != {self.batch_size}")
         if self.p_ids < 2 or self.k_imgs < 2:
             raise ConfigError(f"p_ids and k_imgs must be >= 2 for valid triplets, got "
                               f"P={self.p_ids} K={self.k_imgs}")
         if list(self.lr_halving_epochs) != sorted(set(self.lr_halving_epochs)):
             raise ConfigError(f"lr_halving_epochs must be strictly increasing, got "
                               f"{self.lr_halving_epochs}")
-        if len(self.pyramid_mask) != self.n:
-            raise ConfigError(f"pyramid_mask {self.pyramid_mask!r} must have n={self.n} digits")
+        # an entry below 1 halves the rate from epoch 0: a smaller base_lr
+        if any(e < 1 for e in self.lr_halving_epochs):
+            raise ConfigError(f"lr_halving_epochs entries must be >= 1, got "
+                              f"{self.lr_halving_epochs}")
         BranchMask.from_string(self.pyramid_mask)
         # a NaN fails every comparison, so it is refused with the range
         for key, ok, rule in (("margin", self.margin > 0, "positive"),
@@ -90,7 +93,7 @@ class TrainConfig:
 
 PROFILES = {
     "desk": TrainConfig(),
-    "paper": TrainConfig(feature_dim=128, batch_size=64, p_ids=8, k_imgs=8,
+    "paper": TrainConfig(feature_dim=128, p_ids=8, k_imgs=8,
                          epochs=120, lr_halving_epochs=(60, 70, 80, 90),
                          pyramid_mask="111111"),
 }
@@ -148,11 +151,6 @@ def _config_lines(text: str, source):
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         yield lineno, key.strip(), val.strip()
-
-
-def parse_config_file(path) -> dict:
-    """Flat key=value file; '#' starts a comment."""
-    return {key: val for _, key, val in _config_lines(Path(path).read_text(), path)}
 
 
 def parse_config_text(text: str, source) -> dict:
@@ -249,8 +247,9 @@ def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> Py
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, _INIT_PURPOSE])))
     backbone = Backbone(BackboneConfig(stages=config.backbone_stages), rng)
-    return PyramidModel(backbone, config.n, config.feature_dim, num_identities,
-                        image_hw, rng, mask=BranchMask.from_string(config.pyramid_mask))
+    mask = BranchMask.from_string(config.pyramid_mask)
+    return PyramidModel(backbone, mask.n, config.feature_dim, num_identities, image_hw,
+                        rng, mask=mask)
 
 
 def _entry(entries: dict, key: str, shape=()) -> np.ndarray:
@@ -300,7 +299,6 @@ def save_checkpoint(path, model: PyramidModel, config: TrainConfig,
                     dataset_fingerprint: str) -> None:
     entries: dict[str, np.ndarray] = {}
     entries["meta/version"] = np.array(CHECKPOINT_VERSION, dtype="<i8")
-    entries["meta/num_identities"] = np.array(model.num_identities, dtype="<i8")
     entries["meta/image_h"] = np.array(model.image_hw[0], dtype="<i8")
     entries["meta/image_w"] = np.array(model.image_hw[1], dtype="<i8")
     entries["meta/dataset_fingerprint"] = np.frombuffer(
@@ -333,22 +331,17 @@ def rebuild_model(entries: dict) -> tuple:
     """Reconstruct the model (architecture + weights + running stats) stored
     in a loaded checkpoint. Returns (model, config)."""
     config = _decode_config(entries)
-    sizes = {key: _int_entry(entries, f"meta/{key}")
-             for key in ("image_h", "image_w", "num_identities")}
+    sizes = {key: _int_entry(entries, f"meta/{key}") for key in ("image_h", "image_w")}
     for key, value in sizes.items():
         if value < 1:
             raise ContainerError(f"checkpoint entry 'meta/{key}' must be positive, "
                                  f"got {value}")
-    # the stored classifier fixes the identity count before anything is allocated
+    # the classifier's last axis is the identity count
     classifier = _entry(entries, "param/head.classifier.weight", shape=None)
-    branches = BranchMask.from_string(config.pyramid_mask).enabled_branch_count()
-    if classifier.shape != (branches, config.feature_dim, sizes["num_identities"]):
-        raise ContainerError(f"checkpoint entry 'meta/num_identities' is "
-                             f"{sizes['num_identities']}, but the stored classifier "
-                             f"'param/head.classifier.weight' has shape "
-                             f"{classifier.shape}")
-    model = build_model(config, (sizes["image_h"], sizes["image_w"]),
-                        sizes["num_identities"])
+    if classifier.ndim == 0 or classifier.shape[-1] < 1:
+        raise ContainerError(f"checkpoint entry 'param/head.classifier.weight' holds no "
+                             f"identities (shape {classifier.shape})")
+    model = build_model(config, (sizes["image_h"], sizes["image_w"]), classifier.shape[-1])
     for name, p in model.named_parameters():
         p.data[...] = _entry(entries, f"param/{name}", p.data.shape)
     for name, buf in model.named_buffers():
@@ -434,8 +427,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
         opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
         for name, velocity in opt.velocity.items():
             velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape)
-        sched = SchedulerState.from_scalars(
-            {key: float(_entry(entries, f"sched/{key}")[()]) for key in sched.to_scalars()})
+        sched.restore({key: float(_entry(entries, f"sched/{key}")[()])
+                       for key in sched.to_scalars()})
         rand_stream.restore(_int_entry(entries, "meta/rand_epoch"),
                             _int_entry(entries, "meta/rand_pos"))
         pk_stream.restore(_int_entry(entries, "meta/pk_epoch"),

@@ -23,7 +23,6 @@ class TestRandomBatches:
     def test_batch_sizes(self):
         batches = random_batches(flat_split(20, 10), 64, seed=0, epoch=0)
         assert [len(b) for b in batches] == [64, 64, 64, 8]
-        assert [b.partial for b in batches] == [False, False, False, True]
 
     def test_epoch_is_a_permutation(self):
         split = flat_split(10, 7)
@@ -47,10 +46,6 @@ class TestRandomBatches:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             random_batches(make_split([]), 4, seed=0, epoch=0)
-
-    def test_strategy_tag(self):
-        batch = random_batches(flat_split(4, 4), 4, seed=0, epoch=0)[0]
-        assert batch.strategy == "random"
 
 
 class TestPKBatches:

@@ -150,7 +150,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("key", ["pk_with_replacement", "triplet_in_id_phase",
                                      "classifier_bias", "squared_distance",
-                                     "l2_normalize_eval", "in_channels"])
+                                     "l2_normalize_eval", "in_channels", "n",
+                                     "batch_size"])
     def test_removed_config_key_exits_2(self, data_dir, tmp_path, capsys, key):
         config = tmp_path / "run.ini"
         config.write_text(f"seed = 1\n{key} = 1\n")
@@ -159,6 +160,25 @@ class TestTrain:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err,
                               f"{config}:2: unknown config key {key!r}")
+
+    def test_part_count_and_batch_follow_mask_and_pk(self, data_dir, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--pyramid-mask", "1111", "--epochs", "1"]) == 0
+        keys = [line.split(" = ")[0]
+                for line in (out / "resolved_config.ini").read_text().splitlines()]
+        assert "pyramid_mask" in keys and "n" not in keys and "batch_size" not in keys
+
+    @pytest.mark.parametrize("value", ["0, 5", "-3"])
+    def test_halving_before_epoch_one_exits_2(self, data_dir, tmp_path, capsys, value):
+        config = tmp_path / "run.ini"
+        config.write_text(f"lr_halving_epochs = {value}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "lr_halving_epochs entries must be >= 1")
+        assert not out.exists()
 
     def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -216,7 +236,7 @@ class TestMalformedInputs:
         assert_one_error_line(capsys.readouterr().err, "Is a directory", str(tmp_path))
         assert not out.exists()
 
-    @pytest.mark.parametrize("prefix", ["param/", "buffer/", "meta/num_identities",
+    @pytest.mark.parametrize("prefix", ["param/", "buffer/", "param/head.classifier.weight",
                                         "meta/config"])
     def test_checkpoint_missing_entry(self, data_dir, trained_dir, tmp_path, capsys, prefix):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -236,10 +256,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("key, value, message", [
         ("meta/image_h", np.array(np.inf, dtype="<f8"), "is not an integer"),
-        ("meta/num_identities", np.array(10 ** 12, dtype="<i8"), "stored classifier"),
-        ("meta/num_identities", np.array(0, dtype="<i8"), "must be positive"),
         ("meta/image_w", np.array(-16, dtype="<i8"), "must be positive"),
-    ], ids=["float_infinity", "huge_identity_count", "zero_identities", "negative_width"])
+    ], ids=["float_infinity", "negative_width"])
     def test_checkpoint_forged_meta_integer(self, data_dir, trained_dir, tmp_path, capsys,
                                             key, value, message):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -248,10 +266,22 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, repr(key), message)
 
+    @pytest.mark.parametrize("shape", [(21, 16, 0), ()], ids=["no_identities", "scalar"])
+    def test_checkpoint_classifier_without_identities(self, data_dir, trained_dir, tmp_path,
+                                                      capsys, shape):
+        # the classifier's last axis is the identity count
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        entries["param/head.classifier.weight"] = np.zeros(shape, dtype="<f4")
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, "'param/head.classifier.weight'",
+                              "holds no identities")
+
     # version 1 stored one config/<field> entry per field, version 2 one entry
     # per branch and kind, version 3 all 21 branches' head rows whatever the
-    # mask, and version 4 six config keys that no longer exist
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    # mask, version 4 six config keys that no longer exist, and version 5
+    # the config keys n and batch_size
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_old_version_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys,
                                             version):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -259,7 +289,7 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "old.pyrt", entries)
         assert self.eval_with(tmp_path / "old.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
-                              f"checkpoint version {version} not supported (expected 5)")
+                              f"checkpoint version {version} not supported (expected 6)")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda images: images[:, :, :-1],

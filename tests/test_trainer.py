@@ -17,7 +17,7 @@ from pyreid.evaluation import evaluate_checkpoint
 from pyreid.scheduler import TRACE_COLUMNS, SchedulerState
 from pyreid.trainer import (PROFILES, SGD, TrainConfig, _decode_config, build_model,
                             load_checkpoint, lr_schedule, make_config,
-                            make_label_map, parse_config_file, rebuild_model,
+                            make_label_map, rebuild_model,
                             resolved_config_text, save_checkpoint, sgd_step, train)
 
 
@@ -95,7 +95,7 @@ class TestSgdStep:
 class TestConfig:
     def test_desk_profile_defaults(self):
         c = PROFILES["desk"]
-        assert (c.n, c.margin, c.alpha, c.gamma, c.switch_ratio) == \
+        assert (len(c.pyramid_mask), c.margin, c.alpha, c.gamma, c.switch_ratio) == \
             (6, 1.4, 0.25, 2.0, 0.16)
         assert (c.momentum, c.weight_decay, c.base_lr) == (0.9, 0.0005, 0.01)
 
@@ -105,15 +105,10 @@ class TestConfig:
         assert c.epochs == 120
         assert c.lr_halving_epochs == (60, 70, 80, 90)
 
-    def test_pk_product_must_match_batch(self):
-        with pytest.raises(ConfigError, match="batch_size"):
-            TrainConfig(p_ids=4, k_imgs=8, batch_size=16).validate()
+    def test_batch_is_p_times_k(self):
+        assert TrainConfig(p_ids=4, k_imgs=8).batch_size == 32
 
-    def test_mask_length_must_match_n(self):
-        with pytest.raises(ConfigError, match="digits"):
-            TrainConfig(pyramid_mask="11111").validate()
-
-    @pytest.mark.parametrize("key", ["n", "feature_dim", "epochs"])
+    @pytest.mark.parametrize("key", ["feature_dim", "epochs"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_sizes_must_be_positive(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be positive, got {value}"):
@@ -140,6 +135,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="increasing"):
             TrainConfig(lr_halving_epochs=(20, 15)).validate()
 
+    @pytest.mark.parametrize("epochs", [(0, 5), (-3,)])
+    def test_halvings_start_at_epoch_one(self, epochs):
+        # the config-file refusal is in test_cli.py
+        with pytest.raises(ConfigError, match="lr_halving_epochs entries must be >= 1"):
+            TrainConfig(lr_halving_epochs=epochs).validate()
+
     def test_config_file_roundtrip(self, tmp_path):
         base = make_config("desk", overrides={"feature_dim": 8, "seed": 42,
                                               "pyramid_mask": "100001"})
@@ -151,7 +152,7 @@ class TestConfig:
         path = tmp_path / "bad.ini"
         path.write_text("feature_dim 8\n")
         with pytest.raises(ConfigError, match="key=value"):
-            parse_config_file(path)
+            make_config("desk", file_path=path)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -160,7 +161,7 @@ class TestConfig:
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("# comment\n\nfeature_dim = 8  # inline\n")
-        assert parse_config_file(path) == {"feature_dim": "8"}
+        assert make_config("desk", file_path=path) == replace(PROFILES["desk"], feature_dim=8)
 
     def test_values_parse_by_the_type_of_the_default(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -230,7 +231,7 @@ class TestTrainingRuns:
     def test_resume_with_wrong_architecture_refused(self, toy_dataset, short_run,
                                                     tmp_path):
         _, result = short_run
-        bad = TrainConfig(seed=3, epochs=8, n=4, pyramid_mask="1111")
+        bad = TrainConfig(seed=3, epochs=8, pyramid_mask="1111")
         with pytest.raises(ConfigError, match="n"):
             train(bad, toy_dataset, tmp_path / "c", resume_from=result.checkpoint_path)
 
@@ -255,7 +256,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 5
+        assert int(entries["meta/version"]) == 6
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -339,6 +340,33 @@ class TestCheckpointSchema:
             train(TrainConfig(seed=3, epochs=8), toy_dataset, tmp_path / "r",
                   resume_from=tmp_path / "ck.pyrt")
 
+    def test_scheduler_entries_are_the_resumed_state(self, short_run):
+        _, result = short_run
+        entries = load_tensors(result.checkpoint_path)
+        assert sorted(k for k in entries if k.startswith("sched/")) == \
+            sorted(f"sched/{k}" for k in ("tau", "phase", "k_id", "p_id", "k_tp", "p_tp"))
+        assert "meta/num_identities" not in entries
+
+    @pytest.mark.parametrize("no_triplet", [True, False], ids=["no_triplet", "dynamic"])
+    def test_resume_takes_policy_from_stored_config(self, toy_dataset, tmp_path,
+                                                    no_triplet):
+        # sched/ entries naming the other policy, as version 5 stored them,
+        # are not read: the resumed run continues the uninterrupted trace
+        config = TrainConfig(seed=1, epochs=2, no_triplet_alternating=no_triplet)
+        full = train(config, toy_dataset, tmp_path / "full")
+        first = train(replace(config, epochs=1), toy_dataset, tmp_path / "first")
+        entries = load_tensors(first.checkpoint_path)
+        entries["sched/alternating"] = np.array(float(not no_triplet))
+        entries["sched/switch_ratio"] = np.array(50.0)
+        save_tensors(tmp_path / "forged.pyrt", entries)
+        resumed = train(config, toy_dataset, tmp_path / "resumed",
+                        resume_from=tmp_path / "forged.pyrt")
+        rows = read_trace(resumed.trace_path)
+        assert rows == read_trace(full.trace_path)[-len(rows):]
+        if no_triplet:
+            assert [r["phase"] for r in rows] == \
+                ["id_only" if int(r["tau"]) % 2 else "combined" for r in rows]
+
     def test_stored_config_must_name_every_field(self, short_run):
         config, _ = short_run
         text = resolved_config_text(config).replace("margin = 1.4\n", "")
@@ -351,18 +379,16 @@ def train_configs(draw):
     """Valid TrainConfigs with a small model; each float field is drawn from
     its valid range."""
     n = draw(st.integers(1, 6))
-    p_ids, k_imgs = draw(st.integers(2, 5)), draw(st.integers(2, 5))
     non_negative = st.floats(min_value=0.0, allow_infinity=False)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     return TrainConfig(
-        n=n, feature_dim=draw(st.integers(1, 8)),
-        margin=draw(positive),
-        batch_size=p_ids * k_imgs, p_ids=p_ids, k_imgs=k_imgs,
+        feature_dim=draw(st.integers(1, 8)), margin=draw(positive),
+        p_ids=draw(st.integers(2, 5)), k_imgs=draw(st.integers(2, 5)),
         alpha=draw(st.floats(0.0, 1.0)), gamma=draw(non_negative),
         switch_ratio=draw(positive), base_lr=draw(positive),
         momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
         weight_decay=draw(non_negative), epochs=draw(st.integers(1, 10**6)),
-        lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(-10, 10**4), max_size=4)))),
+        lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(1, 10**4), max_size=4)))),
         seed=draw(st.integers(0, 2**64)),
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
         no_triplet_alternating=draw(st.booleans()),
@@ -373,7 +399,8 @@ def train_configs(draw):
 
 def _assert_checkpoint_roundtrip(config: TrainConfig) -> None:
     config.validate()
-    model = build_model(config, (8 * config.n, 8), 5)  # strides multiply to at most 8
+    # strides multiply to at most 8
+    model = build_model(config, (8 * len(config.pyramid_mask), 8), 5)
     opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
     stream = {"rand_epoch": 0, "rand_pos": 0, "pk_epoch": 0, "pk_pos": 0}
     with tempfile.TemporaryDirectory() as tmp:
