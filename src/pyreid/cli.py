@@ -22,7 +22,7 @@ from .errors import ConfigError, ContainerError, TrainingDiverged
 from .evaluation import evaluate_checkpoint, metrics_table
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
-from .trainer import make_config, resolved_config_text, train
+from .trainer import build_model, make_config, resolved_config_text, train
 from . import autograd, chart
 
 
@@ -95,6 +95,8 @@ def cmd_train(args) -> int:
     config = make_config(profile=args.profile, file_path=args.config,
                          overrides=_collect_overrides(args))
     dataset = ReIDDataset.load(args.dataset)
+    # a pyramid that does not fit the images is refused before any output exists
+    build_model(config, dataset.image_hw, 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))

@@ -336,11 +336,15 @@ def rebuild_model(entries: dict) -> tuple:
         if value < 1:
             raise ContainerError(f"checkpoint entry 'meta/{key}' must be positive, "
                                  f"got {value}")
-    # the classifier's last axis is the identity count
+    # the classifier's last axis is the identity count; its full shape is checked
+    # before anything is allocated, so an empty axis cannot back a forged count
     classifier = _entry(entries, "param/head.classifier.weight", shape=None)
-    if classifier.ndim == 0 or classifier.shape[-1] < 1:
-        raise ContainerError(f"checkpoint entry 'param/head.classifier.weight' holds no "
-                             f"identities (shape {classifier.shape})")
+    branches = BranchMask.from_string(config.pyramid_mask).enabled_branch_count()
+    if (classifier.ndim != 3 or classifier.shape[:2] != (branches, config.feature_dim)
+            or classifier.shape[-1] < 1):
+        raise ContainerError(f"checkpoint entry 'param/head.classifier.weight' has shape "
+                             f"{classifier.shape}, expected ({branches}, "
+                             f"{config.feature_dim}, identities >= 1)")
     model = build_model(config, (sizes["image_h"], sizes["image_w"]), classifier.shape[-1])
     for name, p in model.named_parameters():
         p.data[...] = _entry(entries, f"param/{name}", p.data.shape)

@@ -169,6 +169,16 @@ class TestTrain:
                 for line in (out / "resolved_config.ini").read_text().splitlines()]
         assert "pyramid_mask" in keys and "n" not in keys and "batch_size" not in keys
 
+    def test_mask_not_fitting_images_exits_2(self, data_dir, tmp_path, capsys):
+        # 48-pixel images give a 12-row feature map, which five parts do not divide
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--pyramid-mask", "11111"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "feature map height 12 not divisible by part count 5")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0, 5", "-3"])
     def test_halving_before_epoch_one_exits_2(self, data_dir, tmp_path, capsys, value):
         config = tmp_path / "run.ini"
@@ -266,7 +276,10 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, repr(key), message)
 
-    @pytest.mark.parametrize("shape", [(21, 16, 0), ()], ids=["no_identities", "scalar"])
+    # a zero-byte entry of shape (0, 16, 10**9) claims a billion identities: its
+    # shape is refused before a model of that size is allocated
+    @pytest.mark.parametrize("shape", [(21, 16, 0), (), (0, 16, 10**9)],
+                             ids=["no_identities", "scalar", "huge_identity_count"])
     def test_checkpoint_classifier_without_identities(self, data_dir, trained_dir, tmp_path,
                                                       capsys, shape):
         # the classifier's last axis is the identity count
@@ -275,7 +288,7 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "ck.pyrt", entries)
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, "'param/head.classifier.weight'",
-                              "holds no identities")
+                              f"has shape {shape}, expected (21, 16, identities >= 1)")
 
     # version 1 stored one config/<field> entry per field, version 2 one entry
     # per branch and kind, version 3 all 21 branches' head rows whatever the

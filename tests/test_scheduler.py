@@ -196,12 +196,16 @@ class TestSchedulerState:
         assert back == state
 
     def test_restore_keeps_own_policy(self):
-        state = SchedulerState(alternating=True)
+        # the dynamic policy stays ID-only here; the restored state alternates
+        state = SchedulerState()
         state.begin_iteration()
-        back = SchedulerState()
+        state.observe("id", 5.0)
+        back = SchedulerState(alternating=True)
         back.restore(state.to_scalars())
         assert sorted(state.to_scalars()) == ["k_id", "k_tp", "p_id", "p_tp", "phase", "tau"]
-        assert back.tau == 1 and not back.alternating
+        assert back.alternating and back.tau == 1
+        assert [back.begin_iteration() for _ in range(2)] == [Phase.COMBINED, Phase.ID_ONLY]
+        assert [state.begin_iteration() for _ in range(2)] == [Phase.ID_ONLY, Phase.ID_ONLY]
 
 
 class TestAlternatingPolicy:
