@@ -309,6 +309,9 @@ def _split_images(path: Path) -> np.ndarray:
     if images.dtype != np.float32 or images.ndim != 4 or images.shape[3] != 3:
         raise ContainerError(f"{path.name}: images are {images.dtype.name} of shape "
                              f"{images.shape}, expected float32 of shape (n, H, W, 3)")
+    bad = np.flatnonzero(~np.isfinite(images).all(axis=(1, 2, 3)))
+    if len(bad):
+        raise ContainerError(f"{path.name}: image {bad[0]} holds a non-finite pixel")
     return images
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,96 +21,94 @@ class RankedResult:
     matches: np.ndarray  # bool per ranked position
 
 
-# query rows per task: a (128, G) float64 distance block and its (128, G)
-# int64 keys each. Blocks of fewer rows would change BLAS's rounding of the
-# distance products for some gallery shapes, and with it near-tie rankings
+# query rows per task, which bounds a task's memory: a (128, G) float64 block
 _RANK_BLOCK = 128
+_JUNK_KEY = 0x7FF8 << 48  # a quiet NaN: above every distance, silent in the gap test
 
 
-def _hash_multipliers(dim: int) -> np.ndarray:
-    """One odd 64-bit multiplier per embedding column: splitmix64 of the
-    column number. Odd multipliers are invertible modulo 2**64, so two rows
-    that differ in one column always hash apart."""
-    z = np.arange(1, dim + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))) | np.uint64(1)
+def _exact_sq_distances(query: np.ndarray, rows: np.ndarray) -> list:
+    """Exact squared distances from `query` to each of `rows`, as integers
+    at one scale: every double is an integer over a power of two, so at the
+    largest denominator present all the values are integers."""
+    num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(np.vstack([query, rows]))
+    ints = num * (den.max() // den)
+    return ((ints[1:] - ints[0]) ** 2).sum(axis=1).tolist()
 
 
 def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.ndarray,
                  gallery_embs: np.ndarray, gallery_ids: np.ndarray,
                  gallery_cams: np.ndarray) -> list:
-    """Rank the gallery for every query row by Euclidean distance, after
-    dropping the query's same-identity same-camera entries (junk under the
-    standard protocol). Distance ties break toward the lower gallery index.
-    Returns one RankedResult per query, in query order.
+    """Rank the gallery for every query row in the exact order of Euclidean
+    distance, the lower gallery index first on a tie, after dropping the
+    query's same-identity same-camera entries (junk under the standard
+    protocol). Returns one RankedResult per query; refuses non-finite rows.
 
-    Blocks of `_RANK_BLOCK` queries are tasks of `autograd._share_tasks`.
-    Each block sorts one int64 key per distance: the distance's bits with
-    the low b = (G - 1).bit_length() bits replaced by the gallery index.
-    Non-negative doubles order as their bits, and junk distances are inf,
-    so where the kept keys of a row all differ above the low b bits, the
-    sorted keys are the exact (distance, index) order. Rows with two kept
-    keys equal above those bits (every tie and near-tie) or with a NaN
-    distance are sorted again with a stable argsort of the distances."""
+    Blocks of `_RANK_BLOCK` queries are tasks of `autograd._share_tasks`. A
+    block sorts one int64 key per Gram-form squared distance: its bits with
+    the low b = (G - 1).bit_length() bits replaced by the gallery index. As
+    a double a key is within tol / 2 of the exact distance, one tol per row,
+    so a gap above tol between sorted keys orders every pair across it; each
+    run of closer keys is re-sorted exactly."""
     q = np.asarray(query_embs, dtype=np.float64)
-    g = np.array(gallery_embs, dtype=np.float64, order="C")
+    g = np.ascontiguousarray(gallery_embs, dtype=np.float64)
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ValueError(f"rank_gallery: embedding dims differ, query {q.shape[1:]} vs "
                          f"gallery {g.shape[1:]}")
-    if not g.shape[1]:
+    dim = g.shape[1]
+    if not dim:
         raise ValueError("rank_gallery: embeddings have no dimensions")
+    limit = 2.0 ** 509 / math.sqrt(dim)  # keeps every (|q| + |g|)**2 below 2**1020
+    for name, x in (("query", q), ("gallery row", g)):
+        bad = np.flatnonzero(~(np.maximum(x.max(axis=1), -x.min(axis=1)) <= limit))
+        if len(bad):
+            fault = ("is not finite" if not np.isfinite(x[bad[0]]).all()
+                     else f"has an entry beyond {limit:.3g} in magnitude")
+            raise ValueError(f"rank_gallery: {name} {bad[0]} {fault}")
     query_ids, query_cams = np.asarray(query_ids), np.asarray(query_cams)
-    # BLAS rounds the products of equal gallery rows differently by position,
-    # which would reorder their tie: every duplicate row takes the distances
-    # of its first occurrence. Adding 0.0 turns -0.0 into 0.0, so numerically
-    # equal rows are bitwise equal. Equal rows hash alike, so only rows whose
-    # hash another row shares are compared in full.
-    g += 0.0
     n = len(g)
-    _, inverse, counts = np.unique(g.view(np.uint64) @ _hash_multipliers(g.shape[1]),
-                                   return_inverse=True, return_counts=True)
-    shared = np.flatnonzero(counts[inverse] > 1)
-    source = np.arange(n)
-    if len(shared):
-        rows = g[shared].view(np.dtype((np.void, g.itemsize * g.shape[1]))).ravel()
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        source[shared] = shared[first[inverse]]
-    dup = np.flatnonzero(source != np.arange(n))
     g_sq = np.einsum("ij,ij->i", g, g)
+    g_norm = math.sqrt(g_sq.max(initial=0.0))
     low = (1 << (n - 1).bit_length()) - 1  # key bits that hold the gallery index
-    index = np.arange(n, dtype=np.int64)
+    # In any summation order q.g, |q|^2 and |g|^2 are within gamma_D |q||g|,
+    # gamma_D |q|^2 and gamma_D |g|^2 of exact (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 2nd ed., ch. 3; gamma_k = k u / (1 - k u), u =
+    # 2**-53), so with the two additions a distance is within gamma_{D+2}
+    # (|q| + |g|)^2. The index bits move a key under 2**(b - 52) of it. tol
+    # is twice both at the largest |g|; gamma_{D+3} and 2**(b - 50) cover its
+    # own rounding. Underflow can matter only where (|q| + |g|)^2 < 2**-600,
+    # and there the 2**-590 joins all keys into one exact run.
+    rel = 2.0 * (dim + 3) * 2.0 ** -53 / (1.0 - (dim + 3) * 2.0 ** -53) + (low + 1) * 2.0 ** -50
 
     def rank_block(block: int) -> list:
         lo = block * _RANK_BLOCK
         qb = q[lo:lo + _RANK_BLOCK]
         ids, cams = query_ids[lo:lo + _RANK_BLOCK, None], query_cams[lo:lo + _RANK_BLOCK, None]
-        # squared distances ||q||^2 + ||g||^2 - 2 q.g, clamped at 0; adding
-        # the non-negative norms leaves no -0.0
-        dist = (-2.0 * qb) @ g.T
-        dist += np.einsum("ij,ij->i", qb, qb)[:, None]
+        q_sq = np.einsum("ij,ij->i", qb, qb)
+        dist = (-2.0 * qb) @ g.T  # + |q|^2 + |g|^2, clamped at +0.0
+        dist += q_sq[:, None]
         dist += g_sq
         np.maximum(dist, 0.0, out=dist)
-        np.sqrt(dist, out=dist)
-        dist[:, dup] = dist[:, source[dup]]
         junk = (gallery_ids == ids) & (gallery_cams == cams)
-        dist[junk] = np.inf
         kept = n - junk.sum(axis=1)
         if not kept.all():
             raise ValueError(f"rank_gallery: query {lo + int(np.argmin(kept))} has an empty "
                              f"gallery after filtering")
-        keys = dist.view(np.int64) & ~low
-        keys |= index
+        keys = dist.view(np.int64)
+        keys &= ~low
+        keys[junk] = _JUNK_KEY
+        keys |= np.arange(n)
         keys.sort(axis=1)
-        redo = np.isnan(dist.max(axis=1))  # NaN keys sort by their bits, not last
-        if n > 1:
-            # the first adjacent pair of sorted keys equal above the index bits
-            same = (keys[:, 1:] ^ keys[:, :-1]) <= low
-            first = same.argmax(axis=1)
-            redo |= same[np.arange(len(qb)), first] & (first < kept - 1)
+        tol = rel * (np.sqrt(q_sq) + g_norm) ** 2 + 2.0 ** -590
+        near = np.diff(keys.view(np.float64), axis=1) <= tol[:, None]  # NaN: junk
         order = np.bitwise_and(keys, low, out=keys)
-        redo = np.flatnonzero(redo)
-        order[redo] = np.argsort(dist[redo], axis=1, kind="stable")
+        for row in np.flatnonzero(near.any(axis=1)):
+            # the members of all runs; one not near the entry before starts a run
+            joined = np.r_[False, near[row]]
+            pos = np.flatnonzero(joined | np.r_[near[row], False])
+            members = order[row, pos]
+            exact = zip(np.cumsum(~joined[pos]).tolist(),
+                        _exact_sq_distances(qb[row], g[members]), members.tolist())
+            order[row, pos] = [i for _, _, i in sorted(exact)]
         matches = gallery_ids[order] == ids
         return [RankedResult(query_index=lo + i, order=order[i, :k], matches=matches[i, :k])
                 for i, k in enumerate(kept)]

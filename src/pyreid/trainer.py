@@ -252,14 +252,17 @@ def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> Py
                         rng, mask=mask)
 
 
-def _entry(entries: dict, key: str, shape=()) -> np.ndarray:
-    """Checkpoint entry `key`, which must exist with `shape` (any if None)."""
+def _entry(entries: dict, key: str, shape=(), finite: bool = False) -> np.ndarray:
+    """Checkpoint entry `key`, which must exist with `shape` (any if None),
+    and hold only finite values if `finite`."""
     arr = entries.get(key)
     if arr is None:
         raise ContainerError(f"checkpoint has no entry {key!r}")
     if shape is not None and arr.shape != shape:
         raise ContainerError(f"checkpoint entry {key!r}: stored shape {arr.shape}, "
                              f"expected {shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ContainerError(f"checkpoint entry {key!r} holds a non-finite value")
     return arr
 
 
@@ -347,9 +350,9 @@ def rebuild_model(entries: dict) -> tuple:
                              f"{config.feature_dim}, identities >= 1)")
     model = build_model(config, (sizes["image_h"], sizes["image_w"]), classifier.shape[-1])
     for name, p in model.named_parameters():
-        p.data[...] = _entry(entries, f"param/{name}", p.data.shape)
+        p.data[...] = _entry(entries, f"param/{name}", p.data.shape, finite=True)
     for name, buf in model.named_buffers():
-        buf[...] = _entry(entries, f"buffer/{name}", buf.shape)
+        buf[...] = _entry(entries, f"buffer/{name}", buf.shape, finite=True)
     return model, config
 
 
@@ -430,9 +433,13 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
         model, _ = rebuild_model(entries)
         opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
         for name, velocity in opt.velocity.items():
-            velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape)
-        sched.restore({key: float(_entry(entries, f"sched/{key}")[()])
-                       for key in sched.to_scalars()})
+            velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape, finite=True)
+        scalars = {key: float(_entry(entries, f"sched/{key}")[()]) for key in sched.to_scalars()}
+        for key, value in scalars.items():
+            # NaN in k_id or k_tp is a task with no loss yet
+            if not (math.isfinite(value) or (math.isnan(value) and key in ("k_id", "k_tp"))):
+                raise ContainerError(f"checkpoint entry 'sched/{key}' holds a non-finite value")
+        sched.restore(scalars)
         rand_stream.restore(_int_entry(entries, "meta/rand_epoch"),
                             _int_entry(entries, "meta/rand_pos"))
         pk_stream.restore(_int_entry(entries, "meta/pk_epoch"),

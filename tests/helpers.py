@@ -1,14 +1,16 @@
 """Shared test utilities: independent brute-force oracles and gradient-check
 case builders.
 
-The oracles deliberately use plain Python loops and math.sqrt so they share
-no code path with the library implementations they verify.
+The oracles deliberately use plain Python loops, math.sqrt and exact
+rationals so they share no code path with the library implementations they
+verify.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from fractions import Fraction
 
 import numpy as np
 
@@ -85,15 +87,28 @@ def oracle_cmc(all_matches, max_rank) -> list:
     return [c / len(all_matches) for c in counts]
 
 
-def oracle_rank(query, qid, qcam, gallery, gids, gcams) -> list:
-    """Exhaustive sort-and-filter ranking; returns gallery indices."""
-    items = []
-    for idx in range(len(gallery)):
-        if gids[idx] == qid and gcams[idx] == qcam:
-            continue
-        items.append((oracle_distance(query, gallery[idx]), idx))
-    items.sort()
-    return [idx for _, idx in items]
+def oracle_rank(queries, qids, qcams, gallery, gids, gcams) -> list:
+    """Exhaustive sort-and-filter ranking of every query: the gallery indices
+    that are not same-identity same-camera junk, by exact squared distance
+    (a Fraction of the float64 values), the lower index first on a tie."""
+    queries = np.asarray(queries, dtype=np.float64).reshape(len(qids), -1)
+    gallery = np.asarray(gallery, dtype=np.float64).reshape(len(gids), -1)
+    ratios = [x.as_integer_ratio()
+              for x in np.concatenate([queries.ravel(), gallery.ravel()]).tolist()]
+    # every float is an integer over a power of two: at the largest
+    # denominator all values are integers, and integer arithmetic is exact
+    den = max(d for _, d in ratios)
+    ints = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    q_ints, g_ints = ints[:queries.size].reshape(queries.shape), ints[queries.size:]
+    g_ints = g_ints.reshape(gallery.shape)
+    orders = []
+    for q, qid, qcam in zip(q_ints, qids, qcams):
+        diff = g_ints - q
+        sq = [Fraction(s, den * den) for s in (diff * diff).sum(axis=1)]
+        kept = [idx for idx in range(len(gallery))
+                if not (gids[idx] == qid and gcams[idx] == qcam)]
+        orders.append(sorted(kept, key=lambda idx: (sq[idx], idx)))
+    return orders
 
 
 def reference_conv2d(x, w, g, stride, padding) -> tuple:

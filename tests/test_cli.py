@@ -276,6 +276,21 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err, repr(key), message)
 
+    # ReLU maps a NaN weight to 0, so evaluation alone would not notice one
+    @pytest.mark.parametrize("key, value", [("param/head.reduce.weight", np.nan),
+                                            ("param/head.reduce.weight", np.inf),
+                                            ("buffer/head.bn.running_var", -np.inf)],
+                             ids=["nan_param", "inf_param", "inf_buffer"])
+    def test_checkpoint_non_finite_entry(self, data_dir, trained_dir, tmp_path, capsys, key,
+                                         value):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        entries[key] = entries[key].copy()
+        entries[key].flat[5] = value
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, f"checkpoint entry {key!r} holds a "
+                                                       f"non-finite value")
+
     # a zero-byte entry of shape (0, 16, 10**9) claims a billion identities: its
     # shape is refused before a model of that size is allocated
     @pytest.mark.parametrize("shape", [(21, 16, 0), (), (0, 16, 10**9)],
@@ -322,6 +337,17 @@ class TestMalformedInputs:
         assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
         assert_one_error_line(capsys.readouterr().err,
                               f"gallery.pyrt: {message(bad, images)}")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dataset_non_finite_pixel(self, data_dir, trained_dir, tmp_path, capsys, value):
+        broken = tmp_path / "broken"
+        shutil.copytree(data_dir, broken)
+        images = load_tensors(broken / "query.pyrt")["images"].copy()
+        images[3, 10, 5, 1] = value
+        save_tensors(broken / "query.pyrt", {"images": images})
+        assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "query.pyrt: image 3 holds a non-finite pixel")
 
     def test_container_and_manifest_row_counts_differ(self, data_dir, trained_dir, tmp_path,
                                                       capsys):

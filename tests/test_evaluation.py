@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,58 +148,48 @@ class TestRankGallery:
         res = rank_gallery(np.zeros((1, 1)), [0], [0], g, np.arange(1, 9), np.zeros(8))
         assert orders(res) == [[7, 3, 6, 1, 4, 2, 5, 0]]
 
-    def test_nan_distance_ranks_last(self):
-        # an inf column the query shares gives -inf + inf: a NaN with its sign
-        # bit set, which as an integer key would sort first
-        g = np.array([[3.0, 0.0], [np.inf, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert np.signbit(-2.0 * np.inf + 1.0 + np.inf)
-            res = rank_gallery(np.array([[1.0, 0.0]]), [0], [0], g, np.arange(1, 5),
-                               np.zeros(4))
-        assert orders(res) == [[2, 3, 0, 1]]
+    @pytest.mark.parametrize("side, row", [("query", 2), ("gallery row", 1)])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan,
+                                       np.array(0x7FF8000000000100).view(np.float64)],
+                             ids=["inf", "-inf", "nan", "nan_payload"])
+    def test_non_finite_row_refused(self, side, row, value):
+        # every query or gallery row must be finite, whatever its NaN payload
+        q, g = np.ones((3, 2)), np.array([[3.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        (q if side == "query" else g)[row, 1] = value
+        with pytest.raises(ValueError, match=f"{side} {row} is not finite"):
+            rank_gallery(q, [0, 0, 0], [0, 0, 0], g, np.arange(1, 4), np.zeros(3))
 
-    def test_nan_payloads_do_not_order_nan_distances(self):
-        # NaN embeddings give NaN distances that keep their payloads; as
-        # integer keys the larger payload at the lower index would rank last
-        nans = np.array([0x7FF8000000100000, 0x7FF8000000000100]).view(np.float64)
-        g = np.array([[3.0], [nans[0]], [1.0], [nans[1]], [2.0]])
-        with np.errstate(invalid="ignore"):
-            res = rank_gallery(np.ones((1, 1)), [0], [0], g, np.arange(1, 6), np.zeros(5))
-        assert orders(res) == [[2, 4, 0, 1, 3]]
+    def test_entry_too_large_to_square_refused(self):
+        # 2**509 / sqrt(D) keeps every squared distance finite
+        g = np.array([[1.0, 0.0], [2.0 ** 509, 0.0]])
+        with pytest.raises(ValueError, match="gallery row 1 has an entry beyond"):
+            rank_gallery(np.ones((1, 2)), [0], [0], g, np.arange(1, 3), np.zeros(2))
+        g[1, 0] = 2.0 ** 508
+        assert orders(rank_gallery(np.ones((1, 2)), [0], [0], g, np.arange(1, 3),
+                                   np.zeros(2))) == [[0, 1]]
 
-    def test_nan_rows_in_every_block_on_every_worker_count(self, rng, monkeypatch):
-        # every query has a positive first column, so -2 q.g + |g|^2 is
-        # -inf + inf for the inf row; np.errstate set by the caller holds in
-        # the worker threads too
+    def test_caller_errstate_holds_in_every_block_on_every_worker_count(self, rng,
+                                                                        monkeypatch):
+        # each query's 1e-200 entry times the gallery's 1e-120 underflows in
+        # its block's matmul, which np.errstate(under="warn") set by the
+        # caller reports once per block, on whichever thread runs it
         g = rng.normal(size=(40, 3))
-        g[17] = [np.inf, 0.0, 0.0]
-        q = np.abs(rng.normal(size=(300, 3))) + 0.1
-        ids = rng.integers(0, 4, size=300)
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = rank_on_workers(monkeypatch, q, ids, ids, g, np.full(40, -1),
-                                  np.zeros(40))
-        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-        sq[:, 17] = np.nan
-        assert [order for _, order, _ in res] == np.argsort(sq, axis=1, kind="stable").tolist()
-
-    def test_one_hash_for_every_row_gives_the_same_rankings(self, rng, monkeypatch):
-        # every gallery row collides: the duplicate check falls back to
-        # comparing all rows in full and must find the same first occurrences
-        distinct = rng.integers(-2, 3, size=(9, 5)).astype(np.float64)
-        g = np.concatenate([distinct[rng.integers(0, 9, size=60)], rng.normal(size=(20, 5))])
-        g[rng.uniform(size=g.shape) < 0.1] = -0.0
-        q = np.concatenate([g[::7], rng.normal(size=(8, 5))])
-        args = (q, np.zeros(len(q)), np.zeros(len(q)), g, np.ones(80), np.zeros(80))
-        want = ranked(rank_gallery(*args))
-        monkeypatch.setattr(evaluation, "_hash_multipliers",
-                            lambda dim: np.zeros(dim, dtype=np.uint64))
-        assert ranked(rank_gallery(*args)) == want
-        assert orders(rank_gallery(*args)) == [oracle_rank(r, 0, 0, g.tolist(), np.ones(80),
-                                                           np.zeros(80)) for r in q.tolist()]
+        g[:, 0] = 1e-120
+        q = rng.normal(size=(300, 3))
+        q[:, 0] = 1e-200
+        blocks = -(-len(q) // evaluation._RANK_BLOCK)
+        assert blocks > 2
+        want = oracle_rank(q, np.zeros(300), np.zeros(300), g, np.ones(40), np.zeros(40))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(ag, "_WORKERS", workers)
+            with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
+                warnings.simplefilter("always")
+                res = rank_gallery(q, np.zeros(300), np.zeros(300), g, np.ones(40), np.zeros(40))
+            assert sum("underflow" in str(w.message) for w in caught) == blocks
+            assert orders(res) == want
 
     def test_wide_embeddings(self, rng):
-        # 5,000 columns: one hash multiplier each, and rows that differ in
-        # one column only must not be taken for duplicates
+        # 5,000 columns, and rows that differ in one column only
         g = rng.integers(-1, 2, size=(30, 5000)).astype(np.float64)
         g[10] = g[3]
         g[20] = g[3]
@@ -206,7 +198,6 @@ class TestRankGallery:
         res = rank_gallery(q, np.zeros(4), np.zeros(4), g, np.ones(30), np.zeros(30))
         sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
         assert orders(res) == np.argsort(sq, axis=1, kind="stable").tolist()
-        assert len(set(evaluation._hash_multipliers(5000).tolist())) == 5000
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
@@ -227,8 +218,103 @@ class TestRankGallery:
                 continue
             queries, qids, qcams = queries[keep], qids[keep], qcams[keep]
             res = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
-            assert orders(res) == [oracle_rank(q, i, c, gallery, gids, gcams)
-                                   for q, i, c in zip(queries, qids, qcams)]
+            assert orders(res) == oracle_rank(queries, qids, qcams, gallery, gids, gcams)
+
+
+def relu_rows(rng, offset: np.ndarray, count: int, spread: float = 0.1) -> np.ndarray:
+    """ReLU-like float32 rows: a shared offset plus noise, clipped at zero,
+    so that q.g is large next to the squared distance."""
+    rows = np.maximum(offset + spread * rng.normal(size=(count, len(offset))), 0.0)
+    return rows.astype(np.float32).astype(np.float64)
+
+
+def near_tie_gallery(rng, offset: np.ndarray, pairs: int) -> np.ndarray:
+    """ReLU-like rows, each with a partner whose largest entry is moved to
+    the next double, shuffled to scattered indices. A query's squared
+    distances to a row and its partner differ by about one unit in the
+    last place, far below the rounding of the Gram form."""
+    rows = relu_rows(rng, offset, pairs)
+    partners = rows.copy()
+    col = partners.argmax(axis=1)
+    partners[np.arange(pairs), col] = np.nextafter(partners[np.arange(pairs), col], np.inf)
+    return rng.permutation(np.concatenate([rows, partners]))
+
+
+class TestExactOrder:
+    """Adversarial galleries, where the Gram form's rounding cannot order the
+    distances: every ranking is the exact oracle's, and each query's is the
+    same whatever queries, block size and thread count it is ranked with."""
+
+    def check(self, queries, gallery, rng):
+        ids, cams = rng.integers(0, 3, size=len(gallery)), rng.integers(0, 2, size=len(gallery))
+        qids, qcams = rng.integers(0, 3, size=len(queries)), rng.integers(0, 2, size=len(queries))
+        want = oracle_rank(queries, qids, qcams, gallery, ids, cams)
+        for block in (1, 5, evaluation._RANK_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "_RANK_BLOCK", block)
+                assert orders(rank_gallery(queries, qids, qcams, gallery, ids, cams)) == want
+
+    def test_next_double_ties(self, rng):
+        offset = rng.normal(size=64)
+        gallery = near_tie_gallery(rng, offset, 40)
+        # queries equal to a gallery row sit at distance 0 and one ulp of it
+        queries = np.concatenate([relu_rows(rng, offset, 12), gallery[:4]])
+        self.check(queries, gallery, rng)
+
+    def test_duplicates_at_scattered_indices(self, rng):
+        gallery = relu_rows(rng, rng.normal(size=48), 90)
+        gallery[rng.integers(0, 90, size=40)] = gallery[rng.integers(0, 90, size=40)]
+        self.check(np.concatenate([gallery[:6], relu_rows(rng, gallery[0], 6)]), gallery, rng)
+
+    def test_signed_zeros(self, rng):
+        # the copies differ from their rows only in the sign bits of zeros
+        rows = np.maximum(rng.normal(size=(30, 16)), 0.0)
+        copies = np.where(rows[:15] == 0.0, -0.0, rows[:15])
+        queries = np.where(rng.uniform(size=(8, 16)) < 0.3, -0.0, rows[:8])
+        self.check(queries, rng.permutation(np.concatenate([rows, copies])), rng)
+
+    def test_large_offset_with_last_bit_differences(self, rng):
+        # squared distances of 1e-19 to 1e-10 beside squared norms near 3e13,
+        # of which the Gram form keeps no bit
+        base = 1e6 + rng.normal(size=(20, 32)) * 1e-6
+        partners = np.nextafter(base, np.inf)
+        gallery = rng.permutation(np.concatenate([base, partners, base[:5]]))
+        self.check(np.concatenate([base[:4], np.nextafter(base[4:8], -np.inf)]), gallery, rng)
+
+    def test_integer_distances_beyond_53_bits(self):
+        # with N = 2 k**2, row 0 is at squared distance N**2 + 1 from the
+        # origin and row 1 at N**2: 59-bit integers that float64 rounds alike
+        k = 2 ** 14
+        n = 2 * k * k
+        gallery = np.array([[n - 1.0, 2.0 * k], [float(n), 0.0]])
+        assert (n - 1) ** 2 + (2 * k) ** 2 == n ** 2 + 1
+        assert orders(rank_gallery(np.zeros((1, 2)), [0], [0], gallery, np.ones(2),
+                                   np.zeros(2))) == [[1, 0]]
+
+    def test_values_whose_squares_underflow(self, rng):
+        # scaled by 2**-540, squared distances are subnormal or zero in
+        # float64, but the exact order is the one of the unscaled rows
+        offset = rng.normal(size=16)
+        gallery = near_tie_gallery(rng, offset, 10)
+        queries = relu_rows(rng, offset, 6)
+        self.check(np.ldexp(queries, -540), np.ldexp(gallery, -540), rng)
+
+    def test_each_query_ranks_as_if_alone(self, rng, monkeypatch):
+        # rows of a 140-query call equal one-query calls, for every block
+        # size and worker count; Gram rounding differs between the two
+        offset = rng.normal(size=64)
+        gallery = near_tie_gallery(rng, offset, 20)
+        queries = relu_rows(rng, offset, 140)
+        ids, cams = np.zeros(140), np.zeros(140)
+        args = (gallery, np.ones(40), np.zeros(40))
+        alone = [ranked(rank_gallery(queries[i:i + 1], ids[:1], cams[:1], *args))[0][1:]
+                 for i in range(140)]
+        for block in (1, 5, 64, 128):
+            monkeypatch.setattr(evaluation, "_RANK_BLOCK", block)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(ag, "_WORKERS", workers)
+                together = ranked(rank_gallery(queries, ids, cams, *args))
+                assert [r[1:] for r in together] == alone, (block, workers)
 
 
 @st.composite
@@ -289,9 +375,7 @@ class TestRankGalleryAgainstOracle:
                                                     gcams)))
         if empty:
             return
-        rows = gallery.tolist()  # plain floats keep the oracle quick
-        want = [oracle_rank(q, i, c, rows, gids, gcams)
-                for q, i, c in zip(queries.tolist(), qids, qcams)]
+        want = oracle_rank(queries, qids, qcams, gallery, gids, gcams)
         for run in runs:
             assert [i for i, _, _ in run] == list(range(len(queries)))
             assert [order for _, order, _ in run] == want
@@ -395,12 +479,11 @@ class TestModelEvaluation:
         branch_mask = BranchMask.from_string(mask)
         q = ds.query_split()
         g = ds.gallery_split()
-        qe, ge = (extract_embeddings(model, ds.images[split.indices], branch_mask).tolist()
+        qe, ge = (extract_embeddings(model, ds.images[split.indices], branch_mask)
                   for split in (q, g))
-        all_matches = []
-        for emb, qid, qcam in zip(qe, q.identities, q.cameras):
-            order = oracle_rank(emb, qid, qcam, ge, g.identities, g.cameras)
-            all_matches.append([g.identities[j] == qid for j in order])
+        all_matches = [[g.identities[j] == qid for j in order] for order, qid in
+                       zip(oracle_rank(qe, q.identities, q.cameras, ge, g.identities,
+                                       g.cameras), q.identities)]
         cmc = oracle_cmc(all_matches, 10)
         m = evaluate_model(model, ds, mask=branch_mask)
         assert m["mAP"] == pytest.approx(np.mean([oracle_ap(x) for x in all_matches]),

@@ -232,7 +232,7 @@ class TestTrainingRuns:
                                                     tmp_path):
         _, result = short_run
         bad = TrainConfig(seed=3, epochs=8, pyramid_mask="1111")
-        with pytest.raises(ConfigError, match="n"):
+        with pytest.raises(ConfigError, match=r"differing fields: \['pyramid_mask'\]"):
             train(bad, toy_dataset, tmp_path / "c", resume_from=result.checkpoint_path)
 
     def test_resume_on_other_dataset_refused(self, short_run, tmp_path):
@@ -339,6 +339,34 @@ class TestCheckpointSchema:
         with pytest.raises(ContainerError, match=re.escape(repr(key)) + ".*shape"):
             train(TrainConfig(seed=3, epochs=8), toy_dataset, tmp_path / "r",
                   resume_from=tmp_path / "ck.pyrt")
+
+    # NaN in sched/k_id or sched/k_tp is a task with no loss yet; no other
+    # entry resume reads may be NaN, and none may be infinite
+    @pytest.mark.parametrize("prefix, value", [("momentum/", np.nan), ("momentum/", np.inf),
+                                               ("sched/tau", np.nan), ("sched/p_tp", np.inf),
+                                               ("sched/k_id", np.inf), ("sched/k_tp", -np.inf)])
+    def test_resume_names_non_finite_entry(self, toy_dataset, short_run, tmp_path, prefix,
+                                           value):
+        _, result = short_run
+        entries = load_tensors(result.checkpoint_path)
+        key = next(k for k in entries if k.startswith(prefix))
+        entries[key] = entries[key].copy()
+        entries[key].flat[-1] = value
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        with pytest.raises(ContainerError, match=re.escape(repr(key)) + " holds a non-finite"):
+            train(TrainConfig(seed=3, epochs=8), toy_dataset, tmp_path / "r",
+                  resume_from=tmp_path / "ck.pyrt")
+
+    def test_resume_reads_nan_task_statistics_as_no_loss_yet(self, toy_dataset, short_run,
+                                                           tmp_path):
+        _, result = short_run
+        entries = load_tensors(result.checkpoint_path)
+        entries["sched/k_id"] = np.array(np.nan)
+        entries["sched/k_tp"] = np.array(np.nan)
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        resumed = train(TrainConfig(seed=3, epochs=7), toy_dataset, tmp_path / "r",
+                        resume_from=tmp_path / "ck.pyrt")
+        assert read_trace(resumed.trace_path)
 
     def test_scheduler_entries_are_the_resumed_state(self, short_run):
         _, result = short_run
