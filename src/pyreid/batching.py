@@ -16,17 +16,8 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Split:
-    """A dataset split as flat arrays (index into the parent dataset)."""
-    indices: np.ndarray
-    identities: np.ndarray
-    cameras: np.ndarray
-
-    def __len__(self):
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
-class MiniBatch:
+    """A dataset split, or a batch drawn from one, as flat arrays (index into
+    the parent dataset)."""
     indices: np.ndarray
     identities: np.ndarray
     cameras: np.ndarray
@@ -44,7 +35,7 @@ _RANDOM_PURPOSE = 101
 _PK_PURPOSE = 202
 
 
-def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list[MiniBatch]:
+def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list[Split]:
     """One epoch of uniformly shuffled batches; every image appears exactly
     once, the final batch may be short."""
     if batch_size < 1:
@@ -56,13 +47,13 @@ def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list
     batches = []
     for off in range(0, len(order), batch_size):
         sel = order[off:off + batch_size]
-        batches.append(MiniBatch(indices=split.indices[sel],
-                                 identities=split.identities[sel],
-                                 cameras=split.cameras[sel]))
+        batches.append(Split(indices=split.indices[sel],
+                            identities=split.identities[sel],
+                            cameras=split.cameras[sel]))
     return batches
 
 
-def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[MiniBatch]:
+def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[Split]:
     """One epoch of ID-balanced batches: P identities x K images each, drawn
     i.i.d. per batch, the K images without replacement.
 
@@ -90,9 +81,9 @@ def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[Mini
         ids = rng.choice(eligible_arr, size=p, replace=False)
         sel = np.concatenate([rng.choice(groups[int(ident)], size=k, replace=False)
                               for ident in ids])
-        batches.append(MiniBatch(indices=split.indices[sel],
-                                 identities=split.identities[sel],
-                                 cameras=split.cameras[sel]))
+        batches.append(Split(indices=split.indices[sel],
+                            identities=split.identities[sel],
+                            cameras=split.cameras[sel]))
     return batches
 
 

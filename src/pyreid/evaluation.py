@@ -24,15 +24,20 @@ class RankedResult:
 # query rows per task, which bounds a task's memory: a (128, G) float64 block
 _RANK_BLOCK = 128
 _JUNK_KEY = 0x7FF8 << 48  # a quiet NaN: above every distance, silent in the gap test
+_EXTRACT_BATCH = 64  # images per eval forward pass
 
 
 def _exact_sq_distances(query: np.ndarray, rows: np.ndarray) -> list:
     """Exact squared distances from `query` to each of `rows`, as integers
     at one scale: every double is an integer over a power of two, so at the
-    largest denominator present all the values are integers."""
-    num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(np.vstack([query, rows]))
+    largest denominator present all the values are integers. Bitwise-equal
+    rows are at equal distances, so each distinct row is summed once."""
+    distinct = {}
+    slots = [distinct.setdefault(row.tobytes(), len(distinct)) for row in rows]
+    unique = np.frombuffer(b"".join(distinct), dtype=rows.dtype).reshape(len(distinct), -1)
+    num, den = np.frompyfunc(float.as_integer_ratio, 1, 2)(np.vstack([query, unique]))
     ints = num * (den.max() // den)
-    return ((ints[1:] - ints[0]) ** 2).sum(axis=1).tolist()
+    return ((ints[1:] - ints[0]) ** 2).sum(axis=1)[slots].tolist()
 
 
 def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.ndarray,
@@ -147,21 +152,21 @@ def compute_map(results: list) -> float:
 
 
 def extract_embeddings(model: PyramidModel, images: np.ndarray,
-                       mask: BranchMask | None = None, batch_size: int = 64) -> np.ndarray:
+                       mask: BranchMask | None = None) -> np.ndarray:
     """Eval-mode embeddings (running batch-norm statistics) for a stack of
     images, in input order. A `mask` other than the model's keeps the
     columns of its branches; the model must hold them all."""
     columns = None if mask is None or mask == model.mask else model.embedding_columns(mask)
     chunks = []
     with no_grad():
-        for off in range(0, len(images), batch_size):
-            emb = model.forward(Tensor(images[off:off + batch_size]), training=False).embedding
+        for off in range(0, len(images), _EXTRACT_BATCH):
+            emb, _ = model.forward(Tensor(images[off:off + _EXTRACT_BATCH]), training=False)
             chunks.append(emb.data if columns is None else emb.data[:, columns])
     return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
 
 
 def evaluate_model(model: PyramidModel, dataset: ReIDDataset,
-                   mask: BranchMask | None = None, max_rank: int = 10) -> dict:
+                   mask: BranchMask | None = None) -> dict:
     """mAP and CMC at ranks 1/5/10 over the dataset's query/gallery splits."""
     query = dataset.query_split()
     gallery = dataset.gallery_split()
@@ -171,11 +176,9 @@ def evaluate_model(model: PyramidModel, dataset: ReIDDataset,
     g_embs = extract_embeddings(model, dataset.images[gallery.indices], mask)
     results = rank_gallery(q_embs, query.identities, query.cameras,
                            g_embs, gallery.identities, gallery.cameras)
-    cmc = compute_cmc(results, max_rank)
-    return {"mAP": compute_map(results),
-            "rank1": float(cmc[0]),
-            "rank5": float(cmc[4]) if max_rank >= 5 else float("nan"),
-            "rank10": float(cmc[9]) if max_rank >= 10 else float("nan")}
+    cmc = compute_cmc(results, 10)
+    return {"mAP": compute_map(results), "rank1": float(cmc[0]), "rank5": float(cmc[4]),
+            "rank10": float(cmc[9])}
 
 
 def evaluate_checkpoint(checkpoint_path, dataset: ReIDDataset,

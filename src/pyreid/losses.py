@@ -14,9 +14,8 @@ from .autograd import Tensor
 
 @dataclass
 class LossValue:
-    """A task loss with its provenance: differentiable scalar, sample count,
-    and a degeneracy flag for batches that produced no usable terms."""
-    task: str
+    """A task loss: differentiable scalar, sample count, and a degeneracy
+    flag for batches that produced no usable terms."""
     tensor: Tensor
     count: int
     degenerate: bool = False
@@ -38,7 +37,7 @@ def id_loss(logits: Tensor, labels) -> LossValue:
         raise ValueError("id_loss: no branch logits given")
     labels = np.asarray(labels, dtype=np.int64)
     ce = ag.softmax_cross_entropy(ag.reshape(logits, (b * n, k)), np.tile(labels, b))
-    return LossValue("id", ag.mul(ce, 1.0 / n), count=int(labels.shape[0]))
+    return LossValue(ag.mul(ce, 1.0 / n), count=int(labels.shape[0]))
 
 
 def triplet_loss(embeddings: Tensor, labels, margin: float) -> LossValue:
@@ -63,6 +62,5 @@ def triplet_loss(embeddings: Tensor, labels, margin: float) -> LossValue:
     count = int(((members > 1) & (members < labels.size)).sum())
     if not count:
         zero = Tensor(np.zeros((), dtype=embeddings.data.dtype))
-        return LossValue("tp", zero, count=0, degenerate=True)
-    return LossValue("tp", ag.batch_hard_triplet(embeddings, labels, margin),
-                     count=count)
+        return LossValue(zero, count=0, degenerate=True)
+    return LossValue(ag.batch_hard_triplet(embeddings, labels, margin), count=count)

@@ -27,42 +27,9 @@ from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class BranchSpec:
-    """One pyramid member: level, position, and its 1-based inclusive row range."""
-    level: int
-    position: int
-    row_start: int
-    row_end: int
-
-    @property
-    def rows(self) -> int:
-        return self.row_end - self.row_start + 1
-
-
-def enumerate_branches(n: int, height: int) -> list[BranchSpec]:
-    """All branch specs for an n-part pyramid over a height-H feature map,
-    ordered level-major then position."""
-    if n < 1:
-        raise ConfigError(f"part count must be positive, got {n}")
-    if height % n:
-        raise ConfigError(f"feature map height {height} not divisible by part count {n}")
-    unit = height // n
-    specs = []
-    for level in range(1, n + 1):
-        for pos in range(1, n - level + 2):
-            start = (pos - 1) * unit + 1
-            specs.append(BranchSpec(level, pos, start, (pos - 1) * unit + level * unit))
-    return specs
-
-
-@dataclass(frozen=True)
 class BranchMask:
     """Per-level enable flags; index 0 = level 1 (finest)."""
     flags: tuple
-
-    @classmethod
-    def full(cls, n: int) -> "BranchMask":
-        return cls(tuple([True] * n))
 
     @classmethod
     def from_string(cls, text: str) -> "BranchMask":
@@ -83,90 +50,75 @@ class BranchMask:
     def level_enabled(self, level: int) -> bool:
         return self.flags[level - 1]
 
-    def enabled_branch_count(self) -> int:
+    def windows(self) -> list[tuple[int, int]]:
+        """(first part, part count) of every branch of the enabled levels,
+        level-major then position: the enumeration order."""
         n = self.n
-        return sum(n - l + 1 for l in range(1, n + 1) if self.flags[l - 1])
-
-
-class PyramidOutput:
-    """embedding: (N, B*D), the enabled branches' features side by side in
-    enumeration order; logits: (B, N, num_identities), one slab per branch."""
-    __slots__ = ("embedding", "logits")
-
-    def __init__(self, embedding, logits):
-        self.embedding = embedding
-        self.logits = logits
+        return [(first, level) for level in range(1, n + 1) if self.level_enabled(level)
+                for first in range(n - level + 1)]
 
 
 class PyramidModel:
     """Backbone + the branches of the enabled pyramid levels + assembled
     embedding.
 
-    The model holds only the branches `mask` enables (all of them if it is
-    None). Each head parameter kind is one tensor with a row per held
-    branch, in enumeration order: `reduce_weight` (B, C, D) and the
-    bias-free `classifier_weight` (B, D, K). The batch norm's affine
-    parameters and running statistics are flat (B*D,), in the embedding's
-    column order."""
+    The model holds only the branches `mask` enables, its `windows` in
+    enumeration order. Each head parameter kind is one tensor with a row
+    per held branch: `reduce_weight` (B, C, D) and the bias-free
+    `classifier_weight` (B, D, K). The batch norm's affine parameters and
+    running statistics are flat (B*D,), in the embedding's column order."""
 
-    def __init__(self, backbone: Backbone, n: int, feature_dim: int,
-                 num_identities: int, image_hw: tuple, rng: np.random.Generator,
-                 mask: BranchMask | None = None):
+    def __init__(self, backbone: Backbone, mask: BranchMask, feature_dim: int,
+                 num_identities: int, image_hw: tuple, rng: np.random.Generator):
         self.backbone = backbone
-        self.n = n
+        self.mask = mask
+        self.windows = mask.windows()
         self.feature_dim = feature_dim
         self.num_identities = num_identities
         self.image_hw = tuple(image_hw)
-        self.mask = mask or BranchMask.full(n)
-        if self.mask.n != n:
-            raise ConfigError(f"mask {self.mask} has {self.mask.n} levels, model has {n}")
         h, w, c = backbone.output_shape(*self.image_hw)
-        if h % n:
-            raise ConfigError(f"feature map height {h} not divisible by part count {n}; "
+        if h % mask.n:
+            raise ConfigError(f"feature map height {h} not divisible by part count {mask.n}; "
                               f"adjust image height or backbone strides")
         self.map_shape = (h, w, c)
         # stored (C, D) per branch: the 1x1 conv applied to a pooled C-vector
-        # is a matmul. Every branch draws its reduction and then its
-        # classifier in enumeration order, so a branch's seeded initial
-        # weights do not depend on the mask.
-        self.specs, reduce, classify = [], [], []
-        for spec in enumerate_branches(n, h):
+        # is a matmul. Every branch of every level draws its reduction and
+        # then its classifier in enumeration order, so a branch's seeded
+        # initial weights do not depend on the mask.
+        held, reduce, classify = set(self.windows), [], []
+        for window in BranchMask((True,) * mask.n).windows():
             r = fan_in_uniform(rng, (c, feature_dim), c)
             k = fan_in_uniform(rng, (feature_dim, num_identities), feature_dim)
-            if self.mask.level_enabled(spec.level):
-                self.specs.append(spec)
+            if window in held:
                 reduce.append(r)
                 classify.append(k)
-        b = len(self.specs)
         self.reduce_weight = Tensor(np.stack(reduce), requires_grad=True)
-        self.bn = BatchNorm(b * feature_dim)
+        self.bn = BatchNorm(len(self.windows) * feature_dim)
         self.classifier_weight = Tensor(np.stack(classify), requires_grad=True)
-
-    def embedding_dim(self, mask: BranchMask | None = None) -> int:
-        """Width of the embedding, or of the columns of a held sub-mask."""
-        return int(self.embedding_columns(mask or self.mask).sum())
 
     def embedding_columns(self, mask: BranchMask) -> np.ndarray:
         """Boolean selector of the embedding columns of the branches `mask`
         enables, which the model must hold. In eval mode a branch's columns
         do not depend on the other branches, so they equal the embedding of
         a model built for `mask` with the same weights."""
-        if mask.n != self.n or any(f and not held
-                                   for f, held in zip(mask.flags, self.mask.flags)):
+        if mask.n != self.mask.n or not set(mask.windows()) <= set(self.windows):
             raise ConfigError(f"mask {mask} is not a sub-mask of the model's mask "
                               f"{self.mask}")
-        return np.repeat([mask.level_enabled(spec.level) for spec in self.specs],
+        return np.repeat([mask.level_enabled(level) for _, level in self.windows],
                          self.feature_dim)
 
-    def forward(self, images: Tensor, training: bool) -> PyramidOutput:
+    def forward(self, images: Tensor, training: bool) -> tuple:
+        """(embedding, logits): the (N, B*D) embedding, the held branches'
+        features side by side in enumeration order, and in training the
+        (B, N, num_identities) logits, one slab per branch; eval computes no
+        logits and gives None."""
         fmap = self.backbone.forward(images, training)
         if fmap.data.ndim != 4 or fmap.data.shape[1:] != self.map_shape:
             raise ValueError(f"feature map {fmap.data.shape} does not match the heads' "
                              f"(height, width, channels) {self.map_shape}")
-        b, batch, d = len(self.specs), fmap.data.shape[0], self.feature_dim
+        b, batch, d = len(self.windows), fmap.data.shape[0], self.feature_dim
 
-        pooled = ag.stripe_pool(fmap, self.n, [(spec.position - 1, spec.level)
-                                               for spec in self.specs])
+        pooled = ag.stripe_pool(fmap, self.mask.n, self.windows)
         reduced = ag.matmul(pooled, self.reduce_weight)
         wide = ag.reshape(ag.transpose(reduced, (1, 0, 2)), (batch, b * d))
         # one batch norm over all branches' channels
@@ -174,9 +126,10 @@ class PyramidModel:
         embedding = ag.relu(ag.batch_norm(wide, bn.gamma, bn.beta, bn.running_mean,
                                           bn.running_var, training=training,
                                           momentum=bn.momentum, eps=bn.eps))
-
+        if not training:
+            return embedding, None
         features = ag.transpose(ag.reshape(embedding, (batch, b, d)), (1, 0, 2))
-        return PyramidOutput(embedding, ag.matmul(features, self.classifier_weight))
+        return embedding, ag.matmul(features, self.classifier_weight)
 
     def named_parameters(self):
         yield from self.backbone.named_parameters()

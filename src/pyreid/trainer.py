@@ -21,7 +21,7 @@ import numpy as np
 
 from .autograd import Tensor, backward, no_grad
 from .backbone import Backbone, BackboneConfig
-from .batching import MiniBatch, Split, pk_batches, random_batches
+from .batching import Split, pk_batches, random_batches
 from .container import load_tensors, save_tensors
 from .data_synth import ReIDDataset
 from .errors import ConfigError, ContainerError, TrainingDiverged
@@ -31,7 +31,7 @@ from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class TrainConfig:
     pyramid_mask: str = "111111"
     no_triplet_alternating: bool = False
     backbone_stages: tuple = ((16, 2), (32, 2), (64, 1))
-    checkpoint_every: int = 0
 
     @property
     def batch_size(self) -> int:
@@ -64,9 +63,8 @@ class TrainConfig:
         for key in ("feature_dim", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
-        for key in ("seed", "checkpoint_every"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.p_ids < 2 or self.k_imgs < 2:
             raise ConfigError(f"p_ids and k_imgs must be >= 2 for valid triplets, got "
                               f"P={self.p_ids} K={self.k_imgs}")
@@ -247,9 +245,8 @@ def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> Py
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, _INIT_PURPOSE])))
     backbone = Backbone(BackboneConfig(stages=config.backbone_stages), rng)
-    mask = BranchMask.from_string(config.pyramid_mask)
-    return PyramidModel(backbone, mask.n, config.feature_dim, num_identities, image_hw,
-                        rng, mask=mask)
+    return PyramidModel(backbone, BranchMask.from_string(config.pyramid_mask),
+                        config.feature_dim, num_identities, image_hw, rng)
 
 
 def _entry(entries: dict, key: str, shape=(), finite: bool = False) -> np.ndarray:
@@ -342,7 +339,7 @@ def rebuild_model(entries: dict) -> tuple:
     # the classifier's last axis is the identity count; its full shape is checked
     # before anything is allocated, so an empty axis cannot back a forged count
     classifier = _entry(entries, "param/head.classifier.weight", shape=None)
-    branches = BranchMask.from_string(config.pyramid_mask).enabled_branch_count()
+    branches = len(BranchMask.from_string(config.pyramid_mask).windows())
     if (classifier.ndim != 3 or classifier.shape[:2] != (branches, config.feature_dim)
             or classifier.shape[-1] < 1):
         raise ContainerError(f"checkpoint entry 'param/head.classifier.weight' has shape "
@@ -369,7 +366,7 @@ class _BatchStream:
         self.pos = 0
         self._buf = None
 
-    def next(self) -> MiniBatch:
+    def next(self) -> Split:
         if self._buf is None:
             self._buf = self._make_epoch(self.epoch)
         if self.pos >= len(self._buf):
@@ -420,9 +417,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     if resume_from is not None:
         entries = load_checkpoint(resume_from)
         stored_config = _decode_config(entries)
-        # run-length fields may legitimately change on resume
-        diff = [f.name for f in fields(TrainConfig)
-                if f.name not in ("epochs", "checkpoint_every")
+        # the run length may legitimately change on resume
+        diff = [f.name for f in fields(TrainConfig) if f.name != "epochs"
                 and getattr(stored_config, f.name) != getattr(config, f.name)]
         if diff:
             raise ConfigError(f"checkpoint config does not match requested config, "
@@ -450,10 +446,6 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     trace_path = out_dir / "trace.csv"
     checkpoint_path = out_dir / "checkpoint.pyrt"
 
-    def stream_state() -> dict:
-        return {"rand_epoch": rand_stream.epoch, "rand_pos": rand_stream.pos,
-                "pk_epoch": pk_stream.epoch, "pk_pos": pk_stream.pos}
-
     with TraceWriter(trace_path) as trace:
         while sched.tau < total_iters:
             epoch = sched.tau // iters_per_epoch
@@ -464,8 +456,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             class_labels = np.asarray([label_map[int(i)] for i in batch.identities],
                                       dtype=np.int64)
 
-            out = model.forward(images, training=True)
-            l_id = id_loss(out.logits, class_labels)
+            embedding, logits = model.forward(images, training=True)
+            l_id = id_loss(logits, class_labels)
             l_tp: LossValue | None = None
 
             if config.no_triplet_alternating:
@@ -477,10 +469,10 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
                     # tracked but not optimized: feeds the triplet EMA so the
                     # phase rule can ever leave the ID-only regime
                     with no_grad():
-                        l_tp = triplet_loss(Tensor(out.embedding.data), batch.identities,
+                        l_tp = triplet_loss(Tensor(embedding.data), batch.identities,
                                             config.margin)
             else:
-                l_tp = triplet_loss(out.embedding, batch.identities, config.margin)
+                l_tp = triplet_loss(embedding, batch.identities, config.margin)
                 if sched.fl_id == 0.0 and sched.fl_tp == 0.0:
                     loss = None  # zero total weight: no parameter update
                 else:
@@ -500,14 +492,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             trace.write(sched.tau, phase, l_id.value,
                         None if l_tp is None else l_tp.value, sched, lr)
 
-            if sched.tau % iters_per_epoch == 0:
-                done = sched.tau // iters_per_epoch
-                if config.checkpoint_every and done % config.checkpoint_every == 0 \
-                        and done < config.epochs:
-                    save_checkpoint(out_dir / f"checkpoint_ep{done}.pyrt", model, config,
-                                    sched, opt, stream_state(), fingerprint)
-
-    save_checkpoint(checkpoint_path, model, config, sched, opt, stream_state(),
-                    fingerprint)
+    stream_state = {"rand_epoch": rand_stream.epoch, "rand_pos": rand_stream.pos,
+                    "pk_epoch": pk_stream.epoch, "pk_pos": pk_stream.pos}
+    save_checkpoint(checkpoint_path, model, config, sched, opt, stream_state, fingerprint)
     return TrainResult(checkpoint_path=checkpoint_path, trace_path=trace_path,
                        epochs_run=config.epochs)

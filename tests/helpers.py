@@ -376,7 +376,8 @@ def reference_triplet_loss(embeddings: Tensor, labels, margin: float) -> Tensor:
 
 
 def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
-    """The pyramid head as one graph per branch: slice the branch's rows,
+    """The pyramid head as one graph per branch: slice the rows of the
+    branch's (first part, part count) window at the stripe height H / n,
     max pool plus avg pool, reduce, batch-norm, ReLU, classify, and sum the
     branches' cross-entropies. Each branch reads its own row of the model's
     head tensors and its D entries of the batch-norm state. `mask`, the
@@ -386,6 +387,7 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
     mask = mask or model.mask
     fmap = model.backbone.forward(images, training)
     bn, d = model.bn, model.feature_dim
+    unit = fmap.data.shape[1] // model.mask.n
 
     def row(t, i):
         return ag.reshape(take_rows(t, [i]), t.data.shape[1:])
@@ -394,10 +396,10 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
         return row(ag.reshape(t, (-1, d)), i)
 
     features, logits, total = [], [], None
-    for i, spec in enumerate(model.specs):
-        if not mask.level_enabled(spec.level):
+    for i, (first, count) in enumerate(model.windows):
+        if not mask.level_enabled(count):
             continue
-        sub = slice_rows(fmap, spec.row_start - 1, spec.row_end)
+        sub = slice_rows(fmap, first * unit, (first + count) * unit)
         pooled = ag.add(global_max_pool(sub), global_avg_pool(sub))
         # a view, so that a training-mode update lands in the model's buffers
         stats = slice(i * d, (i + 1) * d)
@@ -690,12 +692,12 @@ def build_tiny_model(seed: int):
     Must be called inside `use_dtype(np.float64)`.
     """
     from pyreid.backbone import Backbone, BackboneConfig
-    from pyreid.pyramid import PyramidModel
+    from pyreid.pyramid import BranchMask, PyramidModel
 
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(in_channels=3, stages=((4, 2),)), rng)
-    model = PyramidModel(backbone, n=2, feature_dim=3, num_identities=2,
-                         image_hw=(8, 8), rng=rng)
+    model = PyramidModel(backbone, BranchMask.from_string("11"), feature_dim=3,
+                         num_identities=2, image_hw=(8, 8), rng=rng)
     images = nhwc(rng.uniform(0.0, 1.0, size=(4, 3, 8, 8)))
     labels = np.asarray([0, 0, 1, 1])
     return model, images, labels
@@ -703,9 +705,9 @@ def build_tiny_model(seed: int):
 
 def composite_loss(model, images: np.ndarray, labels: np.ndarray, margin: float):
     """id loss + batch-hard triplet loss through the whole model."""
-    out = model.forward(Tensor(images), training=True)
-    li = id_loss(out.logits, labels)
-    lt = triplet_loss(out.embedding, labels, margin)
+    embedding, logits = model.forward(Tensor(images), training=True)
+    li = id_loss(logits, labels)
+    lt = triplet_loss(embedding, labels, margin)
     return ag.add(li.tensor, lt.tensor)
 
 
@@ -713,6 +715,6 @@ def composite_margin(model, images, labels) -> float:
     """A margin that keeps every batch-hard hinge strictly active, so the
     composite loss is locally smooth for finite differencing."""
     with ag.no_grad():
-        out = model.forward(Tensor(images), training=True)
-        d = pairwise_distances(out.embedding).data
+        embedding, _ = model.forward(Tensor(images), training=True)
+        d = pairwise_distances(embedding).data
     return _active_margin(d, labels)

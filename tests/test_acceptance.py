@@ -21,7 +21,7 @@ from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.evaluation import compute_cmc, compute_map, evaluate_checkpoint
 from pyreid.gradcheck import finite_difference_check
 from pyreid.losses import triplet_loss
-from pyreid.pyramid import BranchMask, PyramidModel, enumerate_branches
+from pyreid.pyramid import BranchMask, PyramidModel
 from pyreid.scheduler import (Phase, SchedulerState, focal_weight,
                               loss_reduction_prob, update_ema)
 from pyreid.trainer import TrainConfig, train
@@ -88,17 +88,20 @@ def severity03_runs(tmp_path_factory):
 
 class TestCriterion1Structure:
     def test_branch_enumeration_and_embedding_dim(self):
-        for height in (12, 24, 48):
-            specs = enumerate_branches(6, height)
-            assert len(specs) == 21
-            counts = [sum(1 for s in specs if s.level == l) for l in range(1, 7)]
-            assert counts == [6, 5, 4, 3, 2, 1]
+        full = BranchMask.from_string("111111")
+        windows = full.windows()
+        assert len(windows) == 21
+        counts = [sum(1 for _, l in windows if l == level) for level in range(1, 7)]
+        assert counts == [6, 5, 4, 3, 2, 1]
         from pyreid.backbone import Backbone, BackboneConfig
         rng = np.random.default_rng(0)
+        images = Tensor(rng.uniform(0, 1, size=(2, 48, 16, 3)).astype(np.float32))
         for dim in (16, 128):
             model = PyramidModel(Backbone(BackboneConfig(stages=((8, 2), (8, 2))),
-                                          rng), 6, dim, 4, (48, 16), rng)
-            assert model.embedding_dim() == 21 * dim
+                                          rng), full, dim, 4, (48, 16), rng)
+            with ag.no_grad():
+                embedding, _ = model.forward(images, training=False)
+            assert embedding.shape == (2, 21 * dim)
         print("\nACCEPTANCE 1 PASS: 21 branches, level counts [6,5,4,3,2,1], "
               "embedding dim = 21*D")
 

@@ -113,18 +113,6 @@ class TestTrain:
         assert_one_error_line(capsys.readouterr().err, message)
         assert not out.exists()
 
-    def test_negative_checkpoint_every_exits_2(self, data_dir, tmp_path, capsys):
-        # checkpoint_every has no flag of its own; a config file sets it
-        config = tmp_path / "run.ini"
-        config.write_text("checkpoint_every = -1\n")
-        out = tmp_path / "o"
-        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
-                     "--config", str(config)])
-        assert code == 2
-        assert_one_error_line(capsys.readouterr().err,
-                              "checkpoint_every must be non-negative, got -1")
-        assert not out.exists()
-
     @pytest.mark.parametrize("key, value, rule", [
         ("margin", "nan", "positive"), ("margin", "inf", "positive"),
         ("margin", "0", "positive"), ("base_lr", "-0.01", "positive"),
@@ -307,9 +295,10 @@ class TestMalformedInputs:
 
     # version 1 stored one config/<field> entry per field, version 2 one entry
     # per branch and kind, version 3 all 21 branches' head rows whatever the
-    # mask, version 4 six config keys that no longer exist, and version 5
-    # the config keys n and batch_size
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    # mask, version 4 six config keys that no longer exist, version 5 the
+    # config keys n and batch_size, and version 6 the config key
+    # checkpoint_every
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_old_version_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys,
                                             version):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -317,7 +306,7 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "old.pyrt", entries)
         assert self.eval_with(tmp_path / "old.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
-                              f"checkpoint version {version} not supported (expected 6)")
+                              f"checkpoint version {version} not supported (expected 7)")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda images: images[:, :, :-1],

@@ -266,6 +266,26 @@ class TestExactOrder:
         gallery[rng.integers(0, 90, size=40)] = gallery[rng.integers(0, 90, size=40)]
         self.check(np.concatenate([gallery[:6], relu_rows(rng, gallery[0], 6)]), gallery, rng)
 
+    def test_tied_rows_are_converted_once(self, monkeypatch):
+        # an all-tied gallery is one exact run per query, and its 200 equal
+        # rows one distinct row: each query converts its own 8 entries and
+        # the row's 8 to exact integers, not all 200 rows'
+        converted = []
+        frompyfunc = np.frompyfunc
+
+        def counting(fn, nin, nout):
+            def counted(x):
+                converted.append(x)
+                return fn(x)
+            return frompyfunc(counted, nin, nout)
+
+        monkeypatch.setattr(np, "frompyfunc", counting)
+        queries = np.arange(24.0).reshape(3, 8)
+        results = rank_gallery(queries, [0, 1, 2], [0, 0, 0], np.zeros((200, 8)),
+                               np.arange(200) % 3, np.ones(200))
+        assert orders(results) == [list(range(200))] * 3
+        assert len(converted) == 3 * 2 * 8
+
     def test_signed_zeros(self, rng):
         # the copies differ from their rows only in the sign bits of zeros
         rows = np.maximum(rng.normal(size=(30, 16)), 0.0)
@@ -578,8 +598,8 @@ class TestSubMaskEmbedding:
             sub = BranchMask.from_string(mask)
             full = extract_embeddings(model, images)
             part = extract_embeddings(model, images, sub)
-            kept = [i for i, spec in enumerate(model.specs)
-                    if sub.level_enabled(spec.level)]
+            kept = [i for i, (_, level) in enumerate(model.windows)
+                    if sub.level_enabled(level)]
             np.testing.assert_array_equal(part,
                                           full.reshape(5, 21, -1)[:, kept].reshape(5, -1))
             ref, _, _ = reference_pyramid_forward(model, Tensor(images), np.arange(5),

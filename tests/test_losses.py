@@ -18,7 +18,6 @@ class TestIdLoss:
     def test_uniform_single_branch(self):
         # all-zero logits over 4 identities cost ln 4
         lv = id_loss(logits_for(3, 4), [0, 1, 2])
-        assert lv.task == "id"
         assert lv.count == 3
         assert lv.value == pytest.approx(math.log(4), rel=1e-6)
 

@@ -9,7 +9,7 @@ from pyreid.backbone import Backbone, BackboneConfig
 from pyreid.errors import ConfigError
 from pyreid.gradcheck import finite_difference_check
 from pyreid.losses import id_loss
-from pyreid.pyramid import BranchMask, PyramidModel, enumerate_branches
+from pyreid.pyramid import BranchMask, PyramidModel
 
 from helpers import (global_avg_pool, global_max_pool, nhwc, reduce_sum,
                      reference_pyramid_forward, slice_rows)
@@ -19,62 +19,67 @@ def make_model(n=6, feature_dim=16, num_ids=10, stages=((16, 2), (32, 2), (64, 1
                image_hw=(48, 16), seed=0, mask=None):
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(stages=stages), rng)
-    return PyramidModel(backbone, n, feature_dim, num_ids, image_hw, rng,
-                        mask=mask and BranchMask.from_string(mask))
+    return PyramidModel(backbone, BranchMask.from_string(mask or "1" * n), feature_dim,
+                        num_ids, image_hw, rng)
+
+
+def windows(mask):
+    return BranchMask.from_string(mask).windows()
 
 
 class TestEnumeration:
+    """The (first part, part count) windows a mask enables."""
+
     def test_21_branches_for_six_parts(self):
-        specs = enumerate_branches(6, 24)
-        assert len(specs) == 21
-        counts = [sum(1 for s in specs if s.level == l) for l in range(1, 7)]
+        ws = windows("111111")
+        assert len(ws) == 21
+        counts = [sum(1 for _, l in ws if l == level) for level in range(1, 7)]
         assert counts == [6, 5, 4, 3, 2, 1]
 
-    def test_row_range_formula(self):
-        # st = (k-1)*H/n + 1, ed = (k-1)*H/n + l*H/n, checked by substitution
-        specs = enumerate_branches(6, 24)
-        spec = next(s for s in specs if s.level == 2 and s.position == 3)
-        assert (spec.row_start, spec.row_end) == (9, 16)
+    def test_level_major_order(self):
+        assert windows("111") == [(0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (0, 3)]
+
+    def test_row_range_formula(self, rng):
+        # level 2, position 3 follows level 1's six windows; on a 24-row map
+        # cut in 6, Eq. 1 gives its rows st = (k-1)*H/n + 1 = 9 to
+        # ed = (k-1)*H/n + l*H/n = 16
+        window = windows("111111")[6 + 2]
+        assert window == (2, 2)
+        fmap = Tensor(nhwc(rng.normal(size=(2, 3, 24, 2))))
+        rows = fmap.data[:, 8:16]
+        np.testing.assert_allclose(ag.stripe_pool(fmap, 6, [window]).data[0],
+                                   rows.max(axis=(1, 2)) + rows.mean(axis=(1, 2)))
 
     def test_degenerate_single_part(self):
-        specs = enumerate_branches(1, 8)
-        assert len(specs) == 1
-        assert (specs[0].row_start, specs[0].row_end) == (1, 8)
+        assert windows("1") == [(0, 1)]
 
     def test_top_level_covers_everything(self):
-        specs = enumerate_branches(5, 20)
-        top = [s for s in specs if s.level == 5]
-        assert len(top) == 1
-        assert (top[0].row_start, top[0].row_end) == (1, 20)
+        for n in (1, 5, 6):
+            assert windows("1" * n)[-1] == (0, n)
+            assert windows("0" * (n - 1) + "1") == [(0, n)]
 
     def test_indivisible_height_error_names_values(self):
         with pytest.raises(ConfigError) as exc:
-            enumerate_branches(6, 20)
+            identity_model(n=6, height=20)
         assert "20" in str(exc.value) and "6" in str(exc.value)
 
-    @given(n=st.integers(min_value=1, max_value=12), unit=st.integers(min_value=1, max_value=4))
+    @given(mask=st.text("01", min_size=1, max_size=12).filter(lambda m: "1" in m))
     @settings(max_examples=60, deadline=None)
-    def test_branch_count_identity(self, n, unit):
-        specs = enumerate_branches(n, n * unit)
-        assert len(specs) == n * (n + 1) // 2
-        # every level-l window spans l consecutive level-1 units
-        for s in specs:
-            assert s.rows == s.level * unit
+    def test_branch_count_identity(self, mask):
+        n, ws = len(mask), windows(mask)
+        assert len(ws) == sum(n - l + 1 for l in range(1, n + 1) if mask[l - 1] == "1")
+        if "0" not in mask:
+            assert len(ws) == n * (n + 1) // 2
+        # the enabled levels' windows of the full pyramid, in its order
+        assert ws == [w for w in windows("1" * n) if mask[w[1] - 1] == "1"]
 
     def test_level_one_slabs_tile_the_map(self):
-        specs = [s for s in enumerate_branches(4, 12) if s.level == 1]
-        covered = []
-        for s in specs:
-            covered.extend(range(s.row_start, s.row_end + 1))
-        assert covered == list(range(1, 13))
+        assert [w for w in windows("1111") if w[1] == 1] == [(0, 1), (1, 1), (2, 1), (3, 1)]
 
     def test_nesting_level_l_is_union_of_level_ones(self):
-        specs = enumerate_branches(5, 15)
-        unit_ranges = [(s.row_start, s.row_end) for s in specs if s.level == 1]
-        for s in specs:
-            members = unit_ranges[s.position - 1:s.position - 1 + s.level]
-            assert s.row_start == members[0][0]
-            assert s.row_end == members[-1][1]
+        # a level-l window is l consecutive parts of the n
+        for first, level in windows("11111"):
+            assert 0 <= first and first + level <= 5
 
 
 def identity_model(n=3, channels=8, height=6, width=4, feature_dim=4, num_ids=5,
@@ -82,8 +87,8 @@ def identity_model(n=3, channels=8, height=6, width=4, feature_dim=4, num_ids=5,
     """Pyramid heads alone: an empty backbone passes the feature map through."""
     rng = np.random.default_rng(seed)
     backbone = Backbone(BackboneConfig(in_channels=channels, stages=()), rng)
-    return PyramidModel(backbone, n, feature_dim, num_ids, (height, width), rng,
-                        mask=mask and BranchMask.from_string(mask))
+    return PyramidModel(backbone, BranchMask.from_string(mask or "1" * n), feature_dim,
+                        num_ids, (height, width), rng)
 
 
 class TestSlicing:
@@ -92,9 +97,8 @@ class TestSlicing:
 
     def test_slice_matches_eq1_substitution(self, rng):
         fmap = Tensor(nhwc(rng.normal(size=(2, 64, 12, 4)).astype(np.float32)))
-        spec = next(s for s in enumerate_branches(6, 12)
-                    if s.level == 3 and s.position == 2)
-        pooled = ag.stripe_pool(fmap, 6, [(spec.position - 1, spec.level)])
+        # level 3, position 2
+        pooled = ag.stripe_pool(fmap, 6, [(1, 3)])
         assert pooled.shape == (1, 2, 64)
         rows = fmap.data[:, 2:8]
         np.testing.assert_allclose(pooled.data[0], rows.max(axis=(1, 2)) + rows.mean(axis=(1, 2)),
@@ -179,17 +183,17 @@ class TestBranchForward:
 
     def test_feature_dimension(self, rng):
         model = identity_model(n=2, channels=64, height=4, feature_dim=128, num_ids=10)
-        out = model.forward(Tensor(nhwc(rng.normal(size=(2, 64, 4, 4)).astype(np.float32))),
-                            training=True)
-        assert out.embedding.shape == (2, 3 * 128)
-        assert out.logits.shape == (3, 2, 10)
+        embedding, logits = model.forward(
+            Tensor(nhwc(rng.normal(size=(2, 64, 4, 4)).astype(np.float32))), training=True)
+        assert embedding.shape == (2, 3 * 128)
+        assert logits.shape == (3, 2, 10)
 
     def test_single_map_form(self, rng):
         model = identity_model()
-        out = model.forward(Tensor(nhwc(rng.normal(size=(1, 8, 6, 4)).astype(np.float32))),
-                            training=False)
-        assert out.embedding.shape == (1, 6 * 4)
-        assert out.logits.shape == (6, 1, 5)
+        embedding, logits = model.forward(
+            Tensor(nhwc(rng.normal(size=(1, 8, 6, 4)).astype(np.float32))), training=False)
+        assert embedding.shape == (1, 6 * 4)
+        assert logits is None  # eval computes no logits
 
     def test_channel_mismatch_error(self):
         model = identity_model()
@@ -203,23 +207,23 @@ class TestBranchForward:
             labels = np.array([0, 1, 2, 1])
 
             def f(t):
-                return id_loss(model.forward(t, training=True).logits, labels).tensor
+                return id_loss(model.forward(t, training=True)[1], labels).tensor
 
             assert finite_difference_check(f, Tensor(fmap)) < 1e-5
 
-    def test_gradcheck_single_map_through_branch_and_ce(self):
+    def test_gradcheck_single_map_through_eval_embedding(self):
         # one feature map through the heads; eval-mode batch norm, since
         # batch statistics of a single row are degenerate
         with use_dtype(np.float64):
             rng = np.random.default_rng(13)
             model = identity_model(n=2, height=12, num_ids=3, seed=13)
-            for i in range(len(model.specs)):
-                model.bn.running_mean[4 * i:4 * i + 4] = rng.normal(size=4) * 0.1
-                model.bn.running_var[4 * i:4 * i + 4] = rng.uniform(0.5, 1.5, size=4)
+            model.bn.running_mean[...] = rng.normal(size=12) * 0.1
+            model.bn.running_var[...] = rng.uniform(0.5, 1.5, size=12)
             fmap = nhwc(rng.uniform(0.1, 1.0, size=(1, 8, 12, 4)))
+            weights = Tensor(rng.normal(size=(1, 12)))
 
             def f(t):
-                return id_loss(model.forward(t, training=False).logits, [2]).tensor
+                return reduce_sum(ag.mul(model.forward(t, training=False)[0], weights))
 
             leaf = Tensor(fmap.copy(), requires_grad=True)
             f(leaf).backward()
@@ -232,28 +236,24 @@ class TestAssembly:
     def full_and_masked(self, mask, rng):
         model = identity_model(n=6, channels=16, height=12, feature_dim=128, mask=mask)
         fmap = Tensor(nhwc(rng.normal(size=(2, 16, 12, 4)).astype(np.float32)))
-        return model, fmap, model.forward(fmap, training=False)
+        return model, fmap, model.forward(fmap, training=False)[0]
 
     def test_full_mask_dimension(self, rng):
-        _, _, out = self.full_and_masked("111111", rng)
-        assert out.embedding.shape == (2, 21 * 128)
-        assert out.embedding.shape[1] == 2688
+        _, _, embedding = self.full_and_masked("111111", rng)
+        assert embedding.shape == (2, 21 * 128)
+        assert embedding.shape[1] == 2688
 
     def test_global_only_mask(self, rng):
-        model, fmap, out = self.full_and_masked("000001", rng)
-        assert out.embedding.shape == (2, 128)
+        model, fmap, embedding = self.full_and_masked("000001", rng)
+        assert embedding.shape == (2, 128)
         emb, _, _ = reference_pyramid_forward(model, fmap, [0, 1], training=False)
-        np.testing.assert_allclose(out.embedding.data, emb.data, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(embedding.data, emb.data, rtol=1e-5, atol=1e-6)
 
     def test_mask_110011(self, rng):
         # levels 1,2,5,6 keep 6+5+2+1 = 14 branches
-        _, _, out = self.full_and_masked("110011", rng)
-        assert out.embedding.shape == (2, 14 * 128)
-        assert out.embedding.shape[1] == 1792
-
-    def test_wrong_length_rejected(self, rng):
-        with pytest.raises(ConfigError, match="has 6 levels, model has 3"):
-            identity_model(mask="111111")
+        _, _, embedding = self.full_and_masked("110011", rng)
+        assert embedding.shape == (2, 14 * 128)
+        assert embedding.shape[1] == 1792
 
     def test_all_false_mask_rejected(self):
         with pytest.raises(ConfigError, match="disables every"):
@@ -262,10 +262,10 @@ class TestAssembly:
     def test_every_enabled_branch_feature_present(self, rng):
         # each enabled branch's feature fills its own D columns, in
         # enumeration order, and a disabled one fills none
-        model, fmap, out = self.full_and_masked("101101", rng)
+        model, fmap, embedding = self.full_and_masked("101101", rng)
         emb, _, _ = reference_pyramid_forward(model, fmap, [0, 1], training=False)
-        assert out.embedding.shape == emb.shape == (2, (6 + 4 + 3 + 1) * 128)
-        np.testing.assert_allclose(out.embedding.data, emb.data, rtol=1e-5, atol=1e-6)
+        assert embedding.shape == emb.shape == (2, (6 + 4 + 3 + 1) * 128)
+        np.testing.assert_allclose(embedding.data, emb.data, rtol=1e-5, atol=1e-6)
 
 
 class TestAgainstReference:
@@ -279,9 +279,9 @@ class TestAgainstReference:
             model.zero_grad()
             x = Tensor(images.copy(), requires_grad=True)
             if forward == "stacked":
-                out = model.forward(x, training=True)
-                emb, logits = out.embedding, out.logits.data
-                loss = id_loss(out.logits, labels).tensor
+                emb, stacked = model.forward(x, training=True)
+                logits = stacked.data
+                loss = id_loss(stacked, labels).tensor
             else:
                 emb, per_branch, loss = reference_pyramid_forward(model, x, labels, True)
                 logits = np.stack([lg.data for lg in per_branch])
@@ -317,8 +317,8 @@ class TestAgainstReference:
             grads = self.compare(model, images, rng.integers(0, 5, size=6), rtol=1e-10)
             # the model holds the enabled branches only, and each one's
             # head gradient is nonzero
-            b = BranchMask.from_string(mask).enabled_branch_count()
-            assert len(model.specs) == b
+            b = {"111111": 21, "000001": 1, "110011": 14}[mask]
+            assert len(model.windows) == b
             for (name, _), g in zip(model.named_parameters(), grads):
                 if name.startswith("head."):
                     assert np.any(g.reshape(b, -1), axis=1).all(), name
@@ -362,8 +362,7 @@ class TestHeadGraphSize:
             0, 1, size=(16, 3, 48, 16)).astype(np.float32)))
         fmap = model.backbone.forward(images, training=True)
         model.backbone = type("Fixed", (), {"forward": lambda self, x, training: fmap})()
-        loss = id_loss(model.forward(images, training=True).logits,
-                       np.arange(16) % 10).tensor
+        loss = id_loss(model.forward(images, training=True)[1], np.arange(16) % 10).tensor
         # count the recorded nodes (those with parents) above the feature map
         count, seen, todo = 0, {id(fmap)}, [loss]
         while todo:
@@ -395,23 +394,33 @@ class TestHeadGraphSize:
     @pytest.mark.parametrize("training", [True, False])
     def test_channels_last_forward_records_only_the_heads_transposes(self, training):
         # images enter channels-last and the pyramid pools the backbone's
-        # map as it comes: the backbone records no transpose, the head two
+        # map as it comes: the backbone records no transpose, the head one
+        # before the batch norm and, in training, one before the classifier
         model = make_model()
         images = Tensor(np.random.default_rng(0).uniform(
             0, 1, size=(16, 48, 16, 3)).astype(np.float32))
         fmap = model.backbone.forward(images, training)
         assert sorted(self.recorded_ops(fmap)) == ["conv_bn_relu"] * 3
-        ops = self.recorded_ops(model.forward(images, training).logits)
-        assert ops.count("transpose") == 2, ops
+        embedding, logits = model.forward(images, training)
+        assert self.recorded_ops(embedding).count("transpose") == 1
+        if training:
+            ops = self.recorded_ops(logits)
+            assert ops.count("transpose") == 2, ops
+        else:
+            assert logits is None
 
 
 class TestModel:
-    def test_embedding_dims(self):
+    def test_embedding_columns(self):
         model = make_model(feature_dim=16)
-        assert model.embedding_dim() == 21 * 16
-        assert model.embedding_dim(BranchMask.from_string("000001")) == 16
-        with pytest.raises(ConfigError, match="not a sub-mask"):
-            make_model(mask="101001").embedding_dim(BranchMask.full(6))
+        assert model.embedding_columns(model.mask).all()
+        assert model.embedding_columns(model.mask).shape == (21 * 16,)
+        # the one level-6 branch is the last
+        assert np.flatnonzero(model.embedding_columns(BranchMask.from_string("000001"))
+                              ).tolist() == list(range(20 * 16, 21 * 16))
+        for mask in ("111111", "10100", "1010011"):
+            with pytest.raises(ConfigError, match="not a sub-mask"):
+                make_model(mask="101001").embedding_columns(BranchMask.from_string(mask))
 
     def test_build_rejects_indivisible_height(self):
         with pytest.raises(ConfigError, match="not divisible"):
@@ -438,11 +447,11 @@ class TestModel:
         """Disabling a level leaves the remaining branch features bit-identical."""
         model = make_model(n=4, stages=((8, 2), (8, 2)), image_hw=(32, 16))
         images = Tensor(nhwc(rng.uniform(0, 1, size=(3, 3, 32, 16)).astype(np.float32)))
-        full = model.forward(images, training=False).embedding.data
+        full = model.forward(images, training=False)[0].data
         masked = make_model(n=4, stages=((8, 2), (8, 2)), image_hw=(32, 16), mask="1011"
-                            ).forward(images, training=False).embedding.data
+                            ).forward(images, training=False)[0].data
         d = model.feature_dim
-        kept = [i for i, spec in enumerate(model.specs) if spec.level != 2]
+        kept = [i for i, (_, level) in enumerate(model.windows) if level != 2]
         assert masked.shape == (3, len(kept) * d)
         for j, i in enumerate(kept):
             np.testing.assert_array_equal(masked[:, j * d:(j + 1) * d],
@@ -453,10 +462,10 @@ class TestModel:
         model = make_model(n=3, stages=((8, 2),), image_hw=(24, 8))
         images = Tensor(nhwc(rng.uniform(0, 1, size=(2, 3, 24, 8)).astype(np.float32)))
         d = model.feature_dim
-        before = model.forward(images, training=False).embedding.data
+        before = model.forward(images, training=False)[0].data
         model.reduce_weight.data[2] += 0.37
-        after = model.forward(images, training=False).embedding.data
-        for i in range(len(model.specs)):
+        after = model.forward(images, training=False)[0].data
+        for i in range(len(model.windows)):
             cols = slice(i * d, (i + 1) * d)
             if i == 2:
                 assert not np.array_equal(before[:, cols], after[:, cols])

@@ -114,11 +114,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be positive, got {value}"):
             replace(TrainConfig(), **{key: value}).validate()
 
-    @pytest.mark.parametrize("key", ["seed", "checkpoint_every"])
-    def test_counts_must_be_non_negative(self, key):
-        replace(TrainConfig(), **{key: 0}).validate()
-        with pytest.raises(ConfigError, match=f"{key} must be non-negative, got -1"):
-            replace(TrainConfig(), **{key: -1}).validate()
+    def test_seed_must_be_non_negative(self):
+        replace(TrainConfig(), seed=0).validate()
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            replace(TrainConfig(), seed=-1).validate()
 
     def test_closed_range_ends_accepted(self):
         # the config-file refusals of out-of-range floats are in test_cli.py
@@ -256,7 +255,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 6
+        assert int(entries["meta/version"]) == 7
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -421,8 +420,7 @@ def train_configs(draw):
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
         no_triplet_alternating=draw(st.booleans()),
         backbone_stages=tuple(draw(st.lists(
-            st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), max_size=3))),
-        checkpoint_every=draw(st.integers(0, 100)))
+            st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), max_size=3))))
 
 
 def _assert_checkpoint_roundtrip(config: TrainConfig) -> None:
@@ -512,7 +510,7 @@ class TestAblationModes:
         init = build_model(config, toy_dataset.image_hw, model.num_identities)
         full = build_model(replace(config, pyramid_mask="111111"), toy_dataset.image_hw,
                            model.num_identities)
-        assert [(spec.level, spec.position) for spec in model.specs] == [(6, 1)]
+        assert model.windows == [(0, 6)]
         d = config.feature_dim
         heads = [(name, p, q, f) for (name, p), (_, q), (_, f)
                  in zip(model.named_parameters(), init.named_parameters(),
@@ -535,5 +533,5 @@ class TestAblationModes:
         from pyreid.pyramid import BranchMask
         result = train(TrainConfig(seed=2, epochs=1), toy_dataset, tmp_path / "m2")
         model, _ = rebuild_model(load_checkpoint(result.checkpoint_path))
-        assert model.embedding_dim(BranchMask.from_string("000001")) == \
+        assert model.embedding_columns(BranchMask.from_string("000001")).sum() == \
             model.feature_dim
