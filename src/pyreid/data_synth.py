@@ -8,9 +8,11 @@ must survive: vertical misalignment, vertical scale jitter, and a painted
 occlusion box. A single severity knob in [0, 1] scales all three.
 
 Generation is a pure function of (config, seed): identities, cameras and
-samples each draw from their own SeedSequence-derived PCG64 stream. Images
-are held channels-last, (N, H, W, 3); on disk each split's container holds
-its images as one `images` entry, in `manifest.csv` row order.
+samples each draw from their own SeedSequence-derived PCG64 stream. A
+sample's stream only supplies its draws; each identity's samples are then
+corrupted, lit and noised together in one float64 pass. Images are held
+channels-last, (N, H, W, 3); on disk each split's container holds its
+images as one `images` entry, in `manifest.csv` row order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,11 @@ SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY = 0, 1, 2
 _SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_QUERY: "query", SPLIT_GALLERY: "gallery"}
 
 _ID_STREAM, _CAM_STREAM, _SAMPLE_STREAM, _SPLIT_STREAM = 11, 22, 33, 44
+
+# a sample's uniforms in draw order, as [low, high) bounds: tint (3),
+# offset, scale, occlusion, area, aspect, x, y, occlusion color (3)
+_SAMPLE_LOW = np.array([-0.05] * 3 + [-1.0, -1.0, 0.0, 0.0, 0.5, 0.0, 0.0] + [0.7] * 3)
+_SAMPLE_HIGH = np.array([0.05] * 3 + [1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0] + [1.0] * 3)
 
 MANIFEST_COLUMNS = ("entry_name", "identity", "camera", "split",
                     "offset", "scale", "occ_x", "occ_y", "occ_w", "occ_h")
@@ -52,8 +58,13 @@ class GenConfig:
             raise ConfigError(f"num_ids must be >= 4, got {self.num_ids}")
         if self.num_cams < 2:
             raise ConfigError(f"num_cams must be >= 2, got {self.num_cams}")
-        if self.imgs_per_id < 2:
-            raise ConfigError(f"imgs_per_id must be >= 2, got {self.imgs_per_id}")
+        # each test identity needs a query from every camera it appears in
+        # and, for each query, a gallery image from another camera: fewer
+        # than 4 images leave no camera assignment that gives both
+        if self.imgs_per_id < 4:
+            raise ConfigError(f"imgs_per_id must be >= 4, got {self.imgs_per_id}: a test "
+                              f"identity needs a query in each of its cameras and a "
+                              f"gallery match from another camera for each query")
         # the figure needs a head row above the rest of the body
         if self.img_h < 2:
             raise ConfigError(f"img_h must be >= 2, got {self.img_h}")
@@ -82,12 +93,13 @@ class CameraSpec:
     noise_sigma: float
 
 
-@dataclass(frozen=True)
-class Corruption:
-    offset: float = 0.0
-    scale: float = 1.0
-    occ_box: tuple | None = None  # (x, y, w, h) in pixels
-    occ_color: np.ndarray | None = None
+def _entropy(values) -> np.ndarray:
+    """The uint32 words a SeedSequence makes of a list of non-negative ints:
+    each int's little-endian 32-bit words, at least one per int. A
+    SeedSequence of this array equals the list's, and skips converting each
+    int, which costs more than the rest of building a sample's stream."""
+    return np.array([(int(v) >> shift) & 0xFFFFFFFF for v in values
+                     for shift in range(0, max(int(v).bit_length(), 1), 32)], dtype=np.uint32)
 
 
 def _identity_spec(seed: int, identity: int) -> IdentitySpec:
@@ -133,58 +145,52 @@ def render_identity(spec: IdentitySpec, h: int, w: int) -> np.ndarray:
     return img
 
 
-def apply_misalignment(image: np.ndarray, offset_fraction: float, scale: float,
-                       occlusion: tuple | None = None,
-                       occ_color: np.ndarray | None = None) -> np.ndarray:
-    """Vertical shift (edge-replicated), vertical rescale about the center,
-    then an optional painted occlusion box. Output size equals input size."""
-    if not -0.3 <= offset_fraction <= 0.3:
-        raise ValueError(f"offset_fraction must be in [-0.3, 0.3], got {offset_fraction}")
-    if not 0.7 <= scale <= 1.3:
-        raise ValueError(f"scale must be in [0.7, 1.3], got {scale}")
-    _, h, w = image.shape
-    out = image
-    offset_px = int(round(offset_fraction * h))
-    if offset_px:
-        src = np.clip(np.arange(h) - offset_px, 0, h - 1)
-        out = out[:, src, :]
-    if scale != 1.0:
-        center = (h - 1) / 2.0
-        src = np.clip(np.rint(center + (np.arange(h) - center) / scale).astype(int), 0, h - 1)
-        out = out[:, src, :]
-    if out is image:
-        out = image.copy()
-    if occlusion is not None:
-        x, y, bw, bh = occlusion
-        if bw > 0 and bh > 0:
-            color = occ_color if occ_color is not None else np.array([0.9, 0.9, 0.9])
-            out[:, y:y + bh, x:x + bw] = color[:, None, None]
+def apply_misalignment(images: np.ndarray, offset_fractions: np.ndarray,
+                       scales: np.ndarray, occ_boxes: np.ndarray | None = None,
+                       occ_colors: np.ndarray | None = None) -> np.ndarray:
+    """Per image of an (N, C, H, W) stack: a vertical shift by its offset
+    fraction of H (edge-replicated), then a vertical rescale about the
+    center, then its (x, y, w, h) occlusion box painted in its (C,) color;
+    a box row of -1s paints nothing. Returns a new stack of the same shape."""
+    offset_fractions = np.asarray(offset_fractions, dtype=np.float64)
+    scales = np.asarray(scales, dtype=np.float64)
+    for name, values, low, high in (("offset_fraction", offset_fractions, -0.3, 0.3),
+                                    ("scale", scales, 0.7, 1.3)):
+        outside = ~((values >= low) & (values <= high))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ValueError(f"{name} must be in [{low}, {high}], got {values[i]} for image {i}")
+    n, c, h, _ = images.shape
+    rows = np.arange(h)
+    # output row r reads row rescaled[r] of the shifted image, which is
+    # input row rescaled[r] - shift, edge-replicated; a scale of 1 maps every
+    # row to itself
+    center = (h - 1) / 2.0
+    rescaled = np.clip(np.rint(center + (rows - center) / scales[:, None]).astype(np.int64),
+                       0, h - 1)
+    shift = np.rint(offset_fractions * h).astype(np.int64)
+    source = np.clip(rescaled - shift[:, None], 0, h - 1)
+    out = images[np.arange(n)[:, None, None], np.arange(c)[:, None], source[:, None, :]]
+    if occ_boxes is not None:
+        for i in np.flatnonzero(occ_boxes[:, 2] > 0):
+            x, y, bw, bh = occ_boxes[i]
+            out[i, :, y:y + bh, x:x + bw] = occ_colors[i][:, None, None]
     return out
 
 
-def _draw_corruption(rng: np.random.Generator, severity: float,
-                     h: int, w: int) -> Corruption:
-    # all uniforms are drawn regardless of severity so that datasets generated
-    # from the same seed at different severities share their draws
-    u_off = rng.uniform(-1.0, 1.0)
-    u_scale = rng.uniform(-1.0, 1.0)
-    u_occ = rng.uniform()
-    u_area = rng.uniform()
-    u_aspect = rng.uniform(0.5, 2.0)
-    u_x = rng.uniform()
-    u_y = rng.uniform()
-    occ_color = rng.uniform(0.7, 1.0, size=3)
-    offset = 0.3 * severity * u_off
-    scale = 1.0 + 0.3 * severity * u_scale
-    box = None
-    if severity > 0 and u_occ < 0.5 * severity:
-        area = 0.25 * severity * u_area * h * w
-        bh = max(1, min(h, int(round(math.sqrt(area * u_aspect)))))
-        bw = max(1, min(w, int(round(area / bh))))
-        x = int(u_x * (w - bw + 1))
-        y = int(u_y * (h - bh + 1))
-        box = (x, y, bw, bh)
-    return Corruption(offset=offset, scale=scale, occ_box=box, occ_color=occ_color)
+def _occlusion_boxes(severity: float, u_occ: np.ndarray, u_area: np.ndarray,
+                     u_aspect: np.ndarray, u_x: np.ndarray, u_y: np.ndarray,
+                     h: int, w: int) -> np.ndarray:
+    """(N, 4) int (x, y, w, h) occlusion boxes in pixels, -1s where a sample
+    has none. Each sample is occluded with probability severity / 2 (its
+    uniform u_occ is never negative, so severity 0 occludes nothing) by a
+    box of up to a quarter of the image at severity 1."""
+    area = 0.25 * severity * u_area * h * w
+    bh = np.clip(np.rint(np.sqrt(area * u_aspect)), 1, h).astype(np.int64)
+    bw = np.clip(np.rint(area / bh), 1, w).astype(np.int64)
+    boxes = np.stack([(u_x * (w - bw + 1)).astype(np.int64),
+                      (u_y * (h - bh + 1)).astype(np.int64), bw, bh], axis=1)
+    return np.where((u_occ < 0.5 * severity)[:, None], boxes, -1)
 
 
 @dataclass
@@ -338,16 +344,16 @@ def _camera_assignment(seed: int, identity: int, imgs: int, cams: int,
 def generate_dataset(config: GenConfig) -> ReIDDataset:
     """Render the full dataset: half the identities become the train split,
     the other half the test split with one query per (identity, camera)."""
-    h, w = config.img_h, config.img_w
-    seed = config.seed
+    h, w, k = config.img_h, config.img_w, config.imgs_per_id
+    seed, severity = config.seed, config.severity
     split_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, _SPLIT_STREAM])))
     id_order = split_rng.permutation(config.num_ids)
     train_ids = set(int(i) for i in id_order[:config.num_ids // 2])
 
-    n = config.num_ids * config.imgs_per_id
+    n = config.num_ids * k
     images = np.zeros((n, h, w, 3), dtype=np.float32)
-    identities = np.zeros(n, dtype=np.int64)
+    identities = np.repeat(np.arange(config.num_ids, dtype=np.int64), k)
     cameras = np.zeros(n, dtype=np.int64)
     splits = np.zeros(n, dtype=np.int64)
     offsets = np.zeros(n, dtype=np.float64)
@@ -355,44 +361,48 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
     occ_boxes = np.full((n, 4), -1, dtype=np.int64)
 
     cam_specs = [_camera_spec(seed, c) for c in range(config.num_cams)]
-    # an identity's images are clipped channels-first here, then written
-    # channels-last with one transposed copy
-    clipped = np.empty((config.imgs_per_id, 3, h, w), dtype=np.float32)
+    brightness = np.array([c.brightness for c in cam_specs])
+    channel_shift = np.array([c.channel_shift for c in cam_specs])
+    # one identity's draws; its images are then made in one float64 pass,
+    # channels-first, and written channels-last by the final clip
+    uniforms = np.empty((k, len(_SAMPLE_LOW)))
+    noise = np.empty((k, 3, h, w))
 
-    idx = 0
     for identity in range(config.num_ids):
-        spec = _identity_spec(seed, identity)
-        base = render_identity(spec, h, w)
+        base = render_identity(_identity_spec(seed, identity), h, w)
         is_test = identity not in train_ids
-        assignment = _camera_assignment(seed, identity, config.imgs_per_id,
-                                        config.num_cams, need_feasible=is_test)
-        first = idx
-        for j in range(config.imgs_per_id):
-            rng = np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence([seed, _SAMPLE_STREAM, identity, j])))
-            cam = cam_specs[int(assignment[j])]
-            img = base + rng.uniform(-0.05, 0.05, size=(3, 1, 1))
-            corr = _draw_corruption(rng, config.severity, h, w)
-            img = apply_misalignment(img, corr.offset, corr.scale, corr.occ_box,
-                                     corr.occ_color)
-            img = img * cam.brightness + cam.channel_shift[:, None, None]
-            img = img + rng.normal(0.0, cam.noise_sigma, size=img.shape)
-            np.clip(img, 0.0, 1.0, out=clipped[j])
-            identities[idx] = identity
-            cameras[idx] = cam.camera
-            offsets[idx] = corr.offset
-            scales[idx] = corr.scale
-            if corr.occ_box is not None:
-                occ_boxes[idx] = corr.occ_box
-            idx += 1
-        images[first:idx] = clipped.transpose(0, 2, 3, 1)
+        assignment = _camera_assignment(seed, identity, k, config.num_cams,
+                                        need_feasible=is_test)
+        # sample j's stream is SeedSequence([seed, _SAMPLE_STREAM, identity, j])
+        entropy = np.tile(_entropy([seed, _SAMPLE_STREAM, identity, 0]), (k, 1))
+        entropy[:, -1] = np.arange(k)
+        for j in range(k):
+            # every draw is made regardless of severity, so that datasets of
+            # the same seed at different severities share their draws
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy[j])))
+            uniforms[j] = rng.uniform(_SAMPLE_LOW, _SAMPLE_HIGH)
+            noise[j] = rng.normal(0.0, cam_specs[assignment[j]].noise_sigma, size=(3, h, w))
+        tint, occ_colors = uniforms[:, 0:3], uniforms[:, 10:13]
+        u_off, u_scale, u_occ, u_area, u_aspect, u_x, u_y = uniforms[:, 3:10].T
+        block = slice(identity * k, (identity + 1) * k)
+        offsets[block] = 0.3 * severity * u_off
+        scales[block] = 1.0 + 0.3 * severity * u_scale
+        occ_boxes[block] = _occlusion_boxes(severity, u_occ, u_area, u_aspect, u_x, u_y, h, w)
+        cameras[block] = assignment
+
+        img = apply_misalignment(base + tint[:, :, None, None], offsets[block], scales[block],
+                                 occ_boxes[block], occ_colors)
+        img *= brightness[assignment][:, None, None, None]
+        img += channel_shift[assignment][:, :, None, None]
+        img += noise
+        np.clip(img, 0.0, 1.0, out=images[block].transpose(0, 3, 1, 2))
         if is_test:
             # one query per camera the identity appears in, remainder gallery
-            splits[first:idx] = SPLIT_GALLERY
+            splits[block] = SPLIT_GALLERY
             sample_rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence([seed, _SPLIT_STREAM, identity])))
             for cam_id in sorted(set(int(c) for c in assignment)):
-                members = first + np.flatnonzero(assignment == cam_id)
+                members = block.start + np.flatnonzero(assignment == cam_id)
                 splits[int(sample_rng.choice(members))] = SPLIT_QUERY
     return ReIDDataset(images=images, identities=identities, cameras=cameras,
                        splits=splits, offsets=offsets, scales=scales,

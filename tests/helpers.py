@@ -17,6 +17,7 @@ import numpy as np
 import pyreid.autograd as ag
 from pyreid.autograd import Tensor
 from pyreid.batching import batch_hard_mine
+from pyreid.data_synth import ReIDDataset
 from pyreid.losses import id_loss, triplet_loss
 
 
@@ -109,6 +110,103 @@ def oracle_rank(queries, qids, qcams, gallery, gids, gcams) -> list:
                 if not (gids[idx] == qid and gcams[idx] == qcam)]
         orders.append(sorted(kept, key=lambda idx: (sq[idx], idx)))
     return orders
+
+
+def oracle_dataset(config) -> ReIDDataset:
+    """The dataset of a `GenConfig`, one image at a time: each sample draws
+    its tint, corruption and noise from its own stream with scalar calls,
+    then is shifted, rescaled, occluded, lit by its camera, noised and
+    clipped on its own. Shares no generation code with `pyreid.data_synth`;
+    `generate_dataset` must equal it byte for byte."""
+    id_stream, cam_stream, sample_stream, split_stream = 11, 22, 33, 44
+
+    def stream(*words):
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(words))))
+
+    h, w, seed, k = config.img_h, config.img_w, config.seed, config.imgs_per_id
+    severity = config.severity
+    train_ids = set(int(i) for i in
+                    stream(seed, split_stream).permutation(config.num_ids)[:config.num_ids // 2])
+    cams = []
+    for c in range(config.num_cams):
+        rng = stream(seed, cam_stream, c)
+        cams.append((float(rng.uniform(0.70, 1.30)), rng.uniform(-0.15, 0.15, size=3),
+                     float(rng.uniform(0.02, 0.06))))
+
+    n = config.num_ids * k
+    images = np.zeros((n, h, w, 3), dtype=np.float32)
+    identities, cameras = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    splits = np.zeros(n, dtype=np.int64)
+    offsets, scales = np.zeros(n), np.ones(n)
+    occ_boxes = np.full((n, 4), -1, dtype=np.int64)
+    for identity in range(config.num_ids):
+        # the figure: head, (striped) torso and legs bands on a dark background
+        rng = stream(seed, id_stream, identity)
+        colors = rng.uniform(0.05, 0.95, size=(4, 3))
+        head, torso = rng.uniform(0.15, 0.30), rng.uniform(0.30, 0.45)
+        stripe = int(rng.choice([0, 2, 3, 4]))
+        base = np.full((3, h, w), 0.10)
+        head_rows, torso_rows = max(1, int(round(head * h))), max(1, int(round(torso * h)))
+        body = slice(max(1, w // 8), w - max(1, w // 8))
+        base[:, :head_rows, body] = colors[0][:, None, None]
+        base[:, head_rows:head_rows + torso_rows, body] = colors[1][:, None, None]
+        for r in range(head_rows, head_rows + torso_rows):
+            if stripe and (r - head_rows) % (2 * stripe) < stripe:
+                base[:, r, body] = colors[2][:, None]
+        base[:, head_rows + torso_rows:, body] = colors[3][:, None, None]
+
+        is_test = identity not in train_ids
+        for attempt in range(100):
+            assignment = stream(seed, cam_stream, identity, attempt).integers(
+                0, config.num_cams, size=k)
+            counts = np.bincount(assignment, minlength=config.num_cams)
+            present = [c for c in range(config.num_cams) if counts[c]]
+            extra = sum(int(counts[c]) - 1 for c in present)
+            if not is_test or (len(present) >= 2 and
+                               all(extra - (counts[c] - 1) >= 1 for c in present)):
+                break
+        else:
+            raise AssertionError(f"identity {identity}: no feasible camera assignment")
+
+        for j in range(k):
+            i = identity * k + j
+            rng = stream(seed, sample_stream, identity, j)
+            brightness, shift, sigma = cams[int(assignment[j])]
+            img = base + rng.uniform(-0.05, 0.05, size=(3, 1, 1))
+            u_off, u_scale = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            u_occ, u_area = rng.uniform(), rng.uniform()
+            u_aspect, u_x, u_y = rng.uniform(0.5, 2.0), rng.uniform(), rng.uniform()
+            occ_color = rng.uniform(0.7, 1.0, size=3)
+            offset = 0.3 * severity * u_off
+            scale = 1.0 + 0.3 * severity * u_scale
+            rows = [min(h - 1, max(0, r - int(round(offset * h)))) for r in range(h)]
+            img = img[:, rows, :]
+            if scale != 1.0:
+                center = (h - 1) / 2.0
+                rows = [min(h - 1, max(0, int(np.rint(center + (r - center) / scale))))
+                        for r in range(h)]
+                img = img[:, rows, :]
+            if severity > 0 and u_occ < 0.5 * severity:
+                area = 0.25 * severity * u_area * h * w
+                bh = max(1, min(h, int(round(math.sqrt(area * u_aspect)))))
+                bw = max(1, min(w, int(round(area / bh))))
+                x, y = int(u_x * (w - bw + 1)), int(u_y * (h - bh + 1))
+                img[:, y:y + bh, x:x + bw] = occ_color[:, None, None]
+                occ_boxes[i] = (x, y, bw, bh)
+            img = img * brightness + shift[:, None, None]
+            img = img + rng.normal(0.0, sigma, size=img.shape)
+            images[i] = np.clip(img, 0.0, 1.0).astype(np.float32).transpose(1, 2, 0)
+            identities[i], cameras[i] = identity, int(assignment[j])
+            offsets[i], scales[i] = offset, scale
+        if is_test:
+            # one query per camera the identity appears in, the rest gallery
+            splits[identity * k:(identity + 1) * k] = 2
+            rng = stream(seed, split_stream, identity)
+            for c in sorted(set(int(c) for c in assignment)):
+                splits[int(rng.choice(identity * k + np.flatnonzero(assignment == c)))] = 1
+    return ReIDDataset(images=images, identities=identities, cameras=cameras,
+                       splits=splits, offsets=offsets, scales=scales,
+                       occ_boxes=occ_boxes)
 
 
 def reference_conv2d(x, w, g, stride, padding) -> tuple:

@@ -5,6 +5,8 @@ from pyreid.data_synth import (GenConfig, ReIDDataset, apply_misalignment,
                                generate_dataset)
 from pyreid.errors import ConfigError
 
+from helpers import oracle_dataset
+
 
 class TestGeneration:
     def test_sample_count(self):
@@ -50,6 +52,19 @@ class TestGeneration:
     def test_unrenderable_image_size_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be"):
             GenConfig(**{field: value})
+
+    @pytest.mark.parametrize("imgs_per_id", [2, 3])
+    def test_too_few_images_per_identity_rejected(self, imgs_per_id):
+        # no camera assignment gives a test identity a query per camera and
+        # a cross-camera gallery match for each
+        with pytest.raises(ConfigError, match=f"imgs_per_id must be >= 4, got {imgs_per_id}"):
+            GenConfig(num_ids=8, imgs_per_id=imgs_per_id)
+
+    def test_four_images_per_identity_generate(self):
+        ds = generate_dataset(GenConfig(num_ids=8, imgs_per_id=4, seed=6))
+        q, g = ds.query_split(), ds.gallery_split()
+        for qid, qcam in zip(q.identities, q.cameras):
+            assert ((g.identities == qid) & (g.cameras != qcam)).any()
 
     def test_smallest_image_size_renders(self):
         ds = generate_dataset(GenConfig(num_ids=4, img_h=2, img_w=1, severity=1.0))
@@ -102,48 +117,75 @@ class TestSplits:
 class TestMisalignment:
     def test_identity_transform_returns_input_exactly(self, rng):
         img = rng.uniform(0, 1, size=(3, 24, 8))
-        out = apply_misalignment(img, 0.0, 1.0, None)
-        np.testing.assert_array_equal(out, img)
+        out = apply_misalignment(img[None], [0.0], [1.0])
+        np.testing.assert_array_equal(out[0], img)
+        assert not np.shares_memory(out, img)
 
     def test_offset_moves_band_boundary(self):
         # two bands split at row 8 of 16; +0.25 offset moves the boundary
         # down by 4 rows
         img = np.zeros((3, 16, 4))
         img[:, 8:, :] = 1.0
-        out = apply_misalignment(img, 0.25, 1.0, None)
+        out = apply_misalignment(img[None], [0.25], [1.0])[0]
         boundary = int(np.argmax(out[0, :, 0] > 0.5))
         assert boundary == 12
 
     def test_negative_offset_moves_up(self):
         img = np.zeros((3, 16, 4))
         img[:, 8:, :] = 1.0
-        out = apply_misalignment(img, -0.25, 1.0, None)
+        out = apply_misalignment(img[None], [-0.25], [1.0])[0]
         assert int(np.argmax(out[0, :, 0] > 0.5)) == 4
 
     def test_edge_replication(self):
         img = np.zeros((3, 10, 2))
         img[:, 0, :] = 0.7  # distinctive top edge
-        out = apply_misalignment(img, 0.3, 1.0, None)
+        out = apply_misalignment(img[None], [0.3], [1.0])[0]
         np.testing.assert_allclose(out[:, :3, :], 0.7)
 
     def test_full_occlusion_gives_constant_image(self, rng):
         img = rng.uniform(0, 1, size=(3, 12, 6))
         color = np.array([0.2, 0.4, 0.6])
-        out = apply_misalignment(img, 0.0, 1.0, (0, 0, 6, 12), color)
+        out = apply_misalignment(img[None], [0.0], [1.0], np.array([[0, 0, 6, 12]]),
+                                 color[None])[0]
         for c in range(3):
             np.testing.assert_allclose(out[c], color[c])
 
     def test_out_of_range_arguments(self, rng):
         img = rng.uniform(0, 1, size=(3, 12, 6))
         with pytest.raises(ValueError, match="offset"):
-            apply_misalignment(img, 0.5, 1.0, None)
+            apply_misalignment(img[None], [0.5], [1.0])
         with pytest.raises(ValueError, match="scale"):
-            apply_misalignment(img, 0.0, 0.5, None)
+            apply_misalignment(img[None], [0.0], [0.5])
+        # any image of a stack, and NaN, is refused, naming the image
+        stack = np.stack([img, img])
+        with pytest.raises(ValueError, match="image 1"):
+            apply_misalignment(stack, [0.0, np.nan], [1.0, 1.0])
+        with pytest.raises(ValueError, match="scale .* image 1"):
+            apply_misalignment(stack, [0.0, 0.0], [1.0, 1.31])
 
     def test_scale_preserves_shape(self, rng):
         img = rng.uniform(0, 1, size=(3, 24, 8))
-        assert apply_misalignment(img, 0.0, 1.3, None).shape == img.shape
-        assert apply_misalignment(img, 0.0, 0.7, None).shape == img.shape
+        assert apply_misalignment(img[None], [0.0], [1.3]).shape == (1,) + img.shape
+        assert apply_misalignment(img[None], [0.0], [0.7]).shape == (1,) + img.shape
+
+    @pytest.mark.parametrize("h, w", [(24, 8), (48, 16), (2, 1)])
+    def test_stack_equals_one_image_at_a_time(self, rng, h, w):
+        n = 9
+        images = rng.uniform(0, 1, size=(n, 3, h, w))
+        offsets = rng.uniform(-0.3, 0.3, size=n)
+        offsets[:2] = (0.0, 0.3)
+        scales = rng.uniform(0.7, 1.3, size=n)
+        scales[2:4] = (1.0, 0.7)
+        bw, bh = rng.integers(1, w + 1, size=n), rng.integers(1, h + 1, size=n)
+        boxes = np.stack([rng.integers(0, w - bw + 1), rng.integers(0, h - bh + 1), bw, bh],
+                         axis=1)
+        boxes[::3] = -1
+        colors = rng.uniform(0.7, 1.0, size=(n, 3))
+        stacked = apply_misalignment(images, offsets, scales, boxes, colors)
+        for i in range(n):
+            one = apply_misalignment(images[i:i + 1], offsets[i:i + 1], scales[i:i + 1],
+                                     boxes[i:i + 1], colors[i:i + 1])
+            assert stacked[i].tobytes() == one[0].tobytes(), f"image {i}"
 
 
 class TestSeverity:
@@ -189,3 +231,35 @@ class TestPersistence:
         header = (tmp_path / "d" / "manifest.csv").read_text().splitlines()[0]
         assert header == ("entry_name,identity,camera,split,offset,scale,"
                           "occ_x,occ_y,occ_w,occ_h")
+
+
+DATASET_FIELDS = ("images", "identities", "cameras", "splits", "offsets", "scales",
+                  "occ_boxes")
+
+
+class TestOracle:
+    """Generation equals the one-image-at-a-time oracle byte for byte. The
+    oracle runs on the same numpy, so this holds on any numpy version, while
+    a pinned digest would not (NEP 19 leaves Generator streams free to
+    change)."""
+
+    @pytest.mark.parametrize("config", [
+        dict(num_ids=40, imgs_per_id=10, severity=0.3, seed=0),  # desk data
+        dict(num_ids=8, imgs_per_id=6, severity=0.0, seed=3),
+        dict(num_ids=8, imgs_per_id=6, severity=1.0, seed=5),
+        dict(num_ids=8, imgs_per_id=7, num_cams=3, severity=0.5, seed=2),
+        dict(num_ids=6, imgs_per_id=5, img_h=24, img_w=8, severity=0.7, seed=1),
+        dict(num_ids=5, imgs_per_id=4, img_h=2, img_w=1, severity=1.0, seed=4),
+        dict(num_ids=9, imgs_per_id=5, severity=0.4, seed=7),
+        # a seed of more than 32 bits enters each stream's entropy as two words
+        dict(num_ids=4, imgs_per_id=4, severity=0.6, seed=2**32 + 7),
+    ], ids=["desk", "severity0", "severity1", "3cams", "24x8", "2x1", "odd_ids", "wide_seed"])
+    def test_generate_equals_oracle(self, config):
+        cfg = GenConfig(**config)
+        ds, ref = generate_dataset(cfg), oracle_dataset(cfg)
+        for field in DATASET_FIELDS:
+            got, want = getattr(ds, field), getattr(ref, field)
+            assert got.dtype == want.dtype, field
+            assert got.shape == want.shape, field
+            assert got.tobytes() == want.tobytes(), field
+        assert ds.fingerprint() == ref.fingerprint()
