@@ -7,19 +7,15 @@ two-loss training scheme that routes each iteration between random-batch
 ID-only steps and ID-balanced combined steps.
 """
 
-from .autograd import (Tensor, backward, no_grad, op_catalog, set_default_dtype,
-                       use_dtype)
-from .gradcheck import finite_difference_check
+from .autograd import Tensor, backward, no_grad, op_catalog, use_dtype
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor",
     "backward",
-    "finite_difference_check",
     "no_grad",
     "op_catalog",
-    "set_default_dtype",
     "use_dtype",
     "__version__",
 ]

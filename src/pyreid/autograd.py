@@ -49,23 +49,18 @@ def default_dtype():
     return _default_dtype
 
 
-def set_default_dtype(dtype) -> None:
+@contextmanager
+def use_dtype(dtype):
+    """Temporarily switch the default tensor dtype (e.g. float64 for checks)."""
     global _default_dtype
     dtype = np.dtype(dtype).type
     if dtype not in (np.float32, np.float64):
         raise ValueError(f"default dtype must be float32 or float64, got {dtype}")
-    _default_dtype = dtype
-
-
-@contextmanager
-def use_dtype(dtype):
-    """Temporarily switch the default tensor dtype (e.g. float64 for checks)."""
-    prev = _default_dtype
-    set_default_dtype(dtype)
+    prev, _default_dtype = _default_dtype, dtype
     try:
         yield
     finally:
-        set_default_dtype(prev)
+        _default_dtype = prev
 
 
 @contextmanager
@@ -85,12 +80,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward", "_op", "_done")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             raise TypeError("wrap raw data, not another Tensor")
-        if dtype is not None:
-            arr = np.asarray(data, dtype=dtype)
-        elif isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
+        if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
             arr = data  # keep an explicit float dtype (e.g. float64 checks)
         else:
             arr = np.asarray(data, dtype=_default_dtype)
@@ -102,24 +95,6 @@ class Tensor:
         self._op = None
         self._done = False
 
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     @property
     def _tracked(self) -> bool:
         return self.requires_grad or bool(self._prev)
@@ -128,12 +103,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item: tensor has {self.data.size} elements")
         return float(self.data.reshape(()))
-
-    def backward(self) -> None:
-        backward(self)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, op={self._op})"
 
     # -- operator sugar ----------------------------------------------------
 
@@ -391,7 +360,7 @@ def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
 
 @catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "
             "on channels-last maps; training uses batch statistics, eval folds the "
-            "running ones into the kernel")
+            "running ones into the kernel and records no graph node")
 def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean,
                  running_var, stride: int, training: bool, momentum: float,
                  eps: float) -> Tensor:
@@ -400,8 +369,8 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     batch statistics and moves the running ones in place (the unbiased
     variance into `running_var`). Eval batch norm is a fixed per-channel
     affine: the kernel is scaled by gamma / sqrt(running_var + eps), the GEMM
-    writes the output directly and one shift adds the rest; backward uses
-    the running statistics as they were at this forward."""
+    writes the output directly and one shift adds the rest; the output is a
+    constant, with no gradient to any input."""
     if x.data.ndim != 4:
         raise ValueError(f"conv_bn_relu: input must be a 4-D (N,H,W,C) map, got {x.data.shape}")
     n, h, wd_, c = x.data.shape
@@ -419,52 +388,46 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     m, p = n * ho * wo, ho * wo
     xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=dtype)
     xp[:, 1:h + 1, 1:wd_ + 1] = x.data
-    # the kernel as a (9C, Co) matrix in the patch matrix's (i, j, c) order;
-    # wk is the one the GEMM multiplies by, with eval's scale folded in
+    # the kernel as a (9C, Co) matrix in the patch matrix's (i, j, c) order,
+    # with eval's scale folded in
     wcol = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype).reshape(9 * c, co)
-    wk = wcol
     if not training:
-        mean = running_mean.copy()
-        rstd = 1.0 / np.sqrt(running_var + eps)
-        scale = gamma.data * rstd
-        wk = wcol * scale
+        scale = gamma.data * (1.0 / np.sqrt(running_var + eps))
+        wcol = wcol * scale
     y = np.empty((m, co), dtype=dtype)
     _patch_chunks(xp, stride, ho, wo,
-                  lambda lo, hi, cols: np.matmul(cols, wk, out=y[lo * p:hi * p]))
+                  lambda lo, hi, cols: np.matmul(cols, wcol, out=y[lo * p:hi * p]))
+    if not training:
+        y += beta.data - running_mean * scale
+        np.maximum(y, 0, out=y)
+        return _from_op(y.reshape(n, ho, wo, co), (), "conv_bn_relu", None)
     # channel sums as ones-vector products, which BLAS does faster than
     # numpy's axis-0 reductions on an (M, Co) matrix
     ones = np.ones(m, dtype=dtype)
-    if training:
-        mean = (ones @ y) / m
-        y -= mean
-        var = (ones @ np.square(y)) / m
-        # running variance uses the unbiased estimate, normalization the biased one
-        uvar = var * (m / (m - 1)) if m > 1 else var
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean
-        running_var *= (1.0 - momentum)
-        running_var += momentum * uvar
-        rstd = 1.0 / np.sqrt(var + eps)
-        xhat = y
-        xhat *= rstd  # normalized in place
-        out = xhat * gamma.data
-        out += beta.data
-    else:
-        out = y
-        out += beta.data - mean * scale
+    mean = (ones @ y) / m
+    y -= mean
+    var = (ones @ np.square(y)) / m
+    # running variance uses the unbiased estimate, normalization the biased one
+    uvar = var * (m / (m - 1)) if m > 1 else var
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean
+    running_var *= (1.0 - momentum)
+    running_var += momentum * uvar
+    rstd = 1.0 / np.sqrt(var + eps)
+    xhat = y
+    xhat *= rstd  # normalized in place
+    out = xhat * gamma.data
+    out += beta.data
     np.maximum(out, 0, out=out)
 
     def _bw(g):
         gy = g.reshape(m, co) * (out > 0)
         gbeta = ones @ gy
-        if training:
-            ggamma = ones @ (gy * xhat)
-            # the batch mean and variance tie every row to every other
-            gy -= xhat * (ggamma / m)
-            gy -= gbeta / m
-            gy *= gamma.data * rstd
-        # in eval gy stays unscaled: gw is then patchesᵀ·gy, and the input
-        # gradient multiplies gy by the folded kernel
+        ggamma = ones @ (gy * xhat)
+        # the batch mean and variance tie every row to every other
+        gy -= xhat * (ggamma / m)
+        gy -= gbeta / m
+        gy *= gamma.data * rstd
         gxp = (np.zeros((n, 2 * ho + 2, 2 * wo + 2, c), dtype=dtype)
                if x._tracked and stride == 2 else None)
 
@@ -472,7 +435,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             gyc = gy[lo * p:hi * p]
             part = cols.T @ gyc
             if gxp is not None:
-                gcols = np.matmul(gyc, wk.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
+                gcols = np.matmul(gyc, wcol.T, out=cols).reshape(-1, ho, wo, 3, 3, c)
                 # padded row 2r + i is row r + i // 2 of phase i % 2: offsets
                 # i, j < 2 fill both phases of one shifted window, and each
                 # element gets its terms in the order of an (i, j) loop
@@ -488,11 +451,6 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
         gw = np.zeros((9 * c, co), dtype=dtype)
         for part in _patch_chunks(xp, stride, ho, wo, chunk_bw):
             gw += part
-        if not training:
-            # sum over rows of gy * y is sum over k of wcol * (patchesᵀ·gy),
-            # so gamma's gradient needs no copy of the convolution y
-            ggamma = ((wcol * gw).sum(axis=0) - mean * gbeta) * rstd
-            gw *= scale
         _acc(gamma, ggamma, own=True)
         _acc(beta, gbeta, own=True)
         _acc(w, np.ascontiguousarray(gw.reshape(3, 3, c, co).transpose(3, 2, 0, 1)), own=True)
@@ -503,7 +461,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
             # zero-padded output gradient with the flipped kernel: a gather
             gyp = np.zeros((n, h + 2, wd_ + 2, co), dtype=dtype)
             gyp[:, 1:h + 1, 1:wd_ + 1] = gy.reshape(n, h, wd_, co)
-            wflip = np.ascontiguousarray(wk.reshape(3, 3, c, co)[::-1, ::-1]
+            wflip = np.ascontiguousarray(wcol.reshape(3, 3, c, co)[::-1, ::-1]
                                          .transpose(0, 1, 3, 2)).reshape(9 * co, c)
             gx = np.empty((m, c), dtype=dtype)
             _patch_chunks(gyp, 1, h, wd_,
@@ -513,36 +471,30 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     return _from_op(out.reshape(n, ho, wo, co), (x, w, gamma, beta), "conv_bn_relu", _bw)
 
 
-@catalog_op("batch normalization over the batch axis of an (N, C) matrix, "
-            "train/eval modes")
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None,
-               running_var=None, training: bool = True, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+@catalog_op("batch normalization over the batch axis of an (N, C) matrix; training "
+            "uses batch statistics, eval the running ones and records no graph node")
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
+               training: bool = True, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"batch_norm: expected 2-D input, got {x.data.shape}")
     c = x.data.shape[1]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ValueError(f"batch_norm: affine shape {gamma.data.shape}/{beta.data.shape} "
                          f"does not match {c} channels")
+    if not training:
+        out = gamma.data * ((x.data - running_mean) / np.sqrt(running_var + eps)) + beta.data
+        return _from_op(out, (), "batch_norm", None)
 
-    if training:
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        if running_mean is not None:
-            m = x.data.shape[0]
-            # running variance uses the unbiased estimate, normalization the biased one
-            uvar = var * (m / (m - 1)) if m > 1 else var
-            running_mean *= (1.0 - momentum)
-            running_mean += momentum * mean
-            running_var *= (1.0 - momentum)
-            running_var += momentum * uvar
-        std = np.sqrt(var + eps)
-    else:
-        if running_mean is None or running_var is None:
-            raise ValueError("batch_norm: eval mode requires running statistics")
-        mean = running_mean
-        std = np.sqrt(running_var + eps)
-
+    mean = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
+    m = x.data.shape[0]
+    # running variance uses the unbiased estimate, normalization the biased one
+    uvar = var * (m / (m - 1)) if m > 1 else var
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean
+    running_var *= (1.0 - momentum)
+    running_var += momentum * uvar
+    std = np.sqrt(var + eps)
     xhat = (x.data - mean) / std
     out = gamma.data * xhat + beta.data
 
@@ -550,11 +502,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean=None,
         _acc(gamma, (g * xhat).sum(axis=0), own=True)
         _acc(beta, g.sum(axis=0), own=True)
         gxh = g * gamma.data
-        if training:
-            gx = (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)) / std
-        else:
-            gx = gxh / std
-        _acc(x, gx, own=True)
+        _acc(x, (gxh - gxh.mean(axis=0) - xhat * (gxh * xhat).mean(axis=0)) / std, own=True)
 
     return _from_op(out, (x, gamma, beta), "batch_norm", _bw)
 

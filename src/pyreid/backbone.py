@@ -2,14 +2,12 @@
 
 A stack of conv3x3 + batch-norm + ReLU blocks, each one fused op, turns a
 channels-last (N, H, W, 3) image batch into the (N, H, W, C) feature map
-the pyramid slices. An empty stage list gives an identity backbone that
-passes precomputed feature maps straight through, which lets wide-channel
-geometries be exercised without any convolution.
+the pyramid slices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -66,49 +64,25 @@ class ConvBlock:
         yield from self.bn.named_buffers(f"{prefix}.bn")
 
 
-@dataclass(frozen=True)
-class BackboneConfig:
-    in_channels: int = 3
-    # (out_channels, stride) per block; empty tuple = identity passthrough
-    stages: tuple = ((16, 2), (32, 2), (64, 1))
-
-    def __post_init__(self):
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be positive, got {self.in_channels}")
-        for out_ch, stride in self.stages:
-            if stride not in (1, 2):
-                raise ConfigError(f"block stride must be 1 or 2, got {stride}")
-            if out_ch < 1:
-                raise ConfigError(f"block width must be positive, got {out_ch}")
-
-    @property
-    def out_channels(self) -> int:
-        return self.stages[-1][0] if self.stages else self.in_channels
-
-    @property
-    def stride_product(self) -> int:
-        p = 1
-        for _, s in self.stages:
-            p *= s
-        return p
-
-
 class Backbone:
-    def __init__(self, config: BackboneConfig, rng: np.random.Generator):
-        self.config = config
+    """The blocks of `stages`, one (out_channels, stride) pair per block; the
+    trainer's config checks that there is at least one, each with a stride
+    of 1 or 2."""
+
+    def __init__(self, stages, rng: np.random.Generator):
         self.blocks = []
-        in_ch = config.in_channels
-        for out_ch, stride in config.stages:
+        in_ch = 3
+        for out_ch, stride in stages:
             self.blocks.append(ConvBlock(in_ch, out_ch, stride, rng))
             in_ch = out_ch
 
     def output_shape(self, h_img: int, w_img: int) -> tuple[int, int, int]:
         """(H, W, C) of the feature map for an h_img x w_img input."""
-        sp = self.config.stride_product
+        sp = math.prod(block.stride for block in self.blocks)
         if h_img % sp or w_img % sp:
             raise ConfigError(f"input size {h_img}x{w_img} not divisible by the "
                               f"backbone stride product {sp}")
-        return h_img // sp, w_img // sp, self.config.out_channels
+        return h_img // sp, w_img // sp, self.blocks[-1].weight.data.shape[0]
 
     def forward(self, images: Tensor, training: bool) -> Tensor:
         """(N, H, W, C) images to the (N, H, W, C) feature map."""

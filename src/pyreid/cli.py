@@ -124,7 +124,10 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     masks = [m.strip() for m in args.masks.split(",") if m.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"ablate: --seeds must be comma-separated integers: {exc}") from exc
     if not masks or not seeds:
         raise ConfigError("ablate: need at least one mask and one seed")
     dataset = ReIDDataset.load(args.dataset)

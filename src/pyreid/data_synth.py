@@ -72,6 +72,8 @@ class GenConfig:
             raise ConfigError(f"img_w must be >= 1, got {self.img_w}")
         if not 0.0 <= self.severity <= 1.0:
             raise ConfigError(f"severity must be in [0, 1], got {self.severity}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +326,9 @@ def _split_images(path: Path) -> np.ndarray:
 def _camera_assignment(seed: int, identity: int, imgs: int, cams: int,
                        need_feasible: bool) -> np.ndarray:
     """Per-image camera labels; re-rolled until every camera's query would
-    keep a cross-camera match (test identities only)."""
+    keep a cross-camera match (test identities only). If 100 draws miss,
+    two cameras take half the images each, which keeps a match for both
+    queries since imgs >= 4."""
     for attempt in range(100):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, _CAM_STREAM, identity, attempt])))
@@ -338,7 +342,7 @@ def _camera_assignment(seed: int, identity: int, imgs: int, cams: int,
         total_extra = int((counts[present] - 1).sum())
         if all(total_extra - (counts[c] - 1) >= 1 for c in present):
             return assignment
-    raise ConfigError(f"identity {identity}: no feasible camera assignment after 100 attempts")
+    return (identity + np.arange(imgs) * 2 // imgs) % cams
 
 
 def generate_dataset(config: GenConfig) -> ReIDDataset:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor, backward, no_grad
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone
 from .batching import Split, pk_batches, random_batches
 from .container import load_tensors, save_tensors
 from .data_synth import ReIDDataset
@@ -76,6 +76,12 @@ class TrainConfig:
             raise ConfigError(f"lr_halving_epochs entries must be >= 1, got "
                               f"{self.lr_halving_epochs}")
         BranchMask.from_string(self.pyramid_mask)
+        if not self.backbone_stages:
+            raise ConfigError("backbone_stages must hold at least one block, got none")
+        for width, stride in self.backbone_stages:
+            if width < 1 or stride not in (1, 2):
+                raise ConfigError(f"backbone_stages: block {width}:{stride} needs a width "
+                                  f">= 1 and a stride of 1 or 2")
         # a NaN fails every comparison, so it is refused with the range
         for key, ok, rule in (("margin", self.margin > 0, "positive"),
                               ("alpha", 0 <= self.alpha <= 1, "in [0, 1]"),
@@ -244,7 +250,7 @@ def make_label_map(split: Split) -> dict:
 def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> PyramidModel:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, _INIT_PURPOSE])))
-    backbone = Backbone(BackboneConfig(stages=config.backbone_stages), rng)
+    backbone = Backbone(config.backbone_stages, rng)
     return PyramidModel(backbone, BranchMask.from_string(config.pyramid_mask),
                         config.feature_dim, num_identities, image_hw, rng)
 

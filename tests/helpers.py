@@ -1,5 +1,5 @@
-"""Shared test utilities: independent brute-force oracles and gradient-check
-case builders.
+"""Shared test utilities: independent brute-force oracles, the central
+finite-difference gradient check and its case builders.
 
 The oracles deliberately use plain Python loops, math.sqrt and exact
 rationals so they share no code path with the library implementations they
@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 import pyreid.autograd as ag
-from pyreid.autograd import Tensor
+from pyreid.autograd import Tensor, backward
 from pyreid.batching import batch_hard_mine
 from pyreid.data_synth import ReIDDataset
 from pyreid.losses import id_loss, triplet_loss
@@ -473,6 +473,26 @@ def reference_triplet_loss(embeddings: Tensor, labels, margin: float) -> Tensor:
     return reduce_mean(ag.relu(ag.add(sub(pos, neg), float(margin))))
 
 
+class PassthroughBackbone:
+    """A stand-in backbone with no parameters whose feature map is its input,
+    so that the pyramid heads can be fed (N, H, W, channels) maps directly."""
+
+    def __init__(self, channels: int):
+        self.channels = channels
+
+    def output_shape(self, h_img: int, w_img: int) -> tuple[int, int, int]:
+        return h_img, w_img, self.channels
+
+    def forward(self, images: Tensor, training: bool) -> Tensor:
+        return images
+
+    def named_parameters(self):
+        return iter(())
+
+    def named_buffers(self):
+        return iter(())
+
+
 def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mask=None):
     """The pyramid head as one graph per branch: slice the rows of the
     branch's (first part, part count) window at the stripe height H / n,
@@ -515,7 +535,42 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
     return embedding, logits, ag.mul(total, 1.0 / len(labels))
 
 
-# -- gradient-check case builders ------------------------------------------------
+# -- gradient checks ----------------------------------------------------------------
+
+
+def finite_difference_check(f, x: Tensor, eps: float = 1e-5) -> float:
+    """Compare f's analytic gradient at x against central differences.
+
+    `f` maps a Tensor to a scalar Tensor and may close over other (fixed)
+    tensors. Returns the max over coordinates of
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+
+    Inputs must be float64; the caller is responsible for keeping x away
+    from kinks (relu / max-pool ties) by more than eps.
+    """
+    if x.data.dtype != np.float64:
+        raise ValueError("finite_difference_check: input must be float64")
+
+    leaf = Tensor(x.data.copy(), requires_grad=True)
+    out = f(leaf)
+    if not isinstance(out, Tensor) or out.data.size != 1:
+        raise ValueError("finite_difference_check: function must return a scalar Tensor")
+    backward(out)
+    analytic = (np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad).ravel()
+
+    numeric = np.empty_like(analytic)
+    flat = x.data.ravel()
+    for i in range(flat.size):
+        xp = flat.copy()
+        xp[i] += eps
+        fp = f(Tensor(xp.reshape(x.data.shape))).item()
+        xm = flat.copy()
+        xm[i] -= eps
+        fm = f(Tensor(xm.reshape(x.data.shape))).item()
+        numeric[i] = (fp - fm) / (2.0 * eps)
+
+    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float(rel.max()) if rel.size else 0.0
 
 
 def _away_from_zero(a: np.ndarray, gap: float = 1e-3) -> np.ndarray:
@@ -659,28 +714,27 @@ def gradcheck_cases(op_name: str, rng: np.random.Generator) -> list:
                       Tensor(rng.normal(size=(2, 4, 3)))))
     elif op_name == "conv_bn_relu":
         # the stride-1 gather and stride-2 scatter input gradients, C = 3
-        # and 4, training and eval, each with respect to x, w, gamma and beta
+        # and 4, each with respect to x, w, gamma and beta. An eval-mode
+        # block records no graph node, so it has no gradient to check; its
+        # draws are still made and dropped, so that the training cases keep
+        # the data they had when eval cases were checked too
         for stride in (1, 2):
             for c in (3, 4):
-                for training in (True, False):
-                    cases.extend(_conv_bn_relu_cases(rng, stride, c, training))
+                cases.extend(_conv_bn_relu_cases(rng, stride, c, True))
+                _conv_bn_relu_cases(rng, stride, c, False)
         # three images a chunk of one each, forward and both backward passes
         cases.extend(_conv_bn_relu_cases(rng, 1, 3, True, batch=3, budget=1))
     elif op_name == "batch_norm":
-        x = Tensor(rng.normal(size=(5, 3)))
-        gamma = Tensor(rng.normal(size=3) + 1.5)
-        beta = Tensor(rng.normal(size=3))
+        args = [Tensor(rng.normal(size=(5, 3))), Tensor(rng.normal(size=3) + 1.5),
+                Tensor(rng.normal(size=3))]
         w = rng.normal(size=(5, 3))
-        cases.append((lambda t, g=gamma, b=beta, w=w:
-                      _weighted_sum(ag.batch_norm(t, g, b, training=True), w), x))
-        cases.append((lambda t, x=x, b=beta, w=w:
-                      _weighted_sum(ag.batch_norm(x, t, b, training=True), w), gamma))
-        cases.append((lambda t, x=x, g=gamma, w=w:
-                      _weighted_sum(ag.batch_norm(x, g, t, training=True), w), beta))
-        rm = rng.normal(size=3)
-        rv = rng.uniform(0.5, 2.0, size=3)
-        cases.append((lambda t, g=gamma, b=beta, rm=rm, rv=rv, w=w:
-                      _weighted_sum(ag.batch_norm(t, g, b, rm, rv, training=False), w), x))
+        for slot in range(3):
+            # each call moves its own running statistics
+            def f(t, slot=slot, w=w):
+                a = list(args)
+                a[slot] = t
+                return _weighted_sum(ag.batch_norm(*a, np.zeros(3), np.ones(3)), w)
+            cases.append((f, args[slot]))
     elif op_name == "global_max_pool":
         x = Tensor(_distinct_values((2, 3, 4, 3), rng))
         w = rng.normal(size=(2, 3))
@@ -789,11 +843,11 @@ def build_tiny_model(seed: int):
 
     Must be called inside `use_dtype(np.float64)`.
     """
-    from pyreid.backbone import Backbone, BackboneConfig
+    from pyreid.backbone import Backbone
     from pyreid.pyramid import BranchMask, PyramidModel
 
     rng = np.random.default_rng(seed)
-    backbone = Backbone(BackboneConfig(in_channels=3, stages=((4, 2),)), rng)
+    backbone = Backbone(((4, 2),), rng)
     model = PyramidModel(backbone, BranchMask.from_string("11"), feature_dim=3,
                          num_identities=2, image_hw=(8, 8), rng=rng)
     images = nhwc(rng.uniform(0.0, 1.0, size=(4, 3, 8, 8)))

@@ -19,7 +19,6 @@ from pyreid.batching import batch_hard_mine
 from pyreid.container import load_tensors, save_tensors
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.evaluation import compute_cmc, compute_map, evaluate_checkpoint
-from pyreid.gradcheck import finite_difference_check
 from pyreid.losses import triplet_loss
 from pyreid.pyramid import BranchMask, PyramidModel
 from pyreid.scheduler import (Phase, SchedulerState, focal_weight,
@@ -27,8 +26,8 @@ from pyreid.scheduler import (Phase, SchedulerState, focal_weight,
 from pyreid.trainer import TrainConfig, train
 
 from helpers import (build_tiny_model, composite_loss, composite_margin,
-                     gradcheck_cases, oracle_ap, oracle_cmc, oracle_mine,
-                     swap_param)
+                     finite_difference_check, gradcheck_cases, oracle_ap, oracle_cmc,
+                     oracle_mine, swap_param)
 
 SEEDS = (0, 1, 2)
 
@@ -93,15 +92,15 @@ class TestCriterion1Structure:
         assert len(windows) == 21
         counts = [sum(1 for _, l in windows if l == level) for level in range(1, 7)]
         assert counts == [6, 5, 4, 3, 2, 1]
-        from pyreid.backbone import Backbone, BackboneConfig
+        from pyreid.backbone import Backbone
         rng = np.random.default_rng(0)
         images = Tensor(rng.uniform(0, 1, size=(2, 48, 16, 3)).astype(np.float32))
         for dim in (16, 128):
-            model = PyramidModel(Backbone(BackboneConfig(stages=((8, 2), (8, 2))),
-                                          rng), full, dim, 4, (48, 16), rng)
+            model = PyramidModel(Backbone(((8, 2), (8, 2)), rng), full, dim, 4, (48, 16),
+                                 rng)
             with ag.no_grad():
                 embedding, _ = model.forward(images, training=False)
-            assert embedding.shape == (2, 21 * dim)
+            assert embedding.data.shape == (2, 21 * dim)
         print("\nACCEPTANCE 1 PASS: 21 branches, level counts [6,5,4,3,2,1], "
               "embedding dim = 21*D")
 

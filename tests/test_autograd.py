@@ -10,27 +10,30 @@ import pytest
 import pyreid.autograd as ag
 from pyreid.autograd import Tensor, backward, no_grad, op_catalog, use_dtype
 from pyreid.batching import batch_hard_mine
-from pyreid.gradcheck import finite_difference_check
 
-from helpers import (REFERENCE_OPS, concat, global_avg_pool, global_max_pool,
-                     gradcheck_cases, pairwise_distances, reduce_sum, reference_conv_bn_relu,
-                     reference_triplet_loss, slice_rows, take_pairs, take_rows)
+from helpers import (REFERENCE_OPS, concat, finite_difference_check, global_avg_pool,
+                     global_max_pool, gradcheck_cases, pairwise_distances, reduce_sum,
+                     reference_conv_bn_relu, reference_triplet_loss, slice_rows, take_pairs,
+                     take_rows)
 
 
 class TestTensorBasics:
     def test_shape_data_invariant(self):
         t = Tensor(np.arange(12.0).reshape(3, 4))
-        assert t.shape == (3, 4)
-        assert t.size == 12
+        assert t.data.shape == (3, 4)
         assert t.data.flags["C_CONTIGUOUS"]
 
     def test_default_dtype_is_float32(self):
-        assert Tensor([1.0, 2.0]).dtype == np.float32
+        assert Tensor([1.0, 2.0]).data.dtype == np.float32
 
     def test_use_dtype_switches_and_restores(self):
         with use_dtype(np.float64):
-            assert Tensor([1.0]).dtype == np.float64
-        assert Tensor([1.0]).dtype == np.float32
+            assert Tensor([1.0]).data.dtype == np.float64
+        assert Tensor([1.0]).data.dtype == np.float32
+        with pytest.raises(ValueError, match="float32 or float64"):
+            with use_dtype(np.int32):
+                pass
+        assert Tensor([1.0]).data.dtype == np.float32
 
     def test_item_rejects_nonscalar(self):
         with pytest.raises(ValueError):
@@ -129,7 +132,7 @@ class TestOpSemantics:
         out = ag.conv_bn_relu(Tensor(np.ones((1, 5, 5, 1))), Tensor(np.ones((1, 1, 3, 3))),
                               one, Tensor(np.zeros(1)), np.zeros(1), np.ones(1), 1, False,
                               0.1, 1e-5)
-        assert out.shape == (1, 5, 5, 1)
+        assert out.data.shape == (1, 5, 5, 1)
         edge = np.array([2.0, 3.0, 3.0, 3.0, 2.0])
         np.testing.assert_allclose(out.data[0, :, :, 0], np.outer(edge, edge) / np.sqrt(1 + 1e-5))
 
@@ -181,7 +184,7 @@ class TestOpSemantics:
 
     def test_slice_rows_shape(self):
         out = slice_rows(Tensor(np.ones((2, 6, 2))), 2, 4)
-        assert out.shape == (2, 2, 2)
+        assert out.data.shape == (2, 2, 2)
 
     def test_slice_rows_bounds(self):
         with pytest.raises(ValueError, match="out of bounds"):
@@ -242,13 +245,23 @@ class TestOpSemantics:
 
 
 def _block_with_grads(x, w, gamma, beta, stats, stride, training, g, track_x=True):
-    """conv_bn_relu forward plus backward from upstream gradient `g`:
-    (output, x, w, gamma, beta tensors); `stats` is moved in place."""
+    """conv_bn_relu forward plus, in training, backward from upstream gradient
+    `g`: (output, x, w, gamma, beta tensors); training moves `stats` in place.
+    An eval output is a constant: it records no graph node."""
     xt = Tensor(x, requires_grad=track_x)
     wt, gt, bt = (Tensor(a, requires_grad=True) for a in (w, gamma, beta))
     out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, training, 0.1, 1e-5)
-    backward(reduce_sum(ag.mul(out, Tensor(g))))
+    if training:
+        backward(reduce_sum(ag.mul(out, Tensor(g))))
+    else:
+        assert out._prev == () and out._backward is None
     return out, xt, wt, gt, bt
+
+
+def _results(got, training) -> tuple:
+    """The output of `_block_with_grads`, then in training the x, w, gamma and
+    beta gradients."""
+    return (got[0].data,) + (tuple(t.grad for t in got[1:]) if training else ())
 
 
 def _block_inputs(rng, batch, c, h, wd, out_ch, stride, dtype):
@@ -277,8 +290,7 @@ class TestConvBnReluAgainstUnfusedReference:
         ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training,
                                      0.1, 1e-5, g)
         got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
-        for name, a, b in zip(("out", "x", "w", "gamma", "beta"),
-                              (got[0].data,) + tuple(t.grad for t in got[1:]), ref):
+        for name, a, b in zip(("out", "x", "w", "gamma", "beta"), _results(got, training), ref):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
         for a, b in zip(stats, ref_stats):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
@@ -295,9 +307,9 @@ class TestConvBnReluAgainstUnfusedReference:
         ref = reference_conv_bn_relu(*(a.astype(np.float64) for a in (x, w, gamma, beta)),
                                      *ref_stats, stride, training, 0.1, 1e-5,
                                      g.astype(np.float64))
-        got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
-        for a, b in zip((got[0].data,) + tuple(t.grad for t in got[1:]) + stats,
-                        ref[:5] + ref_stats):
+        results = _results(_block_with_grads(x, w, gamma, beta, stats, stride, training, g),
+                           training)
+        for a, b in zip(results + stats, ref[:len(results)] + ref_stats):
             assert a.dtype == np.float32
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-5)
 
@@ -306,8 +318,9 @@ class TestConvBnReluAgainstUnfusedReference:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_several_chunks_float64(self, rng, monkeypatch, stride, training, workers):
         # a budget of two images' patch rows splits 5 images 2 + 2 + 1 in
-        # every pass (forward, weight gradient and, at stride 1, the gather),
-        # whatever the number of worker threads that share the chunks
+        # every pass (forward and, in training, weight gradient and, at
+        # stride 1, the gather), whatever the number of worker threads that
+        # share the chunks
         x, w, gamma, beta, stats, g = _block_inputs(rng, 5, 4, 7, 6, 4, stride, np.float64)
         ho, wo = g.shape[1:3]
         monkeypatch.setattr(ag, "_CHUNK_BYTES", 2 * ho * wo * 9 * 4 * 8)
@@ -330,10 +343,9 @@ class TestConvBnReluAgainstUnfusedReference:
                                      0.1, 1e-5, g)
         got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
         assert [[hi - lo for lo, hi, _ in sorted(p)] for p in passes] == \
-            [[2, 2, 1]] * (3 if stride == 1 else 2)
+            [[2, 2, 1]] * ((3 if stride == 1 else 2) if training else 1)
         assert all(len({t for _, _, t in p}) <= workers for p in passes)
-        for name, a, b in zip(("out", "x", "w", "gamma", "beta"),
-                              (got[0].data,) + tuple(t.grad for t in got[1:]), ref):
+        for name, a, b in zip(("out", "x", "w", "gamma", "beta"), _results(got, training), ref):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
         for a, b in zip(stats, ref_stats):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
@@ -355,10 +367,10 @@ class TestConvBnReluAgainstUnfusedReference:
             monkeypatch.setattr(ag, "_WORKERS", workers)
             moved = tuple(a.copy() for a in stats)
             got = _block_with_grads(x, w, gamma, beta, moved, stride, training, g)
-            runs.append((got[0].data,) + tuple(t.grad for t in got[1:]) + moved)
+            runs.append(_results(got, training) + moved)
+        names = ("out", "x", "w", "gamma", "beta")[:len(runs[0]) - 2] + ("mean", "var")
         for run in runs[1:]:
-            for name, a, b in zip(("out", "x", "w", "gamma", "beta", "mean", "var"),
-                                  runs[0], run):
+            for name, a, b in zip(names, runs[0], run):
                 assert np.array_equal(a, b), name
 
     def test_more_workers_than_cpus_and_fast_thread_switching_keep_the_bits(self, rng,
@@ -422,22 +434,18 @@ class TestConvBnReluAgainstUnfusedReference:
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_eval_gradients_use_the_statistics_of_their_forward(self, rng, stride):
-        # a training forward between an eval forward and its backward moves
-        # the shared running statistics; the eval gradients must not see it
+    def test_eval_output_is_a_constant(self, rng, stride):
+        # eval records no graph node, even from inputs that require
+        # gradients, and leaves the running statistics as they were
         x, w, gamma, beta, stats, g = _block_inputs(rng, 3, 4, 7, 6, 5, stride, np.float64)
-        ref = reference_conv_bn_relu(x, w, gamma, beta, *(a.copy() for a in stats), stride,
-                                     False, 0.1, 1e-5, g)
-        xt = Tensor(x, requires_grad=True)
-        wt, gt, bt = (Tensor(a, requires_grad=True) for a in (w, gamma, beta))
-        out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, False, 0.1, 1e-5)
         before = tuple(a.copy() for a in stats)
-        ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, stride,
-                        True, 0.1, 1e-5)
-        assert not any(np.array_equal(a, b) for a, b in zip(stats, before))
-        backward(reduce_sum(ag.mul(out, Tensor(g))))
-        for name, t, b in zip(("x", "w", "gamma", "beta"), (xt, wt, gt, bt), ref[1:5]):
-            np.testing.assert_allclose(t.grad, b, rtol=1e-10, atol=1e-12, err_msg=name)
+        out = ag.conv_bn_relu(*(Tensor(a, requires_grad=True) for a in (x, w, gamma, beta)),
+                              *stats, stride, False, 0.1, 1e-5)
+        assert out._prev == () and out._backward is None
+        for a, b in zip(stats, before):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(RuntimeError, match="not attached to a graph"):
+            backward(reduce_sum(ag.mul(out, Tensor(g))))
 
     def test_scratch_memory_stays_below_full_patch_matrices(self, rng):
         # the stride-1 (32 -> 64, 12x4) backbone block at B = 64: one
@@ -652,7 +660,7 @@ class TestCatalogInvariants:
         x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(64, 5)).astype(np.float64))
         gamma = Tensor(np.ones(5, dtype=np.float64))
         beta = Tensor(np.zeros(5, dtype=np.float64))
-        out = ag.batch_norm(x, gamma, beta, training=True).data
+        out = ag.batch_norm(x, gamma, beta, np.zeros(5), np.ones(5), training=True).data
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-5)
         np.testing.assert_allclose(out.var(axis=0), 1.0, atol=1e-4)
 
@@ -667,6 +675,15 @@ class TestCatalogInvariants:
         np.testing.assert_allclose(rm, x.mean(axis=0), atol=1e-2)
         out = ag.batch_norm(Tensor(x), gamma, beta, rm, rv, training=False).data
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=0.05)
+
+    def test_batch_norm_eval_output_is_a_constant(self, rng):
+        x, gamma, beta = (Tensor(rng.normal(size=shape), requires_grad=True)
+                          for shape in ((4, 3), (3,), (3,)))
+        out = ag.batch_norm(x, gamma, beta, rng.normal(size=3), rng.uniform(0.5, 2.0, size=3),
+                            training=False)
+        assert out._prev == () and out._backward is None
+        with pytest.raises(RuntimeError, match="not attached to a graph"):
+            backward(reduce_sum(ag.mul(out, out)))
 
 
 class TestGradcheckPerOp:

@@ -49,6 +49,12 @@ class TestGenData:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen-data", "--out", str(out), "--seed", "-1"]) == 2
+        assert_one_error_line(capsys.readouterr().err, "seed must be non-negative, got -1")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs(self, trained_dir):
@@ -176,6 +182,17 @@ class TestTrain:
                      "--config", str(config)])
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "lr_halving_epochs entries must be >= 1")
+        assert not out.exists()
+
+    def test_empty_backbone_stages_exits_2(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("backbone_stages =\n")
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "backbone_stages must hold at least one block, got none")
         assert not out.exists()
 
     def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
@@ -307,6 +324,20 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "old.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
                               f"checkpoint version {version} not supported (expected 7)")
+
+    def test_checkpoint_config_without_backbone_blocks(self, data_dir, trained_dir, tmp_path,
+                                                       capsys):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        text = entries["meta/config"].astype(np.uint8).tobytes().decode()
+        lines = [("backbone_stages =" if line.startswith("backbone_stages ") else line)
+                 for line in text.splitlines()]
+        assert "backbone_stages =" in lines
+        entries["meta/config"] = np.frombuffer(("\n".join(lines) + "\n").encode(),
+                                               dtype=np.uint8).astype("<i8")
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "backbone_stages must hold at least one block, got none")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda images: images[:, :, :-1],
@@ -452,6 +483,15 @@ class TestAblate:
         statuses = {r["mask"]: r["status"] for r in rows if r["seed"] == "0"}
         assert statuses["111111"] == "ok"
         assert statuses["21"].startswith("error:")
+
+    @pytest.mark.parametrize("seeds, item", [("a", "'a'"), ("0,1.5", "'1.5'")])
+    def test_non_integer_seed_exits_2(self, data_dir, tmp_path, capsys, seeds, item):
+        out = tmp_path / "ab"
+        code = main(["ablate", "--dataset", str(data_dir), "--out", str(out),
+                     "--masks", "000001", "--seeds", seeds])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "--seeds", item)
+        assert not out.exists()
 
     def test_metrics_match_train(self, data_dir, tmp_path):
         config = tmp_path / "run.ini"

@@ -46,6 +46,8 @@ class TestGeneration:
             GenConfig(num_cams=1)
         with pytest.raises(ConfigError):
             GenConfig(severity=1.5)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            GenConfig(seed=-1)
 
     @pytest.mark.parametrize("field, value", [("img_h", 1), ("img_h", 0), ("img_h", -5),
                                               ("img_w", 0), ("img_w", -3)])
@@ -65,6 +67,21 @@ class TestGeneration:
         q, g = ds.query_split(), ds.gallery_split()
         for qid, qcam in zip(q.identities, q.cameras):
             assert ((g.identities == qid) & (g.cameras != qcam)).any()
+
+    def test_many_cameras_always_generate(self):
+        # with 4 images and 10 cameras the 100 seeded re-rolls miss a
+        # feasible assignment for some identities; those get two cameras
+        # with two images each
+        fallbacks = 0
+        for seed in range(20):
+            ds = generate_dataset(GenConfig(num_ids=8, imgs_per_id=4, num_cams=10, seed=seed))
+            q, g = ds.query_split(), ds.gallery_split()
+            for qid, qcam in zip(q.identities, q.cameras):
+                assert ((g.identities == qid) & (g.cameras != qcam)).any(), (seed, qid)
+            for identity in np.unique(q.identities):
+                cams = ds.cameras[ds.identities == identity].tolist()
+                fallbacks += cams == [identity % 10] * 2 + [(identity + 1) % 10] * 2
+        assert fallbacks >= 1
 
     def test_smallest_image_size_renders(self):
         ds = generate_dataset(GenConfig(num_ids=4, img_h=2, img_w=1, severity=1.0))

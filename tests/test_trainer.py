@@ -140,6 +140,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lr_halving_epochs entries must be >= 1"):
             TrainConfig(lr_halving_epochs=epochs).validate()
 
+    @pytest.mark.parametrize("stages, message", [
+        ((), "backbone_stages must hold at least one block, got none"),
+        (((16, 2), (16, 3)), "backbone_stages: block 16:3 needs a width >= 1 and a stride"),
+        (((0, 1),), "backbone_stages: block 0:1 needs a width >= 1"),
+    ], ids=["empty", "stride_3", "width_0"])
+    def test_backbone_stages_refused_by_name(self, stages, message):
+        # the config-file and checkpoint refusals are in test_cli.py
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(backbone_stages=stages).validate()
+
     def test_config_file_roundtrip(self, tmp_path):
         base = make_config("desk", overrides={"feature_dim": 8, "seed": 42,
                                               "pyramid_mask": "100001"})
@@ -420,7 +430,7 @@ def train_configs(draw):
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
         no_triplet_alternating=draw(st.booleans()),
         backbone_stages=tuple(draw(st.lists(
-            st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), max_size=3))))
+            st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), min_size=1, max_size=3))))
 
 
 def _assert_checkpoint_roundtrip(config: TrainConfig) -> None:
