@@ -104,18 +104,6 @@ class Tensor:
             raise ValueError(f"item: tensor has {self.data.size} elements")
         return float(self.data.reshape(()))
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 # -- graph plumbing ---------------------------------------------------------
 

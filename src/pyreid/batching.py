@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Split:
@@ -53,6 +55,19 @@ def random_batches(split: Split, batch_size: int, seed: int, epoch: int) -> list
     return batches
 
 
+def pk_groups(split: Split, p: int, k: int) -> dict[int, np.ndarray]:
+    """The split positions of each identity with at least K images, by
+    identity in increasing order. A split with fewer than P such identities
+    cannot fill a P x K batch and is refused."""
+    groups = {int(i): np.flatnonzero(split.identities == i) for i in np.unique(split.identities)}
+    eligible = {i: g for i, g in groups.items() if len(g) >= k}
+    if len(eligible) < p:
+        counts = {i: len(g) for i, g in groups.items()}
+        raise ConfigError(f"pk_batches: only {len(eligible)} identities have >= {k} images, "
+                          f"need P={p}; per-identity counts: {counts}")
+    return eligible
+
+
 def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[Split]:
     """One epoch of ID-balanced batches: P identities x K images each, drawn
     i.i.d. per batch, the K images without replacement.
@@ -64,18 +79,10 @@ def pk_batches(split: Split, p: int, k: int, seed: int, epoch: int) -> list[Spli
         raise ValueError(f"pk_batches: P and K must be >= 1, got P={p} K={k}")
     if len(split) == 0:
         raise ValueError("pk_batches: empty split")
-    groups: dict[int, np.ndarray] = {}
-    for ident in np.unique(split.identities):
-        groups[int(ident)] = np.flatnonzero(split.identities == ident)
-    eligible = sorted(i for i, g in groups.items() if len(g) >= k)
-    if len(eligible) < p:
-        counts = {i: len(g) for i, g in sorted(groups.items())}
-        raise ValueError(f"pk_batches: only {len(eligible)} identities have >= {k} images, "
-                         f"need P={p}; per-identity counts: {counts}")
-    n_eligible_imgs = sum(len(groups[i]) for i in eligible)
-    n_batches = math.ceil(n_eligible_imgs / (p * k))
+    groups = pk_groups(split, p, k)
+    n_batches = math.ceil(sum(len(g) for g in groups.values()) / (p * k))
     rng = stream_rng(seed, _PK_PURPOSE, epoch)
-    eligible_arr = np.asarray(eligible, dtype=np.int64)
+    eligible_arr = np.asarray(list(groups), dtype=np.int64)
     batches = []
     for _ in range(n_batches):
         ids = rng.choice(eligible_arr, size=p, replace=False)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .batching import pk_groups
 from .data_synth import GenConfig, ReIDDataset, generate_dataset
 from .errors import ConfigError, ContainerError, TrainingDiverged
 from .evaluation import evaluate_checkpoint, metrics_table
@@ -26,17 +27,19 @@ from .trainer import build_model, make_config, resolved_config_text, train
 from . import autograd, chart
 
 
+_METRICS = ("mAP", "rank1", "rank5", "rank10")
+
+
 def _write_metrics_csv(path, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mask", "seed", "mAP", "rank1", "rank5", "rank10", "status"])
+        writer.writerow(["mask", "seed", *_METRICS, "status"])
         for row in rows:
             writer.writerow(row)
 
 
 def _metric_row(mask, seed, metrics) -> list:
-    return [mask, seed, repr(metrics["mAP"]), repr(metrics["rank1"]),
-            repr(metrics["rank5"]), repr(metrics["rank10"]), "ok"]
+    return [mask, seed, *(repr(metrics[key]) for key in _METRICS), "ok"]
 
 
 def cmd_gen_data(args) -> int:
@@ -52,17 +55,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _collect_overrides(args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.pyramid_mask is not None:
-        overrides["pyramid_mask"] = args.pyramid_mask
-    if args.feature_dim is not None:
-        overrides["feature_dim"] = args.feature_dim
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
+    # each of these flags sets the config key of its own name
+    overrides = {key: getattr(args, key) for key in ("seed", "pyramid_mask", "feature_dim",
+                                                     "epochs") if getattr(args, key) is not None}
     if args.no_triplet:
-        overrides["no_triplet_alternating"] = True
+        overrides["loss_policy"] = "no_triplet"
     return overrides
 
 
@@ -95,8 +92,9 @@ def cmd_train(args) -> int:
     config = make_config(profile=args.profile, file_path=args.config,
                          overrides=_collect_overrides(args))
     dataset = ReIDDataset.load(args.dataset)
-    # a pyramid that does not fit the images is refused before any output exists
+    # a pyramid that misfits the images or an unfillable P x K batch is refused before output
     build_model(config, dataset.image_hw, 1)
+    pk_groups(dataset.train_split(), config.p_ids, config.k_imgs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
@@ -137,8 +135,7 @@ def cmd_ablate(args) -> int:
     for mask in masks:
         per_mask = []
         for seed in seeds:
-            overrides = _collect_overrides(args)
-            overrides.update({"seed": seed, "pyramid_mask": mask})
+            overrides = {**_collect_overrides(args), "seed": seed, "pyramid_mask": mask}
             run_dir = out_dir / f"mask_{mask}_seed_{seed}"
             try:
                 config = make_config(profile=args.profile, file_path=args.config,
@@ -147,14 +144,10 @@ def cmd_ablate(args) -> int:
                 rows.append(_metric_row(mask, seed, metrics))
                 per_mask.append(metrics)
             except (ConfigError, TrainingDiverged) as exc:  # record it, keep sweeping
-                rows.append([mask, seed, "", "", "", "", f"error: {exc}"])
+                rows.append([mask, seed, *[""] * len(_METRICS), f"error: {exc}"])
         if per_mask:
-            rows.append([mask, "mean",
-                         repr(float(np.mean([m["mAP"] for m in per_mask]))),
-                         repr(float(np.mean([m["rank1"] for m in per_mask]))),
-                         repr(float(np.mean([m["rank5"] for m in per_mask]))),
-                         repr(float(np.mean([m["rank10"] for m in per_mask]))),
-                         "ok"])
+            means = {key: float(np.mean([m[key] for m in per_mask])) for key in _METRICS}
+            rows.append(_metric_row(mask, "mean", means))
     _write_metrics_csv(out_dir / "ablation.csv", rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'ablation.csv'}")
     return 0
@@ -246,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--feature-dim", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--no-triplet", action="store_true",
-                       help="alternating-sampler ID-only ablation")
+                       help="shorthand for loss_policy = no_triplet: the ID-only "
+                            "ablation, with the samplers alternating")
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--dataset", required=True)

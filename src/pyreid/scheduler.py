@@ -7,7 +7,8 @@ FL(p, gamma) = -(1 - p)^gamma * log(p). FL(1) is exactly 0, so a task whose
 loss has stopped falling loses its weight. The phase rule compares
 FL_tp / FL_id against the switch ratio: below it the trainer runs an
 ID-only iteration on a random batch, otherwise a combined iteration on an
-ID-balanced batch.
+ID-balanced batch. The loss policy `no_triplet` (the ablation) alternates
+the two phases instead and optimizes the ID loss alone.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from . import autograd as ag
+
 P_FLOOR = 1e-12
 
 # A loss at (numerically) zero cannot reduce further; its reduction
@@ -23,6 +26,8 @@ P_FLOOR = 1e-12
 # Without this, an exactly-zero loss stream decays the EMA geometrically
 # and p sticks at 1 - alpha forever.
 ZERO_LOSS_EPS = 1e-12
+
+LOSS_POLICIES = ("dynamic", "no_triplet")
 
 TRACE_COLUMNS = ("tau", "phase", "L_id", "L_tp", "k_id", "k_tp",
                  "p_id", "p_tp", "FL_id", "FL_tp", "lr")
@@ -72,15 +77,6 @@ def select_phase(fl_id: float, fl_tp: float, switch_ratio: float,
     return Phase.ID_ONLY if fl_tp / fl_id < switch_ratio else Phase.COMBINED
 
 
-def combined_objective(loss_id, loss_tp, fl_id: float, fl_tp: float):
-    """FL_id * L_id + FL_tp * L_tp with the weights as constants.
-
-    Works on floats and on autograd Tensors (no gradient flows through the
-    weights either way).
-    """
-    return fl_id * loss_id + fl_tp * loss_tp
-
-
 @dataclass
 class TaskStats:
     """EMA state of one task. k is None until the first observed loss."""
@@ -102,7 +98,7 @@ class SchedulerState:
     alpha: float = 0.25
     gamma: float = 2.0
     switch_ratio: float = 0.16
-    alternating: bool = False
+    policy: str = "dynamic"
     tau: int = 0
     phase: Phase = Phase.ID_ONLY
     id_stats: TaskStats = field(default_factory=lambda: TaskStats(p=P_FLOOR))
@@ -112,16 +108,31 @@ class SchedulerState:
 
     def begin_iteration(self) -> Phase:
         """Advance the counter, recompute the focal weights from the previous
-        iteration's probabilities, and pick the phase; the alternating policy
-        (no-triplet ablation) makes odd iterations ID-only, even ones combined."""
+        iteration's probabilities, and pick the phase; the no_triplet policy
+        makes odd iterations ID-only, even ones combined."""
         self.tau += 1
         self.fl_id = focal_weight(self.id_stats.p, self.gamma)
         self.fl_tp = focal_weight(self.tp_stats.p, self.gamma)
-        if self.alternating:
+        if self.policy == "no_triplet":
             self.phase = Phase.ID_ONLY if self.tau % 2 == 1 else Phase.COMBINED
         else:
             self.phase = select_phase(self.fl_id, self.fl_tp, self.switch_ratio, self.phase)
         return self.phase
+
+    @property
+    def tracks_triplet(self) -> bool:
+        """Whether iterations compute L_tp, whose average the phase rule reads."""
+        return self.policy != "no_triplet"
+
+    def objective(self, loss_id, loss_tp):
+        """The tensor this iteration optimizes: L_id in an ID-only iteration
+        and under no_triplet, else FL_id * L_id + FL_tp * L_tp with constant
+        weights, or None (no update) when both weights are 0."""
+        if self.phase == Phase.ID_ONLY or not self.tracks_triplet:
+            return loss_id
+        if self.fl_id == 0.0 and self.fl_tp == 0.0:
+            return None
+        return ag.add(ag.mul(loss_id, self.fl_id), ag.mul(loss_tp, self.fl_tp))
 
     def observe(self, task: str, loss: float) -> None:
         stats = self.id_stats if task == "id" else self.tp_stats
@@ -129,7 +140,7 @@ class SchedulerState:
 
     # -- checkpoint support --------------------------------------------------
     #
-    # The policy (alpha, gamma, switch_ratio, alternating) is the config's, and
+    # The policy (alpha, gamma, switch_ratio, policy) is the config's, and
     # begin_iteration recomputes the focal weights, so a checkpoint holds only
     # the counter, the phase and each task's average and probability.
 
@@ -152,7 +163,6 @@ class TraceWriter:
     """Appends one CSV row per training iteration."""
 
     def __init__(self, path):
-        self.path = path
         self._fh = open(path, "w", newline="")
         self._fh.write(",".join(TRACE_COLUMNS) + "\n")
 

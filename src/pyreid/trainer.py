@@ -19,19 +19,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import Tensor, backward, no_grad
+from .autograd import Tensor, backward
 from .backbone import Backbone
-from .batching import Split, pk_batches, random_batches
+from .batching import Split, pk_batches, pk_groups, random_batches
 from .container import load_tensors, save_tensors
 from .data_synth import ReIDDataset
 from .errors import ConfigError, ContainerError, TrainingDiverged
-from .losses import LossValue, id_loss, triplet_loss
+from .losses import id_loss, triplet_loss
 from .pyramid import BranchMask, PyramidModel
-from .scheduler import Phase, SchedulerState, TraceWriter, combined_objective
+from .scheduler import LOSS_POLICIES, Phase, SchedulerState, TraceWriter
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class TrainConfig:
     lr_halving_epochs: tuple = (15, 20, 25)
     seed: int = 0
     pyramid_mask: str = "111111"
-    no_triplet_alternating: bool = False
+    loss_policy: str = "dynamic"
     backbone_stages: tuple = ((16, 2), (32, 2), (64, 1))
 
     @property
@@ -76,6 +76,9 @@ class TrainConfig:
             raise ConfigError(f"lr_halving_epochs entries must be >= 1, got "
                               f"{self.lr_halving_epochs}")
         BranchMask.from_string(self.pyramid_mask)
+        if self.loss_policy not in LOSS_POLICIES:
+            raise ConfigError(f"loss_policy must be one of {', '.join(LOSS_POLICIES)}, "
+                              f"got {self.loss_policy!r}")
         if not self.backbone_stages:
             raise ConfigError("backbone_stages must hold at least one block, got none")
         for width, stride in self.backbone_stages:
@@ -114,19 +117,8 @@ _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 _SEPARATORS = (",", ":")
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean from {text!r}")
-
-
 def _parse_value(text: str, like, depth: int = 0):
     """Parse text as a value of the type and nesting of `like`."""
-    if isinstance(like, bool):
-        return _parse_bool(text)
     if isinstance(like, tuple):
         items = tuple(_parse_value(part, like[0], depth + 1)
                       for part in text.split(_SEPARATORS[depth]) if part.strip())
@@ -137,8 +129,6 @@ def _parse_value(text: str, like, depth: int = 0):
 
 
 def _format_value(value, depth: int = 0) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return _SEPARATORS[depth].join(_format_value(v, depth + 1) for v in value)
     return str(value)
@@ -159,11 +149,15 @@ def _config_lines(text: str, source):
 
 def parse_config_text(text: str, source) -> dict:
     """Typed field values of a config text. Errors name the source, the line
-    and the key."""
-    values = {}
+    and the key; a key may be set once."""
+    values, first_line = {}, {}
     for lineno, key, val in _config_lines(text, source):
         if key not in _DEFAULTS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{source}:{lineno}: config key {key!r} repeated "
+                              f"(first set on line {first_line[key]})")
+        first_line[key] = lineno
         try:
             values[key] = _parse_value(val, _DEFAULTS[key])
         except ValueError as exc:
@@ -401,19 +395,19 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     """Run dynamic two-loss training (or an ablation mode) to completion,
     writing a per-iteration trace CSV and a final checkpoint under out_dir."""
     config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     split = dataset.train_split()
     if len(split) == 0:
         raise ConfigError("train: dataset has no train split")
+    pk_groups(split, config.p_ids, config.k_imgs)  # refused before any output exists
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
     label_map = make_label_map(split)
     fingerprint = dataset.fingerprint()
     model = build_model(config, dataset.image_hw, len(label_map))
     opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
     sched = SchedulerState(alpha=config.alpha, gamma=config.gamma,
-                           switch_ratio=config.switch_ratio,
-                           alternating=config.no_triplet_alternating)
+                           switch_ratio=config.switch_ratio, policy=config.loss_policy)
 
     rand_stream = _BatchStream(lambda e: random_batches(
         split, config.batch_size, config.seed, e))
@@ -462,35 +456,22 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             class_labels = np.asarray([label_map[int(i)] for i in batch.identities],
                                       dtype=np.int64)
 
-            embedding, logits = model.forward(images, training=True)
-            l_id = id_loss(logits, class_labels)
-            l_tp: LossValue | None = None
-
-            if config.no_triplet_alternating:
-                # the ablation optimizes and tracks the ID loss only
-                loss = l_id.tensor
-            elif phase == Phase.ID_ONLY:
-                loss = l_id.tensor
-                if len(batch) >= 2:
-                    # tracked but not optimized: feeds the triplet EMA so the
-                    # phase rule can ever leave the ID-only regime
-                    with no_grad():
-                        l_tp = triplet_loss(Tensor(embedding.data), batch.identities,
-                                            config.margin)
-            else:
-                l_tp = triplet_loss(embedding, batch.identities, config.margin)
-                if sched.fl_id == 0.0 and sched.fl_tp == 0.0:
-                    loss = None  # zero total weight: no parameter update
-                else:
-                    loss = combined_objective(l_id.tensor, l_tp.tensor,
-                                              sched.fl_id, sched.fl_tp)
-
-            if loss is not None:
-                if not np.isfinite(loss.data).all():
-                    raise TrainingDiverged(f"non-finite loss at iteration {sched.tau}")
-                model.zero_grad()
-                backward(loss)
-                opt.step(lr)
+            try:
+                embedding, logits = model.forward(images, training=True)
+                l_id = id_loss(logits, class_labels)
+                # an ID-only iteration tracks L_tp without optimizing it; its
+                # node is not reached from the objective, so no backward visits it
+                l_tp = (triplet_loss(embedding, batch.identities, config.margin)
+                        if sched.tracks_triplet and len(batch) >= 2 else None)
+                loss = sched.objective(l_id.tensor, None if l_tp is None else l_tp.tensor)
+                if loss is not None:
+                    if not np.isfinite(loss.data).all():
+                        raise TrainingDiverged(f"non-finite loss at iteration {sched.tau}")
+                    model.zero_grad()
+                    backward(loss)
+                    opt.step(lr)
+            except FloatingPointError as exc:  # an op's finiteness check (PYREID_DEBUG)
+                raise TrainingDiverged(f"{exc} at iteration {sched.tau}") from exc
 
             sched.observe("id", l_id.value)
             if l_tp is not None and not l_tp.degenerate:

@@ -79,7 +79,7 @@ def severity03_runs(tmp_path_factory):
     for seed in SEEDS:
         ds = desk_dataset(0.3, seed)
         dyn = train(TrainConfig(seed=seed, epochs=30), ds, root / f"dyn{seed}")
-        nt = train(TrainConfig(seed=seed, epochs=30, no_triplet_alternating=True),
+        nt = train(TrainConfig(seed=seed, epochs=30, loss_policy="no_triplet"),
                    ds, root / f"nt{seed}")
         runs[seed] = (ds, dyn, nt)
     return runs

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pyreid.batching import Split, batch_hard_mine, pk_batches, random_batches
+from pyreid.batching import Split, batch_hard_mine, pk_batches, pk_groups, random_batches
+from pyreid.errors import ConfigError
 
 from helpers import oracle_mine
 
@@ -78,6 +79,16 @@ class TestPKBatches:
             pk_batches(split, 4, 4, seed=0, epoch=0)
         assert "need P=4" in str(exc.value)
         assert "counts" in str(exc.value)
+
+    def test_groups_are_the_drawable_identities(self):
+        # the feasibility check that training runs before writing any output
+        split = make_split([5, 2, 5, 9, 2, 5, 9, 2, 7])
+        groups = pk_groups(split, 3, 2)
+        assert list(groups) == [2, 5, 9]
+        assert [g.tolist() for g in groups.values()] == [[1, 4, 7], [0, 2, 5], [3, 6]]
+        with pytest.raises(ConfigError, match=r"only 2 identities have >= 3 images, need P=3; "
+                                              r"per-identity counts: \{2: 3, 5: 3, 7: 1, 9: 2\}"):
+            pk_groups(split, 3, 3)
 
     def test_epoch_length(self):
         # 10 ids x 10 images eligible, P*K=16 -> ceil(100/16) = 7 batches

@@ -145,7 +145,7 @@ class TestTrain:
     @pytest.mark.parametrize("key", ["pk_with_replacement", "triplet_in_id_phase",
                                      "classifier_bias", "squared_distance",
                                      "l2_normalize_eval", "in_channels", "n",
-                                     "batch_size"])
+                                     "batch_size", "no_triplet_alternating"])
     def test_removed_config_key_exits_2(self, data_dir, tmp_path, capsys, key):
         config = tmp_path / "run.ini"
         config.write_text(f"seed = 1\n{key} = 1\n")
@@ -202,6 +202,61 @@ class TestTrain:
                      "--config", str(config)])
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, f"{config}:2: bad value for epochs")
+
+    def test_repeated_config_key_exits_2(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text("margin = 1.0\nseed = 1\nmargin = 2.0\n")
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{config}:3: config key 'margin' repeated (first set on line 1)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["sum", "maybe", "Dynamic", ""])
+    def test_unknown_loss_policy_exits_2(self, data_dir, tmp_path, capsys, value):
+        config = tmp_path / "run.ini"
+        config.write_text(f"loss_policy = {value}\n")
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err, "loss_policy must be one of dynamic, "
+                                                       f"no_triplet, got {value!r}")
+        assert not out.exists()
+
+    def test_no_triplet_flag_is_the_loss_policy_key(self, data_dir, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("loss_policy = no_triplet\n")
+        common = ["train", "--dataset", str(data_dir), "--epochs", "2", "--seed", "2"]
+        assert main(common + ["--out", str(tmp_path / "flag"), "--no-triplet"]) == 0
+        assert main(common + ["--out", str(tmp_path / "file"), "--config", str(config)]) == 0
+        for name in ("trace.csv", "checkpoint.pyrt", "metrics.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == \
+                (tmp_path / "file" / name).read_bytes(), name
+        phases = [row["phase"] for row in csv.DictReader(open(tmp_path / "flag" / "trace.csv"))]
+        assert phases[:4] == ["id_only", "combined", "id_only", "combined"]
+
+    def test_infeasible_pk_sampler_exits_2_without_output(self, tmp_path, capsys):
+        # 8 identities x 4 images leave no train identity with the paper's K = 8
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(["gen-data", "--out", str(data), "--num-ids", "8",
+                     "--imgs-per-id", "4"]) == 0
+        capsys.readouterr()
+        code = main(["train", "--dataset", str(data), "--out", str(out),
+                     "--profile", "paper", "--epochs", "40"])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "pk_batches: only 0 identities have >= 8 images, need P=8")
+        assert not out.exists()
+        code = main(["ablate", "--dataset", str(data), "--out", str(out), "--profile",
+                     "paper", "--masks", "000001", "--seeds", "0", "--epochs", "40"])
+        assert code == 0
+        rows = list(csv.DictReader(open(out / "ablation.csv")))
+        assert len(rows) == 1
+        assert rows[0]["status"].startswith("error: pk_batches: only 0 identities have >= 8")
+        assert sorted(p.name for p in out.iterdir()) == ["ablation.csv"]
 
 
 def assert_one_error_line(err: str, *fragments: str) -> None:
@@ -313,9 +368,9 @@ class TestMalformedInputs:
     # version 1 stored one config/<field> entry per field, version 2 one entry
     # per branch and kind, version 3 all 21 branches' head rows whatever the
     # mask, version 4 six config keys that no longer exist, version 5 the
-    # config keys n and batch_size, and version 6 the config key
-    # checkpoint_every
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    # config keys n and batch_size, version 6 the config key checkpoint_every,
+    # and version 7 the config key no_triplet_alternating
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_old_version_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys,
                                             version):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -323,7 +378,7 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "old.pyrt", entries)
         assert self.eval_with(tmp_path / "old.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
-                              f"checkpoint version {version} not supported (expected 7)")
+                              f"checkpoint version {version} not supported (expected 8)")
 
     def test_checkpoint_config_without_backbone_blocks(self, data_dir, trained_dir, tmp_path,
                                                        capsys):
@@ -338,6 +393,17 @@ class TestMalformedInputs:
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
                               "backbone_stages must hold at least one block, got none")
+
+    def test_checkpoint_config_with_repeated_key(self, data_dir, trained_dir, tmp_path,
+                                                 capsys):
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        text = entries["meta/config"].astype(np.uint8).tobytes().decode() + "margin = 2.0\n"
+        entries["meta/config"] = np.frombuffer(text.encode(), dtype=np.uint8).astype("<i8")
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "checkpoint meta/config:17: config key 'margin' repeated "
+                              "(first set on line 2)")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda images: images[:, :, :-1],
@@ -598,6 +664,26 @@ class TestExitCodes:
         code = main(["train", "--dataset", str(data_dir),
                      "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("debug, fragments", [
+        ("0", ["training diverged: non-finite "]),
+        ("1", ["training diverged: conv_bn_relu: non-finite values in output at iteration "]),
+    ], ids=["plain", "debug"])
+    def test_divergence_exits_3_with_one_error_line(self, monkeypatch, tmp_path, capsys,
+                                                     debug, fragments):
+        import pyreid.autograd as autograd
+        monkeypatch.setattr(autograd, "debug_checks", False)  # restored after the test
+        monkeypatch.setenv("PYREID_DEBUG", debug)
+        data, config = tmp_path / "d", tmp_path / "run.ini"
+        assert main(["gen-data", "--out", str(data), "--num-ids", "8",
+                     "--imgs-per-id", "6"]) == 0
+        config.write_text("base_lr = 1e30\n")
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                         "--config", str(config), "--epochs", "3"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err, *fragments)
 
     def test_debug_env_enables_finiteness_checks(self, monkeypatch, tmp_path,
                                                  capsys):

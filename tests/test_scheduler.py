@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyreid.scheduler import (P_FLOOR, Phase, SchedulerState, combined_objective,
-                              focal_weight, loss_reduction_prob, select_phase,
-                              update_ema)
+import pyreid.autograd as ag
+from pyreid.autograd import Tensor, backward
+from pyreid.scheduler import (P_FLOOR, Phase, SchedulerState, focal_weight,
+                              loss_reduction_prob, select_phase, update_ema)
 
 from helpers import reduce_sum
 
@@ -110,24 +111,56 @@ class TestSelectPhase:
             select_phase(-0.1, 0.0, 0.16, Phase.ID_ONLY)
 
 
-class TestCombinedObjective:
+def combined(fl_id: float, fl_tp: float, policy: str = "dynamic") -> SchedulerState:
+    return SchedulerState(policy=policy, phase=Phase.COMBINED, fl_id=fl_id, fl_tp=fl_tp)
+
+
+class TestObjective:
+    def test_id_only_iteration_optimizes_the_id_loss(self):
+        l_id, l_tp = Tensor(3.0), Tensor(99.0)
+        state = SchedulerState(phase=Phase.ID_ONLY, fl_id=0.5, fl_tp=0.25)
+        assert state.tracks_triplet
+        assert state.objective(l_id, l_tp) is l_id
+
+    @pytest.mark.parametrize("phase", list(Phase))
+    @pytest.mark.parametrize("weights", [(0.0, 0.0), (0.5, 0.25)])
+    def test_no_triplet_optimizes_the_id_loss_in_both_phases(self, phase, weights):
+        l_id = Tensor(3.0)
+        state = SchedulerState(policy="no_triplet", phase=phase, fl_id=weights[0],
+                               fl_tp=weights[1])
+        assert not state.tracks_triplet
+        assert state.objective(l_id, None) is l_id
+
     def test_zero_triplet_weight_reduces_to_id(self):
-        assert combined_objective(3.0, 99.0, 0.5, 0.0) == pytest.approx(1.5)
+        assert combined(0.5, 0.0).objective(Tensor(3.0), Tensor(99.0)).item() == 1.5
 
     def test_arithmetic(self):
-        assert combined_objective(2.0, 4.0, 0.5, 0.25) == pytest.approx(2.0)
+        assert combined(0.5, 0.25).objective(Tensor(2.0), Tensor(4.0)).item() == 2.0
 
-    def test_both_zero_weights_give_zero(self):
-        assert combined_objective(5.0, 7.0, 0.0, 0.0) == 0.0
+    def test_float32_weighted_sum_bits(self, rng):
+        # FL_id * L_id + FL_tp * L_tp, each product rounded to float32 first
+        for _ in range(50):
+            l_id, l_tp = rng.uniform(0, 10, size=2).astype(np.float32)
+            fl_id, fl_tp = (float(w) for w in rng.uniform(0, 3, size=2))
+            loss = combined(fl_id, fl_tp).objective(Tensor(l_id), Tensor(l_tp))
+            assert loss.data.dtype == np.float32
+            assert loss.data == np.float32(fl_id) * l_id + np.float32(fl_tp) * l_tp
 
-    def test_tensor_form_keeps_graph(self):
-        import pyreid.autograd as ag
-        from pyreid.autograd import Tensor, backward
+    def test_both_zero_weights_give_no_update(self):
+        assert combined(0.0, 0.0).objective(Tensor(5.0), Tensor(7.0)) is None
+
+    def test_gradient_reaches_both_losses(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        loss = combined_objective(reduce_sum(x), reduce_sum(ag.mul(x, x)),
-                                  0.5, 0.25)
-        backward(loss)
+        backward(combined(0.5, 0.25).objective(reduce_sum(x), reduce_sum(ag.mul(x, x))))
         assert x.grad[0] == pytest.approx(0.5 + 0.25 * 2 * 2.0)
+
+    def test_id_only_backward_skips_the_tracked_triplet_loss(self):
+        # the tracked L_tp shares the embedding but is not reached from L_id
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        l_tp = reduce_sum(ag.mul(x, x))
+        backward(SchedulerState(phase=Phase.ID_ONLY).objective(reduce_sum(x), l_tp))
+        assert x.grad[0] == 1.0
+        assert l_tp.grad is None and not l_tp._done
 
 
 class TestSchedulerState:
@@ -200,17 +233,17 @@ class TestSchedulerState:
         state = SchedulerState()
         state.begin_iteration()
         state.observe("id", 5.0)
-        back = SchedulerState(alternating=True)
+        back = SchedulerState(policy="no_triplet")
         back.restore(state.to_scalars())
         assert sorted(state.to_scalars()) == ["k_id", "k_tp", "p_id", "p_tp", "phase", "tau"]
-        assert back.alternating and back.tau == 1
+        assert back.policy == "no_triplet" and back.tau == 1
         assert [back.begin_iteration() for _ in range(2)] == [Phase.COMBINED, Phase.ID_ONLY]
         assert [state.begin_iteration() for _ in range(2)] == [Phase.ID_ONLY, Phase.ID_ONLY]
 
 
 class TestAlternatingPolicy:
     def test_alternates_whatever_the_focal_weights(self):
-        state = SchedulerState(alternating=True)
+        state = SchedulerState(policy="no_triplet")
         phases = []
         for loss in (5.0, 4.0, 3.0, 3.0, 2.0, 0.0):
             phases.append(state.begin_iteration())
@@ -219,7 +252,7 @@ class TestAlternatingPolicy:
         assert phases == [Phase.ID_ONLY, Phase.COMBINED] * 3
 
     def test_focal_weights_still_tracked(self):
-        plain, alternating = SchedulerState(), SchedulerState(alternating=True)
+        plain, alternating = SchedulerState(), SchedulerState(policy="no_triplet")
         for loss in (5.0, 4.0, 3.5):
             for state in (plain, alternating):
                 state.begin_iteration()

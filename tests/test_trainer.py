@@ -14,7 +14,7 @@ from pyreid.container import load_tensors, save_tensors
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.errors import ConfigError, ContainerError, TrainingDiverged
 from pyreid.evaluation import evaluate_checkpoint
-from pyreid.scheduler import TRACE_COLUMNS, SchedulerState
+from pyreid.scheduler import LOSS_POLICIES, TRACE_COLUMNS, SchedulerState
 from pyreid.trainer import (PROFILES, SGD, TrainConfig, _decode_config, build_model,
                             load_checkpoint, lr_schedule, make_config,
                             make_label_map, rebuild_model,
@@ -175,13 +175,12 @@ class TestConfig:
     def test_values_parse_by_the_type_of_the_default(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("lr_halving_epochs = 3, 5\nbackbone_stages = 8:2,4:1\n"
-                        "margin = 2\nno_triplet_alternating = yes\npyramid_mask = 000011\n")
+                        "margin = 2\nloss_policy = no_triplet\npyramid_mask = 000011\n")
         c = make_config("desk", file_path=path)
         assert (c.lr_halving_epochs, c.backbone_stages) == ((3, 5), ((8, 2), (4, 1)))
-        assert (c.margin, c.no_triplet_alternating, c.pyramid_mask) == (2.0, True, "000011")
+        assert (c.margin, c.loss_policy, c.pyramid_mask) == (2.0, "no_triplet", "000011")
 
     @pytest.mark.parametrize("line", ["epochs =", "epochs = 1.5",
-                                      "no_triplet_alternating = maybe",
                                       "backbone_stages = 16", "backbone_stages = 16:2:1"])
     def test_bad_value_names_source_line_and_key(self, tmp_path, line):
         path = tmp_path / "run.ini"
@@ -265,7 +264,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 7
+        assert int(entries["meta/version"]) == 8
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -384,12 +383,13 @@ class TestCheckpointSchema:
             sorted(f"sched/{k}" for k in ("tau", "phase", "k_id", "p_id", "k_tp", "p_tp"))
         assert "meta/num_identities" not in entries
 
-    @pytest.mark.parametrize("no_triplet", [True, False], ids=["no_triplet", "dynamic"])
+    @pytest.mark.parametrize("loss_policy", ["no_triplet", "dynamic"])
     def test_resume_takes_policy_from_stored_config(self, toy_dataset, tmp_path,
-                                                    no_triplet):
+                                                    loss_policy):
         # sched/ entries naming the other policy, as version 5 stored them,
         # are not read: the resumed run continues the uninterrupted trace
-        config = TrainConfig(seed=1, epochs=2, no_triplet_alternating=no_triplet)
+        no_triplet = loss_policy == "no_triplet"
+        config = TrainConfig(seed=1, epochs=2, loss_policy=loss_policy)
         full = train(config, toy_dataset, tmp_path / "full")
         first = train(replace(config, epochs=1), toy_dataset, tmp_path / "first")
         entries = load_tensors(first.checkpoint_path)
@@ -428,7 +428,7 @@ def train_configs(draw):
         lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(1, 10**4), max_size=4)))),
         seed=draw(st.integers(0, 2**64)),
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
-        no_triplet_alternating=draw(st.booleans()),
+        loss_policy=draw(st.sampled_from(LOSS_POLICIES)),
         backbone_stages=tuple(draw(st.lists(
             st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), min_size=1, max_size=3))))
 
@@ -505,7 +505,7 @@ class TestConfigCodecFuzz:
 
 class TestAblationModes:
     def test_no_triplet_mode_never_computes_triplet(self, toy_dataset, tmp_path):
-        result = train(TrainConfig(seed=1, epochs=2, no_triplet_alternating=True),
+        result = train(TrainConfig(seed=1, epochs=2, loss_policy="no_triplet"),
                        toy_dataset, tmp_path / "nt")
         rows = read_trace(result.trace_path)
         assert all(r["L_tp"] == "" for r in rows)

@@ -7,8 +7,9 @@ hook on this thread and on every thread started meanwhile, so that work on
 the conv and ranking helper threads counts too. It then prints the number
 and the qualified names of the named functions (`def`s, methods and nested
 `def`s; not lambdas or comprehensions) defined in src/pyreid that were never
-entered. At least two worker threads are used whatever the CPU count, so the
-list does not depend on the machine.
+entered, and exits 1 if that set differs from the list in README.md, which
+gives each function's reason for staying. At least two worker threads are
+used whatever the CPU count, so the list does not depend on the machine.
 
 Usage: python tests/unreached.py   (stdlib only; imports pyreid from src/)
 """
@@ -24,7 +25,8 @@ import tempfile
 import threading
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 entered: set = set()
 
@@ -49,6 +51,14 @@ def _defined_functions(path: Path):
                 todo.append(const)
                 if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
                     yield const
+
+
+def _documented() -> set:
+    """The `module.qualname` that opens each bullet of the README's list,
+    which follows the paragraph naming this script."""
+    section = (ROOT / "README.md").read_text().split("`python tests/unreached.py`", 1)[1]
+    return {line.split("`")[1] for line in section.split("\n#", 1)[0].splitlines()
+            if line.startswith("- `")}
 
 
 def main() -> int:
@@ -92,6 +102,12 @@ def main() -> int:
                  for code in sorted(_defined_functions(path), key=lambda c: c.co_firstlineno)
                  if _key(code) not in seen]
     print(f"{len(unreached)} src/pyreid functions no command enters:", *unreached)
+    documented = _documented()
+    if set(unreached) != documented:
+        print(f"error: README.md's list is out of date; not listed: "
+              f"{sorted(set(unreached) - documented)}, listed but entered: "
+              f"{sorted(documented - set(unreached))}", file=sys.stderr)
+        return 1
     return 0
 
 
