@@ -7,14 +7,13 @@ two-loss training scheme that routes each iteration between random-batch
 ID-only steps and ID-balanced combined steps.
 """
 
-from .autograd import Tensor, backward, no_grad, op_catalog, use_dtype
+from .autograd import Tensor, backward, op_catalog, use_dtype
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Tensor",
     "backward",
-    "no_grad",
     "op_catalog",
     "use_dtype",
     "__version__",

@@ -25,7 +25,8 @@ from numpy.lib.stride_tricks import as_strided
 from .batching import batch_hard_mine
 
 _default_dtype = np.float32
-_grad_enabled = True
+# batch norm's running-statistics momentum and variance epsilon
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5
 
 # Set to True to assert finiteness of every op output (slow, debug only).
 debug_checks = False
@@ -61,18 +62,6 @@ def use_dtype(dtype):
         yield
     finally:
         _default_dtype = prev
-
-
-@contextmanager
-def no_grad():
-    """Disable graph recording inside the block (evaluation, data prep)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 class Tensor:
@@ -115,7 +104,7 @@ def _from_op(data, prev, op, backward_fn):
     out.requires_grad = False
     out._done = False
     out._op = op
-    if _grad_enabled and any(p._tracked for p in prev):
+    if any(p._tracked for p in prev):
         out._prev = tuple(prev)
         out._backward = backward_fn
     else:
@@ -350,13 +339,12 @@ def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
             "on channels-last maps; training uses batch statistics, eval folds the "
             "running ones into the kernel and records no graph node")
 def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean,
-                 running_var, stride: int, training: bool, momentum: float,
-                 eps: float) -> Tensor:
+                 running_var, stride: int, training: bool) -> Tensor:
     """One backbone block: an (N, H, W, C) map in, an (N, Ho, Wo, Co) map out,
     with a channels-first (Co, C, 3, 3) kernel. Training normalizes by the
     batch statistics and moves the running ones in place (the unbiased
     variance into `running_var`). Eval batch norm is a fixed per-channel
-    affine: the kernel is scaled by gamma / sqrt(running_var + eps), the GEMM
+    affine: the kernel is scaled by gamma / sqrt(running_var + BN_EPS), the GEMM
     writes the output directly and one shift adds the rest; the output is a
     constant, with no gradient to any input."""
     if x.data.ndim != 4:
@@ -380,7 +368,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     # with eval's scale folded in
     wcol = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype).reshape(9 * c, co)
     if not training:
-        scale = gamma.data * (1.0 / np.sqrt(running_var + eps))
+        scale = gamma.data * (1.0 / np.sqrt(running_var + BN_EPS))
         wcol = wcol * scale
     y = np.empty((m, co), dtype=dtype)
     _patch_chunks(xp, stride, ho, wo,
@@ -397,11 +385,11 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     var = (ones @ np.square(y)) / m
     # running variance uses the unbiased estimate, normalization the biased one
     uvar = var * (m / (m - 1)) if m > 1 else var
-    running_mean *= (1.0 - momentum)
-    running_mean += momentum * mean
-    running_var *= (1.0 - momentum)
-    running_var += momentum * uvar
-    rstd = 1.0 / np.sqrt(var + eps)
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * uvar
+    rstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = y
     xhat *= rstd  # normalized in place
     out = xhat * gamma.data
@@ -462,7 +450,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
 @catalog_op("batch normalization over the batch axis of an (N, C) matrix; training "
             "uses batch statistics, eval the running ones and records no graph node")
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
-               training: bool = True, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool = True) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"batch_norm: expected 2-D input, got {x.data.shape}")
     c = x.data.shape[1]
@@ -470,7 +458,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
         raise ValueError(f"batch_norm: affine shape {gamma.data.shape}/{beta.data.shape} "
                          f"does not match {c} channels")
     if not training:
-        out = gamma.data * ((x.data - running_mean) / np.sqrt(running_var + eps)) + beta.data
+        out = gamma.data * ((x.data - running_mean) / np.sqrt(running_var + BN_EPS)) + beta.data
         return _from_op(out, (), "batch_norm", None)
 
     mean = x.data.mean(axis=0)
@@ -478,11 +466,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     m = x.data.shape[0]
     # running variance uses the unbiased estimate, normalization the biased one
     uvar = var * (m / (m - 1)) if m > 1 else var
-    running_mean *= (1.0 - momentum)
-    running_mean += momentum * mean
-    running_var *= (1.0 - momentum)
-    running_var += momentum * uvar
-    std = np.sqrt(var + eps)
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * uvar
+    std = np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) / std
     out = gamma.data * xhat + beta.data
 

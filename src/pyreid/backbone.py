@@ -24,14 +24,12 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 class BatchNorm:
     """Per-channel batch normalization with learnable affine and running stats."""
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int):
         dtype = ag.default_dtype()
         self.gamma = Tensor(np.ones(num_features, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(num_features, dtype=dtype)
         self.running_var = np.ones(num_features, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.gamma", self.gamma
@@ -54,7 +52,7 @@ class ConvBlock:
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         bn = self.bn
         return ag.conv_bn_relu(x, self.weight, bn.gamma, bn.beta, bn.running_mean,
-                               bn.running_var, self.stride, training, bn.momentum, bn.eps)
+                               bn.running_var, self.stride, training)
 
     def named_parameters(self, prefix: str):
         yield f"{prefix}.conv.weight", self.weight
@@ -64,10 +62,13 @@ class ConvBlock:
         yield from self.bn.named_buffers(f"{prefix}.bn")
 
 
+# (out_channels, stride) per block of the model's backbone
+STAGES = ((16, 2), (32, 2), (64, 1))
+
+
 class Backbone:
-    """The blocks of `stages`, one (out_channels, stride) pair per block; the
-    trainer's config checks that there is at least one, each with a stride
-    of 1 or 2."""
+    """The blocks of `stages`, one (out_channels, stride) pair per block: at
+    least one, each with a stride of 1 or 2."""
 
     def __init__(self, stages, rng: np.random.Generator):
         self.blocks = []

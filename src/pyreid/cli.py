@@ -17,13 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import pk_groups
 from .data_synth import GenConfig, ReIDDataset, generate_dataset
 from .errors import ConfigError, ContainerError, TrainingDiverged
 from .evaluation import evaluate_checkpoint, metrics_table
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
-from .trainer import build_model, make_config, resolved_config_text, train
+from .trainer import make_config, train
 from . import autograd, chart
 
 
@@ -55,9 +54,11 @@ def cmd_gen_data(args) -> int:
 
 
 def _collect_overrides(args) -> dict:
-    # each of these flags sets the config key of its own name
-    overrides = {key: getattr(args, key) for key in ("seed", "pyramid_mask", "feature_dim",
-                                                     "epochs") if getattr(args, key) is not None}
+    # each of these flags sets the config key of its own name; ablate has no
+    # --seed or --pyramid-mask, since its sweep sets both keys
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in ("seed", "pyramid_mask", "feature_dim", "epochs")
+                 and value is not None}
     if args.no_triplet:
         overrides["loss_policy"] = "no_triplet"
     return overrides
@@ -92,12 +93,7 @@ def cmd_train(args) -> int:
     config = make_config(profile=args.profile, file_path=args.config,
                          overrides=_collect_overrides(args))
     dataset = ReIDDataset.load(args.dataset)
-    # a pyramid that misfits the images or an unfillable P x K batch is refused before output
-    build_model(config, dataset.image_hw, 1)
-    pk_groups(dataset.train_split(), config.p_ids, config.k_imgs)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
     start = time.time()
     metrics = _train_and_evaluate(config, dataset, out_dir)
     _write_metrics_csv(out_dir / "metrics.csv",
@@ -170,6 +166,9 @@ def _read_trace(path) -> dict:
                               f"got {len(parts)}")
         for name, val in zip(TRACE_COLUMNS, parts):
             if name == "phase":
+                if val not in ("id_only", "combined"):
+                    raise ConfigError(f"{path}:{lineno}: bad phase {val!r}, expected "
+                                      f"id_only or combined")
                 cols[name].append(val)
             elif name == "tau":
                 try:
@@ -234,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_train_opts(p):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--profile", choices=["desk", "paper"], default="desk")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--pyramid-mask", default=None)
         p.add_argument("--feature-dim", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--no-triplet", action="store_true",
@@ -245,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--pyramid-mask", default=None)
     add_train_opts(p)
     p.set_defaults(fn=cmd_train)
 
@@ -255,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("ablate", help="train/evaluate a mask x seed sweep")
+    # no abbreviations, so that --seed is refused rather than read as --seeds
+    p = sub.add_parser("ablate", help="train/evaluate a mask x seed sweep", allow_abbrev=False)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--masks", required=True, help="comma-separated level masks")
@@ -279,7 +279,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # the explicit checks on losses, gradients, embeddings and pixels
+        # decide every outcome, so numpy's floating-point warnings stay silent
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (ConfigError, ContainerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

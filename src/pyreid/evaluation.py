@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor, _share_tasks, no_grad
+from .autograd import Tensor, _share_tasks
 from .data_synth import ReIDDataset
 from .errors import ConfigError
 from .pyramid import BranchMask, PyramidModel
@@ -158,10 +158,9 @@ def extract_embeddings(model: PyramidModel, images: np.ndarray,
     columns of its branches; the model must hold them all."""
     columns = None if mask is None or mask == model.mask else model.embedding_columns(mask)
     chunks = []
-    with no_grad():
-        for off in range(0, len(images), _EXTRACT_BATCH):
-            emb, _ = model.forward(Tensor(images[off:off + _EXTRACT_BATCH]), training=False)
-            chunks.append(emb.data if columns is None else emb.data[:, columns])
+    for off in range(0, len(images), _EXTRACT_BATCH):
+        emb, _ = model.forward(Tensor(images[off:off + _EXTRACT_BATCH]), training=False)
+        chunks.append(emb.data if columns is None else emb.data[:, columns])
     return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
 
 

@@ -79,7 +79,7 @@ class PyramidModel:
         h, w, c = backbone.output_shape(*self.image_hw)
         if h % mask.n:
             raise ConfigError(f"feature map height {h} not divisible by part count {mask.n}; "
-                              f"adjust image height or backbone strides")
+                              f"adjust image height")
         self.map_shape = (h, w, c)
         # stored (C, D) per branch: the 1x1 conv applied to a pooled C-vector
         # is a matmul. Every branch of every level draws its reduction and
@@ -124,8 +124,7 @@ class PyramidModel:
         # one batch norm over all branches' channels
         bn = self.bn
         embedding = ag.relu(ag.batch_norm(wide, bn.gamma, bn.beta, bn.running_mean,
-                                          bn.running_var, training=training,
-                                          momentum=bn.momentum, eps=bn.eps))
+                                          bn.running_var, training=training))
         if not training:
             return embedding, None
         features = ag.transpose(ag.reshape(embedding, (batch, b, d)), (1, 0, 2))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor, backward
-from .backbone import Backbone
+from .backbone import STAGES, Backbone
 from .batching import Split, pk_batches, pk_groups, random_batches
 from .container import load_tensors, save_tensors
 from .data_synth import ReIDDataset
@@ -31,7 +31,7 @@ from .scheduler import LOSS_POLICIES, Phase, SchedulerState, TraceWriter
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,6 @@ class TrainConfig:
     seed: int = 0
     pyramid_mask: str = "111111"
     loss_policy: str = "dynamic"
-    backbone_stages: tuple = ((16, 2), (32, 2), (64, 1))
 
     @property
     def batch_size(self) -> int:
@@ -79,12 +78,6 @@ class TrainConfig:
         if self.loss_policy not in LOSS_POLICIES:
             raise ConfigError(f"loss_policy must be one of {', '.join(LOSS_POLICIES)}, "
                               f"got {self.loss_policy!r}")
-        if not self.backbone_stages:
-            raise ConfigError("backbone_stages must hold at least one block, got none")
-        for width, stride in self.backbone_stages:
-            if width < 1 or stride not in (1, 2):
-                raise ConfigError(f"backbone_stages: block {width}:{stride} needs a width "
-                                  f">= 1 and a stride of 1 or 2")
         # a NaN fails every comparison, so it is refused with the range
         for key, ok, rule in (("margin", self.margin > 0, "positive"),
                               ("alpha", 0 <= self.alpha <= 1, "in [0, 1]"),
@@ -109,29 +102,21 @@ PROFILES = {
 # -- config text codec ----------------------------------------------------------
 #
 # One text form serves config files, resolved_config.ini and checkpoints. A
-# field's parser and formatter follow the type of its default value: tuple
-# items are separated by ",", the items of a nested tuple by ":", and a nested
-# tuple has as many items as the default's.
+# field's parser and formatter follow the type of its default value, and
+# tuple items are separated by ",".
 
 _DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
-_SEPARATORS = (",", ":")
 
 
-def _parse_value(text: str, like, depth: int = 0):
-    """Parse text as a value of the type and nesting of `like`."""
+def _parse_value(text: str, like):
+    """Parse text as a value of the type of `like`."""
     if isinstance(like, tuple):
-        items = tuple(_parse_value(part, like[0], depth + 1)
-                      for part in text.split(_SEPARATORS[depth]) if part.strip())
-        if depth and len(items) != len(like):
-            raise ConfigError(f"expected {len(like)} items, got {text.strip()!r}")
-        return items
+        return tuple(type(like[0])(part.strip()) for part in text.split(",") if part.strip())
     return type(like)(text.strip())
 
 
-def _format_value(value, depth: int = 0) -> str:
-    if isinstance(value, tuple):
-        return _SEPARATORS[depth].join(_format_value(v, depth + 1) for v in value)
-    return str(value)
+def _format_value(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def _config_lines(text: str, source):
@@ -244,8 +229,7 @@ def make_label_map(split: Split) -> dict:
 def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> PyramidModel:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, _INIT_PURPOSE])))
-    backbone = Backbone(config.backbone_stages, rng)
-    return PyramidModel(backbone, BranchMask.from_string(config.pyramid_mask),
+    return PyramidModel(Backbone(STAGES, rng), BranchMask.from_string(config.pyramid_mask),
                         config.feature_dim, num_identities, image_hw, rng)
 
 
@@ -393,18 +377,22 @@ class TrainResult:
 def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
           resume_from=None) -> TrainResult:
     """Run dynamic two-loss training (or an ablation mode) to completion,
-    writing a per-iteration trace CSV and a final checkpoint under out_dir."""
+    writing the resolved config, a per-iteration trace CSV and a final
+    checkpoint under out_dir."""
     config.validate()
     split = dataset.train_split()
     if len(split) == 0:
         raise ConfigError("train: dataset has no train split")
-    pk_groups(split, config.p_ids, config.k_imgs)  # refused before any output exists
+    # an unfillable P x K batch or a pyramid that misfits the images is
+    # refused before any output exists
+    pk_groups(split, config.p_ids, config.k_imgs)
+    label_map = make_label_map(split)
+    model = build_model(config, dataset.image_hw, len(label_map))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
 
-    label_map = make_label_map(split)
     fingerprint = dataset.fingerprint()
-    model = build_model(config, dataset.image_hw, len(label_map))
     opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
     sched = SchedulerState(alpha=config.alpha, gamma=config.gamma,
                            switch_ratio=config.switch_ratio, policy=config.loss_policy)

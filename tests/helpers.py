@@ -235,13 +235,15 @@ def reference_conv2d(x, w, g, stride, padding) -> tuple:
 
 
 def reference_conv_bn_relu(x, w, gamma, beta, running_mean, running_var, stride,
-                           training, momentum, eps, g) -> tuple:
+                           training, g) -> tuple:
     """The unfused backbone block on channels-last (N, H, W, C) arrays:
     `reference_conv2d` with padding 1, then textbook batch norm (Ioffe &
     Szegedy, Algorithm 1, differentiated term by term) and ReLU. Returns
     (output, x gradient, w gradient, gamma gradient, beta gradient,
     pre-activation) for upstream gradient `g`. Training mode moves the
-    running statistics in place, with the unbiased variance."""
+    running statistics in place, with the unbiased variance, by momentum
+    0.1; the variance epsilon is 1e-5."""
+    momentum, eps = 0.1, 1e-5
     xc = np.ascontiguousarray(x.transpose(0, 3, 1, 2))
     gc = g.transpose(0, 3, 1, 2)
     y = reference_conv2d(xc, w, np.zeros_like(gc), stride, 1)[0]
@@ -524,7 +526,7 @@ def reference_pyramid_forward(model, images: Tensor, labels, training: bool, mas
         normed = ag.batch_norm(ag.matmul(pooled, row(model.reduce_weight, i)),
                                entries(bn.gamma, i), entries(bn.beta, i),
                                bn.running_mean[stats], bn.running_var[stats],
-                               training=training, momentum=bn.momentum, eps=bn.eps)
+                               training=training)
         feature = ag.relu(normed)
         branch_logits = ag.matmul(feature, row(model.classifier_weight, i))
         ce = ag.softmax_cross_entropy(branch_logits, labels)
@@ -628,7 +630,7 @@ def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool, batch: int = 2
         stats = (rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
         g = rng.normal(size=(batch, (4 - 1) // stride + 1, (3 - 1) // stride + 1, 2))
         pre = reference_conv_bn_relu(x, w, gamma, beta, stats[0].copy(), stats[1].copy(),
-                                     stride, training, 0.1, 1e-5, g)[-1]
+                                     stride, training, g)[-1]
         if np.abs(pre).min() > 1e-3:
             break
 
@@ -639,7 +641,7 @@ def _conv_bn_relu_cases(rng, stride: int, c: int, training: bool, batch: int = 2
             a = [Tensor(v) for v in args]
             a[slot] = t
             # training moves its own copy of the running statistics
-            call = (*a, stats[0].copy(), stats[1].copy(), stride, training, 0.1, 1e-5)
+            call = (*a, stats[0].copy(), stats[1].copy(), stride, training)
             out = (ag.conv_bn_relu(*call) if budget is None
                    else conv_bn_relu_in_chunks(budget, *call))
             return _weighted_sum(out, g)
@@ -866,7 +868,6 @@ def composite_loss(model, images: np.ndarray, labels: np.ndarray, margin: float)
 def composite_margin(model, images, labels) -> float:
     """A margin that keeps every batch-hard hinge strictly active, so the
     composite loss is locally smooth for finite differencing."""
-    with ag.no_grad():
-        embedding, _ = model.forward(Tensor(images), training=True)
-        d = pairwise_distances(embedding).data
+    embedding, _ = model.forward(Tensor(images), training=True)
+    d = pairwise_distances(embedding).data
     return _active_margin(d, labels)

@@ -98,8 +98,7 @@ class TestCriterion1Structure:
         for dim in (16, 128):
             model = PyramidModel(Backbone(((8, 2), (8, 2)), rng), full, dim, 4, (48, 16),
                                  rng)
-            with ag.no_grad():
-                embedding, _ = model.forward(images, training=False)
+            embedding, _ = model.forward(images, training=False)
             assert embedding.data.shape == (2, 21 * dim)
         print("\nACCEPTANCE 1 PASS: 21 branches, level counts [6,5,4,3,2,1], "
               "embedding dim = 21*D")

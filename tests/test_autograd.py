@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pyreid.autograd as ag
-from pyreid.autograd import Tensor, backward, no_grad, op_catalog, use_dtype
+from pyreid.autograd import Tensor, backward, op_catalog, use_dtype
 from pyreid.batching import batch_hard_mine
 
 from helpers import (REFERENCE_OPS, concat, finite_difference_check, global_avg_pool,
@@ -104,12 +104,6 @@ class TestBackwardContract:
         backward(reduce_sum(ag.mul(out, Tensor(np.arange(6.0).reshape(2, 3)))))
         assert not np.shares_memory(x.grad, out.grad)
 
-    def test_no_grad_suppresses_graph(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with no_grad():
-            out = reduce_sum(ag.mul(x, x))
-        assert out._prev == ()
-
 
 class TestOpSemantics:
     def test_shape_mismatch_names_op_and_shapes(self):
@@ -130,8 +124,7 @@ class TestOpSemantics:
         # them through up to the sqrt(1 + eps) of the variance floor
         one = Tensor(np.ones(1))
         out = ag.conv_bn_relu(Tensor(np.ones((1, 5, 5, 1))), Tensor(np.ones((1, 1, 3, 3))),
-                              one, Tensor(np.zeros(1)), np.zeros(1), np.ones(1), 1, False,
-                              0.1, 1e-5)
+                              one, Tensor(np.zeros(1)), np.zeros(1), np.ones(1), 1, False)
         assert out.data.shape == (1, 5, 5, 1)
         edge = np.array([2.0, 3.0, 3.0, 3.0, 2.0])
         np.testing.assert_allclose(out.data[0, :, :, 0], np.outer(edge, edge) / np.sqrt(1 + 1e-5))
@@ -143,8 +136,7 @@ class TestOpSemantics:
         x = rng.normal(size=(2, 6, 5, 3))
         w = rng.normal(size=(4, 3, 3, 3))
         out = ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                              np.zeros(4), np.full(4, 1.0 - 1e-5), stride, False, 0.1,
-                              1e-5).data
+                              np.zeros(4), np.full(4, 1.0 - 1e-5), stride, False).data
         xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
         ho, wo = (6 - 1) // stride + 1, (5 - 1) // stride + 1
         ref = np.zeros((2, ho, wo, 4))
@@ -166,7 +158,7 @@ class TestOpSemantics:
         with pytest.raises(ValueError, match=message):
             ag.conv_bn_relu(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)),
                             Tensor(np.ones(1)), Tensor(np.zeros(1)), np.zeros(1),
-                            np.ones(1), stride, True, 0.1, 1e-5)
+                            np.ones(1), stride, True)
 
     def test_global_avg_pool_constant(self):
         out = global_avg_pool(Tensor(np.full((2, 3, 4, 1), 5.0)))
@@ -250,7 +242,7 @@ def _block_with_grads(x, w, gamma, beta, stats, stride, training, g, track_x=Tru
     An eval output is a constant: it records no graph node."""
     xt = Tensor(x, requires_grad=track_x)
     wt, gt, bt = (Tensor(a, requires_grad=True) for a in (w, gamma, beta))
-    out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, training, 0.1, 1e-5)
+    out = ag.conv_bn_relu(xt, wt, gt, bt, *stats, stride, training)
     if training:
         backward(reduce_sum(ag.mul(out, Tensor(g))))
     else:
@@ -287,8 +279,7 @@ class TestConvBnReluAgainstUnfusedReference:
     def test_forward_gradients_and_running_stats_float64(self, rng, stride, c, training):
         x, w, gamma, beta, stats, g = _block_inputs(rng, 3, c, 7, 6, 4, stride, np.float64)
         ref_stats = tuple(a.copy() for a in stats)
-        ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training,
-                                     0.1, 1e-5, g)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training, g)
         got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
         for name, a, b in zip(("out", "x", "w", "gamma", "beta"), _results(got, training), ref):
             np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=name)
@@ -305,8 +296,7 @@ class TestConvBnReluAgainstUnfusedReference:
                                                     np.float32)
         ref_stats = tuple(a.astype(np.float64) for a in stats)
         ref = reference_conv_bn_relu(*(a.astype(np.float64) for a in (x, w, gamma, beta)),
-                                     *ref_stats, stride, training, 0.1, 1e-5,
-                                     g.astype(np.float64))
+                                     *ref_stats, stride, training, g.astype(np.float64))
         results = _results(_block_with_grads(x, w, gamma, beta, stats, stride, training, g),
                            training)
         for a, b in zip(results + stats, ref[:len(results)] + ref_stats):
@@ -339,8 +329,7 @@ class TestConvBnReluAgainstUnfusedReference:
 
         monkeypatch.setattr(ag, "_patch_chunks", spy)
         ref_stats = tuple(a.copy() for a in stats)
-        ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training,
-                                     0.1, 1e-5, g)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *ref_stats, stride, training, g)
         got = _block_with_grads(x, w, gamma, beta, stats, stride, training, g)
         assert [[hi - lo for lo, hi, _ in sorted(p)] for p in passes] == \
             [[2, 2, 1]] * ((3 if stride == 1 else 2) if training else 1)
@@ -419,8 +408,7 @@ class TestConvBnReluAgainstUnfusedReference:
 
         monkeypatch.setattr(ag, "_patch_chunks", failing_chunks)
         with pytest.raises(RuntimeError, match=f"chunk {failing[0]}"):
-            ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, 1,
-                            True, 0.1, 1e-5)
+            ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, 1, True)
         assert sorted(finished) == [c for c in range(6) if c not in failing]
         # the pool is still usable, and gives the one-thread bits
         monkeypatch.setattr(ag, "_patch_chunks", patch_chunks)
@@ -440,7 +428,7 @@ class TestConvBnReluAgainstUnfusedReference:
         x, w, gamma, beta, stats, g = _block_inputs(rng, 3, 4, 7, 6, 5, stride, np.float64)
         before = tuple(a.copy() for a in stats)
         out = ag.conv_bn_relu(*(Tensor(a, requires_grad=True) for a in (x, w, gamma, beta)),
-                              *stats, stride, False, 0.1, 1e-5)
+                              *stats, stride, False)
         assert out._prev == () and out._backward is None
         for a, b in zip(stats, before):
             np.testing.assert_array_equal(a, b)
@@ -465,8 +453,7 @@ class TestConvBnReluAgainstUnfusedReference:
     @pytest.mark.parametrize("c", [3, 5])
     def test_untracked_input_gets_no_gradient(self, rng, c):
         x, w, gamma, beta, stats, g = _block_inputs(rng, 2, c, 6, 5, 4, 2, np.float64)
-        ref = reference_conv_bn_relu(x, w, gamma, beta, *(a.copy() for a in stats), 2,
-                                     True, 0.1, 1e-5, g)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *(a.copy() for a in stats), 2, True, g)
         _, xt, wt, _, _ = _block_with_grads(x, w, gamma, beta, stats, 2, True, g,
                                             track_x=False)
         assert xt.grad is None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pyreid.autograd import Tensor, use_dtype
-from pyreid.backbone import Backbone
+from pyreid.backbone import STAGES, Backbone
 from pyreid.errors import ConfigError
 import pyreid.autograd as ag
 
@@ -15,7 +15,7 @@ def make_backbone(stages, seed=0):
 
 class TestGeometry:
     def test_desk_config_output_shape(self):
-        bb = make_backbone(((16, 2), (32, 2), (64, 1)))
+        bb = make_backbone(STAGES)
         assert bb.output_shape(48, 16) == (12, 4, 64)
         out = bb.forward(Tensor(np.zeros((2, 48, 16, 3), dtype=np.float32)), training=True)
         assert out.data.shape == (2, 12, 4, 64)

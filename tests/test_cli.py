@@ -145,7 +145,8 @@ class TestTrain:
     @pytest.mark.parametrize("key", ["pk_with_replacement", "triplet_in_id_phase",
                                      "classifier_bias", "squared_distance",
                                      "l2_normalize_eval", "in_channels", "n",
-                                     "batch_size", "no_triplet_alternating"])
+                                     "batch_size", "no_triplet_alternating",
+                                     "backbone_stages"])
     def test_removed_config_key_exits_2(self, data_dir, tmp_path, capsys, key):
         config = tmp_path / "run.ini"
         config.write_text(f"seed = 1\n{key} = 1\n")
@@ -182,17 +183,6 @@ class TestTrain:
                      "--config", str(config)])
         assert code == 2
         assert_one_error_line(capsys.readouterr().err, "lr_halving_epochs entries must be >= 1")
-        assert not out.exists()
-
-    def test_empty_backbone_stages_exits_2(self, data_dir, tmp_path, capsys):
-        config = tmp_path / "run.ini"
-        config.write_text("backbone_stages =\n")
-        out = tmp_path / "o"
-        code = main(["train", "--dataset", str(data_dir), "--out", str(out),
-                     "--config", str(config)])
-        assert code == 2
-        assert_one_error_line(capsys.readouterr().err,
-                              "backbone_stages must hold at least one block, got none")
         assert not out.exists()
 
     def test_bad_config_value_names_line_and_key(self, data_dir, tmp_path, capsys):
@@ -369,8 +359,9 @@ class TestMalformedInputs:
     # per branch and kind, version 3 all 21 branches' head rows whatever the
     # mask, version 4 six config keys that no longer exist, version 5 the
     # config keys n and batch_size, version 6 the config key checkpoint_every,
-    # and version 7 the config key no_triplet_alternating
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    # version 7 the config key no_triplet_alternating, and version 8 the
+    # config key backbone_stages
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_old_version_checkpoint_refused(self, data_dir, trained_dir, tmp_path, capsys,
                                             version):
         entries = load_tensors(trained_dir / "checkpoint.pyrt")
@@ -378,21 +369,7 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "old.pyrt", entries)
         assert self.eval_with(tmp_path / "old.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
-                              f"checkpoint version {version} not supported (expected 8)")
-
-    def test_checkpoint_config_without_backbone_blocks(self, data_dir, trained_dir, tmp_path,
-                                                       capsys):
-        entries = load_tensors(trained_dir / "checkpoint.pyrt")
-        text = entries["meta/config"].astype(np.uint8).tobytes().decode()
-        lines = [("backbone_stages =" if line.startswith("backbone_stages ") else line)
-                 for line in text.splitlines()]
-        assert "backbone_stages =" in lines
-        entries["meta/config"] = np.frombuffer(("\n".join(lines) + "\n").encode(),
-                                               dtype=np.uint8).astype("<i8")
-        save_tensors(tmp_path / "ck.pyrt", entries)
-        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
-        assert_one_error_line(capsys.readouterr().err,
-                              "backbone_stages must hold at least one block, got none")
+                              f"checkpoint version {version} not supported (expected 9)")
 
     def test_checkpoint_config_with_repeated_key(self, data_dir, trained_dir, tmp_path,
                                                  capsys):
@@ -402,7 +379,7 @@ class TestMalformedInputs:
         save_tensors(tmp_path / "ck.pyrt", entries)
         assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
         assert_one_error_line(capsys.readouterr().err,
-                              "checkpoint meta/config:17: config key 'margin' repeated "
+                              "checkpoint meta/config:16: config key 'margin' repeated "
                               "(first set on line 2)")
 
     @pytest.mark.parametrize("edit, message", [
@@ -550,6 +527,35 @@ class TestAblate:
         assert statuses["111111"] == "ok"
         assert statuses["21"].startswith("error:")
 
+    def test_refused_mask_leaves_no_run_directory(self, data_dir, tmp_path):
+        # five parts do not divide the 12-row feature map of 48-pixel images
+        out = tmp_path / "ab"
+        assert main(["ablate", "--dataset", str(data_dir), "--out", str(out),
+                     "--masks", "000001,11111", "--seeds", "1", "--epochs", "1"]) == 0
+        statuses = {r["mask"]: r["status"] for r in csv.DictReader(open(out / "ablation.csv"))
+                    if r["seed"] == "1"}
+        assert statuses["000001"] == "ok"
+        assert statuses["11111"].startswith("error: feature map height 12 not divisible")
+        assert sorted(p.name for p in out.iterdir()) == ["ablation.csv", "mask_000001_seed_1"]
+        run = out / "mask_000001_seed_1"
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.pyrt",
+                                                         "resolved_config.ini", "trace.csv"]
+        # the stored config replays the run through train
+        assert main(["train", "--dataset", str(data_dir), "--out", str(tmp_path / "tr"),
+                     "--config", str(run / "resolved_config.ini")]) == 0
+        assert (tmp_path / "tr" / "trace.csv").read_bytes() == (run / "trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--pyramid-mask", "111"]])
+    def test_seed_and_mask_flags_refused(self, data_dir, tmp_path, capsys, flag):
+        # the sweep sets both keys, so the flags would be silently overridden
+        out = tmp_path / "ab"
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--dataset", str(data_dir), "--out", str(out), "--masks",
+                  "000001", "--seeds", "1", *flag, "--epochs", "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds, item", [("a", "'a'"), ("0,1.5", "'1.5'")])
     def test_non_integer_seed_exits_2(self, data_dir, tmp_path, capsys, seeds, item):
         out = tmp_path / "ab"
@@ -612,6 +618,17 @@ class TestExportCurves:
         assert main(["export-curves", "--trace", str(trace),
                      "--out", str(tmp_path / "o")]) == 2
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phase", ["idonly", "", "Combined"])
+    def test_unknown_phase_exits_2_with_line(self, tmp_path, capsys, phase):
+        trace = tmp_path / "bad.csv"
+        values = ",".join(["1.0"] * 9)
+        trace.write_text(f"tau,phase,L_id,L_tp,k_id,k_tp,p_id,p_tp,FL_id,FL_tp,lr\n"
+                         f"0,id_only,{values}\n1,{phase},{values}\n")
+        out = tmp_path / "o"
+        assert main(["export-curves", "--trace", str(trace), "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr().err, f"{trace}:3: bad phase {phase!r}")
+        assert not out.exists()
 
 
 class TestExportCurvesFuzz:
@@ -679,9 +696,8 @@ class TestExitCodes:
                      "--imgs-per-id", "6"]) == 0
         config.write_text("base_lr = 1e30\n")
         capsys.readouterr()
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "o"),
-                         "--config", str(config), "--epochs", "3"])
+        code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                     "--config", str(config), "--epochs", "3"])
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, *fragments)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pyreid.autograd as ag
 from pyreid.autograd import Tensor, backward, use_dtype
-from pyreid.backbone import Backbone
+from pyreid.backbone import STAGES, Backbone
 from pyreid.errors import ConfigError
 from pyreid.losses import id_loss
 from pyreid.pyramid import BranchMask, PyramidModel
@@ -14,7 +14,7 @@ from helpers import (PassthroughBackbone, finite_difference_check, global_avg_po
                      global_max_pool, nhwc, reduce_sum, reference_pyramid_forward, slice_rows)
 
 
-def make_model(n=6, feature_dim=16, num_ids=10, stages=((16, 2), (32, 2), (64, 1)),
+def make_model(n=6, feature_dim=16, num_ids=10, stages=STAGES,
                image_hw=(48, 16), seed=0, mask=None):
     rng = np.random.default_rng(seed)
     backbone = Backbone(stages, rng)
@@ -480,7 +480,7 @@ class TestModel:
         # branch i draws its reduction, then its classifier, from the stream
         # the backbone leaves behind
         rng = np.random.default_rng(0)
-        Backbone(((16, 2), (32, 2), (64, 1)), rng)
+        Backbone(STAGES, rng)
         model = make_model()
         for i in range(21):
             np.testing.assert_array_equal(model.reduce_weight.data[i],

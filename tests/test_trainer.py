@@ -140,16 +140,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lr_halving_epochs entries must be >= 1"):
             TrainConfig(lr_halving_epochs=epochs).validate()
 
-    @pytest.mark.parametrize("stages, message", [
-        ((), "backbone_stages must hold at least one block, got none"),
-        (((16, 2), (16, 3)), "backbone_stages: block 16:3 needs a width >= 1 and a stride"),
-        (((0, 1),), "backbone_stages: block 0:1 needs a width >= 1"),
-    ], ids=["empty", "stride_3", "width_0"])
-    def test_backbone_stages_refused_by_name(self, stages, message):
-        # the config-file and checkpoint refusals are in test_cli.py
-        with pytest.raises(ConfigError, match=message):
-            TrainConfig(backbone_stages=stages).validate()
-
     def test_config_file_roundtrip(self, tmp_path):
         base = make_config("desk", overrides={"feature_dim": 8, "seed": 42,
                                               "pyramid_mask": "100001"})
@@ -174,14 +164,13 @@ class TestConfig:
 
     def test_values_parse_by_the_type_of_the_default(self, tmp_path):
         path = tmp_path / "c.ini"
-        path.write_text("lr_halving_epochs = 3, 5\nbackbone_stages = 8:2,4:1\n"
+        path.write_text("lr_halving_epochs = 3, 5\n"
                         "margin = 2\nloss_policy = no_triplet\npyramid_mask = 000011\n")
         c = make_config("desk", file_path=path)
-        assert (c.lr_halving_epochs, c.backbone_stages) == ((3, 5), ((8, 2), (4, 1)))
+        assert c.lr_halving_epochs == (3, 5)
         assert (c.margin, c.loss_policy, c.pyramid_mask) == (2.0, "no_triplet", "000011")
 
-    @pytest.mark.parametrize("line", ["epochs =", "epochs = 1.5",
-                                      "backbone_stages = 16", "backbone_stages = 16:2:1"])
+    @pytest.mark.parametrize("line", ["epochs =", "epochs = 1.5", "lr_halving_epochs = 3, x"])
     def test_bad_value_names_source_line_and_key(self, tmp_path, line):
         path = tmp_path / "run.ini"
         path.write_text(f"seed = 1\n{line}\n")
@@ -264,7 +253,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 8
+        assert int(entries["meta/version"]) == 9
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -413,7 +402,7 @@ class TestCheckpointSchema:
 
 @st.composite
 def train_configs(draw):
-    """Valid TrainConfigs with a small model; each float field is drawn from
+    """Valid TrainConfigs with a small head; each float field is drawn from
     its valid range."""
     n = draw(st.integers(1, 6))
     non_negative = st.floats(min_value=0.0, allow_infinity=False)
@@ -428,15 +417,13 @@ def train_configs(draw):
         lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(1, 10**4), max_size=4)))),
         seed=draw(st.integers(0, 2**64)),
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
-        loss_policy=draw(st.sampled_from(LOSS_POLICIES)),
-        backbone_stages=tuple(draw(st.lists(
-            st.tuples(st.integers(1, 4), st.sampled_from((1, 2))), min_size=1, max_size=3))))
+        loss_policy=draw(st.sampled_from(LOSS_POLICIES)))
 
 
 def _assert_checkpoint_roundtrip(config: TrainConfig) -> None:
     config.validate()
-    # strides multiply to at most 8
-    model = build_model(config, (8 * len(config.pyramid_mask), 8), 5)
+    # the backbone's strides multiply to 4
+    model = build_model(config, (4 * len(config.pyramid_mask), 4), 5)
     opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
     stream = {"rand_epoch": 0, "rand_pos": 0, "pk_epoch": 0, "pk_pos": 0}
     with tempfile.TemporaryDirectory() as tmp:
@@ -481,8 +468,7 @@ class TestConfigCodecFuzz:
         assert isinstance(config, TrainConfig)
         # an accepted config builds a model or names its fault; the sizes
         # are bounded so that no example allocates more than a few MB
-        assume(config.feature_dim <= 64
-               and all(width <= 64 for width, _ in config.backbone_stages))
+        assume(config.feature_dim <= 64)
         try:
             build_model(config, (48, 16), 10)
         except ConfigError:
