@@ -335,6 +335,17 @@ def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
     return _share_tasks(len(starts), worker)
 
 
+def _update_running(running_mean, running_var, mean, var, m: int) -> None:
+    """Move batch norm's running statistics in place towards a batch of m
+    rows; the running variance takes the unbiased estimate, while the batch
+    is normalized by the biased one."""
+    uvar = var * (m / (m - 1)) if m > 1 else var
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * uvar
+
+
 @catalog_op("3x3 convolution (padding 1, stride 1 or 2), batch normalization and ReLU "
             "on channels-last maps; training uses batch statistics, eval folds the "
             "running ones into the kernel and records no graph node")
@@ -383,12 +394,7 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     mean = (ones @ y) / m
     y -= mean
     var = (ones @ np.square(y)) / m
-    # running variance uses the unbiased estimate, normalization the biased one
-    uvar = var * (m / (m - 1)) if m > 1 else var
-    running_mean *= (1.0 - BN_MOMENTUM)
-    running_mean += BN_MOMENTUM * mean
-    running_var *= (1.0 - BN_MOMENTUM)
-    running_var += BN_MOMENTUM * uvar
+    _update_running(running_mean, running_var, mean, var, m)
     rstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = y
     xhat *= rstd  # normalized in place
@@ -464,12 +470,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
     mean = x.data.mean(axis=0)
     var = x.data.var(axis=0)
     m = x.data.shape[0]
-    # running variance uses the unbiased estimate, normalization the biased one
-    uvar = var * (m / (m - 1)) if m > 1 else var
-    running_mean *= (1.0 - BN_MOMENTUM)
-    running_mean += BN_MOMENTUM * mean
-    running_var *= (1.0 - BN_MOMENTUM)
-    running_var += BN_MOMENTUM * uvar
+    _update_running(running_mean, running_var, mean, var, m)
     std = np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) / std
     out = gamma.data * xhat + beta.data

@@ -1,9 +1,10 @@
 """Command-line entry points: gen-data, train, eval, ablate, export-curves.
 
-Every command exits 0 on success. Usage and configuration problems exit 2
-with a one-line `error: ...` message, training divergence exits 3, anything
-else exits 1. All run outputs live under a single --out directory with
-fixed names; the only timestamped file is run_info.txt.
+Every command exits 0 on success. Usage and configuration problems (a bad
+or unknown flag included) exit 2 with a one-line `error: ...` message,
+training divergence exits 3, anything else exits 1. All run outputs live
+under a single --out directory with fixed names; the only timestamped file
+is run_info.txt.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_synth import GenConfig, ReIDDataset, generate_dataset
-from .errors import ConfigError, ContainerError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .evaluation import evaluate_checkpoint, metrics_table
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
@@ -214,9 +215,17 @@ def cmd_export_curves(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach `main` as a ConfigError,
+    to be printed as one `error:` line, instead of printing usage and
+    exiting; the subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pyreid",
-                                     description="pyramidal re-id embeddings, desk scale")
+    parser = _Parser(prog="pyreid", description="pyramidal re-id embeddings, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset")
@@ -276,20 +285,16 @@ def main(argv=None) -> int:
     # order), so the conventional determinism switch needs no wiring here.
     if os.environ.get("PYREID_DEBUG", "").strip() in ("1", "true", "yes"):
         autograd.debug_checks = True
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # the explicit checks on losses, gradients, embeddings and pixels
         # decide every outcome, so numpy's floating-point warnings stay silent
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (ConfigError, ContainerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TrainingDiverged as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and ContainerError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

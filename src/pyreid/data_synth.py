@@ -195,6 +195,14 @@ def _occlusion_boxes(severity: float, u_occ: np.ndarray, u_area: np.ndarray,
     return np.where((u_occ < 0.5 * severity)[:, None], boxes, -1)
 
 
+def _int64(text: str, column: str) -> int:
+    """A manifest integer, which must fit the int64 arrays it is stored in."""
+    value = int(text)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ContainerError(f"{column} {value} does not fit in int64")
+    return value
+
+
 @dataclass
 class ReIDDataset:
     """In-memory dataset: (N, H, W, 3) float32 images plus per-sample metadata."""
@@ -268,8 +276,9 @@ class ReIDDataset:
             if r[3] not in split_codes:
                 raise ContainerError(f"{where}: unknown split {r[3]!r}")
             try:
-                rows.append((int(r[1]), int(r[2]), split_codes[r[3]],
-                             float(r[4]), float(r[5]), [int(v) for v in r[6:]]))
+                ints = [_int64(r[i], MANIFEST_COLUMNS[i]) for i in (1, 2, 6, 7, 8, 9)]
+                rows.append((ints[0], ints[1], split_codes[r[3]],
+                             float(r[4]), float(r[5]), ints[2:]))
             except ValueError as exc:
                 raise ContainerError(f"{where}: {exc}") from exc
         if not rows:

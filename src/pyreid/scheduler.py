@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 
 from . import autograd as ag
 
+# the method's fixed values: the EMA weight alpha of the newest loss, the
+# focal exponent gamma and the phase rule's switch ratio
+ALPHA, GAMMA, SWITCH_RATIO = 0.25, 2.0, 0.16
+
 P_FLOOR = 1e-12
 
 # A loss at (numerically) zero cannot reduce further; its reduction
@@ -43,8 +47,6 @@ class Phase(str, enum.Enum):
 
 def update_ema(k_prev: float, loss: float, alpha: float) -> float:
     """k = alpha * L + (1 - alpha) * k_prev."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"discount alpha must be in [0, 1], got {alpha}")
     return alpha * loss + (1.0 - alpha) * k_prev
 
 
@@ -58,8 +60,6 @@ def loss_reduction_prob(k: float, k_prev: float) -> float:
 
 def focal_weight(p: float, gamma: float) -> float:
     """FL(p, gamma) = -(1 - p)^gamma * log(p); exactly 0 at p = 1."""
-    if gamma < 0:
-        raise ValueError(f"focal_weight: gamma must be >= 0, got {gamma}")
     p = min(1.0, max(P_FLOOR, p))
     if p == 1.0:
         return 0.0
@@ -83,9 +83,9 @@ class TaskStats:
     k: float | None = None
     p: float = 1.0
 
-    def observe(self, loss: float, alpha: float) -> None:
+    def observe(self, loss: float) -> None:
         k_prev = loss if self.k is None else self.k  # the first loss seeds the average
-        self.k = update_ema(k_prev, loss, alpha)
+        self.k = update_ema(k_prev, loss, ALPHA)
         if loss <= ZERO_LOSS_EPS or k_prev <= 0:
             self.p = 1.0
         else:
@@ -95,9 +95,6 @@ class TaskStats:
 @dataclass
 class SchedulerState:
     """Per-iteration phase selection and EMA bookkeeping for both tasks."""
-    alpha: float = 0.25
-    gamma: float = 2.0
-    switch_ratio: float = 0.16
     policy: str = "dynamic"
     tau: int = 0
     phase: Phase = Phase.ID_ONLY
@@ -111,12 +108,12 @@ class SchedulerState:
         iteration's probabilities, and pick the phase; the no_triplet policy
         makes odd iterations ID-only, even ones combined."""
         self.tau += 1
-        self.fl_id = focal_weight(self.id_stats.p, self.gamma)
-        self.fl_tp = focal_weight(self.tp_stats.p, self.gamma)
+        self.fl_id = focal_weight(self.id_stats.p, GAMMA)
+        self.fl_tp = focal_weight(self.tp_stats.p, GAMMA)
         if self.policy == "no_triplet":
             self.phase = Phase.ID_ONLY if self.tau % 2 == 1 else Phase.COMBINED
         else:
-            self.phase = select_phase(self.fl_id, self.fl_tp, self.switch_ratio, self.phase)
+            self.phase = select_phase(self.fl_id, self.fl_tp, SWITCH_RATIO, self.phase)
         return self.phase
 
     @property
@@ -136,13 +133,13 @@ class SchedulerState:
 
     def observe(self, task: str, loss: float) -> None:
         stats = self.id_stats if task == "id" else self.tp_stats
-        stats.observe(loss, self.alpha)
+        stats.observe(loss)
 
     # -- checkpoint support --------------------------------------------------
     #
-    # The policy (alpha, gamma, switch_ratio, policy) is the config's, and
-    # begin_iteration recomputes the focal weights, so a checkpoint holds only
-    # the counter, the phase and each task's average and probability.
+    # The loss policy is the config's, and begin_iteration recomputes the
+    # focal weights, so a checkpoint holds only the counter, the phase and
+    # each task's average and probability.
 
     def to_scalars(self) -> dict:
         enc = lambda v: float("nan") if v is None else float(v)

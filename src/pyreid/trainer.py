@@ -31,7 +31,10 @@ from .scheduler import LOSS_POLICIES, Phase, SchedulerState, TraceWriter
 
 _INIT_PURPOSE = 7
 
-CHECKPOINT_VERSION = 9
+CHECKPOINT_VERSION = 10
+
+# SGD's fixed momentum and L2 weight decay
+MOMENTUM, WEIGHT_DECAY = 0.9, 0.0005
 
 
 @dataclass(frozen=True)
@@ -42,12 +45,7 @@ class TrainConfig:
     margin: float = 1.4
     p_ids: int = 4
     k_imgs: int = 4
-    alpha: float = 0.25
-    gamma: float = 2.0
-    switch_ratio: float = 0.16
     base_lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
     epochs: int = 30
     lr_halving_epochs: tuple = (15, 20, 25)
     seed: int = 0
@@ -79,16 +77,10 @@ class TrainConfig:
             raise ConfigError(f"loss_policy must be one of {', '.join(LOSS_POLICIES)}, "
                               f"got {self.loss_policy!r}")
         # a NaN fails every comparison, so it is refused with the range
-        for key, ok, rule in (("margin", self.margin > 0, "positive"),
-                              ("alpha", 0 <= self.alpha <= 1, "in [0, 1]"),
-                              ("gamma", self.gamma >= 0, "non-negative"),
-                              ("switch_ratio", self.switch_ratio > 0, "positive"),
-                              ("base_lr", self.base_lr > 0, "positive"),
-                              ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
-                              ("weight_decay", self.weight_decay >= 0, "non-negative")):
-            if not (ok and math.isfinite(getattr(self, key))):
-                raise ConfigError(f"{key} must be finite and {rule}, "
-                                  f"got {getattr(self, key)}")
+        for key in ("margin", "base_lr"):
+            value = getattr(self, key)
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{key} must be finite and positive, got {value}")
 
 
 PROFILES = {
@@ -199,10 +191,8 @@ class SGD:
 
     NO_DECAY_SUFFIXES = (".gamma", ".beta")
 
-    def __init__(self, named_params: list, momentum: float, weight_decay: float):
+    def __init__(self, named_params: list):
         self.params = list(named_params)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
         self.velocity = {name: np.zeros_like(p.data) for name, p in self.params}
 
     def decays(self, name: str) -> bool:
@@ -215,8 +205,8 @@ class SGD:
                 continue
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter {name!r}")
-            sgd_step(p.data, g, self.velocity[name], lr, self.momentum,
-                     self.weight_decay if self.decays(name) else 0.0)
+            sgd_step(p.data, g, self.velocity[name], lr, MOMENTUM,
+                     WEIGHT_DECAY if self.decays(name) else 0.0)
 
 
 # -- model construction and checkpointing ---------------------------------------
@@ -371,7 +361,6 @@ class _BatchStream:
 class TrainResult:
     checkpoint_path: Path
     trace_path: Path
-    epochs_run: int
 
 
 def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
@@ -393,9 +382,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
 
     fingerprint = dataset.fingerprint()
-    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
-    sched = SchedulerState(alpha=config.alpha, gamma=config.gamma,
-                           switch_ratio=config.switch_ratio, policy=config.loss_policy)
+    opt = SGD(list(model.named_parameters()))
+    sched = SchedulerState(policy=config.loss_policy)
 
     rand_stream = _BatchStream(lambda e: random_batches(
         split, config.batch_size, config.seed, e))
@@ -415,7 +403,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             raise ConfigError("checkpoint was trained on a different dataset "
                               "(fingerprint mismatch)")
         model, _ = rebuild_model(entries)
-        opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
+        opt = SGD(list(model.named_parameters()))
         for name, velocity in opt.velocity.items():
             velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape, finite=True)
         scalars = {key: float(_entry(entries, f"sched/{key}")[()]) for key in sched.to_scalars()}
@@ -470,5 +458,4 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     stream_state = {"rand_epoch": rand_stream.epoch, "rand_pos": rand_stream.pos,
                     "pk_epoch": pk_stream.epoch, "pk_pos": pk_stream.pos}
     save_checkpoint(checkpoint_path, model, config, sched, opt, stream_state, fingerprint)
-    return TrainResult(checkpoint_path=checkpoint_path, trace_path=trace_path,
-                       epochs_run=config.epochs)
+    return TrainResult(checkpoint_path=checkpoint_path, trace_path=trace_path)

@@ -23,10 +23,6 @@ class TestEma:
     def test_alpha_one_is_memoryless(self):
         assert update_ema(2.0, 99.0, 1.0) == 99.0
 
-    def test_alpha_out_of_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            update_ema(1.0, 1.0, 1.5)
-
     @given(st.floats(0.0, 1.0), st.floats(0.0, 100.0), st.floats(0.001, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_bracketing(self, alpha, loss, k_prev):
@@ -71,10 +67,6 @@ class TestFocalWeight:
         v = focal_weight(0.0, 2.0)  # stored as the clamp floor
         assert np.isfinite(v)
         assert v > 20.0
-
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError, match="gamma"):
-            focal_weight(0.5, -1.0)
 
 
 class TestSelectPhase:
@@ -179,13 +171,13 @@ class TestSchedulerState:
         assert state.begin_iteration() is Phase.ID_ONLY
 
     def test_first_observation_seeds_k_with_l0(self):
-        state = SchedulerState(alpha=0.25)
+        state = SchedulerState()
         state.observe("id", 8.0)
         assert state.id_stats.k == 8.0
         assert state.id_stats.p == 1.0
 
     def test_ema_example_trajectory(self):
-        state = SchedulerState(alpha=0.25)
+        state = SchedulerState()
         state.observe("id", 2.0)
         state.observe("id", 1.0)
         assert state.id_stats.k == pytest.approx(1.75)
@@ -194,7 +186,7 @@ class TestSchedulerState:
     def test_zero_loss_pins_probability_to_one(self):
         # an exactly-zero loss cannot reduce further; without the pin the EMA
         # decays geometrically and p sticks at 1 - alpha forever
-        state = SchedulerState(alpha=0.25)
+        state = SchedulerState()
         state.observe("tp", 0.5)
         for _ in range(5):
             state.observe("tp", 0.0)
@@ -216,13 +208,13 @@ class TestSchedulerState:
         assert runs[0] == runs[1]
 
     def test_scalar_roundtrip(self):
-        state = SchedulerState(alpha=0.3, gamma=1.5, switch_ratio=0.2)
+        state = SchedulerState()
         state.begin_iteration()
         state.observe("id", 4.0)
         state.begin_iteration()
         state.observe("id", 3.0)
         state.observe("tp", 1.0)
-        back = SchedulerState(alpha=0.3, gamma=1.5, switch_ratio=0.2)
+        back = SchedulerState()
         back.restore(state.to_scalars())
         # the focal weights are recomputed by the next iteration
         assert back.begin_iteration() is state.begin_iteration()

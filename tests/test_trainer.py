@@ -76,7 +76,7 @@ class TestSgdStep:
 
     def test_optimizer_exempts_batch_norm_params(self, toy_dataset):
         model = build_model(TrainConfig(), toy_dataset.image_hw, 10)
-        opt = SGD(list(model.named_parameters()), momentum=0.9, weight_decay=5e-4)
+        opt = SGD(list(model.named_parameters()))
         for name, _ in opt.params:
             if name.endswith((".gamma", ".beta")):
                 assert not opt.decays(name), name
@@ -85,7 +85,7 @@ class TestSgdStep:
 
     def test_non_finite_gradient_aborts_with_name(self, toy_dataset):
         model = build_model(TrainConfig(), toy_dataset.image_hw, 10)
-        opt = SGD(list(model.named_parameters()), momentum=0.9, weight_decay=0.0)
+        opt = SGD(list(model.named_parameters()))
         bad = opt.params[0]
         bad[1].grad = np.full_like(bad[1].data, np.nan)
         with pytest.raises(TrainingDiverged, match=bad[0]):
@@ -95,9 +95,7 @@ class TestSgdStep:
 class TestConfig:
     def test_desk_profile_defaults(self):
         c = PROFILES["desk"]
-        assert (len(c.pyramid_mask), c.margin, c.alpha, c.gamma, c.switch_ratio) == \
-            (6, 1.4, 0.25, 2.0, 0.16)
-        assert (c.momentum, c.weight_decay, c.base_lr) == (0.9, 0.0005, 0.01)
+        assert (len(c.pyramid_mask), c.margin, c.base_lr) == (6, 1.4, 0.01)
 
     def test_paper_profile_values(self):
         c = PROFILES["paper"]
@@ -118,11 +116,6 @@ class TestConfig:
         replace(TrainConfig(), seed=0).validate()
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             replace(TrainConfig(), seed=-1).validate()
-
-    def test_closed_range_ends_accepted(self):
-        # the config-file refusals of out-of-range floats are in test_cli.py
-        replace(TrainConfig(), alpha=1.0, gamma=0.0, momentum=0.0,
-                weight_decay=0.0).validate()
 
     def test_readme_config_table_lists_every_field_in_order(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -253,7 +246,7 @@ class TestTrainingRuns:
         stored = entries["meta/config"]
         assert stored.dtype == np.dtype("<i8") and stored.ndim == 1
         assert stored.astype(np.uint8).tobytes().decode() == resolved_config_text(config)
-        assert int(entries["meta/version"]) == 9
+        assert int(entries["meta/version"]) == 10
         assert not [k for k in entries if k.startswith("config/")]
 
     def test_rebuilt_model_matches_trained_state(self, short_run):
@@ -405,15 +398,11 @@ def train_configs(draw):
     """Valid TrainConfigs with a small head; each float field is drawn from
     its valid range."""
     n = draw(st.integers(1, 6))
-    non_negative = st.floats(min_value=0.0, allow_infinity=False)
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     return TrainConfig(
         feature_dim=draw(st.integers(1, 8)), margin=draw(positive),
         p_ids=draw(st.integers(2, 5)), k_imgs=draw(st.integers(2, 5)),
-        alpha=draw(st.floats(0.0, 1.0)), gamma=draw(non_negative),
-        switch_ratio=draw(positive), base_lr=draw(positive),
-        momentum=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        weight_decay=draw(non_negative), epochs=draw(st.integers(1, 10**6)),
+        base_lr=draw(positive), epochs=draw(st.integers(1, 10**6)),
         lr_halving_epochs=tuple(sorted(draw(st.sets(st.integers(1, 10**4), max_size=4)))),
         seed=draw(st.integers(0, 2**64)),
         pyramid_mask=draw(st.text("01", min_size=n, max_size=n).filter(lambda m: "1" in m)),
@@ -424,7 +413,7 @@ def _assert_checkpoint_roundtrip(config: TrainConfig) -> None:
     config.validate()
     # the backbone's strides multiply to 4
     model = build_model(config, (4 * len(config.pyramid_mask), 4), 5)
-    opt = SGD(list(model.named_parameters()), config.momentum, config.weight_decay)
+    opt = SGD(list(model.named_parameters()))
     stream = {"rand_epoch": 0, "rand_pos": 0, "pk_epoch": 0, "pk_pos": 0}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "ck.pyrt"
