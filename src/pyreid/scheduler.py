@@ -58,23 +58,22 @@ def loss_reduction_prob(k: float, k_prev: float) -> float:
     return min(1.0, max(P_FLOOR, p))
 
 
-def focal_weight(p: float, gamma: float) -> float:
-    """FL(p, gamma) = -(1 - p)^gamma * log(p); exactly 0 at p = 1."""
+def focal_weight(p: float) -> float:
+    """FL(p) = -(1 - p)^GAMMA * log(p); exactly 0 at p = 1."""
     p = min(1.0, max(P_FLOOR, p))
     if p == 1.0:
         return 0.0
-    return -((1.0 - p) ** gamma) * math.log(p)
+    return -((1.0 - p) ** GAMMA) * math.log(p)
 
 
-def select_phase(fl_id: float, fl_tp: float, switch_ratio: float,
-                 previous: Phase) -> Phase:
-    """ID-only iff FL_tp / FL_id < switch_ratio; a zero FL_id with positive
+def select_phase(fl_id: float, fl_tp: float, previous: Phase) -> Phase:
+    """ID-only iff FL_tp / FL_id < SWITCH_RATIO; a zero FL_id with positive
     FL_tp forces combined; both zero keeps the previous phase."""
     if fl_id < 0 or fl_tp < 0:
         raise ValueError(f"select_phase: weights must be >= 0, got {fl_id}, {fl_tp}")
     if fl_id == 0.0:
         return previous if fl_tp == 0.0 else Phase.COMBINED
-    return Phase.ID_ONLY if fl_tp / fl_id < switch_ratio else Phase.COMBINED
+    return Phase.ID_ONLY if fl_tp / fl_id < SWITCH_RATIO else Phase.COMBINED
 
 
 @dataclass
@@ -108,12 +107,12 @@ class SchedulerState:
         iteration's probabilities, and pick the phase; the no_triplet policy
         makes odd iterations ID-only, even ones combined."""
         self.tau += 1
-        self.fl_id = focal_weight(self.id_stats.p, GAMMA)
-        self.fl_tp = focal_weight(self.tp_stats.p, GAMMA)
+        self.fl_id = focal_weight(self.id_stats.p)
+        self.fl_tp = focal_weight(self.tp_stats.p)
         if self.policy == "no_triplet":
             self.phase = Phase.ID_ONLY if self.tau % 2 == 1 else Phase.COMBINED
         else:
-            self.phase = select_phase(self.fl_id, self.fl_tp, SWITCH_RATIO, self.phase)
+            self.phase = select_phase(self.fl_id, self.fl_tp, self.phase)
         return self.phase
 
     @property

@@ -177,8 +177,8 @@ class TestCriterion4SchedulerArithmetic:
     def test_unit_vectors(self):
         assert update_ema(2.0, 1.0, 0.25) == pytest.approx(1.75, abs=1e-12)
         assert loss_reduction_prob(1.75, 2.0) == pytest.approx(0.875, abs=1e-12)
-        assert focal_weight(0.875, 2.0) == pytest.approx(0.002086, abs=1e-6)
-        assert focal_weight(1.0, 2.0) == 0.0
+        assert focal_weight(0.875) == pytest.approx(0.002086, abs=1e-6)
+        assert focal_weight(1.0) == 0.0
         assert loss_reduction_prob(2.2, 2.0) == 1.0  # increase normalizes to 1
         state = SchedulerState()
         assert state.begin_iteration() is Phase.ID_ONLY

@@ -50,57 +50,57 @@ class TestLossReductionProb:
 
 class TestFocalWeight:
     def test_zero_at_one_exactly(self):
-        assert focal_weight(1.0, 2.0) == 0.0
+        assert focal_weight(1.0) == 0.0
 
     def test_direct_values(self):
-        assert focal_weight(0.875, 2.0) == pytest.approx(0.002086, abs=1e-6)
-        assert focal_weight(0.5, 2.0) == pytest.approx(0.25 * math.log(2), rel=1e-9)
-        assert focal_weight(0.5, 2.0) == pytest.approx(0.17329, abs=1e-5)
+        assert focal_weight(0.875) == pytest.approx(0.002086, abs=1e-6)
+        assert focal_weight(0.5) == pytest.approx(0.25 * math.log(2), rel=1e-9)
+        assert focal_weight(0.5) == pytest.approx(0.17329, abs=1e-5)
 
     def test_monotone_decreasing_on_unit_interval(self):
         ps = np.linspace(1e-6, 1.0, 10_000)
-        vals = [focal_weight(float(p), 2.0) for p in ps]
+        vals = [focal_weight(float(p)) for p in ps]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 0.0
 
     def test_floor_is_large_but_finite(self):
-        v = focal_weight(0.0, 2.0)  # stored as the clamp floor
+        v = focal_weight(0.0)  # stored as the clamp floor
         assert np.isfinite(v)
         assert v > 20.0
 
 
 class TestSelectPhase:
     def test_initialization_forces_id_only(self):
-        fl_id = focal_weight(P_FLOOR, 2.0)  # p_id = 0 at init, stored clamped
-        fl_tp = focal_weight(1.0, 2.0)
-        assert select_phase(fl_id, fl_tp, 0.16, Phase.COMBINED) is Phase.ID_ONLY
+        fl_id = focal_weight(P_FLOOR)  # p_id = 0 at init, stored clamped
+        fl_tp = focal_weight(1.0)
+        assert select_phase(fl_id, fl_tp, Phase.COMBINED) is Phase.ID_ONLY
 
     def test_equal_weights_go_combined(self):
-        assert select_phase(0.3, 0.3, 0.16, Phase.ID_ONLY) is Phase.COMBINED
+        assert select_phase(0.3, 0.3, Phase.ID_ONLY) is Phase.COMBINED
 
     def test_zero_id_weight_with_triplet_pressure(self):
-        assert select_phase(0.0, 0.1, 0.16, Phase.ID_ONLY) is Phase.COMBINED
+        assert select_phase(0.0, 0.1, Phase.ID_ONLY) is Phase.COMBINED
 
     def test_both_zero_retains_previous(self):
-        assert select_phase(0.0, 0.0, 0.16, Phase.ID_ONLY) is Phase.ID_ONLY
-        assert select_phase(0.0, 0.0, 0.16, Phase.COMBINED) is Phase.COMBINED
+        assert select_phase(0.0, 0.0, Phase.ID_ONLY) is Phase.ID_ONLY
+        assert select_phase(0.0, 0.0, Phase.COMBINED) is Phase.COMBINED
 
     def test_strictly_less_boundary(self):
         # ratio exactly delta is not "< delta": combined
-        assert select_phase(1.0, 0.16, 0.16, Phase.ID_ONLY) is Phase.COMBINED
-        assert select_phase(1.0, 0.159, 0.16, Phase.ID_ONLY) is Phase.ID_ONLY
+        assert select_phase(1.0, 0.16, Phase.ID_ONLY) is Phase.COMBINED
+        assert select_phase(1.0, 0.159, Phase.ID_ONLY) is Phase.ID_ONLY
 
     def test_scale_invariance(self, rng):
         for _ in range(100):
             fl_id = float(rng.uniform(1e-6, 10))
             fl_tp = float(rng.uniform(0, 10))
-            base = select_phase(fl_id, fl_tp, 0.16, Phase.ID_ONLY)
+            base = select_phase(fl_id, fl_tp, Phase.ID_ONLY)
             for c in (1e-3, 0.5, 7.0, 1e4):
-                assert select_phase(c * fl_id, c * fl_tp, 0.16, Phase.ID_ONLY) is base
+                assert select_phase(c * fl_id, c * fl_tp, Phase.ID_ONLY) is base
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            select_phase(-0.1, 0.0, 0.16, Phase.ID_ONLY)
+            select_phase(-0.1, 0.0, Phase.ID_ONLY)
 
 
 def combined(fl_id: float, fl_tp: float, policy: str = "dynamic") -> SchedulerState:

@@ -14,8 +14,10 @@ from pyreid.container import load_tensors, save_tensors
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.errors import ConfigError, ContainerError, TrainingDiverged
 from pyreid.evaluation import evaluate_checkpoint
-from pyreid.scheduler import LOSS_POLICIES, TRACE_COLUMNS, SchedulerState
-from pyreid.trainer import (PROFILES, SGD, TrainConfig, _decode_config, build_model,
+from pyreid.scheduler import (ALPHA, GAMMA, LOSS_POLICIES, SWITCH_RATIO, TRACE_COLUMNS,
+                              SchedulerState)
+from pyreid.trainer import (MOMENTUM, PROFILES, SGD, WEIGHT_DECAY, TrainConfig,
+                            _decode_config, build_model,
                             load_checkpoint, lr_schedule, make_config,
                             make_label_map, rebuild_model,
                             resolved_config_text, save_checkpoint, sgd_step, train)
@@ -96,6 +98,9 @@ class TestConfig:
     def test_desk_profile_defaults(self):
         c = PROFILES["desk"]
         assert (len(c.pyramid_mask), c.margin, c.base_lr) == (6, 1.4, 0.01)
+        # the method's fixed values, constants since they left TrainConfig
+        assert (ALPHA, GAMMA, SWITCH_RATIO) == (0.25, 2.0, 0.16)
+        assert (MOMENTUM, WEIGHT_DECAY) == (0.9, 0.0005)
 
     def test_paper_profile_values(self):
         c = PROFILES["paper"]
