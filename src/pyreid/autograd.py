@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import os
 import queue
 import threading
@@ -266,16 +267,13 @@ def _share_tasks(count: int, worker) -> list:
     """Run tasks 0 .. count - 1 and return their results in task order. Up
     to `_WORKERS` threads, the caller and helpers, claim the tasks one at a
     time, each in the caller's context variables (numpy's error state among
-    them). A thread's first claim calls worker(), which returns the function
-    that runs task i in that thread; whatever scratch it holds is freed when
-    the thread has no task left. A task must write only what it owns; a
-    caller that adds results does so in task order, so the bits do not
-    depend on the thread count. Every task runs, and the first error in task
-    order is raised once all of them have finished: no task is still
-    running when this returns."""
+    them); a thread's first claim calls worker() for its function of task i.
+    A task must write only what it owns; a caller that adds results does so
+    in task order, so the bits do not depend on the thread count. All tasks
+    run; the first error in task order is raised once they have finished. No
+    helper holds any of the call after this returns: peak memory is steady."""
     results, errors = [None] * count, []
     todo = iter(range(count))  # each next() claims one task, atomically under the GIL
-    finished: queue.SimpleQueue = queue.SimpleQueue()
 
     def run():
         task = None
@@ -286,7 +284,13 @@ def _share_tasks(count: int, worker) -> list:
                 results[i] = task(i)
             except BaseException as exc:  # raised by the calling thread below
                 errors.append((i, exc))
-            finished.put(i)
+
+    tickets, left, call = itertools.count(), queue.SimpleQueue(), {"run": run}
+
+    def join():  # a helper's part; a ticket taken after the caller's finds no run
+        ticket = next(tickets)
+        call.get("run", lambda: None)()  # released before the caller is told
+        left.put(ticket)
 
     global _helpers
     helpers = min(_WORKERS, count) - 1
@@ -294,12 +298,12 @@ def _share_tasks(count: int, worker) -> list:
         threading.Thread(target=_helper, name="pyreid-worker", daemon=True).start()
         _helpers += 1
     for _ in range(helpers):
-        _tasks.put(functools.partial(contextvars.copy_context().run, run))
+        _tasks.put(functools.partial(contextvars.copy_context().run, join))
     run()
-    # a helper may still be in its last task; a helper that comes late finds
-    # no task left and touches nothing
-    for _ in range(count):
-        finished.get()
+    call.clear()  # before the caller's own ticket, so no later ticket finds run
+    waiting = set(range(next(tickets)))  # the earlier tickets' helpers may hold run
+    while waiting:
+        waiting.discard(left.get())
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     return results
@@ -336,9 +340,8 @@ def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
 
 
 def _update_running(running_mean, running_var, mean, var, m: int) -> None:
-    """Move batch norm's running statistics in place towards a batch of m
-    rows; the running variance takes the unbiased estimate, while the batch
-    is normalized by the biased one."""
+    """Move batch norm's running statistics in place towards a batch of m rows:
+    the unbiased variance goes into running_var, the batch uses the biased one."""
     uvar = var * (m / (m - 1)) if m > 1 else var
     running_mean *= (1.0 - BN_MOMENTUM)
     running_mean += BN_MOMENTUM * mean

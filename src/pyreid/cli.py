@@ -216,9 +216,8 @@ def cmd_export_curves(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors reach `main` as a ConfigError,
-    to be printed as one `error:` line, instead of printing usage and
-    exiting; the subcommand parsers inherit the class."""
+    """An argument parser (the subcommand parsers inherit the class) whose
+    usage errors reach `main` as a ConfigError, printed as one `error:` line."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")

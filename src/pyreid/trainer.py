@@ -33,8 +33,7 @@ _INIT_PURPOSE = 7
 
 CHECKPOINT_VERSION = 10
 
-# SGD's fixed momentum and L2 weight decay
-MOMENTUM, WEIGHT_DECAY = 0.9, 0.0005
+MOMENTUM, WEIGHT_DECAY = 0.9, 0.0005  # SGD's fixed momentum and L2 weight decay
 
 
 @dataclass(frozen=True)

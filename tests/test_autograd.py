@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -501,6 +502,36 @@ class TestShareTasks:
         with pytest.raises(RuntimeError, match="task 1"):
             ag._share_tasks(6, lambda: task)
         assert sorted(finished) == [0, 2, 3, 5]
+
+    def test_helpers_let_go_of_the_call_before_it_returns(self, monkeypatch):
+        # the calling thread frees its arrays and the tasks' scratch, so where
+        # that falls, and the peak memory, does not move with thread timing;
+        # 4 helpers on 4 slow tasks, switched every 10 us: some come too late,
+        # while others are still in a task
+        monkeypatch.setattr(ag, "_WORKERS", 5)
+
+        class Array:
+            pass
+
+        def call():
+            data = Array()  # one of the caller's arrays
+            refs = [weakref.ref(data)]
+
+            def worker():
+                scratch = Array()
+                refs.append(weakref.ref(scratch))
+                return lambda i: (data, scratch, time.sleep(0.001)) and i
+
+            assert ag._share_tasks(4, worker) == [0, 1, 2, 3]
+            return refs
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(200):
+                assert all(ref() is None for ref in call())
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_helpers_run_in_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(ag, "_WORKERS", 3)
