@@ -4,7 +4,9 @@ Every command exits 0 on success. Usage and configuration problems (a bad
 or unknown flag included) exit 2 with a one-line `error: ...` message,
 training divergence exits 3, anything else exits 1. All run outputs live
 under a single --out directory with fixed names; the only timestamped file
-is run_info.txt.
+is run_info.txt. `train` writes nothing for what it refuses: a mask that
+misfits the images, an unfillable P x K batch, or a query with no true
+gallery match.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .data_synth import GenConfig, ReIDDataset, generate_dataset
 from .errors import ConfigError, TrainingDiverged
-from .evaluation import evaluate_checkpoint, metrics_table
+from .evaluation import evaluate_checkpoint, metrics_table, true_matches
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
 from .trainer import make_config, train
@@ -67,7 +69,8 @@ def _collect_overrides(args) -> dict:
 
 def _train_and_evaluate(config, dataset, out_dir) -> dict:
     """Train one run and evaluate its checkpoint; `train` and `ablate` both
-    report metrics through here."""
+    report metrics through here. Data that cannot be scored is refused first."""
+    true_matches(dataset.query_split(), dataset.gallery_split())
     return evaluate_checkpoint(train(config, dataset, out_dir).checkpoint_path, dataset)
 
 

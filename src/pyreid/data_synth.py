@@ -195,12 +195,23 @@ def _occlusion_boxes(severity: float, u_occ: np.ndarray, u_area: np.ndarray,
     return np.where((u_occ < 0.5 * severity)[:, None], boxes, -1)
 
 
-def _int64(text: str, column: str) -> int:
+def _int64(text: str, column: str, where: str) -> int:
     """A manifest integer, which must fit the int64 arrays it is stored in."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise ContainerError(f"{where}: {column} {text!r} is not an integer") from None
     if not -2 ** 63 <= value < 2 ** 63:
-        raise ContainerError(f"{column} {value} does not fit in int64")
+        raise ContainerError(f"{where}: {column} {value} does not fit in int64")
     return value
+
+
+def _float(text: str, column: str, where: str) -> float:
+    """A manifest real number."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ContainerError(f"{where}: {column} {text!r} is not a number") from None
 
 
 @dataclass
@@ -275,12 +286,9 @@ class ReIDDataset:
                                      f"'img_{len(rows):05d}'")
             if r[3] not in split_codes:
                 raise ContainerError(f"{where}: unknown split {r[3]!r}")
-            try:
-                ints = [_int64(r[i], MANIFEST_COLUMNS[i]) for i in (1, 2, 6, 7, 8, 9)]
-                rows.append((ints[0], ints[1], split_codes[r[3]],
-                             float(r[4]), float(r[5]), ints[2:]))
-            except ValueError as exc:
-                raise ContainerError(f"{where}: {exc}") from exc
+            ints = [_int64(r[i], MANIFEST_COLUMNS[i], where) for i in (1, 2, 6, 7, 8, 9)]
+            rows.append((ints[0], ints[1], split_codes[r[3]], _float(r[4], "offset", where),
+                         _float(r[5], "scale", where), ints[2:]))
         if not rows:
             raise ContainerError("manifest.csv lists no images")
         identities, cameras, splits, offsets, scales, boxes = zip(*rows)

@@ -3,22 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor, _share_tasks
+from .batching import Split
 from .data_synth import ReIDDataset
 from .errors import ConfigError
 from .pyramid import BranchMask, PyramidModel
-
-
-@dataclass(frozen=True)
-class RankedResult:
-    """One query's filtered gallery ranking."""
-    query_index: int
-    order: np.ndarray    # gallery indices, ascending distance
-    matches: np.ndarray  # bool per ranked position
 
 
 # query rows per task, which bounds a task's memory: a (128, G) float64 block
@@ -42,11 +34,12 @@ def _exact_sq_distances(query: np.ndarray, rows: np.ndarray) -> list:
 
 def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.ndarray,
                  gallery_embs: np.ndarray, gallery_ids: np.ndarray,
-                 gallery_cams: np.ndarray) -> list:
-    """Rank the gallery for every query row in the exact order of Euclidean
-    distance, the lower gallery index first on a tie, after dropping the
-    query's same-identity same-camera entries (junk under the standard
-    protocol). Returns one RankedResult per query; refuses non-finite rows.
+                 gallery_cams: np.ndarray) -> np.ndarray:
+    """The (Q, G) int64 ranking: row i holds every gallery index in the exact
+    order of Euclidean distance to query row i, the lower index first on a
+    tie, except that the query's same-identity same-camera entries (junk
+    under the standard protocol) come after all the others, in index order.
+    Refuses non-finite rows.
 
     Blocks of `_RANK_BLOCK` queries are tasks of `autograd._share_tasks`. A
     block sorts one int64 key per Gram-form squared distance: its bits with
@@ -83,29 +76,26 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
     # own rounding. Underflow can matter only where (|q| + |g|)^2 < 2**-600,
     # and there the 2**-590 joins all keys into one exact run.
     rel = 2.0 * (dim + 3) * 2.0 ** -53 / (1.0 - (dim + 3) * 2.0 ** -53) + (low + 1) * 2.0 ** -50
+    ranking = np.empty((len(q), n), dtype=np.int64)
 
-    def rank_block(block: int) -> list:
+    def rank_block(block: int) -> None:
         lo = block * _RANK_BLOCK
         qb = q[lo:lo + _RANK_BLOCK]
         ids, cams = query_ids[lo:lo + _RANK_BLOCK, None], query_cams[lo:lo + _RANK_BLOCK, None]
         q_sq = np.einsum("ij,ij->i", qb, qb)
-        dist = (-2.0 * qb) @ g.T  # + |q|^2 + |g|^2, clamped at +0.0
-        dist += q_sq[:, None]
+        keys = ranking[lo:lo + _RANK_BLOCK]  # the block's rows hold its distances first
+        dist = np.matmul(-2.0 * qb, g.T, out=keys.view(np.float64))
+        dist += q_sq[:, None]  # -2 q.g + |q|^2 + |g|^2, clamped at +0.0
         dist += g_sq
         np.maximum(dist, 0.0, out=dist)
         junk = (gallery_ids == ids) & (gallery_cams == cams)
-        kept = n - junk.sum(axis=1)
-        if not kept.all():
-            raise ValueError(f"rank_gallery: query {lo + int(np.argmin(kept))} has an empty "
-                             f"gallery after filtering")
-        keys = dist.view(np.int64)
         keys &= ~low
         keys[junk] = _JUNK_KEY
         keys |= np.arange(n)
         keys.sort(axis=1)
         tol = rel * (np.sqrt(q_sq) + g_norm) ** 2 + 2.0 ** -590
         near = np.diff(keys.view(np.float64), axis=1) <= tol[:, None]  # NaN: junk
-        order = np.bitwise_and(keys, low, out=keys)
+        order = np.bitwise_and(keys, low, out=keys)  # junk last, in index order
         for row in np.flatnonzero(near.any(axis=1)):
             # the members of all runs; one not near the entry before starts a run
             joined = np.r_[False, near[row]]
@@ -114,41 +104,39 @@ def rank_gallery(query_embs: np.ndarray, query_ids: np.ndarray, query_cams: np.n
             exact = zip(np.cumsum(~joined[pos]).tolist(),
                         _exact_sq_distances(qb[row], g[members]), members.tolist())
             order[row, pos] = [i for _, _, i in sorted(exact)]
-        matches = gallery_ids[order] == ids
-        return [RankedResult(query_index=lo + i, order=order[i, :k], matches=matches[i, :k])
-                for i, k in enumerate(kept)]
 
-    blocks = _share_tasks(-(-len(q) // _RANK_BLOCK), lambda: rank_block)
-    return [res for block in blocks for res in block]
+    _share_tasks(-(-len(q) // _RANK_BLOCK), lambda: rank_block)
+    return ranking
 
 
-def compute_cmc(results: list, max_rank: int) -> np.ndarray:
+def true_matches(query: Split, gallery: Split) -> np.ndarray:
+    """The (Q, G) true-match relation of single-query evaluation: a gallery
+    image of the query's identity from another camera (one from the same
+    camera is junk). Refuses an empty split, and names the lowest query with
+    no true match, since neither can be scored."""
+    if len(query) == 0 or len(gallery) == 0:
+        raise ConfigError("dataset has no query/gallery split")
+    relation = ((gallery.identities == query.identities[:, None])
+                & (gallery.cameras != query.cameras[:, None]))
+    i = int(relation.any(axis=1).argmin())  # the first query without one, if any
+    if not relation[i].any():
+        raise ConfigError(f"query {i} (identity {query.identities[i]}, camera "
+                          f"{query.cameras[i]}) has no true match in the gallery")
+    return relation
+
+
+def compute_cmc(matches: np.ndarray, max_rank: int) -> np.ndarray:
     """CMC[r] (1-based rank r) = fraction of queries whose first true match
-    appears at position <= r."""
-    if not results:
-        raise ValueError("compute_cmc: no results")
-    hits = np.zeros(max_rank, dtype=np.float64)
-    for res in results:
-        if not res.matches.any():
-            raise ValueError(f"compute_cmc: query {res.query_index} has no true match")
-        first = int(res.matches.argmax())
-        if first < max_rank:
-            hits[first:] += 1.0
-    return hits / len(results)
+    appears at position <= r, from the (Q, G) bool matches in rank order;
+    every row must hold a true match."""
+    return (matches.argmax(axis=1)[:, None] < np.arange(1, max_rank + 1)).mean(axis=0)
 
 
-def compute_map(results: list) -> float:
-    """Mean over queries of average precision over all true matches."""
-    if not results:
-        raise ValueError("compute_map: no results")
-    aps = []
-    for res in results:
-        pos = np.flatnonzero(res.matches)
-        if pos.size == 0:
-            raise ValueError(f"compute_map: query {res.query_index} has no true match")
-        precisions = (np.arange(1, pos.size + 1)) / (pos + 1.0)
-        aps.append(precisions.mean())
-    return float(np.mean(aps))
+def compute_map(matches: np.ndarray) -> float:
+    """Mean over queries of average precision over all true matches, from the
+    (Q, G) bool matches in rank order; every row must hold a true match."""
+    return float(np.mean([(np.arange(1, len(pos) + 1) / (pos + 1.0)).mean()
+                          for pos in map(np.flatnonzero, matches)]))
 
 
 def extract_embeddings(model: PyramidModel, images: np.ndarray,
@@ -167,16 +155,17 @@ def extract_embeddings(model: PyramidModel, images: np.ndarray,
 def evaluate_model(model: PyramidModel, dataset: ReIDDataset,
                    mask: BranchMask | None = None) -> dict:
     """mAP and CMC at ranks 1/5/10 over the dataset's query/gallery splits."""
-    query = dataset.query_split()
-    gallery = dataset.gallery_split()
-    if len(query) == 0 or len(gallery) == 0:
-        raise ConfigError("evaluate_model: dataset has no query/gallery split")
+    query, gallery = dataset.query_split(), dataset.gallery_split()
+    relation = true_matches(query, gallery)
     q_embs = extract_embeddings(model, dataset.images[query.indices], mask)
     g_embs = extract_embeddings(model, dataset.images[gallery.indices], mask)
-    results = rank_gallery(q_embs, query.identities, query.cameras,
-                           g_embs, gallery.identities, gallery.cameras)
-    cmc = compute_cmc(results, 10)
-    return {"mAP": compute_map(results), "rank1": float(cmc[0]), "rank5": float(cmc[4]),
+    order = rank_gallery(q_embs, query.identities, query.cameras,
+                         g_embs, gallery.identities, gallery.cameras)
+    # row i's gallery indices become flat indices of the relation's row i
+    order += np.arange(0, relation.size, relation.shape[1])[:, None]
+    matches = np.take(relation, order)
+    cmc = compute_cmc(matches, 10)
+    return {"mAP": compute_map(matches), "rank1": float(cmc[0]), "rank5": float(cmc[4]),
             "rank10": float(cmc[9])}
 
 

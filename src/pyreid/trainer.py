@@ -454,6 +454,11 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             trace.write(sched.tau, phase, l_id.value,
                         None if l_tp is None else l_tp.value, sched, lr)
 
+    # the losses can stay finite while a running statistic overflows
+    for name, buf in model.named_buffers():
+        if not np.isfinite(buf).all():  # no evaluation could use the checkpoint
+            raise TrainingDiverged(f"batch-norm statistic {name!r} is non-finite after "
+                                   f"iteration {sched.tau - 1}")
     stream_state = {"rand_epoch": rand_stream.epoch, "rand_pos": rand_stream.pos,
                     "pk_epoch": pk_stream.epoch, "pk_pos": pk_stream.pos}
     save_checkpoint(checkpoint_path, model, config, sched, opt, stream_state, fingerprint)

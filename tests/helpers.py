@@ -79,6 +79,13 @@ def oracle_ap(matches) -> float:
     return sum(precisions) / len(precisions)
 
 
+def padded(rows) -> np.ndarray:
+    """Match rows of different lengths as one (Q, G) bool matrix: a trailing
+    False changes neither a row's AP nor its first hit."""
+    width = max(len(row) for row in rows)
+    return np.array([list(row) + [False] * (width - len(row)) for row in rows], dtype=bool)
+
+
 def oracle_cmc(all_matches, max_rank) -> list:
     counts = [0] * max_rank
     for matches in all_matches:

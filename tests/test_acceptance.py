@@ -27,7 +27,7 @@ from pyreid.trainer import TrainConfig, train
 
 from helpers import (build_tiny_model, composite_loss, composite_margin,
                      finite_difference_check, gradcheck_cases, oracle_ap, oracle_cmc,
-                     oracle_mine, swap_param)
+                     oracle_mine, padded, swap_param)
 
 SEEDS = (0, 1, 2)
 
@@ -154,19 +154,19 @@ class TestCriterion3OracleEquivalence:
               "1000 random batches")
 
     def test_map_and_cmc_match_brute_force(self):
-        from pyreid.evaluation import RankedResult
         rng = np.random.default_rng(23)
         for _ in range(500):
-            results = []
-            for i in range(int(rng.integers(1, 8))):
+            rows = []
+            for _ in range(int(rng.integers(1, 8))):
                 matches = rng.uniform(size=int(rng.integers(2, 15))) < 0.35
                 if not matches.any():
                     matches[int(rng.integers(0, len(matches)))] = True
-                results.append(RankedResult(i, np.arange(len(matches)), matches))
-            expected_map = float(np.mean([oracle_ap(r.matches.tolist())
-                                          for r in results]))
+                rows.append(matches.tolist())
+            # one (Q, G) matrix, the shorter rows padded with non-matches
+            results = padded(rows)
+            expected_map = float(np.mean([oracle_ap(row) for row in rows]))
             assert abs(compute_map(results) - expected_map) <= 1e-12
-            expected_cmc = oracle_cmc([r.matches.tolist() for r in results], 10)
+            expected_cmc = oracle_cmc(rows, 10)
             got = compute_cmc(results, 10)
             assert np.abs(got - np.asarray(expected_cmc)).max() <= 1e-12
         print("\nACCEPTANCE 3b PASS: mAP and CMC match brute-force oracles on "
@@ -306,16 +306,14 @@ class TestCriterion10InvarianceSuite:
         base_r = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
         for scale in (0.01, 5.0):
             scaled = rank_gallery(queries * scale, qids, qcams, gallery * scale, gids, gcams)
-            assert [r.order.tolist() for r in base_r] == [r.order.tolist() for r in scaled]
+            assert base_r.tolist() == scaled.tolist()
 
         # CMC monotonicity
-        from pyreid.evaluation import RankedResult
-        results = []
-        for i in range(50):
-            matches = rng.uniform(size=12) < 0.3
+        results = np.zeros((50, 12), dtype=bool)
+        for matches in results:  # the draws of one row after another
+            matches[:] = rng.uniform(size=12) < 0.3
             if not matches.any():
                 matches[int(rng.integers(0, 12))] = True
-            results.append(RankedResult(i, np.arange(12), matches))
         cmc = compute_cmc(results, 12)
         assert (np.diff(cmc) >= 0).all() and cmc.min() >= 0 and cmc.max() <= 1
 

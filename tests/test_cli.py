@@ -462,8 +462,9 @@ class TestMalformedInputs:
          "image 'img_99999' is out of place, expected 'img_00000'"),
         (3, lambda row: row[:3] + ["bogus"] + row[4:], "unknown split 'bogus'"),
         (4, lambda row: row[:3], "expected 10 fields, got 3"),
-        (5, lambda row: row[:1] + ["x"] + row[2:], "invalid literal"),
-    ], ids=["unknown_image", "unknown_split", "short_row", "bad_number"])
+        (5, lambda row: row[:1] + ["x"] + row[2:], "identity 'x' is not an integer"),
+        (6, lambda row: row[:5] + ["1.5.0"] + row[6:], "scale '1.5.0' is not a number"),
+    ], ids=["unknown_image", "unknown_split", "short_row", "bad_number", "bad_scale"])
     def test_manifest_row(self, data_dir, trained_dir, tmp_path, capsys, line, edit, message):
         broken = self.broken_dataset(data_dir, tmp_path, line, edit)
         assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
@@ -486,6 +487,103 @@ class TestMalformedInputs:
         assert_one_error_line(capsys.readouterr().err,
                               f"manifest.csv:3: {column} {value} does not fit in int64")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_query_without_a_true_match(self, data_dir, trained_dir, tmp_path, capsys,
+                                        command):
+        # the first query row takes an identity that no gallery row holds
+        rows = (data_dir / "manifest.csv").read_text().splitlines()
+        line = next(i for i, row in enumerate(rows, start=1) if row.split(",")[3] == "query")
+        broken = self.broken_dataset(data_dir, tmp_path, line,
+                                     lambda row: row[:1] + ["999"] + row[2:])
+        camera = rows[line - 1].split(",")[2]
+        message = f"query 0 (identity 999, camera {camera}) has no true match in the gallery"
+        out = tmp_path / "o"
+        args = {"train": ["train", "--dataset", str(broken), "--out", str(out), "--epochs", "1"],
+                "eval": ["eval", "--checkpoint", str(trained_dir / "checkpoint.pyrt"),
+                         "--dataset", str(broken)],
+                "ablate": ["ablate", "--dataset", str(broken), "--out", str(out), "--masks",
+                           "000001,111111", "--seeds", "0", "--epochs", "1"]}[command]
+        code = main(args)
+        if command == "ablate":  # an error row per run, and no run directory
+            assert code == 0
+            statuses = [r["status"] for r in csv.DictReader(open(out / "ablation.csv"))]
+            assert statuses == [f"error: {message}"] * 2
+            assert sorted(p.name for p in out.iterdir()) == ["ablation.csv"]
+        else:
+            assert code == 2
+            assert_one_error_line(capsys.readouterr().err, message)
+            assert not out.exists()
+
+
+class TestDatasetFuzz:
+    """One edited field of a tiny dataset's manifest, or one edited byte of a
+    split container: `train --epochs 1` and `eval` exit 0, 2 or 3, stderr is
+    empty or one `error:` line, and a refused `train` writes nothing."""
+
+    ROWS = 8 * 6  # gen-data --num-ids 8 --imgs-per-id 6
+    FIELD = st.one_of(st.sampled_from(["", "x", "-1", "0", "1", "2", "7", "999", "1.5", "-0.0",
+                                       "nan", "inf", "1e999", str(10 ** 20), str(2 ** 63),
+                                       "train", "query", "gallery", "img_00000"]),
+                      st.text(max_size=3))
+
+    @pytest.fixture(scope="class")
+    def tiny(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fuzz")
+        assert main(["gen-data", "--out", str(base / "data"), "--num-ids", "8",
+                     "--imgs-per-id", "6", "--seed", "1"]) == 0
+        assert main(["train", "--dataset", str(base / "data"), "--out", str(base / "run"),
+                     "--epochs", "1"]) == 0
+        return base / "data", base / "run" / "checkpoint.pyrt"
+
+    def copy(self, tiny, tmp_path) -> Path:
+        work = tmp_path / "data"
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        shutil.copytree(tiny[0], work)
+        return work
+
+    def check(self, tiny, data, tmp_path, capsys):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        for args in (["train", "--dataset", str(data), "--out", str(out), "--epochs", "1"],
+                     ["eval", "--checkpoint", str(tiny[1]), "--dataset", str(data)]):
+            code = main(args)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3), (args[0], code, err)
+            if code == 0:
+                assert err == ""
+            else:
+                assert_one_error_line(err)
+            if args[0] == "train" and code == 2:
+                assert not out.exists(), err
+
+    @given(line=st.integers(2, ROWS + 1), column=st.integers(0, len(MANIFEST_COLUMNS) - 1),
+           value=FIELD)
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_manifest_field(self, tiny, tmp_path, capsys, line, column, value):
+        data = self.copy(tiny, tmp_path)
+        lines = (data / "manifest.csv").read_text().splitlines()
+        row = lines[line - 1].split(",")
+        row[column] = value
+        lines[line - 1] = ",".join(row)
+        (data / "manifest.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.check(tiny, data, tmp_path, capsys)
+
+    @given(split=st.sampled_from(["train", "query", "gallery"]),
+           where=st.one_of(st.integers(0, 63), st.integers(0, 2 ** 20)),
+           value=st.integers(0, 255))
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_one_container_byte(self, tiny, tmp_path, capsys, split, where, value):
+        # the header is the first few dozen bytes; the rest are pixels
+        data = self.copy(tiny, tmp_path)
+        raw = bytearray((data / f"{split}.pyrt").read_bytes())
+        raw[where % len(raw)] = value
+        (data / f"{split}.pyrt").write_bytes(bytes(raw))
+        self.check(tiny, data, tmp_path, capsys)
 
 
 class TestEval:
@@ -718,6 +816,21 @@ class TestExitCodes:
                      "--config", str(config), "--epochs", "3"])
         assert code == 3
         assert_one_error_line(capsys.readouterr().err, *fragments)
+
+    def test_overflowing_batch_norm_statistic_exits_3(self, data_dir, tmp_path, capsys):
+        # one train pixel of 1e20: the batch-normalized losses stay finite,
+        # but the first block's float32 running variance overflows
+        data = tmp_path / "d"
+        shutil.copytree(data_dir, data)
+        images = load_tensors(data / "train.pyrt")["images"].copy()
+        images[1, 5, 5, 0] = 1e20
+        save_tensors(data / "train.pyrt", {"images": images})
+        code = main(["train", "--dataset", str(data), "--out", str(tmp_path / "o"),
+                     "--epochs", "1"])
+        assert code == 3
+        assert_one_error_line(capsys.readouterr().err,
+                              "training diverged: batch-norm statistic "
+                              "'backbone.block0.bn.running_var' is non-finite after iteration ")
 
     def test_debug_env_enables_finiteness_checks(self, monkeypatch, tmp_path,
                                                  capsys):

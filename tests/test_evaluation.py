@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,60 +11,69 @@ import pyreid.evaluation as evaluation
 from pyreid.autograd import Tensor, use_dtype
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.errors import ConfigError
-from pyreid.evaluation import (RankedResult, compute_cmc, compute_map,
-                               evaluate_model, extract_embeddings, rank_gallery)
+from pyreid.batching import Split
+from pyreid.evaluation import (compute_cmc, compute_map, evaluate_model, extract_embeddings,
+                               rank_gallery, true_matches)
 from pyreid.pyramid import BranchMask
 from pyreid.trainer import TrainConfig, build_model
 
-from helpers import nhwc, oracle_ap, oracle_cmc, oracle_rank, reference_pyramid_forward
+from helpers import (nhwc, oracle_ap, oracle_cmc, oracle_rank, padded,
+                     reference_pyramid_forward)
 
 
-def result(matches, query_index=0):
-    matches = np.asarray(matches, dtype=bool)
-    return RankedResult(query_index=query_index,
-                        order=np.arange(len(matches)),
-                        matches=matches)
-
-
-def orders(results):
-    return [r.order.tolist() for r in results]
-
-
-def ranked(results):
-    """Everything a ranking returns, as plain lists."""
-    return [(r.query_index, r.order.tolist(), r.matches.tolist()) for r in results]
+def rank(queries, qids, qcams, gallery, gids, gcams) -> list:
+    """rank_gallery's rows without their junk, as lists, once the (Q, G)
+    int64 ranking is checked to hold every gallery index in each row, with
+    the query's junk after all the others, in index order."""
+    ranking = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
+    assert ranking.dtype == np.int64 and ranking.shape == (len(qids), len(gids))
+    gids, gcams = np.asarray(gids), np.asarray(gcams)
+    rows = []
+    for row, qid, qcam in zip(ranking.tolist(), qids, qcams):
+        junk = np.flatnonzero((gids == qid) & (gcams == qcam)).tolist()
+        kept = len(row) - len(junk)
+        assert sorted(row) == list(range(len(row))) and row[kept:] == junk
+        rows.append(row[:kept])
+    return rows
 
 
 def rank_on_workers(monkeypatch, *args, workers=(1, 2, 3)):
-    """rank_gallery's results with each number of worker threads; they must
-    all be the same, and the first is returned."""
+    """rank_gallery's rankings, as lists, with each number of worker threads;
+    they must all be the same, and the first is returned."""
     runs = []
     for count in workers:
         monkeypatch.setattr(ag, "_WORKERS", count)
-        runs.append(ranked(rank_gallery(*args)))
+        runs.append(rank_gallery(*args).tolist())
     assert all(run == runs[0] for run in runs[1:])
     return runs[0]
 
 
+def match_matrix(order, qids, qcams, gids, gcams) -> np.ndarray:
+    """The true matches of a ranking, row by row in rank order."""
+    return (gids[order] == qids[:, None]) & (gcams[order] != qcams[:, None])
+
+
+def split(ids, cams) -> Split:
+    return Split(indices=np.arange(len(ids)), identities=np.asarray(ids),
+                 cameras=np.asarray(cams))
+
+
 class TestRankGallery:
-    def test_same_camera_same_id_filtered(self):
+    def test_same_camera_same_id_is_junk_last(self):
         g = np.array([[0.0, 0.0], [1.0, 1.0]])
-        [res] = rank_gallery(np.zeros((1, 2)), [7], [0], g, np.array([7, 7]),
-                             np.array([0, 1]))
-        assert res.order.tolist() == [1]
-        assert res.matches.tolist() == [True]
+        ranking = rank_gallery(np.zeros((1, 2)), [7], [0], g, np.array([7, 7]),
+                               np.array([0, 1]))
+        assert ranking.tolist() == [[1, 0]]
 
     def test_sorted_by_distance(self):
         g = np.array([[5.0], [2.0], [7.0]])
-        [res] = rank_gallery(np.zeros((1, 1)), [1], [0], g, np.array([2, 3, 4]),
-                             np.array([1, 1, 1]))
-        assert res.order.tolist() == [1, 0, 2]
+        assert rank(np.zeros((1, 1)), [1], [0], g, np.array([2, 3, 4]),
+                    np.array([1, 1, 1])) == [[1, 0, 2]]
 
     def test_tie_breaks_by_gallery_index(self):
         g = np.array([[3.0], [3.0], [1.0]])
-        [res] = rank_gallery(np.zeros((1, 1)), [9], [0], g, np.array([1, 2, 3]),
-                             np.array([1, 1, 1]))
-        assert res.order.tolist() == [2, 0, 1]
+        assert rank(np.zeros((1, 1)), [9], [0], g, np.array([1, 2, 3]),
+                    np.array([1, 1, 1])) == [[2, 0, 1]]
 
     def test_gallery_memory_layout_does_not_matter(self, rng):
         # Fortran order, a column gather (as a sub-mask's embedding is) and a
@@ -75,10 +85,8 @@ class TestRankGallery:
         wide = np.concatenate([rng.normal(size=(40, 3)), g], axis=1)
         layouts = [g, np.asfortranarray(g), wide[:, [3, 4, 5, 6, 7, 8]], wide[:, 3:]]
         assert not any(layout.flags["C_CONTIGUOUS"] for layout in layouts[1:])
-        runs = [rank_gallery(q, ids[:9], cams[:9], layout, ids, cams) for layout in layouts]
-        matches = [[r.matches.tolist() for r in run] for run in runs]
-        for run, match in zip(runs[1:], matches[1:]):
-            assert orders(run) == orders(runs[0]) and match == matches[0]
+        runs = [rank(q, ids[:9], cams[:9], layout, ids, cams) for layout in layouts]
+        assert all(run == runs[0] for run in runs[1:])
 
     def test_exact_ties_keep_the_stable_order(self, rng, monkeypatch):
         # small-integer rows give exact distances; every row of the gallery
@@ -90,54 +98,48 @@ class TestRankGallery:
         gids, gcams = rng.integers(0, 5, size=300), rng.integers(0, 2, size=300)
         qids, qcams = rng.integers(0, 5, size=200), rng.integers(0, 2, size=200)
         assert len(q) > evaluation._RANK_BLOCK
-        res = rank_on_workers(monkeypatch, q, qids, qcams, g, gids, gcams)
+        ranking = rank_on_workers(monkeypatch, q, qids, qcams, g, gids, gcams)
+        # junk at an infinite distance sorts last, in index order
         sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-        junk = (gids == qids[:, None]) & (gcams == qcams[:, None])
-        sq[junk] = np.inf
-        want = np.argsort(sq, axis=1, kind="stable")
-        assert [i for i, _, _ in res] == list(range(200))
-        for i, (_, order, matches) in enumerate(res):
-            assert order == want[i, :300 - junk[i].sum()].tolist()
-            assert matches == (gids[order] == qids[i]).tolist()
+        sq[(gids == qids[:, None]) & (gcams == qcams[:, None])] = np.inf
+        assert ranking == np.argsort(sq, axis=1, kind="stable").tolist()
 
-    def test_one_result_per_query_in_order(self):
+    def test_one_row_per_query_in_order(self):
         g = np.array([[0.0], [1.0], [2.0]])
-        res = rank_gallery(np.array([[2.0], [0.0]]), [1, 1], [0, 0], g,
-                           np.array([1, 2, 1]), np.array([1, 1, 0]))
-        assert [r.query_index for r in res] == [0, 1]
-        assert orders(res) == [[1, 0], [0, 1]]
-        assert [r.matches.tolist() for r in res] == [[False, True], [True, False]]
+        ranking = rank_gallery(np.array([[2.0], [0.0]]), [1, 1], [0, 0], g,
+                               np.array([1, 2, 1]), np.array([1, 1, 0]))
+        assert ranking.tolist() == [[1, 0, 2], [0, 1, 2]]
 
-    def test_empty_filtered_gallery_rejected(self):
-        g = np.array([[1.0], [2.0]])
-        with pytest.raises(ValueError, match="query 1 has an empty gallery"):
-            rank_gallery(np.zeros((3, 1)), [4, 5, 5], [2, 2, 2], g, np.array([5, 5]),
-                         np.array([2, 2]))
+    def test_all_junk_query_row_is_its_junk_in_index_order(self):
+        g = np.array([[2.0], [1.0]])
+        ranking = rank_gallery(np.zeros((3, 1)), [4, 5, 5], [2, 2, 2], g, np.array([5, 5]),
+                               np.array([2, 2]))
+        assert ranking.tolist() == [[1, 0], [0, 1], [0, 1]]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_empty_gallery_in_two_blocks_names_the_lower_query(self, rng, monkeypatch,
-                                                                workers):
-        # queries 300 and 140 (third and second block) keep no gallery entry;
-        # the blocks after the first finish before the error leaves
+    def test_all_junk_rows_in_three_blocks(self, rng, monkeypatch, workers):
+        # queries 300 and 140 (third and second block) find only junk
         monkeypatch.setattr(ag, "_WORKERS", workers)
-        g = rng.normal(size=(50, 3))
+        g, q = rng.normal(size=(50, 3)), rng.normal(size=(320, 3))
         qids = np.arange(320) % 7 + 1
         qids[[300, 140]] = 0
-        with pytest.raises(ValueError, match="query 140 has an empty gallery"):
-            rank_gallery(rng.normal(size=(320, 3)), qids, np.zeros(320, dtype=int), g,
-                         np.zeros(50, dtype=int), np.zeros(50, dtype=int))
+        ranking = rank_gallery(q, qids, np.zeros(320, dtype=int), g,
+                               np.zeros(50, dtype=int), np.zeros(50, dtype=int))
+        sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        want = np.argsort(sq, axis=1, kind="stable")
+        want[[300, 140]] = np.arange(50)
+        assert ranking.tolist() == want.tolist()
 
     def test_no_queries(self):
-        assert rank_gallery(np.zeros((0, 3)), [], [], np.ones((4, 3)), np.arange(4),
-                            np.zeros(4, dtype=int)) == []
+        ranking = rank_gallery(np.zeros((0, 3)), [], [], np.ones((4, 3)), np.arange(4),
+                               np.zeros(4, dtype=int))
+        assert ranking.dtype == np.int64 and ranking.shape == (0, 4)
 
     def test_one_gallery_image(self):
-        res = rank_gallery(np.zeros((3, 2)), [1, 2, 3], [0, 0, 0], np.ones((1, 2)),
-                           np.array([2]), np.array([1]))
-        assert ranked(res) == [(0, [0], [False]), (1, [0], [True]), (2, [0], [False])]
-        with pytest.raises(ValueError, match="query 1 has an empty gallery"):
-            rank_gallery(np.zeros((2, 2)), [1, 2], [1, 1], np.ones((1, 2)), np.array([2]),
-                         np.array([1]))
+        assert rank_gallery(np.zeros((3, 2)), [1, 2, 3], [0, 0, 0], np.ones((1, 2)),
+                            np.array([2]), np.array([1])).tolist() == [[0], [0], [0]]
+        assert rank(np.zeros((2, 2)), [1, 2], [1, 1], np.ones((1, 2)), np.array([2]),
+                    np.array([1])) == [[0], []]
 
     def test_distances_one_ulp_apart_rank_exactly(self):
         # |x| and the next double share every key bit above the index bits;
@@ -145,8 +147,8 @@ class TestRankGallery:
         a = 1.5
         b = np.nextafter(a, 2.0)
         g = np.array([[9.0], [b], [4.0], [a], [b], [7.0], [a], [0.5]])
-        res = rank_gallery(np.zeros((1, 1)), [0], [0], g, np.arange(1, 9), np.zeros(8))
-        assert orders(res) == [[7, 3, 6, 1, 4, 2, 5, 0]]
+        assert rank(np.zeros((1, 1)), [0], [0], g, np.arange(1, 9),
+                    np.zeros(8)) == [[7, 3, 6, 1, 4, 2, 5, 0]]
 
     @pytest.mark.parametrize("side, row", [("query", 2), ("gallery row", 1)])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan,
@@ -165,8 +167,7 @@ class TestRankGallery:
         with pytest.raises(ValueError, match="gallery row 1 has an entry beyond"):
             rank_gallery(np.ones((1, 2)), [0], [0], g, np.arange(1, 3), np.zeros(2))
         g[1, 0] = 2.0 ** 508
-        assert orders(rank_gallery(np.ones((1, 2)), [0], [0], g, np.arange(1, 3),
-                                   np.zeros(2))) == [[0, 1]]
+        assert rank(np.ones((1, 2)), [0], [0], g, np.arange(1, 3), np.zeros(2)) == [[0, 1]]
 
     def test_caller_errstate_holds_in_every_block_on_every_worker_count(self, rng,
                                                                         monkeypatch):
@@ -184,9 +185,10 @@ class TestRankGallery:
             monkeypatch.setattr(ag, "_WORKERS", workers)
             with warnings.catch_warnings(record=True) as caught, np.errstate(under="warn"):
                 warnings.simplefilter("always")
-                res = rank_gallery(q, np.zeros(300), np.zeros(300), g, np.ones(40), np.zeros(40))
+                ranking = rank_gallery(q, np.zeros(300), np.zeros(300), g, np.ones(40),
+                                       np.zeros(40))
             assert sum("underflow" in str(w.message) for w in caught) == blocks
-            assert orders(res) == want
+            assert ranking.tolist() == want  # no junk
 
     def test_wide_embeddings(self, rng):
         # 5,000 columns, and rows that differ in one column only
@@ -195,9 +197,9 @@ class TestRankGallery:
         g[20] = g[3]
         g[20, 4999] += 1.0
         q = rng.integers(-1, 2, size=(4, 5000)).astype(np.float64)
-        res = rank_gallery(q, np.zeros(4), np.zeros(4), g, np.ones(30), np.zeros(30))
         sq = ((q[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-        assert orders(res) == np.argsort(sq, axis=1, kind="stable").tolist()
+        assert rank(q, np.zeros(4), np.zeros(4), g, np.ones(30), np.zeros(30)) == \
+            np.argsort(sq, axis=1, kind="stable").tolist()
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dims differ"):
@@ -213,12 +215,38 @@ class TestRankGallery:
             queries = rng.normal(size=(int(rng.integers(1, 5)), 4))
             qids = rng.integers(0, 5, size=len(queries))
             qcams = rng.integers(0, 3, size=len(queries))
-            keep = [(~((gids == i) & (gcams == c))).any() for i, c in zip(qids, qcams)]
-            if not any(keep):
-                continue
-            queries, qids, qcams = queries[keep], qids[keep], qcams[keep]
-            res = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
-            assert orders(res) == oracle_rank(queries, qids, qcams, gallery, gids, gcams)
+            assert rank(queries, qids, qcams, gallery, gids, gcams) == \
+                oracle_rank(queries, qids, qcams, gallery, gids, gcams)
+
+
+class TestTrueMatches:
+    def test_same_identity_from_another_camera(self):
+        # gallery: identity 1 in cameras 0 and 1, identity 2 in camera 1
+        relation = true_matches(split([1, 2, 1], [0, 0, 1]), split([1, 1, 2], [0, 1, 1]))
+        assert relation.tolist() == [[False, True, False], [False, False, True],
+                                     [True, False, False]]
+
+    @pytest.mark.parametrize("query, gallery", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_split_refused(self, query, gallery):
+        with pytest.raises(ConfigError, match="dataset has no query/gallery split"):
+            true_matches(split(np.arange(query), np.zeros(query)),
+                         split(np.arange(gallery), np.ones(gallery)))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=30),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2)), min_size=1, max_size=30))
+    def test_names_the_lowest_query_without_a_true_match(self, queries, gallery):
+        # an identity the gallery lacks, or holds only in the query's camera
+        matchless = [i for i, (qid, qcam) in enumerate(queries)
+                     if not any(gid == qid and gcam != qcam for gid, gcam in gallery)]
+        q, g = split(*zip(*queries)), split(*zip(*gallery))
+        if matchless:
+            qid, qcam = queries[matchless[0]]
+            with pytest.raises(ConfigError, match=f"query {matchless[0]} \\(identity {qid}, "
+                                                  f"camera {qcam}\\) has no true match"):
+                true_matches(q, g)
+        else:
+            assert true_matches(q, g).any(axis=1).all()
 
 
 def relu_rows(rng, offset: np.ndarray, count: int, spread: float = 0.1) -> np.ndarray:
@@ -252,7 +280,7 @@ class TestExactOrder:
         for block in (1, 5, evaluation._RANK_BLOCK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evaluation, "_RANK_BLOCK", block)
-                assert orders(rank_gallery(queries, qids, qcams, gallery, ids, cams)) == want
+                assert rank(queries, qids, qcams, gallery, ids, cams) == want
 
     def test_next_double_ties(self, rng):
         offset = rng.normal(size=64)
@@ -281,9 +309,9 @@ class TestExactOrder:
 
         monkeypatch.setattr(np, "frompyfunc", counting)
         queries = np.arange(24.0).reshape(3, 8)
-        results = rank_gallery(queries, [0, 1, 2], [0, 0, 0], np.zeros((200, 8)),
+        ranking = rank_gallery(queries, [0, 1, 2], [0, 0, 0], np.zeros((200, 8)),
                                np.arange(200) % 3, np.ones(200))
-        assert orders(results) == [list(range(200))] * 3
+        assert ranking.tolist() == [list(range(200))] * 3  # no junk
         assert len(converted) == 3 * 2 * 8
 
     def test_signed_zeros(self, rng):
@@ -308,8 +336,7 @@ class TestExactOrder:
         n = 2 * k * k
         gallery = np.array([[n - 1.0, 2.0 * k], [float(n), 0.0]])
         assert (n - 1) ** 2 + (2 * k) ** 2 == n ** 2 + 1
-        assert orders(rank_gallery(np.zeros((1, 2)), [0], [0], gallery, np.ones(2),
-                                   np.zeros(2))) == [[1, 0]]
+        assert rank(np.zeros((1, 2)), [0], [0], gallery, np.ones(2), np.zeros(2)) == [[1, 0]]
 
     def test_values_whose_squares_underflow(self, rng):
         # scaled by 2**-540, squared distances are subnormal or zero in
@@ -327,14 +354,14 @@ class TestExactOrder:
         queries = relu_rows(rng, offset, 140)
         ids, cams = np.zeros(140), np.zeros(140)
         args = (gallery, np.ones(40), np.zeros(40))
-        alone = [ranked(rank_gallery(queries[i:i + 1], ids[:1], cams[:1], *args))[0][1:]
+        alone = [rank_gallery(queries[i:i + 1], ids[:1], cams[:1], *args)[0].tolist()
                  for i in range(140)]
         for block in (1, 5, 64, 128):
             monkeypatch.setattr(evaluation, "_RANK_BLOCK", block)
             for workers in (1, 2, 3):
                 monkeypatch.setattr(ag, "_WORKERS", workers)
-                together = ranked(rank_gallery(queries, ids, cams, *args))
-                assert [r[1:] for r in together] == alone, (block, workers)
+                together = rank_gallery(queries, ids, cams, *args).tolist()
+                assert together == alone, (block, workers)
 
 
 @st.composite
@@ -371,110 +398,99 @@ def retrieval_cases(draw):
 
 class TestRankGalleryAgainstOracle:
     """The batched ranking orders every query's gallery as the per-query
-    brute-force oracle does, ties included."""
+    brute-force oracle does, ties included, with the query's junk last."""
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(retrieval_cases())
     def test_orders_match_oracle(self, case):
         # with the shipped block and with blocks of 5 queries, which the
         # worker threads share when there are 1, 2 or 3 of them
-        queries, qids, qcams, gallery, gids, gcams = case
-        empty = [i for i, (qid, qcam) in enumerate(zip(qids, qcams))
-                 if ((gids == qid) & (gcams == qcam)).all()]
-        runs = []
+        want = oracle_rank(*case)
         for block, workers in [(evaluation._RANK_BLOCK, 1), (5, 1), (5, 2), (5, 3)]:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evaluation, "_RANK_BLOCK", block)
                 mp.setattr(ag, "_WORKERS", workers)
-                if empty:
-                    with pytest.raises(ValueError,
-                                       match=f"query {empty[0]} has an empty gallery"):
-                        rank_gallery(queries, qids, qcams, gallery, gids, gcams)
-                else:
-                    runs.append(ranked(rank_gallery(queries, qids, qcams, gallery, gids,
-                                                    gcams)))
-        if empty:
-            return
-        want = oracle_rank(queries, qids, qcams, gallery, gids, gcams)
-        for run in runs:
-            assert [i for i, _, _ in run] == list(range(len(queries)))
-            assert [order for _, order, _ in run] == want
-            for (_, order, matches), qid in zip(run, qids):
-                assert matches == (gids[order] == qid).tolist()
-        assert all(run == runs[1] for run in runs[2:])
+                assert rank(*case) == want
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(retrieval_cases(), st.data())
-    def test_all_junk_query_named(self, case, data):
-        queries, qids, qcams, gallery, gids, gcams = case
-        # every gallery entry shares one identity and camera; queries with
-        # another identity keep the whole gallery, the chosen ones keep none
+    def test_all_junk_queries(self, case, data):
+        queries, _, _, gallery, gids, _ = case
+        # the whole gallery is identity 0 in camera 0: the chosen queries,
+        # identity 0 in camera 0 too, find only junk, and the others, in
+        # camera 1, find only true matches
         junk = data.draw(st.lists(st.integers(0, len(queries) - 1), min_size=1))
-        qids = np.where(np.isin(np.arange(len(queries)), junk), 0, 1)
-        with pytest.raises(ValueError, match=f"query {min(junk)} has an empty gallery"):
-            rank_gallery(queries, qids, np.zeros_like(qids), gallery,
-                         np.zeros_like(gids), np.zeros_like(gcams))
+        qcams = np.where(np.isin(np.arange(len(queries)), junk), 0, 1)
+        qids, gids, gcams = np.zeros(len(queries)), np.zeros_like(gids), np.zeros_like(gids)
+        ranking = rank_gallery(queries, qids, qcams, gallery, gids, gcams)
+        want = oracle_rank(queries, qids, qcams, gallery, gids, gcams)
+        for i, row in enumerate(ranking.tolist()):
+            assert row == (list(range(len(gallery))) if i in junk else want[i])
+        with pytest.raises(ConfigError, match=f"query {min(junk)} "):
+            true_matches(split(qids, qcams), split(gids, gcams))
 
 
 class TestCmc:
     def test_all_rank_one(self):
-        cmc = compute_cmc([result([1, 0, 0]), result([1, 0])], max_rank=3)
+        cmc = compute_cmc(padded([[1, 0, 0], [1, 0]]), max_rank=3)
         np.testing.assert_allclose(cmc, [1.0, 1.0, 1.0])
 
     def test_two_queries_ranks_one_and_three(self):
-        cmc = compute_cmc([result([1, 0, 0]), result([0, 0, 1])], max_rank=3)
+        cmc = compute_cmc(padded([[1, 0, 0], [0, 0, 1]]), max_rank=3)
         np.testing.assert_allclose(cmc, [0.5, 0.5, 1.0])
 
     def test_saturates_at_gallery_size(self):
-        cmc = compute_cmc([result([0, 1]), result([0, 1])], max_rank=10)
+        cmc = compute_cmc(padded([[0, 1], [0, 1]]), max_rank=10)
         assert cmc[-1] == 1.0
 
     def test_monotone_nondecreasing_and_bounded(self, rng):
-        results = []
-        for i in range(40):
-            matches = rng.uniform(size=8) < 0.3
-            if not matches.any():
-                matches[int(rng.integers(0, 8))] = True
-            results.append(result(matches, i))
-        cmc = compute_cmc(results, max_rank=8)
+        matches = rng.uniform(size=(40, 8)) < 0.3
+        matches[np.arange(40), rng.integers(0, 8, size=40)] = True
+        cmc = compute_cmc(matches, max_rank=8)
         assert (np.diff(cmc) >= 0).all()
         assert cmc.min() >= 0.0 and cmc.max() <= 1.0
-
-    def test_matchless_query_rejected(self):
-        with pytest.raises(ValueError, match="no true match"):
-            compute_cmc([result([0, 0, 0])], max_rank=3)
 
 
 class TestMap:
     def test_textbook_ap(self):
         # matches at ranks 1 and 3: AP = (1/1 + 2/3) / 2
-        assert compute_map([result([1, 0, 1])]) == pytest.approx(5.0 / 6.0, rel=1e-12)
-        assert compute_map([result([1, 0, 1])]) == pytest.approx(0.8333, abs=1e-4)
+        assert compute_map(padded([[1, 0, 1]])) == pytest.approx(5.0 / 6.0, rel=1e-12)
+        assert compute_map(padded([[1, 0, 1]])) == pytest.approx(0.8333, abs=1e-4)
 
     def test_perfect_ranking(self):
-        assert compute_map([result([1, 1, 0, 0])]) == 1.0
+        assert compute_map(padded([[1, 1, 0, 0]])) == 1.0
 
     def test_matches_oracle_on_random_result_sets(self, rng):
         for _ in range(500):
-            results = []
-            for i in range(int(rng.integers(1, 6))):
+            rows = []
+            for _ in range(int(rng.integers(1, 6))):
                 matches = rng.uniform(size=int(rng.integers(2, 12))) < 0.4
                 if not matches.any():
                     matches[0] = True
-                results.append(result(matches, i))
-            expected = float(np.mean([oracle_ap(r.matches.tolist()) for r in results]))
-            assert compute_map(results) == pytest.approx(expected, abs=1e-12)
+                rows.append(matches.tolist())
+            expected = float(np.mean([oracle_ap(row) for row in rows]))
+            assert compute_map(padded(rows)) == pytest.approx(expected, abs=1e-12)
 
     def test_cmc_matches_oracle_too(self, rng):
         for _ in range(500):
-            results = []
-            for i in range(int(rng.integers(1, 6))):
-                matches = rng.uniform(size=10) < 0.3
-                if not matches.any():
-                    matches[int(rng.integers(0, 10))] = True
-                results.append(result(matches, i))
-            expected = oracle_cmc([r.matches.tolist() for r in results], 10)
-            np.testing.assert_allclose(compute_cmc(results, 10), expected, atol=1e-12)
+            matches = rng.uniform(size=(int(rng.integers(1, 6)), 10)) < 0.3
+            matches[~matches.any(axis=1), rng.integers(0, 10)] = True
+            expected = oracle_cmc(matches.tolist(), 10)
+            np.testing.assert_allclose(compute_cmc(matches, 10), expected, atol=1e-12)
+
+    def test_bits_equal_the_per_row_reference(self, rng):
+        # rows hold 1 to G matches; each row's AP is its own mean, and the
+        # CMC is first-hit counts over Q, to the last bit
+        for _ in range(300):
+            q, g = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+            matches = rng.uniform(size=(q, g)) < rng.uniform(0.05, 0.9, size=(q, 1))
+            matches[np.arange(q), rng.integers(0, g, size=q)] = True
+            aps = [(np.arange(1, len(pos) + 1) / (pos + 1.0)).mean()
+                   for pos in (np.flatnonzero(row) for row in matches)]
+            assert compute_map(matches) == float(np.mean(aps))
+            first = [row.index(True) for row in matches.tolist()]
+            hits = [sum(f <= r for f in first) for r in range(10)]
+            assert compute_cmc(matches, 10).tolist() == [h / q for h in hits]
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +527,19 @@ class TestModelEvaluation:
         for rank in (1, 5, 10):
             assert m[f"rank{rank}"] == pytest.approx(cmc[rank - 1], abs=1e-12)
 
+    def test_matchless_query_refused_before_extraction(self, setup, monkeypatch):
+        ds, model = setup
+        ds = dataclasses.replace(ds, identities=ds.identities.copy())
+        ds.identities[ds.query_split().indices[0]] = 999
+
+        def extract(*args, **kwargs):
+            raise AssertionError("extracted embeddings for data that cannot be scored")
+
+        monkeypatch.setattr(evaluation, "extract_embeddings", extract)
+        with pytest.raises(ConfigError, match=r"query 0 \(identity 999, camera \d+\) has no "
+                                              r"true match in the gallery"):
+            evaluate_model(model, ds)
+
     def test_metric_keys(self, setup):
         ds, model = setup
         m = evaluate_model(model, ds)
@@ -532,9 +561,10 @@ class TestModelEvaluation:
         ge = extract_embeddings(model, ds.images[g.indices])
 
         def metrics(scale):
-            res = rank_gallery(qe * scale, q.identities, q.cameras, ge * scale,
-                               g.identities, g.cameras)
-            return compute_map(res), compute_cmc(res, 5).tolist()
+            order = rank_gallery(qe * scale, q.identities, q.cameras, ge * scale,
+                                 g.identities, g.cameras)
+            matches = match_matrix(order, q.identities, q.cameras, g.identities, g.cameras)
+            return compute_map(matches), compute_cmc(matches, 5).tolist()
 
         base = metrics(1.0)
         assert metrics(3.7) == base
@@ -552,8 +582,9 @@ class TestModelEvaluation:
         perm = rng.permutation(len(g))
 
         def metrics(ge, gids, gcams):
-            res = rank_gallery(qe, q.identities, q.cameras, ge, gids, gcams)
-            return compute_map(res), compute_cmc(res, 5).tolist()
+            order = rank_gallery(qe, q.identities, q.cameras, ge, gids, gcams)
+            matches = match_matrix(order, q.identities, q.cameras, gids, gcams)
+            return compute_map(matches), compute_cmc(matches, 5).tolist()
 
         assert metrics(ge[perm], g.identities[perm], g.cameras[perm]) == \
             metrics(ge, g.identities, g.cameras)
@@ -569,16 +600,14 @@ class TestModelEvaluation:
         ge = extract_embeddings(model, ds.images[g.indices])
 
         def run_map(gids, gcams):
-            return compute_map(rank_gallery(qe, q.identities, q.cameras, ge, gids, gcams))
+            order = rank_gallery(qe, q.identities, q.cameras, ge, gids, gcams)
+            return compute_map(match_matrix(order, q.identities, q.cameras, gids, gcams))
 
         actual = run_map(g.identities, g.cameras)
-        shuffled = []
-        for _ in range(20):
-            perm = rng.permutation(len(g))
-            try:
-                shuffled.append(run_map(g.identities[perm], g.cameras[perm]))
-            except ValueError:
-                continue  # a shuffle can starve a query of matches
+        # a shuffle moves (identity, camera) pairs together, so every query
+        # keeps its true matches
+        shuffled = [run_map(g.identities[perm], g.cameras[perm])
+                    for perm in (rng.permutation(len(g)) for _ in range(20))]
         mean, sd = float(np.mean(shuffled)), float(np.std(shuffled))
         assert abs(actual - mean) <= 3.0 * max(sd, 1e-6)
 
