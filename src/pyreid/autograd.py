@@ -490,9 +490,6 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var
 # -- pooling and indexing ----------------------------------------------------
 
 
-_SHORT_STRIPE = 16  # elements per stripe up to which the first-max search loops; < 256
-
-
 @catalog_op("max plus mean over windows of consecutive horizontal stripes of a "
             "channels-last map, derived from one pool of each stripe")
 def stripe_pool(x: Tensor, parts: int, windows) -> Tensor:
@@ -543,16 +540,13 @@ def stripe_pool(x: Tensor, parts: int, windows) -> Tensor:
             left = gwin[l] * (wmax[l - 1][:-1] >= wmax[1][l - 1:])
             gwin[l - 1][:-1] += left
             gwin[1][l - 1:] += gwin[l] - left
-        # the first element of each stripe holding its max; a short
-        # stripe's index fits a byte
-        if unit <= _SHORT_STRIPE:
-            seen = xs[:, :, 0] == smax
-            first = (~seen).view(np.uint8)
-            for k in range(1, unit - 1):
-                seen |= xs[:, :, k] == smax
-                first += ~seen
-        else:
-            first = xs.argmax(axis=2)
+        # the index of the first element of each stripe holding its max,
+        # counted in the narrowest type that holds unit - 1
+        seen = xs[:, :, 0] == smax
+        first = (~seen).astype(np.min_scalar_type(unit - 1))
+        for k in range(1, unit - 1):
+            seen |= xs[:, :, k] == smax
+            first += ~seen
         gmean = (spread.T @ g.reshape(len(windows), n * c)).reshape(parts, n, 1, c)
         gx = np.empty((n, parts, unit, c), dtype=dtype)
         gx[...] = gmean.transpose(1, 0, 2, 3)

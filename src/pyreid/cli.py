@@ -22,31 +22,27 @@ import numpy as np
 
 from .data_synth import GenConfig, ReIDDataset, generate_dataset
 from .errors import ConfigError, TrainingDiverged
-from .evaluation import evaluate_checkpoint, metrics_table, true_matches
+from .evaluation import METRICS, evaluate_checkpoint, metrics_table, true_matches
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
 from .trainer import make_config, train
 from . import autograd, chart
 
 
-_METRICS = ("mAP", "rank1", "rank5", "rank10")
-
-
 def _write_metrics_csv(path, rows: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mask", "seed", *_METRICS, "status"])
+        writer.writerow(["mask", "seed", *METRICS, "status"])
         for row in rows:
             writer.writerow(row)
 
 
 def _metric_row(mask, seed, metrics) -> list:
-    return [mask, seed, *(repr(metrics[key]) for key in _METRICS), "ok"]
+    return [mask, seed, *(repr(metrics[key]) for key in METRICS), "ok"]
 
 
 def cmd_gen_data(args) -> int:
     config = GenConfig(num_ids=args.num_ids, imgs_per_id=args.imgs_per_id,
-                       num_cams=args.cams, img_h=args.height, img_w=args.width,
                        severity=args.severity, seed=args.seed)
     dataset = generate_dataset(config)
     dataset.save(args.out)
@@ -144,9 +140,9 @@ def cmd_ablate(args) -> int:
                 rows.append(_metric_row(mask, seed, metrics))
                 per_mask.append(metrics)
             except (ConfigError, TrainingDiverged) as exc:  # record it, keep sweeping
-                rows.append([mask, seed, *[""] * len(_METRICS), f"error: {exc}"])
+                rows.append([mask, seed, *[""] * len(METRICS), f"error: {exc}"])
         if per_mask:
-            means = {key: float(np.mean([m[key] for m in per_mask])) for key in _METRICS}
+            means = {key: float(np.mean([m[key] for m in per_mask])) for key in METRICS}
             rows.append(_metric_row(mask, "mean", means))
     _write_metrics_csv(out_dir / "ablation.csv", rows)
     print(f"wrote {len(rows)} rows to {out_dir / 'ablation.csv'}")
@@ -234,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--num-ids", type=int, default=20)
     p.add_argument("--imgs-per-id", type=int, default=10)
-    p.add_argument("--cams", type=int, default=2)
-    p.add_argument("--height", type=int, default=48)
-    p.add_argument("--width", type=int, default=16)
     p.add_argument("--severity", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_gen_data)

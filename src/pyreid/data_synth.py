@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,33 +44,27 @@ MANIFEST_COLUMNS = ("entry_name", "identity", "camera", "split",
                     "offset", "scale", "occ_x", "occ_y", "occ_w", "occ_h")
 
 
+# the one geometry generated: two cameras and 48 x 16 images (a loaded
+# dataset may hold images of any size)
+NUM_CAMS, IMG_H, IMG_W = 2, 48, 16
+
+
 @dataclass(frozen=True)
 class GenConfig:
     num_ids: int = 20
     imgs_per_id: int = 10
-    num_cams: int = 2
-    img_h: int = 48
-    img_w: int = 16
     severity: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.num_ids < 4:
             raise ConfigError(f"num_ids must be >= 4, got {self.num_ids}")
-        if self.num_cams < 2:
-            raise ConfigError(f"num_cams must be >= 2, got {self.num_cams}")
-        # each test identity needs a query from every camera it appears in
-        # and, for each query, a gallery image from another camera: fewer
-        # than 4 images leave no camera assignment that gives both
+        # each test identity needs a query in each camera and, for each
+        # query, a gallery image from the other camera: two images per camera
         if self.imgs_per_id < 4:
             raise ConfigError(f"imgs_per_id must be >= 4, got {self.imgs_per_id}: a test "
                               f"identity needs a query in each of its cameras and a "
                               f"gallery match from another camera for each query")
-        # the figure needs a head row above the rest of the body
-        if self.img_h < 2:
-            raise ConfigError(f"img_h must be >= 2, got {self.img_h}")
-        if self.img_w < 1:
-            raise ConfigError(f"img_w must be >= 1, got {self.img_w}")
         if not 0.0 <= self.severity <= 1.0:
             raise ConfigError(f"severity must be in [0, 1], got {self.severity}")
         if self.seed < 0:
@@ -195,14 +190,24 @@ def _occlusion_boxes(severity: float, u_occ: np.ndarray, u_area: np.ndarray,
     return np.where((u_occ < 0.5 * severity)[:, None], boxes, -1)
 
 
+def _head(text: str) -> str:
+    """A manifest field as an error message repeats it: at most its first
+    32 characters, so that a long field gives a short message."""
+    return text if len(text) <= 32 else text[:32] + "..."
+
+
 def _int64(text: str, column: str, where: str) -> int:
-    """A manifest integer, which must fit the int64 arrays it is stored in."""
+    """A manifest integer, which must fit the int64 arrays it is stored in.
+    int() refuses decimals longer than sys.get_int_max_str_digits(), and
+    none of those fits either."""
     try:
         value = int(text)
     except ValueError:
-        raise ContainerError(f"{where}: {column} {text!r} is not an integer") from None
-    if not -2 ** 63 <= value < 2 ** 63:
-        raise ContainerError(f"{where}: {column} {value} does not fit in int64")
+        if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
+            raise ContainerError(f"{where}: {column} {_head(text)!r} is not an integer") from None
+        value = None
+    if value is None or not -2 ** 63 <= value < 2 ** 63:
+        raise ContainerError(f"{where}: {column} {_head(text.strip())} does not fit in int64")
     return value
 
 
@@ -211,7 +216,7 @@ def _float(text: str, column: str, where: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ContainerError(f"{where}: {column} {text!r} is not a number") from None
+        raise ContainerError(f"{where}: {column} {_head(text)!r} is not a number") from None
 
 
 @dataclass
@@ -282,10 +287,10 @@ class ReIDDataset:
                                      f"got {len(r)}")
             # a row's image is the next one of its split's container
             if r[0] != f"img_{len(rows):05d}":
-                raise ContainerError(f"{where}: image {r[0]!r} is out of place, expected "
+                raise ContainerError(f"{where}: image {_head(r[0])!r} is out of place, expected "
                                      f"'img_{len(rows):05d}'")
             if r[3] not in split_codes:
-                raise ContainerError(f"{where}: unknown split {r[3]!r}")
+                raise ContainerError(f"{where}: unknown split {_head(r[3])!r}")
             ints = [_int64(r[i], MANIFEST_COLUMNS[i], where) for i in (1, 2, 6, 7, 8, 9)]
             rows.append((ints[0], ints[1], split_codes[r[3]], _float(r[4], "offset", where),
                          _float(r[5], "scale", where), ints[2:]))
@@ -340,32 +345,24 @@ def _split_images(path: Path) -> np.ndarray:
     return images
 
 
-def _camera_assignment(seed: int, identity: int, imgs: int, cams: int,
-                       need_feasible: bool) -> np.ndarray:
-    """Per-image camera labels; re-rolled until every camera's query would
-    keep a cross-camera match (test identities only). If 100 draws miss,
-    two cameras take half the images each, which keeps a match for both
-    queries since imgs >= 4."""
+def _camera_assignment(seed: int, identity: int, imgs: int, need_feasible: bool) -> np.ndarray:
+    """Per-image camera labels; for a test identity, re-rolled until each
+    camera holds at least two images, so that each camera's query keeps a
+    match from the other camera. If 100 draws miss, each camera takes half
+    the images, at least two since imgs >= 4."""
     for attempt in range(100):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([seed, _CAM_STREAM, identity, attempt])))
-        assignment = rng.integers(0, cams, size=imgs)
-        if not need_feasible:
+        assignment = rng.integers(0, NUM_CAMS, size=imgs)
+        if not need_feasible or np.bincount(assignment, minlength=NUM_CAMS).min() >= 2:
             return assignment
-        counts = np.bincount(assignment, minlength=cams)
-        present = np.flatnonzero(counts)
-        if len(present) < 2:
-            continue
-        total_extra = int((counts[present] - 1).sum())
-        if all(total_extra - (counts[c] - 1) >= 1 for c in present):
-            return assignment
-    return (identity + np.arange(imgs) * 2 // imgs) % cams
+    return (identity + np.arange(imgs) * NUM_CAMS // imgs) % NUM_CAMS
 
 
 def generate_dataset(config: GenConfig) -> ReIDDataset:
     """Render the full dataset: half the identities become the train split,
     the other half the test split with one query per (identity, camera)."""
-    h, w, k = config.img_h, config.img_w, config.imgs_per_id
+    h, w, k = IMG_H, IMG_W, config.imgs_per_id
     seed, severity = config.seed, config.severity
     split_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([seed, _SPLIT_STREAM])))
@@ -381,7 +378,7 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
     scales = np.ones(n, dtype=np.float64)
     occ_boxes = np.full((n, 4), -1, dtype=np.int64)
 
-    cam_specs = [_camera_spec(seed, c) for c in range(config.num_cams)]
+    cam_specs = [_camera_spec(seed, c) for c in range(NUM_CAMS)]
     brightness = np.array([c.brightness for c in cam_specs])
     channel_shift = np.array([c.channel_shift for c in cam_specs])
     # one identity's draws; its images are then made in one float64 pass,
@@ -392,8 +389,7 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
     for identity in range(config.num_ids):
         base = render_identity(_identity_spec(seed, identity), h, w)
         is_test = identity not in train_ids
-        assignment = _camera_assignment(seed, identity, k, config.num_cams,
-                                        need_feasible=is_test)
+        assignment = _camera_assignment(seed, identity, k, need_feasible=is_test)
         # sample j's stream is SeedSequence([seed, _SAMPLE_STREAM, identity, j])
         entropy = np.tile(_entropy([seed, _SAMPLE_STREAM, identity, 0]), (k, 1))
         entropy[:, -1] = np.arange(k)
@@ -418,11 +414,11 @@ def generate_dataset(config: GenConfig) -> ReIDDataset:
         img += noise
         np.clip(img, 0.0, 1.0, out=images[block].transpose(0, 3, 1, 2))
         if is_test:
-            # one query per camera the identity appears in, remainder gallery
+            # one query per camera, remainder gallery
             splits[block] = SPLIT_GALLERY
             sample_rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence([seed, _SPLIT_STREAM, identity])))
-            for cam_id in sorted(set(int(c) for c in assignment)):
+            for cam_id in range(NUM_CAMS):
                 members = block.start + np.flatnonzero(assignment == cam_id)
                 splits[int(sample_rng.choice(members))] = SPLIT_QUERY
     return ReIDDataset(images=images, identities=identities, cameras=cameras,

@@ -17,6 +17,7 @@ from .pyramid import BranchMask, PyramidModel
 _RANK_BLOCK = 128
 _JUNK_KEY = 0x7FF8 << 48  # a quiet NaN: above every distance, silent in the gap test
 _EXTRACT_BATCH = 64  # images per eval forward pass
+METRICS = ("mAP", "rank1", "rank5", "rank10")  # evaluate_model's keys, in table order
 
 
 def _exact_sq_distances(query: np.ndarray, rows: np.ndarray) -> list:
@@ -182,8 +183,7 @@ def evaluate_checkpoint(checkpoint_path, dataset: ReIDDataset,
 
 
 def metrics_table(metrics: dict) -> str:
-    keys = ["mAP", "rank1", "rank5", "rank10"]
-    head = " | ".join(f"{k:>7}" for k in keys)
-    vals = " | ".join(f"{metrics[k]:7.4f}" for k in keys)
-    rule = "-+-".join("-" * 7 for _ in keys)
+    head = " | ".join(f"{k:>7}" for k in METRICS)
+    vals = " | ".join(f"{metrics[k]:7.4f}" for k in METRICS)
+    rule = "-+-".join("-" * 7 for _ in METRICS)
     return f"{head}\n{rule}\n{vals}"

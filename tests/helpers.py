@@ -124,18 +124,20 @@ def oracle_dataset(config) -> ReIDDataset:
     its tint, corruption and noise from its own stream with scalar calls,
     then is shifted, rescaled, occluded, lit by its camera, noised and
     clipped on its own. Shares no generation code with `pyreid.data_synth`;
-    `generate_dataset` must equal it byte for byte."""
+    `generate_dataset` must equal it byte for byte. Its camera re-roll test
+    is the general rule for any camera count, at two cameras."""
     id_stream, cam_stream, sample_stream, split_stream = 11, 22, 33, 44
 
     def stream(*words):
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(words))))
 
-    h, w, seed, k = config.img_h, config.img_w, config.seed, config.imgs_per_id
+    num_cams, h, w = 2, 48, 16
+    seed, k = config.seed, config.imgs_per_id
     severity = config.severity
     train_ids = set(int(i) for i in
                     stream(seed, split_stream).permutation(config.num_ids)[:config.num_ids // 2])
     cams = []
-    for c in range(config.num_cams):
+    for c in range(num_cams):
         rng = stream(seed, cam_stream, c)
         cams.append((float(rng.uniform(0.70, 1.30)), rng.uniform(-0.15, 0.15, size=3),
                      float(rng.uniform(0.02, 0.06))))
@@ -165,9 +167,9 @@ def oracle_dataset(config) -> ReIDDataset:
         is_test = identity not in train_ids
         for attempt in range(100):
             assignment = stream(seed, cam_stream, identity, attempt).integers(
-                0, config.num_cams, size=k)
-            counts = np.bincount(assignment, minlength=config.num_cams)
-            present = [c for c in range(config.num_cams) if counts[c]]
+                0, num_cams, size=k)
+            counts = np.bincount(assignment, minlength=num_cams)
+            present = [c for c in range(num_cams) if counts[c]]
             extra = sum(int(counts[c]) - 1 for c in present)
             if not is_test or (len(present) >= 2 and
                                all(extra - (counts[c] - 1) >= 1 for c in present)):

@@ -35,8 +35,8 @@ SEEDS = (0, 1, 2)
 def desk_dataset(severity, seed):
     """Criterion 5's geometry: 20 train identities x 10 images (plus the
     20-identity test half)."""
-    return generate_dataset(GenConfig(num_ids=40, imgs_per_id=10, num_cams=2,
-                                      severity=severity, seed=seed))
+    return generate_dataset(GenConfig(num_ids=40, imgs_per_id=10, severity=severity,
+                                      seed=seed))
 
 
 def trace_phases(trace_path):

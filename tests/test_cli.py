@@ -56,6 +56,16 @@ class TestGenData:
         assert_one_error_line(capsys.readouterr().err, "seed must be non-negative, got -1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--cams", "3"), ("--height", "32"),
+                                             ("--width", "8")])
+    def test_geometry_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # data is generated at two cameras and 48 x 16 only
+        out = tmp_path / "x"
+        assert main(["gen-data", "--out", str(out), flag, value]) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              f"unrecognized arguments: {flag} {value}")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs(self, trained_dir):
@@ -257,22 +267,8 @@ def assert_one_error_line(err: str, *fragments: str) -> None:
 
 
 class TestMalformedInputs:
-    """Broken checkpoints and dataset directories, and image sizes that
-    cannot be rendered, end in exit 2 with one `error:` line that names the
-    fault."""
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--height", "0", "img_h must be >= 2, got 0"),
-        ("--height", "1", "img_h must be >= 2, got 1"),
-        ("--height", "-5", "img_h must be >= 2, got -5"),
-        ("--width", "0", "img_w must be >= 1, got 0"),
-        ("--width", "-3", "img_w must be >= 1, got -3"),
-    ], ids=["zero_height", "one_row", "negative_height", "zero_width", "negative_width"])
-    def test_gen_data_unrenderable_size(self, tmp_path, capsys, flag, value, message):
-        out = tmp_path / "d"
-        assert main(["gen-data", "--out", str(out), flag, value]) == 2
-        assert_one_error_line(capsys.readouterr().err, message)
-        assert not out.exists()
+    """Broken checkpoints and dataset directories end in exit 2 with one
+    `error:` line that names the fault."""
 
     def eval_with(self, checkpoint, dataset):
         return main(["eval", "--checkpoint", str(checkpoint), "--dataset", str(dataset)])
@@ -487,6 +483,21 @@ class TestMalformedInputs:
         assert_one_error_line(capsys.readouterr().err,
                               f"manifest.csv:3: {column} {value} does not fit in int64")
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("identity", "9" * 5000, "does not fit in int64"),  # beyond int()'s digit limit
+        ("identity", "9" * 4000, "does not fit in int64"),
+        ("offset", "x" * 100_001, "is not a number"),
+    ], ids=["5000_digits", "4000_digits", "long_offset"])
+    def test_long_manifest_field_gives_a_short_error(self, data_dir, trained_dir, tmp_path,
+                                                     capsys, column, value, message):
+        i = MANIFEST_COLUMNS.index(column)
+        broken = self.broken_dataset(data_dir, tmp_path, 3,
+                                     lambda row: row[:i] + [value] + row[i + 1:])
+        assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, f"manifest.csv:3: {column} ", message)
+        assert len(err.encode()) < 200, len(err)
 
 
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])

@@ -495,7 +495,7 @@ class TestMap:
 
 @pytest.fixture(scope="module")
 def setup():
-    ds = generate_dataset(GenConfig(num_ids=12, imgs_per_id=8, num_cams=2, seed=8))
+    ds = generate_dataset(GenConfig(num_ids=12, imgs_per_id=8, seed=8))
     model = build_model(TrainConfig(seed=1), ds.image_hw, 6)
     return ds, model
 

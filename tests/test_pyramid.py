@@ -168,6 +168,25 @@ class TestSlicing:
             backward(reduce_sum(ag.mul(pooled, Tensor(w))))
         np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("unit", [256, 257, 2 ** 16 + 1])
+    def test_max_gradient_lands_on_the_last_elements_of_a_stripe(self, unit):
+        # the first maximum's index, unit - 1 in channel 0 and unit - 2 in
+        # channel 1, is counted in the narrowest unsigned type that holds
+        # unit - 1: 255 is a byte's largest value, while 256 and 65,536 would
+        # overflow one and two bytes
+        x = np.zeros((1, 1, unit, 2))
+        x[0, 0, -1, 0] = 1.0   # channel 0: only the last element
+        x[0, 0, -2:, 1] = 1.0  # channel 1: the last two tie
+        weights = np.array([[[0.75, -1.5]]])
+        t = Tensor(x, requires_grad=True)
+        backward(reduce_sum(ag.mul(ag.stripe_pool(t, 1, [(0, 1)]), Tensor(weights))))
+        ref = Tensor(x, requires_grad=True)
+        pooled = ag.add(global_max_pool(ref), global_avg_pool(ref))
+        backward(reduce_sum(ag.mul(pooled, Tensor(weights[0]))))
+        np.testing.assert_allclose(t.grad, ref.grad, rtol=1e-12, atol=1e-15)
+        assert t.grad[0, 0, -1, 0] > t.grad[0, 0, -2, 0]
+        assert t.grad[0, 0, -2, 1] < t.grad[0, 0, -1, 1]
+
 
 class TestBranchForward:
     """All enabled branches' heads at once, on feature maps fed straight in."""

@@ -296,11 +296,12 @@ class TestTrainingRuns:
         _, result = short_run
         assert "combined" in [r["phase"] for r in read_trace(result.trace_path)]
 
-    def test_eval_geometry_mismatch_refused(self, short_run):
+    def test_eval_geometry_mismatch_refused(self, toy_dataset, short_run):
         _, result = short_run
-        other = generate_dataset(GenConfig(num_ids=8, imgs_per_id=6, seed=1,
-                                           img_h=24, img_w=8))
-        with pytest.raises(ConfigError, match="images"):
+        # a loaded dataset may hold any image size: here 24 x 8 crops
+        other = replace(toy_dataset, images=toy_dataset.images[:, :24, :8].copy())
+        with pytest.raises(ConfigError,
+                           match=r"expects \(48, 16\) images, dataset has \(24, 8\)"):
             evaluate_checkpoint(result.checkpoint_path, other)
 
 
