@@ -5,8 +5,8 @@ or unknown flag included) exit 2 with a one-line `error: ...` message,
 training divergence exits 3, anything else exits 1. All run outputs live
 under a single --out directory with fixed names; the only timestamped file
 is run_info.txt. `train` writes nothing for what it refuses: a mask that
-misfits the images, an unfillable P x K batch, or a query with no true
-gallery match.
+misfits the images, an unfillable P x K batch, a feature_dim too large to
+allocate, or a query with no true gallery match.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_synth import GenConfig, ReIDDataset, generate_dataset
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TrainingDiverged, short
 from .evaluation import METRICS, evaluate_checkpoint, metrics_table, true_matches
 from .pyramid import BranchMask
 from .scheduler import TRACE_COLUMNS
@@ -56,7 +56,7 @@ def _collect_overrides(args) -> dict:
     # each of these flags sets the config key of its own name; ablate has no
     # --seed or --pyramid-mask, since its sweep sets both keys
     overrides = {key: value for key, value in vars(args).items()
-                 if key in ("seed", "pyramid_mask", "feature_dim", "epochs")
+                 if key in ("seed", "pyramid_mask", "epochs")
                  and value is not None}
     if args.no_triplet:
         overrides["loss_policy"] = "no_triplet"
@@ -118,10 +118,12 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     masks = [m.strip() for m in args.masks.split(",") if m.strip()]
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"ablate: --seeds must be comma-separated integers: {exc}") from exc
+    seeds = []
+    for item in filter(str.strip, args.seeds.split(",")):
+        try:
+            seeds.append(int(item))
+        except ValueError:
+            raise ConfigError(f"ablate: --seeds item {short(item)!r} is not an integer") from None
     if not masks or not seeds:
         raise ConfigError("ablate: need at least one mask and one seed")
     dataset = ReIDDataset.load(args.dataset)
@@ -167,22 +169,22 @@ def _read_trace(path) -> dict:
         for name, val in zip(TRACE_COLUMNS, parts):
             if name == "phase":
                 if val not in ("id_only", "combined"):
-                    raise ConfigError(f"{path}:{lineno}: bad phase {val!r}, expected "
+                    raise ConfigError(f"{path}:{lineno}: bad phase {short(val)!r}, expected "
                                       f"id_only or combined")
                 cols[name].append(val)
             elif name == "tau":
                 try:
                     tau = int(val)
                 except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad tau {val!r}") from exc
+                    raise ConfigError(f"{path}:{lineno}: bad tau {short(val)!r}") from exc
                 if not 0 <= tau < 2 ** 53:  # iterations count exactly as floats
-                    raise ConfigError(f"{path}:{lineno}: tau {tau} out of range")
+                    raise ConfigError(f"{path}:{lineno}: tau {short(tau)} out of range")
                 cols[name].append(tau)
             else:
                 try:
                     cols[name].append(float(val) if val else float("nan"))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value {val!r} in {name}") from exc
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: bad value {short(val)!r} in {name}")
     return cols
 
 
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_train_opts(p):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--profile", choices=["desk", "paper"], default="desk")
-        p.add_argument("--feature-dim", type=int, default=None)
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--no-triplet", action="store_true",
                        help="shorthand for loss_policy = no_triplet: the ID-only "

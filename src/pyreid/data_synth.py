@@ -28,7 +28,7 @@ import numpy as np
 
 from .batching import Split
 from .container import load_tensors, save_tensors
-from .errors import ConfigError, ContainerError
+from .errors import ConfigError, ContainerError, short
 
 SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY = 0, 1, 2
 _SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_QUERY: "query", SPLIT_GALLERY: "gallery"}
@@ -58,17 +58,17 @@ class GenConfig:
 
     def __post_init__(self):
         if self.num_ids < 4:
-            raise ConfigError(f"num_ids must be >= 4, got {self.num_ids}")
+            raise ConfigError(f"num_ids must be >= 4, got {short(self.num_ids)}")
         # each test identity needs a query in each camera and, for each
         # query, a gallery image from the other camera: two images per camera
         if self.imgs_per_id < 4:
-            raise ConfigError(f"imgs_per_id must be >= 4, got {self.imgs_per_id}: a test "
+            raise ConfigError(f"imgs_per_id must be >= 4, got {short(self.imgs_per_id)}: a test "
                               f"identity needs a query in each of its cameras and a "
                               f"gallery match from another camera for each query")
         if not 0.0 <= self.severity <= 1.0:
             raise ConfigError(f"severity must be in [0, 1], got {self.severity}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {short(self.seed)}")
 
 
 @dataclass(frozen=True)
@@ -190,12 +190,6 @@ def _occlusion_boxes(severity: float, u_occ: np.ndarray, u_area: np.ndarray,
     return np.where((u_occ < 0.5 * severity)[:, None], boxes, -1)
 
 
-def _head(text: str) -> str:
-    """A manifest field as an error message repeats it: at most its first
-    32 characters, so that a long field gives a short message."""
-    return text if len(text) <= 32 else text[:32] + "..."
-
-
 def _int64(text: str, column: str, where: str) -> int:
     """A manifest integer, which must fit the int64 arrays it is stored in.
     int() refuses decimals longer than sys.get_int_max_str_digits(), and
@@ -204,10 +198,10 @@ def _int64(text: str, column: str, where: str) -> int:
         value = int(text)
     except ValueError:
         if not re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):
-            raise ContainerError(f"{where}: {column} {_head(text)!r} is not an integer") from None
+            raise ContainerError(f"{where}: {column} {short(text)!r} is not an integer") from None
         value = None
     if value is None or not -2 ** 63 <= value < 2 ** 63:
-        raise ContainerError(f"{where}: {column} {_head(text.strip())} does not fit in int64")
+        raise ContainerError(f"{where}: {column} {short(text.strip())} does not fit in int64")
     return value
 
 
@@ -216,7 +210,7 @@ def _float(text: str, column: str, where: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ContainerError(f"{where}: {column} {_head(text)!r} is not a number") from None
+        raise ContainerError(f"{where}: {column} {short(text)!r} is not a number") from None
 
 
 @dataclass
@@ -277,7 +271,7 @@ class ReIDDataset:
         reader = csv.reader((directory / "manifest.csv").read_text().splitlines())
         header = next(reader, [])
         if tuple(header) != MANIFEST_COLUMNS:
-            raise ConfigError(f"unexpected manifest columns {header}")
+            raise ConfigError(f"unexpected manifest columns {short(','.join(header))!r}")
         split_codes = {v: k for k, v in _SPLIT_NAMES.items()}
         rows = []
         for r in reader:
@@ -287,10 +281,10 @@ class ReIDDataset:
                                      f"got {len(r)}")
             # a row's image is the next one of its split's container
             if r[0] != f"img_{len(rows):05d}":
-                raise ContainerError(f"{where}: image {_head(r[0])!r} is out of place, expected "
+                raise ContainerError(f"{where}: image {short(r[0])!r} is out of place, expected "
                                      f"'img_{len(rows):05d}'")
             if r[3] not in split_codes:
-                raise ContainerError(f"{where}: unknown split {_head(r[3])!r}")
+                raise ContainerError(f"{where}: unknown split {short(r[3])!r}")
             ints = [_int64(r[i], MANIFEST_COLUMNS[i], where) for i in (1, 2, 6, 7, 8, 9)]
             rows.append((ints[0], ints[1], split_codes[r[3]], _float(r[4], "offset", where),
                          _float(r[5], "scale", where), ints[2:]))

@@ -14,15 +14,14 @@ from .autograd import Tensor
 
 @dataclass
 class LossValue:
-    """A task loss: differentiable scalar, sample count, and a degeneracy
-    flag for batches that produced no usable terms."""
-    tensor: Tensor
+    """A task loss: a differentiable scalar and the number of samples it
+    averages, or no tensor and a count of 0 when the batch measured none."""
+    tensor: Tensor | None
     count: int
-    degenerate: bool = False
 
     @property
-    def value(self) -> float:
-        return self.tensor.item()
+    def value(self) -> float | None:
+        return None if self.tensor is None else self.tensor.item()
 
 
 def id_loss(logits: Tensor, labels) -> LossValue:
@@ -46,10 +45,11 @@ def triplet_loss(embeddings: Tensor, labels, margin: float) -> LossValue:
     Every row is an anchor; anchors with at least one positive and one
     negative contribute hinge(d(a, hardest positive) - d(a, hardest
     negative) + margin), and the loss is the mean over those valid anchors.
-    A batch without a valid anchor gives a degenerate zero loss.
+    A batch without a valid anchor (a batch of one image included) has no
+    triplet loss: its tensor is None.
     """
-    if embeddings.data.ndim != 2 or embeddings.data.shape[0] < 2:
-        raise ValueError(f"triplet_loss: need a (B>=2, D) embedding batch, got "
+    if embeddings.data.ndim != 2:
+        raise ValueError(f"triplet_loss: need a (B, D) embedding batch, got "
                          f"{embeddings.data.shape}")
     if not (margin > 0 and math.isfinite(margin)):
         raise ValueError(f"triplet_loss: margin must be finite and positive, got {margin}")
@@ -60,7 +60,5 @@ def triplet_loss(embeddings: Tensor, labels, margin: float) -> LossValue:
     # an anchor has a positive when its label repeats, a negative when another label exists
     members = (labels[:, None] == labels[None, :]).sum(axis=1)
     count = int(((members > 1) & (members < labels.size)).sum())
-    if not count:
-        zero = Tensor(np.zeros((), dtype=embeddings.data.dtype))
-        return LossValue(zero, count=0, degenerate=True)
-    return LossValue(ag.batch_hard_triplet(embeddings, labels, margin), count=count)
+    tensor = ag.batch_hard_triplet(embeddings, labels, margin) if count else None
+    return LossValue(tensor, count=count)

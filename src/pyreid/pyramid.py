@@ -23,7 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .backbone import Backbone, BatchNorm, fan_in_uniform
-from .errors import ConfigError
+from .errors import ConfigError, short
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,10 @@ class BranchMask:
     @classmethod
     def from_string(cls, text: str) -> "BranchMask":
         if not text or any(c not in "01" for c in text):
-            raise ConfigError(f"mask must be a nonempty string of 0/1, got {text!r}")
+            raise ConfigError(f"mask must be a nonempty string of 0/1, got {short(text)!r}")
         flags = tuple(c == "1" for c in text)
         if not any(flags):
-            raise ConfigError(f"mask {text!r} disables every pyramid level")
+            raise ConfigError(f"mask {short(text)!r} disables every pyramid level")
         return cls(flags)
 
     def __str__(self):
@@ -102,7 +102,7 @@ class PyramidModel:
         do not depend on the other branches, so they equal the embedding of
         a model built for `mask` with the same weights."""
         if mask.n != self.mask.n or not set(mask.windows()) <= set(self.windows):
-            raise ConfigError(f"mask {mask} is not a sub-mask of the model's mask "
+            raise ConfigError(f"mask {short(mask)} is not a sub-mask of the model's mask "
                               f"{self.mask}")
         return np.repeat([mask.level_enabled(level) for _, level in self.windows],
                          self.feature_dim)

@@ -130,9 +130,10 @@ class SchedulerState:
             return None
         return ag.add(ag.mul(loss_id, self.fl_id), ag.mul(loss_tp, self.fl_tp))
 
-    def observe(self, task: str, loss: float) -> None:
-        stats = self.id_stats if task == "id" else self.tp_stats
-        stats.observe(loss)
+    def observe(self, loss_id: float, loss_tp: float | None) -> None:
+        self.id_stats.observe(loss_id)
+        if loss_tp is not None:  # an unmeasured L_tp leaves its average
+            self.tp_stats.observe(loss_tp)
 
     # -- checkpoint support --------------------------------------------------
     #

@@ -24,8 +24,8 @@ from .backbone import STAGES, Backbone
 from .batching import Split, pk_batches, pk_groups, random_batches
 from .container import load_tensors, save_tensors
 from .data_synth import ReIDDataset
-from .errors import ConfigError, ContainerError, TrainingDiverged
-from .losses import id_loss, triplet_loss
+from .errors import ConfigError, ContainerError, TrainingDiverged, short
+from .losses import LossValue, id_loss, triplet_loss
 from .pyramid import BranchMask, PyramidModel
 from .scheduler import LOSS_POLICIES, Phase, SchedulerState, TraceWriter
 
@@ -58,23 +58,23 @@ class TrainConfig:
     def validate(self) -> None:
         for key in ("feature_dim", "epochs"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be positive, got {short(getattr(self, key))}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {short(self.seed)}")
         if self.p_ids < 2 or self.k_imgs < 2:
             raise ConfigError(f"p_ids and k_imgs must be >= 2 for valid triplets, got "
-                              f"P={self.p_ids} K={self.k_imgs}")
+                              f"P={short(self.p_ids)} K={short(self.k_imgs)}")
         if list(self.lr_halving_epochs) != sorted(set(self.lr_halving_epochs)):
             raise ConfigError(f"lr_halving_epochs must be strictly increasing, got "
-                              f"{self.lr_halving_epochs}")
+                              f"{short(self.lr_halving_epochs)}")
         # an entry below 1 halves the rate from epoch 0: a smaller base_lr
         if any(e < 1 for e in self.lr_halving_epochs):
             raise ConfigError(f"lr_halving_epochs entries must be >= 1, got "
-                              f"{self.lr_halving_epochs}")
+                              f"{short(self.lr_halving_epochs)}")
         BranchMask.from_string(self.pyramid_mask)
         if self.loss_policy not in LOSS_POLICIES:
             raise ConfigError(f"loss_policy must be one of {', '.join(LOSS_POLICIES)}, "
-                              f"got {self.loss_policy!r}")
+                              f"got {short(self.loss_policy)!r}")
         # a NaN fails every comparison, so it is refused with the range
         for key in ("margin", "base_lr"):
             value = getattr(self, key)
@@ -118,7 +118,7 @@ def _config_lines(text: str, source):
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {short(raw)!r}")
         key, _, val = line.partition("=")
         yield lineno, key.strip(), val.strip()
 
@@ -129,7 +129,7 @@ def parse_config_text(text: str, source) -> dict:
     values, first_line = {}, {}
     for lineno, key, val in _config_lines(text, source):
         if key not in _DEFAULTS:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{source}:{lineno}: unknown config key {short(key)!r}")
         if key in first_line:
             raise ConfigError(f"{source}:{lineno}: config key {key!r} repeated "
                               f"(first set on line {first_line[key]})")
@@ -137,7 +137,7 @@ def parse_config_text(text: str, source) -> dict:
         try:
             values[key] = _parse_value(val, _DEFAULTS[key])
         except ValueError as exc:
-            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
+            raise ConfigError(f"{source}:{lineno}: bad value for {key}: {short(val)!r}") from exc
     return values
 
 
@@ -218,8 +218,12 @@ def make_label_map(split: Split) -> dict:
 def build_model(config: TrainConfig, image_hw: tuple, num_identities: int) -> PyramidModel:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([config.seed, _INIT_PURPOSE])))
-    return PyramidModel(Backbone(STAGES, rng), BranchMask.from_string(config.pyramid_mask),
-                        config.feature_dim, num_identities, image_hw, rng)
+    try:
+        return PyramidModel(Backbone(STAGES, rng), BranchMask.from_string(config.pyramid_mask),
+                            config.feature_dim, num_identities, image_hw, rng)
+    except MemoryError as exc:
+        raise ConfigError(f"feature_dim {short(config.feature_dim)} is too large to "
+                          f"allocate") from exc
 
 
 def _entry(entries: dict, key: str, shape=(), finite: bool = False) -> np.ndarray:
@@ -371,15 +375,11 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
     split = dataset.train_split()
     if len(split) == 0:
         raise ConfigError("train: dataset has no train split")
-    # an unfillable P x K batch or a pyramid that misfits the images is
-    # refused before any output exists
+    # an unfillable P x K batch, a misfit pyramid, a model too large to allocate
+    # or a checkpoint that does not match is refused before any output exists
     pk_groups(split, config.p_ids, config.k_imgs)
     label_map = make_label_map(split)
     model = build_model(config, dataset.image_hw, len(label_map))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
-
     fingerprint = dataset.fingerprint()
     opt = SGD(list(model.named_parameters()))
     sched = SchedulerState(policy=config.loss_policy)
@@ -391,7 +391,7 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
 
     if resume_from is not None:
         entries = load_checkpoint(resume_from)
-        stored_config = _decode_config(entries)
+        model, stored_config = rebuild_model(entries)
         # the run length may legitimately change on resume
         diff = [f.name for f in fields(TrainConfig) if f.name != "epochs"
                 and getattr(stored_config, f.name) != getattr(config, f.name)]
@@ -401,7 +401,6 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
         if _bytes_entry(entries, "meta/dataset_fingerprint").hex() != fingerprint:
             raise ConfigError("checkpoint was trained on a different dataset "
                               "(fingerprint mismatch)")
-        model, _ = rebuild_model(entries)
         opt = SGD(list(model.named_parameters()))
         for name, velocity in opt.velocity.items():
             velocity[...] = _entry(entries, f"momentum/{name}", velocity.shape, finite=True)
@@ -416,6 +415,9 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
         pk_stream.restore(_int_entry(entries, "meta/pk_epoch"),
                           _int_entry(entries, "meta/pk_pos"))
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "resolved_config.ini").write_text(resolved_config_text(config))
     iters_per_epoch = math.ceil(len(split) / config.batch_size)
     total_iters = config.epochs * iters_per_epoch
     trace_path = out_dir / "trace.csv"
@@ -437,8 +439,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
                 # an ID-only iteration tracks L_tp without optimizing it; its
                 # node is not reached from the objective, so no backward visits it
                 l_tp = (triplet_loss(embedding, batch.identities, config.margin)
-                        if sched.tracks_triplet and len(batch) >= 2 else None)
-                loss = sched.objective(l_id.tensor, None if l_tp is None else l_tp.tensor)
+                        if sched.tracks_triplet else LossValue(None, count=0))
+                loss = sched.objective(l_id.tensor, l_tp.tensor)
                 if loss is not None:
                     if not np.isfinite(loss.data).all():
                         raise TrainingDiverged(f"non-finite loss at iteration {sched.tau}")
@@ -448,11 +450,8 @@ def train(config: TrainConfig, dataset: ReIDDataset, out_dir,
             except FloatingPointError as exc:  # an op's finiteness check (PYREID_DEBUG)
                 raise TrainingDiverged(f"{exc} at iteration {sched.tau}") from exc
 
-            sched.observe("id", l_id.value)
-            if l_tp is not None and not l_tp.degenerate:
-                sched.observe("tp", l_tp.value)
-            trace.write(sched.tau, phase, l_id.value,
-                        None if l_tp is None else l_tp.value, sched, lr)
+            sched.observe(l_id.value, l_tp.value)
+            trace.write(sched.tau, phase, l_id.value, l_tp.value, sched, lr)
 
     # the losses can stay finite while a running statistic overflows
     for name, buf in model.named_buffers():

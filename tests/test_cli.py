@@ -109,7 +109,8 @@ class TestTrain:
         (["--frobnicate", "1"], "unrecognized arguments: --frobnicate 1"),
         (["--epochs", "abc"], "argument --epochs: invalid int value: 'abc'"),
         (["--profile", "huge"], "argument --profile: invalid choice: 'huge'"),
-    ], ids=["unknown_flag", "bad_int", "bad_choice"])
+        (["--feature-dim", "8"], "unrecognized arguments: --feature-dim 8"),
+    ], ids=["unknown_flag", "bad_int", "bad_choice", "feature_dim_flag"])
     def test_unknown_flag_rejected(self, data_dir, tmp_path, capsys, args, message):
         out = tmp_path / "o"
         assert main(["train", "--dataset", str(data_dir), "--out", str(out), *args]) == 2
@@ -122,11 +123,10 @@ class TestTrain:
         assert code == 2
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--feature-dim", "0", "feature_dim must be positive, got 0"),
         ("--epochs", "0", "epochs must be positive, got 0"),
         ("--epochs", "-1", "epochs must be positive, got -1"),
         ("--seed", "-1", "seed must be non-negative, got -1"),
-    ], ids=["zero_feature_dim", "zero_epochs", "negative_epochs", "negative_seed"])
+    ], ids=["zero_epochs", "negative_epochs", "negative_seed"])
     def test_size_out_of_range_exits_2(self, data_dir, tmp_path, capsys, flag, value,
                                        message):
         out = tmp_path / "o"
@@ -165,6 +165,17 @@ class TestTrain:
         assert code == 2
         assert_one_error_line(capsys.readouterr().err,
                               f"{config}:2: unknown config key {key!r}")
+
+    def test_feature_dim_too_large_to_allocate_exits_2(self, data_dir, tmp_path, capsys):
+        # 10**12 columns ask numpy for hundreds of TiB, which it refuses at once
+        config = tmp_path / "run.ini"
+        config.write_text("feature_dim = 1000000000000\n")
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--config", str(config)]) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "feature_dim 1000000000000 is too large to allocate")
+        assert not out.exists()
 
     def test_part_count_and_batch_follow_mask_and_pk(self, data_dir, tmp_path):
         out = tmp_path / "o"
@@ -499,6 +510,44 @@ class TestMalformedInputs:
         assert_one_error_line(err, f"manifest.csv:3: {column} ", message)
         assert len(err.encode()) < 200, len(err)
 
+    LONG = "x" * 100_000
+    CONFIG_LINES = {"config_line": LONG, "config_key": f"{LONG} = 1",
+                    "margin": f"margin = {LONG}", "loss_policy": f"loss_policy = {LONG}",
+                    "halving_epochs": "lr_halving_epochs = " + ",".join(["2"] * 50_000),
+                    "seed": "seed = -" + "9" * 4000}
+
+    @pytest.mark.parametrize("case", ["manifest_header", *CONFIG_LINES, "trace_field",
+                                      "eval_mask", "eval_sub_mask", "ablate_seeds"])
+    def test_long_input_gives_a_short_error(self, data_dir, trained_dir, tmp_path, capsys,
+                                            case):
+        """Every command repeats at most 32 characters of an input it refuses."""
+        long, out = self.LONG, tmp_path / "o"
+        checkpoint = str(trained_dir / "checkpoint.pyrt")
+        if case in self.CONFIG_LINES:
+            (tmp_path / "run.ini").write_text(self.CONFIG_LINES[case] + "\n")
+            args = ["train", "--dataset", str(data_dir), "--out", str(out),
+                    "--config", str(tmp_path / "run.ini")]
+        elif case == "manifest_header":
+            broken = self.broken_dataset(data_dir, tmp_path, 1,
+                                         lambda row: row[:-1] + [row[-1] + long])
+            args = ["eval", "--checkpoint", checkpoint, "--dataset", str(broken)]
+        elif case == "trace_field":
+            (tmp_path / "trace.csv").write_text(
+                "tau,phase,L_id,L_tp,k_id,k_tp,p_id,p_tp,FL_id,FL_tp,lr\n"
+                f"1,id_only,{long}" + ",1.0" * 8 + "\n")
+            args = ["export-curves", "--trace", str(tmp_path / "trace.csv"), "--out", str(out)]
+        elif case.startswith("eval"):
+            mask = "1" * 100_000 if case == "eval_sub_mask" else long
+            args = ["eval", "--checkpoint", checkpoint, "--dataset", str(data_dir),
+                    "--mask", mask, "--out", str(out)]
+        else:
+            args = ["ablate", "--dataset", str(data_dir), "--out", str(out),
+                    "--masks", "000001", "--seeds", f"0,{long}"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert len(err.encode()) < 200, err[:300]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_query_without_a_true_match(self, data_dir, trained_dir, tmp_path, capsys,
@@ -654,6 +703,16 @@ class TestAblate:
         statuses = {r["mask"]: r["status"] for r in rows if r["seed"] == "0"}
         assert statuses["111111"] == "ok"
         assert statuses["21"].startswith("error:")
+
+    def test_feature_dim_too_large_is_an_error_row(self, data_dir, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("feature_dim = 1000000000000\n")
+        out = tmp_path / "ab"
+        assert main(["ablate", "--dataset", str(data_dir), "--out", str(out), "--config",
+                     str(config), "--masks", "000001", "--seeds", "0,1"]) == 0
+        statuses = [r["status"] for r in csv.DictReader(open(out / "ablation.csv"))]
+        assert statuses == ["error: feature_dim 1000000000000 is too large to allocate"] * 2
+        assert [p.name for p in out.iterdir()] == ["ablation.csv"]
 
     def test_refused_mask_leaves_no_run_directory(self, data_dir, tmp_path):
         # five parts do not divide the 12-row feature map of 48-pixel images

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -166,20 +167,19 @@ class TestSchedulerState:
         # weights are 0, and the previous phase is retained
         state = SchedulerState()
         state.begin_iteration()
-        state.observe("id", 10.0)
-        state.observe("tp", 1.0)
+        state.observe(10.0, 1.0)
         assert state.begin_iteration() is Phase.ID_ONLY
 
     def test_first_observation_seeds_k_with_l0(self):
         state = SchedulerState()
-        state.observe("id", 8.0)
+        state.observe(8.0, None)
         assert state.id_stats.k == 8.0
         assert state.id_stats.p == 1.0
 
     def test_ema_example_trajectory(self):
         state = SchedulerState()
-        state.observe("id", 2.0)
-        state.observe("id", 1.0)
+        state.observe(2.0, None)
+        state.observe(1.0, None)
         assert state.id_stats.k == pytest.approx(1.75)
         assert state.id_stats.p == pytest.approx(0.875)
 
@@ -187,10 +187,22 @@ class TestSchedulerState:
         # an exactly-zero loss cannot reduce further; without the pin the EMA
         # decays geometrically and p sticks at 1 - alpha forever
         state = SchedulerState()
-        state.observe("tp", 0.5)
+        state.observe(1.0, 0.5)
         for _ in range(5):
-            state.observe("tp", 0.0)
+            state.observe(1.0, 0.0)
         assert state.tp_stats.p == 1.0
+
+    @pytest.mark.parametrize("tp_before", [None, 0.7])
+    def test_unmeasured_triplet_loss_leaves_its_average(self, tp_before):
+        # a batch without a valid anchor measures no L_tp; the L_id still counts
+        state = SchedulerState()
+        state.observe(3.0, tp_before)
+        state.observe(2.0, 0.5)
+        bits = lambda stats: struct.pack("<2d", stats.k, stats.p)
+        before = bits(state.tp_stats)
+        state.observe(1.5, None)
+        assert bits(state.tp_stats) == before
+        assert state.id_stats.k == pytest.approx(0.25 * 1.5 + 0.75 * 2.75)
 
     def test_deterministic_trajectories(self, rng):
         losses = rng.uniform(0.1, 5.0, size=50)
@@ -200,8 +212,7 @@ class TestSchedulerState:
             log = []
             for v in losses:
                 state.begin_iteration()
-                state.observe("id", float(v))
-                state.observe("tp", float(v) * 0.5)
+                state.observe(float(v), float(v) * 0.5)
                 log.append((state.phase, state.id_stats.k, state.id_stats.p,
                             state.fl_id, state.fl_tp))
             runs.append(log)
@@ -210,10 +221,9 @@ class TestSchedulerState:
     def test_scalar_roundtrip(self):
         state = SchedulerState()
         state.begin_iteration()
-        state.observe("id", 4.0)
+        state.observe(4.0, None)
         state.begin_iteration()
-        state.observe("id", 3.0)
-        state.observe("tp", 1.0)
+        state.observe(3.0, 1.0)
         back = SchedulerState()
         back.restore(state.to_scalars())
         # the focal weights are recomputed by the next iteration
@@ -224,7 +234,7 @@ class TestSchedulerState:
         # the dynamic policy stays ID-only here; the restored state alternates
         state = SchedulerState()
         state.begin_iteration()
-        state.observe("id", 5.0)
+        state.observe(5.0, None)
         back = SchedulerState(policy="no_triplet")
         back.restore(state.to_scalars())
         assert sorted(state.to_scalars()) == ["k_id", "k_tp", "p_id", "p_tp", "phase", "tau"]
@@ -239,8 +249,7 @@ class TestAlternatingPolicy:
         phases = []
         for loss in (5.0, 4.0, 3.0, 3.0, 2.0, 0.0):
             phases.append(state.begin_iteration())
-            state.observe("id", loss)
-            state.observe("tp", 1.0)
+            state.observe(loss, 1.0)
         assert phases == [Phase.ID_ONLY, Phase.COMBINED] * 3
 
     def test_focal_weights_still_tracked(self):
@@ -248,6 +257,6 @@ class TestAlternatingPolicy:
         for loss in (5.0, 4.0, 3.5):
             for state in (plain, alternating):
                 state.begin_iteration()
-                state.observe("id", loss)
+                state.observe(loss, None)
         assert (alternating.tau, alternating.fl_id, alternating.fl_tp) == \
             (plain.tau, plain.fl_id, plain.fl_tp)

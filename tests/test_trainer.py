@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pyreid.batching import pk_batches, random_batches
 from pyreid.container import load_tensors, save_tensors
 from pyreid.data_synth import GenConfig, generate_dataset
 from pyreid.errors import ConfigError, ContainerError, TrainingDiverged
@@ -17,10 +18,12 @@ from pyreid.evaluation import evaluate_checkpoint
 from pyreid.scheduler import (ALPHA, GAMMA, LOSS_POLICIES, SWITCH_RATIO, TRACE_COLUMNS,
                               SchedulerState)
 from pyreid.trainer import (MOMENTUM, PROFILES, SGD, WEIGHT_DECAY, TrainConfig,
-                            _decode_config, build_model,
+                            _BatchStream, _decode_config, build_model,
                             load_checkpoint, lr_schedule, make_config,
                             make_label_map, rebuild_model,
                             resolved_config_text, save_checkpoint, sgd_step, train)
+
+from helpers import oracle_triplet
 
 
 def read_trace(path):
@@ -229,6 +232,41 @@ class TestTrainingRuns:
         bad = TrainConfig(seed=3, epochs=8, pyramid_mask="1111")
         with pytest.raises(ConfigError, match=r"differing fields: \['pyramid_mask'\]"):
             train(bad, toy_dataset, tmp_path / "c", resume_from=result.checkpoint_path)
+
+    @pytest.mark.parametrize("config, message", [
+        (TrainConfig(seed=3, epochs=8, feature_dim=8), r"differing fields: \['feature_dim'\]"),
+        (TrainConfig(seed=4, epochs=8), r"differing fields: \['seed'\]"),
+    ], ids=["feature_dim", "seed"])
+    def test_refused_resume_writes_nothing(self, toy_dataset, short_run, tmp_path, config,
+                                           message):
+        _, result = short_run
+        out = tmp_path / "refused"
+        with pytest.raises(ConfigError, match=message):
+            train(config, toy_dataset, out, resume_from=result.checkpoint_path)
+        assert not out.exists()
+
+    def test_anchorless_batch_leaves_a_blank_triplet_loss(self, toy_dataset, short_run):
+        # replay the two samplers along the trace's phases: a batch in which
+        # no image has both a positive and a negative measures no L_tp, so its
+        # row is blank and the triplet average (k_tp) is the previous row's
+        config, result = short_run
+        split = toy_dataset.train_split()
+        streams = {
+            "id_only": _BatchStream(lambda e: random_batches(split, config.batch_size,
+                                                             config.seed, e)),
+            "combined": _BatchStream(lambda e: pk_batches(split, config.p_ids,
+                                                          config.k_imgs, config.seed, e)),
+        }
+        blank, previous = [], None
+        for row in read_trace(result.trace_path):
+            labels = streams[row["phase"]].next().identities
+            _, anchors = oracle_triplet(np.zeros((len(labels), 1)), labels, 1.0)
+            assert (row["L_tp"] == "") == (anchors == 0), row
+            if anchors == 0:
+                assert row["k_tp"] == previous["k_tp"]
+                blank.append(int(row["tau"]))
+            previous = row
+        assert blank == [13]
 
     def test_resume_on_other_dataset_refused(self, short_run, tmp_path):
         _, result = short_run
