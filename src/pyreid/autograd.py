@@ -246,6 +246,7 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _tasks: queue.SimpleQueue = queue.SimpleQueue()  # claim loops for the helper threads
 _helpers = 0  # helper threads started in this process
+_in_task = threading.local()  # .flag is True on a thread while it runs a task
 
 
 def _helper() -> None:
@@ -268,6 +269,8 @@ def _share_tasks(count: int, worker) -> list:
     to `_WORKERS` threads, the caller and helpers, claim the tasks one at a
     time, each in the caller's context variables (numpy's error state among
     them); a thread's first claim calls worker() for its function of task i.
+    A call made from inside a task runs all its tasks on that task's thread,
+    so tasks may nest without waiting on threads that are busy.
     A task must write only what it owns; a caller that adds results does so
     in task order, so the bits do not depend on the thread count. All tasks
     run; the first error in task order is raised once they have finished. No
@@ -276,14 +279,18 @@ def _share_tasks(count: int, worker) -> list:
     todo = iter(range(count))  # each next() claims one task, atomically under the GIL
 
     def run():
+        outer, _in_task.flag = getattr(_in_task, "flag", False), True
         task = None
-        for i in todo:
-            try:
-                if task is None:
-                    task = worker()
-                results[i] = task(i)
-            except BaseException as exc:  # raised by the calling thread below
-                errors.append((i, exc))
+        try:
+            for i in todo:
+                try:
+                    if task is None:
+                        task = worker()
+                    results[i] = task(i)
+                except BaseException as exc:  # raised by the calling thread below
+                    errors.append((i, exc))
+        finally:
+            _in_task.flag = outer
 
     tickets, left, call = itertools.count(), queue.SimpleQueue(), {"run": run}
 
@@ -293,7 +300,7 @@ def _share_tasks(count: int, worker) -> list:
         left.put(ticket)
 
     global _helpers
-    helpers = min(_WORKERS, count) - 1
+    helpers = 0 if getattr(_in_task, "flag", False) else min(_WORKERS, count) - 1
     while _helpers < helpers:
         threading.Thread(target=_helper, name="pyreid-worker", daemon=True).start()
         _helpers += 1
@@ -309,29 +316,42 @@ def _share_tasks(count: int, worker) -> list:
     return results
 
 
-def _patch_chunks(xp: np.ndarray, stride: int, ho: int, wo: int, fn) -> list:
-    """Call fn(first image, last image + 1, patch matrix) for each chunk of
-    images of a zero-padded (N, H+2, W+2, C) map; return the results in chunk
-    order. Row (n, r, s) of the (rows, 9C) matrix is the 3x3 window of output
-    pixel (r, s) in (i, j, c) order. `_CHUNK_BYTES` alone sets the chunks.
-    The chunks are `_share_tasks`' tasks, and each thread reuses one matrix
-    buffer of at most `_CHUNK_BYTES`, so scratch memory does not grow with
-    the batch. `fn` must write only what its own chunk owns."""
-    n, _, _, c = xp.shape
+def _windows(xp: np.ndarray, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Read-only (N, Ho, Wo, 3, 3, C) view of the 3x3 windows of a padded map."""
     sn, sh, sw, sc = xp.strides
     # in xp each window row's three taps are one contiguous 3*C run
-    windows = as_strided(xp, (n, ho, wo, 3, 3, c), (sn, stride * sh, stride * sw, sh, sw, sc),
-                         writeable=False)
-    step = max(1, _CHUNK_BYTES // (ho * wo * 9 * c * xp.itemsize))
+    return as_strided(xp, xp.shape[:1] + (ho, wo, 3, 3) + xp.shape[3:],
+                      (sn, stride * sh, stride * sw, sh, sw, sc), writeable=False)
+
+
+def _patch_chunks(x: np.ndarray, stride: int, ho: int, wo: int, fn, pad: bool = False) -> list:
+    """Call fn(first image, last image + 1, patch matrix) for each chunk of
+    images of a zero-padded (N, H+2, W+2, C) map, or with `pad` of an
+    (N, H, W, C) map whose chunks are padded one at a time; return the
+    results in chunk order. Row (n, r, s) of the (rows, 9C) matrix is the
+    3x3 window of output pixel (r, s) in (i, j, c) order. `_CHUNK_BYTES`
+    alone sets the chunks. The chunks are `_share_tasks`' tasks, and each
+    thread reuses one matrix buffer of at most `_CHUNK_BYTES` (and with
+    `pad` one padded chunk), so scratch memory does not grow with the
+    batch. `fn` must write only what its own chunk owns."""
+    n, h, w, c = x.shape
+    step = max(1, _CHUNK_BYTES // (ho * wo * 9 * c * x.itemsize))
     starts = range(0, n, step)
+    windows = None if pad else _windows(x, stride, ho, wo)
 
     def worker():
-        buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=xp.dtype)
+        buf = np.empty((min(step, n) * ho * wo, 9 * c), dtype=x.dtype)
+        if pad:  # the border stays zero; each chunk overwrites the inside
+            xp = np.zeros((min(step, n), h + 2, w + 2, c), dtype=x.dtype)
+            padded = _windows(xp, stride, ho, wo)
 
         def chunk(i):
             lo, hi = starts[i], min(starts[i] + step, n)
             cols = buf[:(hi - lo) * ho * wo]
-            np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), windows[lo:hi])
+            if pad:
+                xp[:hi - lo, 1:h + 1, 1:w + 1] = x[lo:hi]
+            src = padded[:hi - lo] if pad else windows[lo:hi]
+            np.copyto(cols.reshape(hi - lo, ho, wo, 3, 3, c), src)
             return fn(lo, hi, cols)
 
         return chunk
@@ -376,8 +396,13 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
     dtype = np.result_type(x.data, w.data)
     ho, wo = (h - 1) // stride + 1, (wd_ - 1) // stride + 1
     m, p = n * ho * wo, ho * wo
-    xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=dtype)
-    xp[:, 1:h + 1, 1:wd_ + 1] = x.data
+    # training keeps the zero-padded map for its backward; eval holds none
+    # and pads each chunk in its thread's scratch
+    if training:
+        xp = np.zeros((n, h + 2, wd_ + 2, c), dtype=dtype)
+        xp[:, 1:h + 1, 1:wd_ + 1] = x.data
+    else:
+        xp = x.data.astype(dtype, copy=False)
     # the kernel as a (9C, Co) matrix in the patch matrix's (i, j, c) order,
     # with eval's scale folded in
     wcol = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0), dtype=dtype).reshape(9 * c, co)
@@ -386,7 +411,8 @@ def conv_bn_relu(x: Tensor, w: Tensor, gamma: Tensor, beta: Tensor, running_mean
         wcol = wcol * scale
     y = np.empty((m, co), dtype=dtype)
     _patch_chunks(xp, stride, ho, wo,
-                  lambda lo, hi, cols: np.matmul(cols, wcol, out=y[lo * p:hi * p]))
+                  lambda lo, hi, cols: np.matmul(cols, wcol, out=y[lo * p:hi * p]),
+                  pad=not training)
     if not training:
         y += beta.data - running_mean * scale
         np.maximum(y, 0, out=y)

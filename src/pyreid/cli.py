@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -70,6 +72,19 @@ def _train_and_evaluate(config, dataset, out_dir) -> dict:
     return evaluate_checkpoint(train(config, dataset, out_dir).checkpoint_path, dataset)
 
 
+def _blas_core() -> str:
+    """The kernel that numpy's bundled OpenBLAS picked for this CPU, which
+    sets the bits of every product, or "unknown" without that library."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _run_info(start: float) -> str:
     """Timing plus the numeric environment a run's speed depends on."""
     try:
@@ -82,6 +97,7 @@ def _run_info(start: float) -> str:
         "duration_s": f"{time.time() - start:.3f}",
         "numpy_version": np.__version__,
         "blas": blas_version,
+        "blas_core": _blas_core(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
         "cpu_count": os.cpu_count(),
         "conv_workers": autograd._WORKERS,
@@ -216,12 +232,20 @@ def cmd_export_curves(args) -> int:
     return 0
 
 
+# a value argparse quotes in an error message: its repr, in either quote
+_QUOTED = re.compile(r"""(['"])((?:(?!\1)[^\\]|\\.)*)\1""")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser (the subcommand parsers inherit the class) whose
-    usage errors reach `main` as a ConfigError, printed as one `error:` line."""
+    usage errors reach `main` as a ConfigError, printed as one `error:` line.
+    Each value that argparse quotes, and the list of unrecognized arguments
+    it repeats unquoted, is cut as `errors.short` cuts it."""
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        message = _QUOTED.sub(lambda m: m[1] + short(m[2]) + m[1], message)
+        head, sep, unrecognized = message.partition("unrecognized arguments: ")
+        raise ConfigError(f"{self.prog}: {head}{sep}{short(unrecognized) if sep else ''}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ from .pyramid import BranchMask, PyramidModel
 # query rows per task, which bounds a task's memory: a (128, G) float64 block
 _RANK_BLOCK = 128
 _JUNK_KEY = 0x7FF8 << 48  # a quiet NaN: above every distance, silent in the gap test
-_EXTRACT_BATCH = 64  # images per eval forward pass
+_EXTRACT_BATCH = 256  # images per eval forward pass: two tiles, which the workers share
 METRICS = ("mAP", "rank1", "rank5", "rank10")  # evaluate_model's keys, in table order
 
 

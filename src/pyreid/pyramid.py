@@ -26,6 +26,13 @@ from .backbone import Backbone, BatchNorm, fan_in_uniform
 from .errors import ConfigError, short
 
 
+# most images in one eval tile. A row's bits can depend on the other rows of
+# a BLAS product (a one-row product is a matrix-vector call, and a long one
+# can take another kernel), so the tiles follow from the batch alone, never
+# from the worker count: the bits are the same on any number of CPUs.
+_EVAL_TILE = 128
+
+
 @dataclass(frozen=True)
 class BranchMask:
     """Per-level enable flags; index 0 = level 1 (finest)."""
@@ -50,6 +57,11 @@ class BranchMask:
     def level_enabled(self, level: int) -> bool:
         return self.flags[level - 1]
 
+    def branches(self) -> int:
+        """The number of windows, counted without listing them."""
+        return sum(self.n - level + 1 for level in range(1, self.n + 1)
+                   if self.level_enabled(level))
+
     def windows(self) -> list[tuple[int, int]]:
         """(first part, part count) of every branch of the enabled levels,
         level-major then position: the enumeration order."""
@@ -72,14 +84,15 @@ class PyramidModel:
                  num_identities: int, image_hw: tuple, rng: np.random.Generator):
         self.backbone = backbone
         self.mask = mask
-        self.windows = mask.windows()
         self.feature_dim = feature_dim
         self.num_identities = num_identities
         self.image_hw = tuple(image_hw)
         h, w, c = backbone.output_shape(*self.image_hw)
+        # before the n(n+1)/2 windows are listed, which a long mask makes huge
         if h % mask.n:
             raise ConfigError(f"feature map height {h} not divisible by part count {mask.n}; "
                               f"adjust image height")
+        self.windows = mask.windows()
         self.map_shape = (h, w, c)
         # stored (C, D) per branch: the 1x1 conv applied to a pooled C-vector
         # is a matmul. Every branch of every level draws its reduction and
@@ -111,7 +124,22 @@ class PyramidModel:
         """(embedding, logits): the (N, B*D) embedding, the held branches'
         features side by side in enumeration order, and in training the
         (B, N, num_identities) logits, one slab per branch; eval computes no
-        logits and gives None."""
+        logits and gives None.
+
+        Eval cuts a batch of more than `_EVAL_TILE` images into the fewest
+        tiles of at most `_EVAL_TILE` contiguous images, of sizes that
+        differ by at most one, runs each tile's whole forward as one
+        `autograd._share_tasks` task and joins the embeddings in tile order."""
+        n = len(images.data)
+        if training or n <= _EVAL_TILE:
+            return self._forward(images, training)
+        tiles = -(-n // _EVAL_TILE)
+        bounds = [n * i // tiles for i in range(tiles + 1)]
+        parts = ag._share_tasks(tiles, lambda: lambda i: self._forward(
+            Tensor(images.data[bounds[i]:bounds[i + 1]]), False)[0].data)
+        return Tensor(np.concatenate(parts)), None
+
+    def _forward(self, images: Tensor, training: bool) -> tuple:
         fmap = self.backbone.forward(images, training)
         if fmap.data.ndim != 4 or fmap.data.shape[1:] != self.map_shape:
             raise ValueError(f"feature map {fmap.data.shape} does not match the heads' "

@@ -316,7 +316,7 @@ def rebuild_model(entries: dict) -> tuple:
     # the classifier's last axis is the identity count; its full shape is checked
     # before anything is allocated, so an empty axis cannot back a forged count
     classifier = _entry(entries, "param/head.classifier.weight", shape=None)
-    branches = len(BranchMask.from_string(config.pyramid_mask).windows())
+    branches = BranchMask.from_string(config.pyramid_mask).branches()
     if (classifier.ndim != 3 or classifier.shape[:2] != (branches, config.feature_dim)
             or classifier.shape[-1] < 1):
         raise ContainerError(f"checkpoint entry 'param/head.classifier.weight' has shape "

@@ -318,7 +318,7 @@ class TestConvBnReluAgainstUnfusedReference:
         monkeypatch.setattr(ag, "_WORKERS", workers)
         passes, patch_chunks = [], ag._patch_chunks
 
-        def spy(xp, stride, ho, wo, fn):
+        def spy(x, stride, ho, wo, fn, **pad):
             chunks = []
             passes.append(chunks)
 
@@ -326,7 +326,7 @@ class TestConvBnReluAgainstUnfusedReference:
                 chunks.append((lo, hi, threading.get_ident()))
                 return fn(lo, hi, cols)
 
-            return patch_chunks(xp, stride, ho, wo, record)
+            return patch_chunks(x, stride, ho, wo, record, **pad)
 
         monkeypatch.setattr(ag, "_patch_chunks", spy)
         ref_stats = tuple(a.copy() for a in stats)
@@ -396,7 +396,7 @@ class TestConvBnReluAgainstUnfusedReference:
         monkeypatch.setattr(ag, "_WORKERS", 3)
         finished, patch_chunks = [], ag._patch_chunks
 
-        def failing_chunks(xp, stride, ho, wo, fn):
+        def failing_chunks(x, stride, ho, wo, fn, **pad):
             def chunk(lo, hi, cols):
                 if lo in failing:
                     raise RuntimeError(f"chunk {lo}")
@@ -405,7 +405,7 @@ class TestConvBnReluAgainstUnfusedReference:
                 finished.append(lo)
                 return result
 
-            return patch_chunks(xp, stride, ho, wo, chunk)
+            return patch_chunks(x, stride, ho, wo, chunk, **pad)
 
         monkeypatch.setattr(ag, "_patch_chunks", failing_chunks)
         with pytest.raises(RuntimeError, match=f"chunk {failing[0]}"):
@@ -450,6 +450,39 @@ class TestConvBnReluAgainstUnfusedReference:
         finally:
             tracemalloc.stop()
         assert peak < full, f"peak {peak / 2**20:.1f} MiB, full matrices {full / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("images_per_chunk", [1, 2, 3, 7])
+    def test_eval_pads_each_chunk_float64(self, rng, monkeypatch, images_per_chunk, stride):
+        # 7 images in chunks of 1, 2, 3 or 7, the last one short but for 1
+        # and 7, each padded in its thread's scratch: the output is the
+        # reference's, both when the chunks are shared and when the call
+        # runs inside a task, as an eval tile's does, on one thread
+        x, w, gamma, beta, stats, g = _block_inputs(rng, 7, 4, 7, 6, 5, stride, np.float64)
+        ho, wo = g.shape[1:3]
+        monkeypatch.setattr(ag, "_CHUNK_BYTES", images_per_chunk * ho * wo * 9 * 4 * 8)
+        monkeypatch.setattr(ag, "_WORKERS", 2)
+        ref = reference_conv_bn_relu(x, w, gamma, beta, *stats, stride, False, g)[0]
+        shared = _block_with_grads(x, w, gamma, beta, stats, stride, False, g)[0].data
+        tile = ag._share_tasks(1, lambda: lambda i: _block_with_grads(
+            x, w, gamma, beta, stats, stride, False, g)[0].data)[0]
+        np.testing.assert_allclose(shared, ref, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(tile, shared)
+
+    def test_eval_scratch_stays_below_a_padded_map(self, rng, monkeypatch):
+        # the stride-2 (16 -> 32, 24x8) backbone block at B = 256 on two
+        # threads: eval must peak below one zero-padded copy of the batch,
+        # which alone is larger than its output plus the chunks' scratch
+        x, w, gamma, beta, stats, _ = _block_inputs(rng, 256, 16, 24, 8, 32, 2, np.float32)
+        monkeypatch.setattr(ag, "_WORKERS", 2)
+        padded = x[:, :1, :1].size * 26 * 10 * 4
+        tracemalloc.start()
+        try:
+            ag.conv_bn_relu(Tensor(x), Tensor(w), Tensor(gamma), Tensor(beta), *stats, 2, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < padded, f"peak {peak / 2**20:.2f} MiB, padded map {padded / 2**20:.2f} MiB"
 
     @pytest.mark.parametrize("c", [3, 5])
     def test_untracked_input_gets_no_gradient(self, rng, c):
@@ -532,6 +565,46 @@ class TestShareTasks:
                 assert all(ref() is None for ref in call())
         finally:
             sys.setswitchinterval(switch)
+
+    def test_a_call_inside_a_task_runs_on_its_thread_in_order(self, monkeypatch):
+        # 2 tasks on 2 of 5 threads each share 4 tasks of their own: no idle
+        # helper claims one of those, and they run one after another in order
+        monkeypatch.setattr(ag, "_WORKERS", 5)
+
+        def outer(i):
+            ran = []
+
+            def inner(j):
+                ran.append((j, threading.get_ident()))
+                time.sleep(0.001)
+                return i * 10 + j
+
+            got = ag._share_tasks(4, lambda: inner)
+            return got, ran, threading.get_ident()
+
+        for i, (got, ran, thread) in enumerate(ag._share_tasks(2, lambda: outer)):
+            assert got == [i * 10 + j for j in range(4)]
+            assert ran == [(j, thread) for j in range(4)]
+
+    def test_a_call_inside_a_task_raises_its_first_error_after_every_task(self,
+                                                                         monkeypatch):
+        monkeypatch.setattr(ag, "_WORKERS", 3)
+
+        def outer(i):
+            finished = []
+
+            def inner(j):
+                if j in (1, 3):
+                    raise RuntimeError(f"task {i}.{j}")
+                finished.append(j)
+
+            try:
+                ag._share_tasks(5, lambda: inner)
+            except RuntimeError as exc:
+                return str(exc), finished
+
+        assert ag._share_tasks(4, lambda: outer) == [(f"task {i}.1", [0, 2, 4])
+                                                     for i in range(4)]
 
     def test_helpers_run_in_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(ag, "_WORKERS", 3)

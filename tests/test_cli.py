@@ -9,10 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pyreid import cli
 from pyreid.chart import PALETTE, line_chart, write_png
 from pyreid.cli import main
 from pyreid.container import load_tensors, save_tensors
 from pyreid.data_synth import MANIFEST_COLUMNS
+from pyreid.pyramid import BranchMask
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +78,21 @@ class TestTrain:
     def test_run_info_records_environment(self, trained_dir):
         lines = (trained_dir / "run_info.txt").read_text().splitlines()
         info = dict(line.split(" = ", 1) for line in lines)
-        for key in ("started_unix", "duration_s", "numpy_version", "blas",
+        for key in ("started_unix", "duration_s", "numpy_version", "blas", "blas_core",
                     "openblas_num_threads", "cpu_count", "conv_workers"):
             assert info.get(key), key
         assert info["numpy_version"] == np.__version__
         assert info["conv_workers"] == str(len(os.sched_getaffinity(0)))
+
+    @pytest.mark.parametrize("library", ["not_loadable", "without_the_symbol"])
+    def test_blas_core_is_unknown_without_the_bundled_openblas(self, monkeypatch, library):
+        def cdll(path):
+            if library == "not_loadable":
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()  # no scipy_openblas_get_corename64_
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli._blas_core() == "unknown"
 
     def test_resolved_config_reproduces_run(self, data_dir, trained_dir, tmp_path):
         out = tmp_path / "replay"
@@ -115,6 +127,34 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--dataset", str(data_dir), "--out", str(out), *args]) == 2
         assert_one_error_line(capsys.readouterr().err, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--epochs", "x" * 100_000], f"invalid int value: '{'x' * 32}...'"),
+        (["--profile", '"' * 100_000], f"""invalid choice: '{'"' * 32}...' (choose from"""),
+        (["--frobnicate", "y" * 100_000], f"unrecognized arguments: --frobnicate {'y' * 19}..."),
+    ], ids=["bad_int", "bad_choice", "unknown_flag"])
+    def test_long_value_is_cut_in_a_usage_error(self, data_dir, tmp_path, capsys, args,
+                                                message):
+        # argparse repeats a refused value whole; the error line keeps 32 characters
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", str(data_dir), "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err, message)
+        assert len(err) < 200, len(err)
+        assert not out.exists()
+
+    def test_long_mask_refused_before_its_windows_are_listed(self, data_dir, tmp_path,
+                                                            capsys, monkeypatch):
+        def never(mask):
+            raise AssertionError("windows listed")
+
+        monkeypatch.setattr(BranchMask, "windows", never)
+        out = tmp_path / "o"
+        assert main(["train", "--dataset", str(data_dir), "--out", str(out),
+                     "--pyramid-mask", "1" * 100_000]) == 2
+        assert_one_error_line(capsys.readouterr().err,
+                              "feature map height 12 not divisible by part count 100000")
         assert not out.exists()
 
     def test_bad_mask_exits_2(self, data_dir, tmp_path, capsys):
@@ -389,6 +429,23 @@ class TestMalformedInputs:
         assert_one_error_line(capsys.readouterr().err,
                               "checkpoint meta/config:11: config key 'margin' repeated "
                               "(first set on line 2)")
+
+    def test_checkpoint_config_with_a_huge_mask(self, data_dir, trained_dir, tmp_path,
+                                                capsys, monkeypatch):
+        # 100,000 parts have 5,000,050,000 branches, which are counted, never listed
+        def never(mask):
+            raise AssertionError("windows listed")
+
+        monkeypatch.setattr(BranchMask, "windows", never)
+        entries = load_tensors(trained_dir / "checkpoint.pyrt")
+        text = entries["meta/config"].astype(np.uint8).tobytes().decode()
+        assert "pyramid_mask = 111111\n" in text
+        text = text.replace("pyramid_mask = 111111", "pyramid_mask = " + "1" * 100_000)
+        entries["meta/config"] = np.frombuffer(text.encode(), dtype=np.uint8).astype("<i8")
+        save_tensors(tmp_path / "ck.pyrt", entries)
+        assert self.eval_with(tmp_path / "ck.pyrt", data_dir) == 2
+        assert_one_error_line(capsys.readouterr().err, "'param/head.classifier.weight'",
+                              "expected (5000050000, 16, identities >= 1)")
 
     @pytest.mark.parametrize("edit, message", [
         (lambda images: images[:, :, :-1],

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,7 @@ class TestEnumeration:
     def test_branch_count_identity(self, mask):
         n, ws = len(mask), windows(mask)
         assert len(ws) == sum(n - l + 1 for l in range(1, n + 1) if mask[l - 1] == "1")
+        assert BranchMask.from_string(mask).branches() == len(ws)
         if "0" not in mask:
             assert len(ws) == n * (n + 1) // 2
         # the enabled levels' windows of the full pyramid, in its order
@@ -436,6 +439,15 @@ class TestModel:
         with pytest.raises(ConfigError, match="not divisible"):
             make_model(n=5)  # H=12 not divisible by 5
 
+    def test_long_mask_refused_before_its_windows_are_listed(self, monkeypatch):
+        # 100,000 parts would list 5,000,050,000 windows
+        def never(mask):
+            raise AssertionError("windows listed")
+
+        monkeypatch.setattr(BranchMask, "windows", never)
+        with pytest.raises(ConfigError, match="not divisible by part count 100000"):
+            make_model(n=100_000)
+
     def test_random_configs_either_reject_or_divide(self):
         # every accepted build has a map height divisible by n
         rng = np.random.default_rng(20)
@@ -508,3 +520,55 @@ class TestModel:
             np.testing.assert_array_equal(model.classifier_weight.data[i],
                                           rng.uniform(-0.25, 0.25, size=(16, 10))
                                           .astype(np.float32))
+
+
+class TestEvalTiles:
+    """Eval cuts a batch of more than `_EVAL_TILE` images into tiles that the
+    worker threads share, each tile one whole forward."""
+
+    @pytest.fixture(scope="class", params=["111111", "000001"])
+    def model(self, request):
+        model = make_model(mask=request.param)
+        images = np.random.default_rng(5).uniform(0, 1, size=(64, 48, 16, 3))
+        model.forward(Tensor(images.astype(np.float32)), training=True)  # moves the stats
+        return model
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        return np.random.default_rng(6).uniform(0, 1, size=(257, 48, 16, 3)).astype(np.float32)
+
+    def test_bits_do_not_depend_on_worker_count(self, model, images, monkeypatch):
+        # 129 .. 256 images are 2 tiles and 257 are 3 (85 + 86 + 86); none of
+        # those ends at a chunk boundary of the blocks' 12, 9 and 4 images.
+        # The interpreter switches threads every 10 us: a tile run twice or
+        # never would change or leave out rows
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for batch in (1, 2, 63, 64, 65, 255, 256, 257):
+                runs = []
+                for workers in (1, 2, 5):
+                    monkeypatch.setattr(ag, "_WORKERS", workers)
+                    runs.append(model.forward(Tensor(images[:batch]), training=False)[0].data)
+                for run in runs[1:]:
+                    assert run.tobytes() == runs[0].tobytes(), batch
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_tiles_are_balanced_and_joined_in_order(self, model, images, monkeypatch):
+        monkeypatch.setattr(ag, "_WORKERS", 2)
+        sizes, forward = [], PyramidModel._forward
+
+        def spy(self, x, training):
+            sizes.append(len(x.data))
+            return forward(self, x, training)
+
+        monkeypatch.setattr(PyramidModel, "_forward", spy)
+        for batch, tiles in ((128, [128]), (129, [64, 65]), (256, [128, 128]),
+                             (257, [85, 86, 86])):
+            sizes.clear()
+            got = model.forward(Tensor(images[:batch]), training=False)[0].data
+            assert sorted(sizes) == tiles
+            ref, _, _ = reference_pyramid_forward(model, Tensor(images[:batch]),
+                                                  np.zeros(batch, dtype=int), False)
+            np.testing.assert_allclose(got, ref.data, rtol=1e-4, atol=1e-5)
