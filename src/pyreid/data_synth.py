@@ -269,13 +269,17 @@ class ReIDDataset:
     def load(cls, directory) -> "ReIDDataset":
         directory = Path(directory)
         reader = csv.reader((directory / "manifest.csv").read_text().splitlines())
-        header = next(reader, [])
+        try:
+            records = [(reader.line_num, r) for r in reader]
+        except csv.Error as exc:  # a field over csv's size limit, say
+            raise ContainerError(f"manifest.csv:{reader.line_num}: {exc}") from None
+        header = records[0][1] if records else []
         if tuple(header) != MANIFEST_COLUMNS:
             raise ConfigError(f"unexpected manifest columns {short(','.join(header))!r}")
         split_codes = {v: k for k, v in _SPLIT_NAMES.items()}
         rows = []
-        for r in reader:
-            where = f"manifest.csv:{reader.line_num}"
+        for line, r in records[1:]:
+            where = f"manifest.csv:{line}"
             if len(r) != len(MANIFEST_COLUMNS):
                 raise ContainerError(f"{where}: expected {len(MANIFEST_COLUMNS)} fields, "
                                      f"got {len(r)}")

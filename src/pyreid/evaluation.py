@@ -16,7 +16,6 @@ from .pyramid import BranchMask, PyramidModel
 # query rows per task, which bounds a task's memory: a (128, G) float64 block
 _RANK_BLOCK = 128
 _JUNK_KEY = 0x7FF8 << 48  # a quiet NaN: above every distance, silent in the gap test
-_EXTRACT_BATCH = 256  # images per eval forward pass: two tiles, which the workers share
 METRICS = ("mAP", "rank1", "rank5", "rank10")  # evaluate_model's keys, in table order
 
 
@@ -143,14 +142,11 @@ def compute_map(matches: np.ndarray) -> float:
 def extract_embeddings(model: PyramidModel, images: np.ndarray,
                        mask: BranchMask | None = None) -> np.ndarray:
     """Eval-mode embeddings (running batch-norm statistics) for a stack of
-    images, in input order. A `mask` other than the model's keeps the
-    columns of its branches; the model must hold them all."""
+    images, in input order, from one `forward` call. A `mask` other than the
+    model's keeps the columns of its branches; the model must hold them all."""
     columns = None if mask is None or mask == model.mask else model.embedding_columns(mask)
-    chunks = []
-    for off in range(0, len(images), _EXTRACT_BATCH):
-        emb, _ = model.forward(Tensor(images[off:off + _EXTRACT_BATCH]), training=False)
-        chunks.append(emb.data if columns is None else emb.data[:, columns])
-    return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, 0))
+    emb = model.forward(Tensor(images), training=False)[0].data
+    return emb if columns is None else emb[:, columns]
 
 
 def evaluate_model(model: PyramidModel, dataset: ReIDDataset,

@@ -552,19 +552,25 @@ class TestMalformedInputs:
                               f"manifest.csv:3: {column} {value} does not fit in int64")
         assert not out.exists()
 
-    @pytest.mark.parametrize("column, value, message", [
-        ("identity", "9" * 5000, "does not fit in int64"),  # beyond int()'s digit limit
-        ("identity", "9" * 4000, "does not fit in int64"),
-        ("offset", "x" * 100_001, "is not a number"),
-    ], ids=["5000_digits", "4000_digits", "long_offset"])
+    OVER_CSV_LIMIT = "9" * 200_000  # csv refuses a field over 131,072 characters
+
+    @pytest.mark.parametrize("line, column, value, head, message", [
+        (3, "identity", "9" * 5000, "identity ", "does not fit in int64"),  # over int()'s limit
+        (3, "identity", "9" * 4000, "identity ", "does not fit in int64"),
+        (3, "offset", "x" * 100_001, "offset ", "is not a number"),
+        (3, "identity", OVER_CSV_LIMIT, "field larger than field limit", ""),
+        (1, "identity", OVER_CSV_LIMIT, "field larger than field limit", ""),
+    ], ids=["5000_digits", "4000_digits", "long_offset", "row_over_csv_limit",
+            "header_over_csv_limit"])
     def test_long_manifest_field_gives_a_short_error(self, data_dir, trained_dir, tmp_path,
-                                                     capsys, column, value, message):
+                                                     capsys, line, column, value, head,
+                                                     message):
         i = MANIFEST_COLUMNS.index(column)
-        broken = self.broken_dataset(data_dir, tmp_path, 3,
+        broken = self.broken_dataset(data_dir, tmp_path, line,
                                      lambda row: row[:i] + [value] + row[i + 1:])
         assert self.eval_with(trained_dir / "checkpoint.pyrt", broken) == 2
         err = capsys.readouterr().err
-        assert_one_error_line(err, f"manifest.csv:3: {column} ", message)
+        assert_one_error_line(err, f"manifest.csv:{line}: {head}", message)
         assert len(err.encode()) < 200, len(err)
 
     LONG = "x" * 100_000

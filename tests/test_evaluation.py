@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from pyreid.errors import ConfigError
 from pyreid.batching import Split
 from pyreid.evaluation import (compute_cmc, compute_map, evaluate_model, extract_embeddings,
                                rank_gallery, true_matches)
-from pyreid.pyramid import BranchMask
+from pyreid.pyramid import BranchMask, PyramidModel
 from pyreid.trainer import TrainConfig, build_model
 
 from helpers import (nhwc, oracle_ap, oracle_cmc, oracle_rank, padded,
@@ -636,8 +637,63 @@ class TestSubMaskEmbedding:
         tol = {"rtol": 1e-10} if dtype == np.float64 else {"rtol": 1e-4, "atol": 1e-5}
         np.testing.assert_allclose(part, ref.data, **tol)
 
-    def test_mask_with_a_level_the_model_lacks_is_refused(self):
+    def test_mask_with_a_level_the_model_lacks_is_refused_before_any_work(self, monkeypatch):
         model = build_model(TrainConfig(seed=3, pyramid_mask="101001"), (48, 16), 6)
+
+        def forward(*args, **kwargs):
+            raise AssertionError("ran the model for a mask it cannot serve")
+
+        monkeypatch.setattr(PyramidModel, "forward", forward)
         with pytest.raises(ConfigError, match="mask 111111 .* mask 101001"):
             extract_embeddings(model, np.zeros((2, 48, 16, 3), dtype=np.float32),
                                BranchMask.from_string("111111"))
+
+
+class TestExtraction:
+    """`extract_embeddings` runs a whole stack as one eval `forward` call,
+    whose tiles bound its memory."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_model(TrainConfig(seed=3), (48, 16), 6)
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        return np.random.default_rng(4).uniform(0, 1, size=(2400, 48, 16, 3)).astype(np.float32)
+
+    @pytest.mark.parametrize("mask", [None, "000001"])
+    def test_one_forward_call_per_stack(self, model, images, monkeypatch, mask):
+        calls, forward = [], PyramidModel.forward
+
+        def spy(self, x, training):
+            calls.append(len(x.data))
+            return forward(self, x, training)
+
+        monkeypatch.setattr(PyramidModel, "forward", spy)
+        mask = mask and BranchMask.from_string(mask)
+        for batch in (1, 257, 600):
+            calls.clear()
+            extract_embeddings(model, images[:batch], mask)
+            assert calls == [batch]
+
+    @pytest.mark.parametrize("mask, columns", [(None, 21 * 16), ("000001", 16),
+                                               ("110011", 14 * 16)])
+    def test_empty_stack(self, model, images, mask, columns):
+        embs = extract_embeddings(model, images[:0], mask and BranchMask.from_string(mask))
+        assert embs.shape == (0, columns)
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_peak_memory_is_below_an_untiled_first_block(self, model, images, monkeypatch,
+                                                         workers):
+        """An untiled forward would hold the first block's (2400, 24, 8, 16)
+        float32 output; the tiles in flight, one per worker, hold far less."""
+        monkeypatch.setattr(ag, "_WORKERS", workers)
+        extract_embeddings(model, images[:300])  # starts the helper threads
+        tracemalloc.start()
+        try:
+            embs = extract_embeddings(model, images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert embs.shape == (2400, 21 * 16)
+        assert peak < 2400 * 24 * 8 * 16 * 4, peak

@@ -535,17 +535,18 @@ class TestEvalTiles:
 
     @pytest.fixture(scope="class")
     def images(self):
-        return np.random.default_rng(6).uniform(0, 1, size=(257, 48, 16, 3)).astype(np.float32)
+        return np.random.default_rng(6).uniform(0, 1, size=(2400, 48, 16, 3)).astype(np.float32)
 
     def test_bits_do_not_depend_on_worker_count(self, model, images, monkeypatch):
-        # 129 .. 256 images are 2 tiles and 257 are 3 (85 + 86 + 86); none of
-        # those ends at a chunk boundary of the blocks' 12, 9 and 4 images.
+        # 129 .. 256 images are 2 tiles, 2,400 (a whole gallery) are 19 of
+        # 126 or 127, and 257 are 3 (85 + 86 + 86), none of which ends at a
+        # chunk boundary of the blocks' 12, 9 and 4 images.
         # The interpreter switches threads every 10 us: a tile run twice or
         # never would change or leave out rows
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for batch in (1, 2, 63, 64, 65, 255, 256, 257):
+            for batch in (1, 2, 63, 64, 65, 255, 256, 257, 2400):
                 runs = []
                 for workers in (1, 2, 5):
                     monkeypatch.setattr(ag, "_WORKERS", workers)
@@ -565,7 +566,7 @@ class TestEvalTiles:
 
         monkeypatch.setattr(PyramidModel, "_forward", spy)
         for batch, tiles in ((128, [128]), (129, [64, 65]), (256, [128, 128]),
-                             (257, [85, 86, 86])):
+                             (257, [85, 86, 86]), (2400, [126] * 13 + [127] * 6)):
             sizes.clear()
             got = model.forward(Tensor(images[:batch]), training=False)[0].data
             assert sorted(sizes) == tiles
